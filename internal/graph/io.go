@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -95,57 +94,13 @@ const binaryMagic = uint32(0x52535447) // "GTSR"
 // WriteBinary serializes g in a compact little-endian binary format:
 // magic, n, arcs, Off, Adj, W.
 func WriteBinary(w io.Writer, g *CSR) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint64{uint64(binaryMagic), uint64(g.NumVertices()), uint64(g.NumArcs())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Off); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Adj); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.W); err != nil {
-		return err
-	}
-	return bw.Flush()
+	e := NewEncoder(w)
+	e.BinaryCSR(g)
+	return e.Err()
 }
 
-// ReadBinary parses the binary CSR format and validates array sizes.
+// ReadBinary parses the binary CSR format and validates its structural
+// invariants (see Decoder.BinaryCSR).
 func ReadBinary(r io.Reader) (*CSR, error) {
-	br := bufio.NewReader(r)
-	var magic, n, arcs uint64
-	for _, p := range []*uint64{&magic, &n, &arcs} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	if uint32(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", magic)
-	}
-	const maxReasonable = 1 << 34
-	if n > maxReasonable || arcs > maxReasonable {
-		return nil, fmt.Errorf("graph: implausible sizes n=%d arcs=%d", n, arcs)
-	}
-	g := &CSR{
-		Off: make([]int64, n+1),
-		Adj: make([]V, arcs),
-		W:   make([]float64, arcs),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Off); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Adj); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.W); err != nil {
-		return nil, err
-	}
-	if g.Off[0] != 0 || uint64(g.Off[n]) != arcs {
-		return nil, fmt.Errorf("graph: corrupt offsets")
-	}
-	return g.finalize(), nil
+	return NewDecoder(r).BinaryCSR()
 }

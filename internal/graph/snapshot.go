@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -86,9 +84,16 @@ func snapCorruptf(format string, args ...any) error {
 // need a version bump: old files remain readable, new files cannot be
 // silently misread.
 //
-// Arrays are written and read as whole slices with encoding/binary, so a
-// multi-million-edge graph loads in milliseconds rather than the seconds
-// a line-by-line text parse takes.
+// Each array moves between file and slice as one block of bytes (the
+// section codec, codec.go): the writer hands the slice's memory to the
+// io.Writer, and the reader fills a fresh slice's memory with
+// io.ReadFull, swapping byte order in place only on big-endian hosts.
+// The CRC is updated over those same bytes, and one pass over each CSR
+// section both validates it and records the statistics finalize would
+// compute. A file-backed read therefore allocates little beyond the
+// arrays it returns. A stream of unknown length (ReadSnapshot) grows
+// each section as its bytes arrive, so a header that lies about its
+// sizes fails having allocated a small multiple of what was present.
 type Snapshot struct {
 	// G is the query graph. When Original is present, G is the augmented
 	// (k, ρ)-graph (input plus shortcut edges).
@@ -193,10 +198,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		}
 	}
 
-	bw := bufio.NewWriterSize(w, 1<<20)
-	crc := crc32.New(snapCRC)
-	out := io.MultiWriter(bw, crc) // checksum everything except the trailer
-
+	e := &Encoder{w: w, sum: true} // checksum everything except the trailer
 	flags := uint32(0)
 	if s.Radii != nil {
 		flags |= snapFlagRadii
@@ -212,41 +214,34 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if len(s.Landmarks) > 0 {
 		flags |= snapFlagLandmarks
 	}
-	head := []any{
-		snapMagic, snapVersion, flags,
-		uint64(n), uint64(s.G.NumArcs()), uint64(origArcs),
-		uint32(s.Rho), uint32(s.K), uint32(len(s.Heuristic)),
-	}
-	for _, h := range head {
-		if err := binary.Write(out, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if _, err := out.Write([]byte(s.Heuristic)); err != nil {
-		return err
-	}
-	sections := []any{s.G.Off, s.G.Adj, s.G.W}
+	e.Uint64(snapMagic)
+	e.Uint32(snapVersion)
+	e.Uint32(flags)
+	e.Uint64(uint64(n))
+	e.Uint64(uint64(s.G.NumArcs()))
+	e.Uint64(uint64(origArcs))
+	e.Uint32(uint32(s.Rho))
+	e.Uint32(uint32(s.K))
+	e.Uint32(uint32(len(s.Heuristic)))
+	e.write([]byte(s.Heuristic))
+	e.csr(s.G)
 	if s.Radii != nil {
-		sections = append(sections, s.Radii)
+		e.Float64s(s.Radii)
 	}
 	if s.Original != nil {
-		sections = append(sections, s.Original.Off, s.Original.Adj, s.Original.W)
+		e.csr(s.Original)
 	}
 	if s.Perm != nil {
-		sections = append(sections, s.Perm)
+		writeWords(e, s.Perm)
 	}
 	if len(s.Landmarks) > 0 {
-		sections = append(sections, uint32(len(s.Landmarks)), s.Landmarks, s.LandmarkDist)
+		e.Uint32(uint32(len(s.Landmarks)))
+		writeWords(e, s.Landmarks)
+		e.Float64s(s.LandmarkDist)
 	}
-	for _, sec := range sections {
-		if err := binary.Write(out, binary.LittleEndian, sec); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	e.sum = false
+	e.Uint32(e.crc)
+	return e.Err()
 }
 
 // ReadSnapshot parses a snapshot, verifying the magic, version, checksum,
@@ -263,24 +258,19 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // known length is rejected immediately instead of attempting a
 // many-GiB allocation the checksum pass would never reach.
 func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	crc := crc32.New(snapCRC)
-	in := io.TeeReader(br, crc) // mirror checksummed bytes into the CRC
-
-	var magic uint64
-	if err := binary.Read(in, binary.LittleEndian, &magic); err != nil {
+	d := &Decoder{r: r, sized: maxBytes > 0, sum: true}
+	magic := d.Uint64()
+	if err := d.Err(); err != nil {
 		return nil, snapReadErr("header", err)
 	}
 	if magic != snapMagic {
 		return nil, snapCorruptf("bad snapshot magic %#x", magic)
 	}
-	var version, flags uint32
-	var n, arcs, origArcs uint64
-	var rho, k, hlen uint32
-	for _, p := range []any{&version, &flags, &n, &arcs, &origArcs, &rho, &k, &hlen} {
-		if err := binary.Read(in, binary.LittleEndian, p); err != nil {
-			return nil, snapReadErr("header", err)
-		}
+	version, flags := d.Uint32(), d.Uint32()
+	n, arcs, origArcs := d.Uint64(), d.Uint64(), d.Uint64()
+	rho, k, hlen := d.Uint32(), d.Uint32(), d.Uint32()
+	if err := d.Err(); err != nil {
+		return nil, snapReadErr("header", err)
 	}
 	if version != snapVersion {
 		return nil, fmt.Errorf("graph: unsupported snapshot version %d (want %d)", version, snapVersion)
@@ -288,7 +278,6 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 	if flags&^snapKnownFlags != 0 {
 		return nil, fmt.Errorf("graph: unknown snapshot flags %#x", flags)
 	}
-	const maxReasonable = 1 << 34
 	if n > maxReasonable || arcs > maxReasonable || origArcs > maxReasonable {
 		return nil, snapCorruptf("implausible snapshot sizes n=%d arcs=%d origArcs=%d", n, arcs, origArcs)
 	}
@@ -338,7 +327,7 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 		}
 	}
 	hbuf := make([]byte, hlen)
-	if _, err := io.ReadFull(in, hbuf); err != nil {
+	if err := d.full(hbuf); err != nil {
 		return nil, snapReadErr("heuristic name", err)
 	}
 
@@ -348,30 +337,24 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 		Heuristic: string(hbuf),
 	}
 	var err error
-	if s.G, err = readSnapshotCSR(in, int(n), int(arcs)); err != nil {
+	if s.G, err = readSnapshotCSR(d, n, arcs); err != nil {
 		return nil, err
 	}
 	if flags&snapFlagRadii != 0 {
-		s.Radii = make([]float64, n)
-		if err := binary.Read(in, binary.LittleEndian, s.Radii); err != nil {
+		if s.Radii, err = readWords[float64](d, n); err != nil {
 			return nil, snapReadErr("radii", err)
 		}
-		for _, rad := range s.Radii {
-			// The radii-persistence contract: non-negative finite values
-			// only (see internal/preprocess).
-			if math.IsNaN(rad) || math.IsInf(rad, 0) || rad < 0 {
-				return nil, snapCorruptf("snapshot has invalid radius %v", rad)
-			}
+		if err := checkRadii(s.Radii); err != nil {
+			return nil, snapCorruptf("snapshot has %v", err)
 		}
 	}
 	if flags&snapFlagOriginal != 0 {
-		if s.Original, err = readSnapshotCSR(in, int(n), int(origArcs)); err != nil {
+		if s.Original, err = readSnapshotCSR(d, n, origArcs); err != nil {
 			return nil, err
 		}
 	}
 	if flags&snapFlagPerm != 0 {
-		s.Perm = make([]V, n)
-		if err := binary.Read(in, binary.LittleEndian, s.Perm); err != nil {
+		if s.Perm, err = readWords[V](d, n); err != nil {
 			return nil, snapReadErr("permutation", err)
 		}
 		// A corrupt permutation would silently swap identities on every
@@ -386,8 +369,8 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 		}
 	}
 	if flags&snapFlagLandmarks != 0 {
-		var lmK uint32
-		if err := binary.Read(in, binary.LittleEndian, &lmK); err != nil {
+		lmK := d.Uint32()
+		if err := d.Err(); err != nil {
 			return nil, snapReadErr("landmark count", err)
 		}
 		if lmK == 0 || lmK > maxSnapshotLandmarks || uint64(lmK) > n {
@@ -396,8 +379,7 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 		if lmKSized >= 0 && int64(lmK) != lmKSized {
 			return nil, snapCorruptf("snapshot declares %d landmarks but file size fits %d", lmK, lmKSized)
 		}
-		s.Landmarks = make([]V, lmK)
-		if err := binary.Read(in, binary.LittleEndian, s.Landmarks); err != nil {
+		if s.Landmarks, err = readWords[V](d, uint64(lmK)); err != nil {
 			return nil, snapReadErr("landmark vertices", err)
 		}
 		lmSeen := make(map[V]bool, lmK)
@@ -407,15 +389,14 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 			}
 			lmSeen[v] = true
 		}
-		s.LandmarkDist = make([]float64, uint64(lmK)*n)
-		if err := binary.Read(in, binary.LittleEndian, s.LandmarkDist); err != nil {
+		if s.LandmarkDist, err = readWords[float64](d, uint64(lmK)*n); err != nil {
 			return nil, snapReadErr("landmark vectors", err)
 		}
-		for i, d := range s.LandmarkDist {
+		for i, dist := range s.LandmarkDist {
 			// +Inf is meaningful (vertex outside the landmark's
 			// component); NaN and negatives are corruption.
-			if math.IsNaN(d) || d < 0 {
-				return nil, snapCorruptf("snapshot landmark distance %v at entry %d", d, i)
+			if math.IsNaN(dist) || dist < 0 {
+				return nil, snapCorruptf("snapshot landmark distance %v at entry %d", dist, i)
 			}
 		}
 		for i, v := range s.Landmarks {
@@ -425,9 +406,9 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 		}
 	}
 
-	sum := crc.Sum32() // everything checksummed so far; trailer comes off br directly
-	var want uint32
-	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
+	sum := d.crc // everything checksummed so far; the trailer is not
+	want := d.Uint32()
+	if err := d.Err(); err != nil {
 		return nil, snapReadErr("checksum trailer", err)
 	}
 	if sum != want {
@@ -437,34 +418,15 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 }
 
 // readSnapshotCSR reads one CSR section and validates its invariants.
-func readSnapshotCSR(r io.Reader, n, arcs int) (*CSR, error) {
-	g := &CSR{
-		Off: make([]int64, n+1),
-		Adj: make([]V, arcs),
-		W:   make([]float64, arcs),
+func readSnapshotCSR(d *Decoder, n, arcs uint64) (*CSR, error) {
+	g, err := d.csr(n, arcs)
+	if err != nil {
+		return nil, snapReadErr("CSR arrays", err)
 	}
-	for _, sec := range []any{g.Off, g.Adj, g.W} {
-		if err := binary.Read(r, binary.LittleEndian, sec); err != nil {
-			return nil, snapReadErr("CSR arrays", err)
-		}
+	if err := checkCSR(g); err != nil {
+		return nil, snapCorruptf("snapshot %v", err)
 	}
-	if g.Off[0] != 0 || g.Off[n] != int64(arcs) {
-		return nil, snapCorruptf("snapshot offsets corrupt: Off[0]=%d Off[n]=%d arcs=%d", g.Off[0], g.Off[n], arcs)
-	}
-	for u := 0; u < n; u++ {
-		if g.Off[u] > g.Off[u+1] {
-			return nil, snapCorruptf("snapshot offsets not monotone at vertex %d", u)
-		}
-	}
-	for i, v := range g.Adj {
-		if v < 0 || int(v) >= n {
-			return nil, snapCorruptf("snapshot arc target %d out of range [0, %d)", v, n)
-		}
-		if w := g.W[i]; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-			return nil, snapCorruptf("snapshot has invalid weight %v", g.W[i])
-		}
-	}
-	return g.finalize(), nil
+	return g, nil
 }
 
 // WriteSnapshotFile writes s to path crash-safely: temp file, fsync,

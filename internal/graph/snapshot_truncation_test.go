@@ -12,7 +12,7 @@ import (
 // fullSnapshot builds a snapshot carrying every optional section —
 // radii, original graph, permutation, landmarks — so truncation can be
 // exercised at every section boundary of the format.
-func fullSnapshot(t *testing.T) *Snapshot {
+func fullSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	g := randomCSR(24, 48, 7)
 	n := g.NumVertices()

@@ -1,8 +1,6 @@
 package radiusstep
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -142,44 +140,42 @@ const preMagic = uint64(0x5052455052503031) // "PREPRP01"
 
 // WritePreprocessed persists a preprocessing result (augmented graph,
 // original graph when present, radii, counters) so the Θ(nρ²) phase can
-// be paid once and reloaded across processes.
+// be paid once and reloaded across processes. The layout is six uint64
+// header words (magic, n, added, visited, edges scanned, original-graph
+// flag), the radii, then the augmented and the optional original graph
+// in the binary CSR format.
 func WritePreprocessed(w io.Writer, pre *Preprocessed) error {
 	if pre == nil || pre.Graph == nil || len(pre.Radii) != pre.Graph.NumVertices() {
 		return fmt.Errorf("radiusstep: invalid preprocessed bundle")
 	}
-	bw := bufio.NewWriter(w)
 	hasOrig := uint64(0)
 	if pre.Original != nil {
 		hasOrig = 1
 	}
-	head := []uint64{preMagic, uint64(len(pre.Radii)), uint64(pre.Added), uint64(pre.Visited), uint64(pre.EdgesScanned), hasOrig}
-	for _, h := range head {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
+	e := graph.NewEncoder(w)
+	for _, h := range []uint64{preMagic, uint64(len(pre.Radii)), uint64(pre.Added), uint64(pre.Visited), uint64(pre.EdgesScanned), hasOrig} {
+		e.Uint64(h)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, pre.Radii); err != nil {
-		return err
+	e.Float64s(pre.Radii)
+	e.BinaryCSR(pre.Graph)
+	if pre.Original != nil {
+		e.BinaryCSR(pre.Original)
 	}
-	if err := graph.WriteBinary(bw, pre.Graph); err != nil {
-		return err
-	}
-	if hasOrig == 1 {
-		if err := graph.WriteBinary(bw, pre.Original); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return e.Err()
 }
 
-// ReadPreprocessed loads a bundle written by WritePreprocessed.
+// ReadPreprocessed loads a bundle written by WritePreprocessed. Like a
+// snapshot, a corrupt bundle fails here, never at query time: the radii
+// must be finite and non-negative and both graphs pass the binary CSR
+// format's structural checks.
 func ReadPreprocessed(r io.Reader) (*Preprocessed, error) {
-	br := bufio.NewReader(r)
+	d := graph.NewDecoder(r)
 	var head [6]uint64
 	for i := range head {
-		if err := binary.Read(br, binary.LittleEndian, &head[i]); err != nil {
-			return nil, err
-		}
+		head[i] = d.Uint64()
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("radiusstep: preprocessed header: %w", err)
 	}
 	if head[0] != preMagic {
 		return nil, fmt.Errorf("radiusstep: bad preprocessed magic %#x", head[0])
@@ -192,36 +188,27 @@ func ReadPreprocessed(r io.Reader) (*Preprocessed, error) {
 		return nil, fmt.Errorf("radiusstep: corrupt original-graph flag %d", head[5])
 	}
 	pre := &Preprocessed{
-		Radii:        make([]float64, n),
 		Added:        int64(head[2]),
 		Visited:      int64(head[3]),
 		EdgesScanned: int64(head[4]),
 	}
-	if err := binary.Read(br, binary.LittleEndian, pre.Radii); err != nil {
-		return nil, err
+	var err error
+	if pre.Radii, err = d.Radii(n); err != nil {
+		return nil, fmt.Errorf("radiusstep: preprocessed radii: %w", err)
 	}
-	g, err := graph.ReadBinary(br)
-	if err != nil {
-		return nil, err
+	if pre.Graph, err = d.BinaryCSR(); err != nil {
+		return nil, fmt.Errorf("radiusstep: preprocessed graph: %w", err)
 	}
-	if g.NumVertices() != int(n) {
+	if pre.Graph.NumVertices() != int(n) {
 		return nil, fmt.Errorf("radiusstep: radii/graph size mismatch")
 	}
-	for _, rad := range pre.Radii {
-		if rad < 0 || math.IsNaN(rad) {
-			return nil, fmt.Errorf("radiusstep: corrupt radii")
-		}
-	}
-	pre.Graph = g
 	if head[5] == 1 {
-		orig, err := graph.ReadBinary(br)
-		if err != nil {
-			return nil, err
+		if pre.Original, err = d.BinaryCSR(); err != nil {
+			return nil, fmt.Errorf("radiusstep: preprocessed original graph: %w", err)
 		}
-		if orig.NumVertices() != int(n) {
+		if pre.Original.NumVertices() != int(n) {
 			return nil, fmt.Errorf("radiusstep: original graph size mismatch")
 		}
-		pre.Original = orig
 	}
 	return pre, nil
 }

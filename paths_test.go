@@ -1,8 +1,13 @@
 package radiusstep_test
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	rs "radiusstep"
@@ -269,8 +274,93 @@ func TestReadPreprocessedRejectsCorruption(t *testing.T) {
 	if _, err := rs.ReadPreprocessed(bytes.NewReader(bad2)); err == nil {
 		t.Fatal("negative radius accepted")
 	}
+	// An arc target far outside [0, n) and a +Inf radius must fail at
+	// load, not at the first solve.
+	n := pre.Graph.NumVertices()
+	bad3 := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(bad3[6*8+n*8+3*8+(n+1)*8:], 1<<30) // first Adj entry
+	if _, err := rs.ReadPreprocessed(bytes.NewReader(bad3)); err == nil {
+		t.Fatal("out-of-range arc target accepted")
+	}
+	bad4 := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(bad4[6*8:], math.Float64bits(math.Inf(1)))
+	if _, err := rs.ReadPreprocessed(bytes.NewReader(bad4)); err == nil {
+		t.Fatal("+Inf radius accepted")
+	}
 	// Writing a broken bundle fails fast.
 	if err := rs.WritePreprocessed(&bytes.Buffer{}, &rs.Preprocessed{}); err == nil {
 		t.Fatal("nil graph accepted")
+	}
+}
+
+// refWritePreprocessed encodes a bundle element by element through
+// encoding/binary, independently of the section codec. It pins the
+// format: WritePreprocessed must produce the same bytes.
+func refWritePreprocessed(w io.Writer, pre *rs.Preprocessed) error {
+	bw := bufio.NewWriter(w)
+	hasOrig := uint64(0)
+	graphs := []*rs.Graph{pre.Graph}
+	if pre.Original != nil {
+		hasOrig = 1
+		graphs = append(graphs, pre.Original)
+	}
+	fields := []any{preMagicRef, uint64(len(pre.Radii)), uint64(pre.Added), uint64(pre.Visited), uint64(pre.EdgesScanned), hasOrig, pre.Radii}
+	for _, g := range graphs {
+		fields = append(fields, uint64(binaryMagicRef), uint64(g.NumVertices()), uint64(g.NumArcs()), g.Off, g.Adj, g.W)
+	}
+	for _, f := range fields {
+		if err := binary.Write(bw, binary.LittleEndian, f); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+const (
+	preMagicRef    = uint64(0x5052455052503031) // "PREPRP01"
+	binaryMagicRef = uint32(0x52535447)         // "GTSR"
+)
+
+// TestPreprocessedMatchesReferenceWriter: WritePreprocessed produces the
+// reference writer's bytes, which read back to the bundle written.
+func TestPreprocessedMatchesReferenceWriter(t *testing.T) {
+	g := rs.WithUniformIntWeights(rs.Grid2D(9, 9), 1, 100, 3)
+	for _, k := range []int{1, 2} {
+		pre, err := rs.Preprocess(g, rs.Options{Rho: 6, K: k, Heuristic: rs.HeuristicDP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if err := rs.WritePreprocessed(&got, pre); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWritePreprocessed(&want, pre); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("k=%d: bundle bytes differ from the reference writer's", k)
+		}
+		back, err := rs.ReadPreprocessed(&want)
+		if err != nil || !reflect.DeepEqual(back, pre) {
+			t.Fatalf("k=%d: reference bytes read back wrong: %v", k, err)
+		}
+	}
+}
+
+// TestReadPreprocessedBoundsAllocation: a 116-byte stream declaring 2^24
+// radii fails having allocated in proportion to what arrived.
+func TestReadPreprocessedBoundsAllocation(t *testing.T) {
+	raw := make([]byte, 116)
+	binary.LittleEndian.PutUint64(raw, preMagicRef)
+	binary.LittleEndian.PutUint64(raw[8:], 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := rs.ReadPreprocessed(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("short bundle accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("ReadPreprocessed allocated %d bytes for a 116-byte stream", got)
 	}
 }
