@@ -1,10 +1,10 @@
 // Package fault is the serving stack's fault-injection seam: named
 // sites in production code call Check, which is a no-op (one atomic
 // load and a nil comparison) until a test installs a plan. Plans can
-// delay, fail, or panic a site a bounded number of times, letting the
-// chaos suite drive the HTTP server through slow solves, failing cache
-// fills, and panicking engines without any test hooks leaking into the
-// production types.
+// delay, hold, fail, or panic a site a bounded number of times, letting
+// the chaos suite and the serving tests drive the HTTP server through
+// slow or held solves, failing cache fills, and panicking engines
+// without any test hooks leaking into the production types.
 //
 // The seam is process-global and guarded by an atomic pointer so
 // concurrent Check calls never lock; Inject/Clear swap the whole table
@@ -12,6 +12,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,9 +23,9 @@ import (
 // Site names used by the serving stack. Exported as constants so tests
 // and production code cannot drift apart on spelling.
 const (
-	// SiteSolve fires inside the flight leader's solve function, after
-	// pool admission and before the backend solve, under the same panic
-	// guard as the engine itself.
+	// SiteSolve fires on every solve path (distances, traced distances,
+	// routes), after pool admission and before the solver runs, under
+	// the same panic guard as the engine itself.
 	SiteSolve = "solve"
 	// SiteCacheFill fires after a successful solve, before the result is
 	// written to the distance cache (and adopted as a landmark). An
@@ -46,11 +47,13 @@ const (
 var ErrInjected = errors.New("fault: injected error")
 
 // Plan describes what a site does when checked. Zero-value fields are
-// inert; a plan combining Delay with Err or Panic delays first. Exactly
-// one of Err and Panic should be set.
+// inert; a plan waits out Delay, then Gate, before its Err or Panic. At
+// most one of Err and Panic should be set.
 type Plan struct {
 	// Delay stalls the site before anything else.
 	Delay time.Duration
+	// Gate, when non-nil, holds the site until the channel is closed.
+	Gate <-chan struct{}
 	// Err makes Check return an error wrapping ErrInjected (and err).
 	Err error
 	// Panic makes Check panic with this message.
@@ -137,11 +140,12 @@ func Fired(site string) int64 {
 	return a.fired.Load()
 }
 
-// Check runs site's installed plan, if any: it sleeps the plan's delay,
-// then returns the plan's error or panics, counting the firing against
-// the plan's limit. With no table installed — the production state —
-// it is a single atomic load and nil comparison.
-func Check(site string) error {
+// Check runs site's installed plan, if any: it waits out the plan's
+// delay and gate, then returns the plan's error or panics, counting the
+// firing against the plan's limit. A wait ends early when ctx ends, and
+// Check then returns ctx's error. With no table installed — the
+// production state — it is a single atomic load and nil comparison.
+func Check(ctx context.Context, site string) error {
 	cur := active.Load()
 	if cur == nil {
 		return nil
@@ -161,7 +165,20 @@ func Check(site string) error {
 		a.fired.Add(1)
 	}
 	if a.plan.Delay > 0 {
-		time.Sleep(a.plan.Delay)
+		t := time.NewTimer(a.plan.Delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	if a.plan.Gate != nil {
+		select {
+		case <-a.plan.Gate:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	if a.plan.Panic != "" {
 		panic(fmt.Sprintf("fault: injected panic at %s: %s", site, a.plan.Panic))

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -8,9 +9,12 @@ import (
 	"time"
 )
 
+// ctx is the context tests pass when no wait is involved.
+var ctx = context.Background()
+
 func TestCheckNoPlanIsNoop(t *testing.T) {
 	Clear()
-	if err := Check(SiteSolve); err != nil {
+	if err := Check(ctx, SiteSolve); err != nil {
 		t.Fatalf("Check with no table: %v", err)
 	}
 	if got := Fired(SiteSolve); got != 0 {
@@ -23,7 +27,7 @@ func TestInjectError(t *testing.T) {
 	boom := errors.New("boom")
 	Inject(SiteSolve, Plan{Err: boom})
 
-	err := Check(SiteSolve)
+	err := Check(ctx, SiteSolve)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("Check: %v, want ErrInjected", err)
 	}
@@ -34,7 +38,7 @@ func TestInjectError(t *testing.T) {
 		t.Fatalf("Check error does not name the site: %v", err)
 	}
 	// Other sites stay clean.
-	if err := Check(SiteCacheFill); err != nil {
+	if err := Check(ctx, SiteCacheFill); err != nil {
 		t.Fatalf("uninjected site fired: %v", err)
 	}
 	if got := Fired(SiteSolve); got != 1 {
@@ -46,12 +50,12 @@ func TestLimitBoundsFirings(t *testing.T) {
 	t.Cleanup(Clear)
 	Inject(SiteCacheFill, Plan{Err: errors.New("x"), Limit: 2})
 	for i := 0; i < 2; i++ {
-		if err := Check(SiteCacheFill); err == nil {
+		if err := Check(ctx, SiteCacheFill); err == nil {
 			t.Fatalf("firing %d: nil, want error", i)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if err := Check(SiteCacheFill); err != nil {
+		if err := Check(ctx, SiteCacheFill); err != nil {
 			t.Fatalf("past the limit: %v", err)
 		}
 	}
@@ -73,14 +77,14 @@ func TestInjectPanic(t *testing.T) {
 			t.Fatalf("panic message %q missing plan text or site", msg)
 		}
 	}()
-	Check(SiteSolve)
+	Check(ctx, SiteSolve)
 }
 
 func TestInjectDelay(t *testing.T) {
 	t.Cleanup(Clear)
 	Inject(SiteSnapshotLoad, Plan{Delay: 20 * time.Millisecond})
 	start := time.Now()
-	if err := Check(SiteSnapshotLoad); err != nil {
+	if err := Check(ctx, SiteSnapshotLoad); err != nil {
 		t.Fatalf("delay-only plan returned error: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
@@ -94,22 +98,22 @@ func TestRemoveAndClear(t *testing.T) {
 	Inject(SiteCacheFill, Plan{Err: errors.New("b")})
 
 	Remove(SiteSolve)
-	if err := Check(SiteSolve); err != nil {
+	if err := Check(ctx, SiteSolve); err != nil {
 		t.Fatalf("removed site still fires: %v", err)
 	}
-	if err := Check(SiteCacheFill); err == nil {
+	if err := Check(ctx, SiteCacheFill); err == nil {
 		t.Fatal("Remove disturbed an unrelated site")
 	}
 	// Removing the last plan and removing a missing site are both fine.
 	Remove(SiteCacheFill)
 	Remove("never-installed")
-	if err := Check(SiteCacheFill); err != nil {
+	if err := Check(ctx, SiteCacheFill); err != nil {
 		t.Fatalf("after removing everything: %v", err)
 	}
 
 	Inject(SiteSolve, Plan{Err: errors.New("c")})
 	Clear()
-	if err := Check(SiteSolve); err != nil {
+	if err := Check(ctx, SiteSolve); err != nil {
 		t.Fatalf("after Clear: %v", err)
 	}
 }
@@ -129,8 +133,8 @@ func TestConcurrentCheckDuringInject(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					Check(SiteSolve)
-					Check(SiteCacheFill)
+					Check(ctx, SiteSolve)
+					Check(ctx, SiteCacheFill)
 					Fired(SiteSolve)
 				}
 			}
@@ -144,4 +148,96 @@ func TestConcurrentCheckDuringInject(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestCheckNoPlanAllocs: the production state costs no allocation.
+func TestCheckNoPlanAllocs(t *testing.T) {
+	Clear()
+	if allocs := testing.AllocsPerRun(1000, func() { _ = Check(ctx, SiteSolve) }); allocs != 0 {
+		t.Fatalf("Check with no plan allocates %v per call, want 0", allocs)
+	}
+	Inject(SiteCacheFill, Plan{})
+	t.Cleanup(Clear)
+	if allocs := testing.AllocsPerRun(1000, func() { _ = Check(ctx, SiteSolve) }); allocs != 0 {
+		t.Fatalf("Check of an uninjected site allocates %v per call, want 0", allocs)
+	}
+}
+
+// TestGateReleasesWhenClosed: a gated site holds every caller until the
+// gate closes, then lets them all through.
+func TestGateReleasesWhenClosed(t *testing.T) {
+	t.Cleanup(Clear)
+	gate := make(chan struct{})
+	Inject(SiteSolve, Plan{Gate: gate})
+	done := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { done <- Check(ctx, SiteSolve) }()
+	}
+	for Fired(SiteSolve) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Check returned %v before the gate closed", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("released Check: %v", err)
+		}
+	}
+}
+
+// TestWaitEndsWithContext: a canceled or expired context ends a Gate or
+// Delay wait early with the context's own error, which the server maps
+// to 499 and 504.
+func TestWaitEndsWithContext(t *testing.T) {
+	t.Cleanup(Clear)
+	plans := map[string]Plan{
+		"gate":  {Gate: make(chan struct{})},
+		"delay": {Delay: time.Hour},
+	}
+	for name, plan := range plans {
+		Inject(SiteSolve, plan)
+		canceled, cancel := context.WithCancel(context.Background())
+		go func() {
+			for Fired(SiteSolve) == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+		}()
+		if err := Check(canceled, SiteSolve); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s, canceled context: %v, want context.Canceled", name, err)
+		}
+		expiring, stop := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		start := time.Now()
+		if err := Check(expiring, SiteSolve); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s, expired context: %v, want context.DeadlineExceeded", name, err)
+		}
+		stop()
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("%s: wait outlived its 10ms deadline by %v", name, elapsed)
+		}
+	}
+}
+
+// TestLimitWithGate: firings past the limit neither wait on the gate nor
+// count, and a firing whose wait ended with its context still counts.
+func TestLimitWithGate(t *testing.T) {
+	t.Cleanup(Clear)
+	Inject(SiteSolve, Plan{Gate: make(chan struct{}), Limit: 1})
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Check(canceled, SiteSolve); !errors.Is(err, context.Canceled) {
+		t.Fatalf("first firing: %v, want context.Canceled", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := Check(ctx, SiteSolve); err != nil {
+			t.Fatalf("past the limit: %v", err)
+		}
+	}
+	if got := Fired(SiteSolve); got != 1 {
+		t.Fatalf("Fired: %d, want 1", got)
+	}
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"net/http"
 	"testing"
+
+	"radiusstep/internal/fault"
 )
 
 func TestDistCacheLRUEviction(t *testing.T) {
@@ -81,16 +83,16 @@ func TestDistCacheInvalidateGraph(t *testing.T) {
 }
 
 // TestServerEvictionUnderTinyBudget drives eviction through the HTTP
-// layer: a budget that holds two 100-vertex vectors (928 bytes each)
+// layer: a budget that holds two 400-vertex vectors (3328 bytes each)
 // must evict the oldest source on the third query and re-solve it after.
 func TestServerEvictionUnderTinyBudget(t *testing.T) {
-	fake := &fakeBackend{n: 100}
-	_, ts := newFakeServer(t, fake, Config{CacheBytes: 2000})
+	injectSolve(t, fault.Plan{})
+	_, ts, _ := newTestServer(t, Config{CacheBytes: 7000})
 
 	query := func(src int64) {
 		t.Helper()
 		var resp distancesResponse
-		if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: src}, &resp); code != http.StatusOK {
+		if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: src}, &resp); code != http.StatusOK {
 			t.Fatalf("source %d: status %d", src, code)
 		}
 	}
@@ -101,15 +103,15 @@ func TestServerEvictionUnderTinyBudget(t *testing.T) {
 	if snap.Cache.Evictions != 1 || snap.Cache.Entries != 2 {
 		t.Fatalf("cache after 3 sources: %+v", snap.Cache)
 	}
-	if snap.Cache.Bytes > 2000 {
+	if snap.Cache.Bytes > 7000 {
 		t.Fatalf("cache over budget: %+v", snap.Cache)
 	}
 	query(1) // must re-solve
-	if got := fake.calls.Load(); got != 4 {
-		t.Fatalf("backend calls: got %d want 4 (evicted source must re-solve)", got)
+	if got := fault.Fired(fault.SiteSolve); got != 4 {
+		t.Fatalf("solves: got %d want 4 (evicted source must re-solve)", got)
 	}
 	query(3) // still resident (recently used) → no new solve
-	if got := fake.calls.Load(); got != 4 {
-		t.Fatalf("backend calls after cached query: got %d want 4", got)
+	if got := fault.Fired(fault.SiteSolve); got != 4 {
+		t.Fatalf("solves after cached query: got %d want 4", got)
 	}
 }

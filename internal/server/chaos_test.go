@@ -46,12 +46,25 @@ func newChaosServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// chaosGet fetches one distances vector with an engine override and
-// returns the raw response body — survivors are compared byte for byte.
-func chaosGet(t *testing.T, ts *httptest.Server, src int64, engine string) (int, string) {
+// chaosQuery is one request the chaos suite repeats: a distances vector
+// from src, or the route from src to chaosTarget.
+type chaosQuery struct {
+	endpoint string
+	src      int64
+}
+
+// chaosTarget is the route target of every /v1/route chaos query.
+const chaosTarget = 210
+
+// chaosGet runs q with an engine override and returns the raw response
+// body — survivors are compared byte for byte.
+func chaosGet(t *testing.T, ts *httptest.Server, q chaosQuery, engine string) (int, string) {
 	t.Helper()
-	body := fmt.Sprintf(`{"graph":"chaos","source":%d}`, src)
-	r, err := ts.Client().Post(ts.URL+"/v1/distances?engine="+engine, "application/json", strings.NewReader(body))
+	body := fmt.Sprintf(`{"graph":"chaos","source":%d}`, q.src)
+	if q.endpoint == "/v1/route" {
+		body = fmt.Sprintf(`{"graph":"chaos","source":%d,"target":%d}`, q.src, chaosTarget)
+	}
+	r, err := ts.Client().Post(ts.URL+q.endpoint+"?engine="+engine, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST: %v", err)
 	}
@@ -88,48 +101,56 @@ func TestChaosLoadFaults(t *testing.T) {
 	}
 }
 
-// TestChaosSuite is the end-to-end fault drill from the issue: a real
-// graph served over HTTP, concurrent clients across all five engines,
-// faults injected at the solve and cache-fill seams (errors, delays,
-// panics). Afterward: no goroutine leaks, no stuck pool slots, and
-// every surviving 200 carries a byte-identical body to the no-fault
-// baseline.
+// TestChaosSuite is the end-to-end fault drill: a real graph served
+// over HTTP, concurrent clients across all five engines, faults
+// injected at the solve and cache-fill seams (errors, delays, panics)
+// on the distances and route paths. Afterward: no goroutine leaks, no
+// stuck pool slots, and every surviving 200 carries a byte-identical
+// body to the no-fault baseline.
 func TestChaosSuite(t *testing.T) {
 	before := runtime.NumGoroutine()
 	_, ts := newChaosServer(t)
 
 	sources := []int64{0, 17, 123, 399}
-	// No-fault baseline, one body per (source, engine). Distances are
-	// engine-independent and the body carries no engine field, so all
+	endpoints := []string{"/v1/distances", "/v1/route"}
+	// No-fault baseline, one body per query. Distances and routes are
+	// engine-independent and the bodies carry no engine field, so all
 	// engines must reproduce the same bytes.
-	baseline := make(map[int64]string)
-	for _, src := range sources {
-		code, body := chaosGet(t, ts, src, "sequential")
-		if code != http.StatusOK {
-			t.Fatalf("baseline src=%d: status %d", src, code)
+	baseline := make(map[chaosQuery]string)
+	for _, ep := range endpoints {
+		for _, src := range sources {
+			q := chaosQuery{ep, src}
+			code, body := chaosGet(t, ts, q, "sequential")
+			if code != http.StatusOK {
+				t.Fatalf("baseline %s src=%d: status %d", ep, src, code)
+			}
+			baseline[q] = body
 		}
-		baseline[src] = body
-	}
-	for _, eng := range chaosEngines[1:] {
-		code, body := chaosGet(t, ts, sources[0], eng)
-		if code != http.StatusOK || body != baseline[sources[0]] {
-			t.Fatalf("engine %s baseline: status %d, body match=%v", eng, code, body == baseline[sources[0]])
+		q := chaosQuery{ep, sources[0]}
+		for _, eng := range chaosEngines[1:] {
+			code, body := chaosGet(t, ts, q, eng)
+			if code != http.StatusOK || body != baseline[q] {
+				t.Fatalf("engine %s %s baseline: status %d, body match=%v", eng, ep, code, body == baseline[q])
+			}
 		}
 	}
 
 	type phase struct {
-		name string
-		plan fault.Plan
-		site string
+		name     string
+		endpoint string
+		plan     fault.Plan
+		site     string
 		// wantFail: injected failures may surface as non-200s.
 		wantFail bool
 	}
 	phases := []phase{
-		{name: "solve-delay", site: fault.SiteSolve, plan: fault.Plan{Delay: 5 * time.Millisecond}},
-		{name: "solve-error", site: fault.SiteSolve, plan: fault.Plan{Err: errors.New("engine offline"), Limit: 5}, wantFail: true},
-		{name: "solve-panic", site: fault.SiteSolve, plan: fault.Plan{Panic: "engine exploded", Limit: 5}, wantFail: true},
-		{name: "cache-fill-error", site: fault.SiteCacheFill, plan: fault.Plan{Err: errors.New("cache offline")}},
-		{name: "cache-fill-panic", site: fault.SiteCacheFill, plan: fault.Plan{Panic: "cache exploded"}},
+		{name: "solve-delay", endpoint: "/v1/distances", site: fault.SiteSolve, plan: fault.Plan{Delay: 5 * time.Millisecond}},
+		{name: "solve-error", endpoint: "/v1/distances", site: fault.SiteSolve, plan: fault.Plan{Err: errors.New("engine offline"), Limit: 5}, wantFail: true},
+		{name: "solve-panic", endpoint: "/v1/distances", site: fault.SiteSolve, plan: fault.Plan{Panic: "engine exploded", Limit: 5}, wantFail: true},
+		{name: "cache-fill-error", endpoint: "/v1/distances", site: fault.SiteCacheFill, plan: fault.Plan{Err: errors.New("cache offline")}},
+		{name: "cache-fill-panic", endpoint: "/v1/distances", site: fault.SiteCacheFill, plan: fault.Plan{Panic: "cache exploded"}},
+		{name: "route-solve-error", endpoint: "/v1/route", site: fault.SiteSolve, plan: fault.Plan{Err: errors.New("engine offline"), Limit: 5}, wantFail: true},
+		{name: "route-solve-panic", endpoint: "/v1/route", site: fault.SiteSolve, plan: fault.Plan{Panic: "engine exploded", Limit: 5}, wantFail: true},
 	}
 
 	for _, ph := range phases {
@@ -145,19 +166,19 @@ func TestChaosSuite(t *testing.T) {
 				go func(ci int) {
 					defer wg.Done()
 					for qi := 0; qi < 4; qi++ {
-						src := sources[(ci+qi)%len(sources)]
+						q := chaosQuery{ph.endpoint, sources[(ci+qi)%len(sources)]}
 						eng := chaosEngines[(ci+qi)%len(chaosEngines)]
-						code, body := chaosGet(t, ts, src, eng)
+						code, body := chaosGet(t, ts, q, eng)
 						mu.Lock()
 						if code == http.StatusOK {
 							successes++
-							if body != baseline[src] {
-								t.Errorf("%s: survivor src=%d engine=%s body diverged from baseline", ph.name, src, eng)
+							if body != baseline[q] {
+								t.Errorf("%s: survivor src=%d engine=%s body diverged from baseline", ph.name, q.src, eng)
 							}
 						} else {
 							failures++
 							if !ph.wantFail {
-								t.Errorf("%s: unexpected status %d (src=%d engine=%s): %s", ph.name, code, src, eng, body)
+								t.Errorf("%s: unexpected status %d (src=%d engine=%s): %s", ph.name, code, q.src, eng, body)
 							}
 						}
 						mu.Unlock()
@@ -188,10 +209,13 @@ func TestChaosSuite(t *testing.T) {
 		t.Error("solve-panic phase left no solvePanics count")
 	}
 	// Post-chaos sanity: all engines still serve the baseline bytes.
-	for _, eng := range chaosEngines {
-		code, body := chaosGet(t, ts, sources[1], eng)
-		if code != http.StatusOK || body != baseline[sources[1]] {
-			t.Fatalf("post-chaos engine %s: status %d, body match=%v", eng, code, body == baseline[sources[1]])
+	for _, ep := range endpoints {
+		q := chaosQuery{ep, sources[1]}
+		for _, eng := range chaosEngines {
+			code, body := chaosGet(t, ts, q, eng)
+			if code != http.StatusOK || body != baseline[q] {
+				t.Fatalf("post-chaos engine %s %s: status %d, body match=%v", eng, ep, code, body == baseline[q])
+			}
 		}
 	}
 

@@ -2,67 +2,35 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
-	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"radiusstep/internal/fault"
 
 	rs "radiusstep"
 )
 
-// fakeBackend is a controllable Backend: it counts solves and can block
-// them on a gate so tests can hold a solve in flight while concurrent
-// clients pile up behind it.
-type fakeBackend struct {
-	n     int
-	calls atomic.Int64
-	gate  chan struct{} // when non-nil, Distances blocks until closed
-}
-
-func (f *fakeBackend) NumVertices() int { return f.n }
-
-func (f *fakeBackend) Distances(src rs.Vertex, _ rs.Engine) ([]float64, rs.Stats, error) {
-	f.calls.Add(1)
-	if f.gate != nil {
-		<-f.gate
-	}
-	d := make([]float64, f.n)
-	for i := range d {
-		d[i] = float64(src) + float64(i)
-	}
-	return d, rs.Stats{}, nil
-}
-
-func (f *fakeBackend) Path(src, dst rs.Vertex, _ rs.Engine) ([]rs.Vertex, float64, error) {
-	return []rs.Vertex{src, dst}, 1, nil
-}
-
-func newFakeServer(t *testing.T, fake *fakeBackend, cfg Config) (*Server, *httptest.Server) {
+// injectSolve installs plan at the solve fault seam for the rest of the
+// test. Every solve path passes the seam once, so with a plan installed
+// fault.Fired(fault.SiteSolve) counts the solves that started.
+func injectSolve(t *testing.T, plan fault.Plan) {
 	t.Helper()
-	reg := NewRegistry()
-	if err := reg.Add(&Entry{
-		Name:    "fake",
-		Backend: fake,
-		Info:    GraphInfo{Name: "fake", Vertices: fake.n},
-	}); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	s := New(reg, cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
+	fault.Inject(fault.SiteSolve, plan)
+	t.Cleanup(fault.Clear)
 }
 
 // TestCoalescing is the acceptance test for request deduplication: N
 // concurrent identical (graph, source) queries trigger exactly one
-// backend solve, verified through the /v1/stats counters.
+// solve, verified through the /v1/stats counters.
 func TestCoalescing(t *testing.T) {
 	const clients = 8
-	fake := &fakeBackend{n: 50, gate: make(chan struct{})}
+	gate := make(chan struct{})
+	injectSolve(t, fault.Plan{Gate: gate})
 	// Cache disabled: every request must reach the coalescing layer.
-	_, ts := newFakeServer(t, fake, Config{Workers: 4, CacheBytes: 0})
+	_, ts, g := newTestServer(t, Config{Workers: 4, CacheBytes: 0})
 
 	var wg sync.WaitGroup
 	responses := make([]distancesResponse, clients)
@@ -71,39 +39,45 @@ func TestCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i] = postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: 3}, &responses[i])
+			codes[i] = postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: 3}, &responses[i])
 		}(i)
 	}
 
-	// Hold the gate until the leader is inside the backend and the other
+	// Hold the gate until the leader is inside the solve and the other
 	// clients are parked on its flight, so the coalescing claim is
 	// deterministic rather than timing-dependent.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		snap := fetchStats(t, ts)
-		if fake.calls.Load() == 1 && snap.Flight.Waiting == clients-1 {
+		if fault.Fired(fault.SiteSolve) == 1 && snap.Flight.Waiting == clients-1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("clients never coalesced: backend calls=%d waiting=%d",
-				fake.calls.Load(), snap.Flight.Waiting)
+			t.Fatalf("clients never coalesced: solves started=%d waiting=%d",
+				fault.Fired(fault.SiteSolve), snap.Flight.Waiting)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(fake.gate)
+	close(gate)
 	wg.Wait()
 
+	want := rs.Dijkstra(g, 3)
 	for i := range codes {
 		if codes[i] != http.StatusOK {
 			t.Fatalf("client %d: status %d", i, codes[i])
 		}
-		if len(responses[i].Distances) != fake.n || responses[i].Distances[0] != 3 {
-			t.Fatalf("client %d: bad vector %v", i, responses[i].Distances[:1])
+		if len(responses[i].Distances) != len(want) {
+			t.Fatalf("client %d: %d distances, want %d", i, len(responses[i].Distances), len(want))
+		}
+		for v, d := range responses[i].Distances {
+			if math.Float64bits(d) != math.Float64bits(want[v]) {
+				t.Fatalf("client %d: dist[%d] = %v, want %v", i, v, d, want[v])
+			}
 		}
 	}
 	snap := fetchStats(t, ts)
-	if got := fake.calls.Load(); got != 1 {
-		t.Fatalf("backend solved %d times, want 1", got)
+	if got := fault.Fired(fault.SiteSolve); got != 1 {
+		t.Fatalf("solved %d times, want 1", got)
 	}
 	if snap.Solves != 1 {
 		t.Fatalf("stats solves: got %d want 1", snap.Solves)
@@ -114,7 +88,7 @@ func TestCoalescing(t *testing.T) {
 	if snap.Cache.Misses != clients {
 		t.Fatalf("stats misses: got %d want %d", snap.Cache.Misses, clients)
 	}
-	if snap.SolvesByGraph["fake"] != 1 {
+	if snap.SolvesByGraph["grid"] != 1 {
 		t.Fatalf("solvesByGraph: %v", snap.SolvesByGraph)
 	}
 }
@@ -123,23 +97,23 @@ func TestCoalescing(t *testing.T) {
 // criterion: once a source is cached, answering it must not invoke the
 // engine at all.
 func TestCachedSourceSkipsEngine(t *testing.T) {
-	fake := &fakeBackend{n: 50}
-	_, ts := newFakeServer(t, fake, Config{CacheBytes: 1 << 20})
+	injectSolve(t, fault.Plan{})
+	_, ts, _ := newTestServer(t, Config{CacheBytes: 1 << 20})
 
 	var first, second distancesResponse
-	if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: 5}, &first); code != http.StatusOK {
+	if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: 5}, &first); code != http.StatusOK {
 		t.Fatalf("first: status %d", code)
 	}
 	if first.Cached {
 		t.Fatal("first query reported cached")
 	}
-	if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: 5}, &second); code != http.StatusOK {
+	if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: 5}, &second); code != http.StatusOK {
 		t.Fatalf("second: status %d", code)
 	}
 	if !second.Cached {
 		t.Fatal("second query not served from cache")
 	}
-	if got := fake.calls.Load(); got != 1 {
+	if got := fault.Fired(fault.SiteSolve); got != 1 {
 		t.Fatalf("engine invoked %d times, want 1", got)
 	}
 	snap := fetchStats(t, ts)
@@ -148,8 +122,8 @@ func TestCachedSourceSkipsEngine(t *testing.T) {
 	}
 	// A different source still solves.
 	var third distancesResponse
-	postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: 6}, &third)
-	if got := fake.calls.Load(); got != 2 {
+	postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: 6}, &third)
+	if got := fault.Fired(fault.SiteSolve); got != 2 {
 		t.Fatalf("distinct source: engine invoked %d times, want 2", got)
 	}
 }
@@ -157,8 +131,8 @@ func TestCachedSourceSkipsEngine(t *testing.T) {
 // TestConcurrentMixedLoad hammers the full pipeline under -race: many
 // clients, few sources, small pool.
 func TestConcurrentMixedLoad(t *testing.T) {
-	fake := &fakeBackend{n: 64}
-	_, ts := newFakeServer(t, fake, Config{Workers: 2, CacheBytes: 1 << 20})
+	injectSolve(t, fault.Plan{})
+	_, ts, _ := newTestServer(t, Config{Workers: 2, CacheBytes: 1 << 20})
 
 	const clients = 24
 	var wg sync.WaitGroup
@@ -168,7 +142,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var resp distancesResponse
-			code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: int64(i % 4), TopK: 5}, &resp)
+			code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: int64(i % 4), TopK: 5}, &resp)
 			if code != http.StatusOK {
 				errs <- fmt.Errorf("client %d: status %d", i, code)
 				return
@@ -185,7 +159,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	// 4 distinct sources: every query beyond the first per source must
 	// have been served by the cache or by coalescing.
-	if got := fake.calls.Load(); got != 4 {
-		t.Fatalf("backend calls: got %d want 4", got)
+	if got := fault.Fired(fault.SiteSolve); got != 4 {
+		t.Fatalf("solves: got %d want 4", got)
 	}
 }

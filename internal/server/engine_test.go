@@ -148,7 +148,7 @@ func TestGraphSpecDelta(t *testing.T) {
 	if entry.Info.Engine != "delta" {
 		t.Fatalf("entry engine: %q", entry.Info.Engine)
 	}
-	if _, _, err := entry.Backend.Distances(0, rs.EngineAuto); err != nil {
+	if _, _, err := entry.Solver.Distances(0); err != nil {
 		t.Fatalf("delta-engine solve: %v", err)
 	}
 }

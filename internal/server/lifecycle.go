@@ -99,7 +99,7 @@ func (g *GraphConfig) sourcePath() string {
 	return ""
 }
 
-// Registry maps graph names to epoch-versioned backends so multiple
+// Registry maps graph names to epoch-versioned solvers so multiple
 // graph deployments coexist in one daemon and any of them can be
 // reloaded, quarantined, evicted, or removed at runtime without
 // touching the others. Readers never lock beyond the name lookup: they
@@ -168,10 +168,10 @@ func (r *Registry) state(name string) (*graphState, bool) {
 
 // Add publishes e as a new graph, rejecting duplicate names. Entries
 // added this way have no rebuild recipe: they cannot be reloaded or
-// budget-evicted (there is nothing to reload them from), which is
-// exactly right for the in-process backends tests register.
+// budget-evicted (there is nothing to reload them from), which suits
+// entries built in process from an *rs.Solver (NewSolverEntry).
 func (r *Registry) Add(e *Entry) error {
-	if e == nil || e.Name == "" || e.Backend == nil {
+	if e == nil || e.Name == "" || e.Solver == nil {
 		return fmt.Errorf("server: invalid registry entry")
 	}
 	r.mu.Lock()
@@ -379,7 +379,7 @@ func (r *Registry) Reload(name string) error {
 		gs.mu.Unlock()
 		return fmt.Errorf("server: graph %q was registered without a rebuild recipe and cannot be reloaded", name)
 	}
-	if ferr := fault.Check(fault.SiteReload); ferr != nil {
+	if ferr := fault.Check(context.TODO(), fault.SiteReload); ferr != nil {
 		r.loadFailures.Add(1)
 		gs.failures++
 		gs.lastErr = ferr
@@ -405,7 +405,7 @@ func (r *Registry) reloadCold(gs *graphState) {
 	gs.mu.Lock()
 	var err error
 	if gs.cur.Load() == nil { // else someone already published
-		if ferr := fault.Check(fault.SiteReload); ferr != nil {
+		if ferr := fault.Check(context.TODO(), fault.SiteReload); ferr != nil {
 			r.loadFailures.Add(1)
 			gs.failures++
 			gs.lastErr = ferr

@@ -2,89 +2,14 @@ package server
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	rs "radiusstep"
+	"radiusstep/internal/fault"
 )
-
-// ctxFakeBackend is a controllable ContextBackend: solves can block on
-// a gate until released or until the solve context ends (mapping the
-// cancellation cause exactly like the real cooperative probe), and can
-// be armed to panic.
-type ctxFakeBackend struct {
-	n      int
-	calls  atomic.Int64
-	gate   chan struct{} // when non-nil, DistancesCtx blocks until closed or ctx ends
-	panics atomic.Bool   // when set, the next solve panics
-}
-
-func (f *ctxFakeBackend) NumVertices() int { return f.n }
-
-func (f *ctxFakeBackend) DistancesCtx(ctx context.Context, src rs.Vertex, _ rs.Engine) ([]float64, rs.Stats, error) {
-	f.calls.Add(1)
-	if f.panics.Load() {
-		panic("injected backend panic")
-	}
-	if f.gate != nil {
-		select {
-		case <-f.gate:
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return nil, rs.Stats{}, rs.ErrDeadline
-			}
-			return nil, rs.Stats{}, rs.ErrCanceled
-		}
-	}
-	d := make([]float64, f.n)
-	for i := range d {
-		d[i] = float64(src) + float64(i)
-	}
-	return d, rs.Stats{}, nil
-}
-
-func (f *ctxFakeBackend) Distances(src rs.Vertex, eng rs.Engine) ([]float64, rs.Stats, error) {
-	return f.DistancesCtx(context.Background(), src, eng)
-}
-
-func (f *ctxFakeBackend) Path(src, dst rs.Vertex, _ rs.Engine) ([]rs.Vertex, float64, error) {
-	return []rs.Vertex{src, dst}, 1, nil
-}
-
-func (f *ctxFakeBackend) RouteCtx(ctx context.Context, src, dst rs.Vertex, _ rs.Engine, _ bool) ([]rs.Vertex, float64, rs.Stats, error) {
-	if f.gate != nil {
-		select {
-		case <-f.gate:
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return nil, 0, rs.Stats{}, rs.ErrDeadline
-			}
-			return nil, 0, rs.Stats{}, rs.ErrCanceled
-		}
-	}
-	return []rs.Vertex{src, dst}, 1, rs.Stats{}, nil
-}
-
-func newCtxFakeServer(t *testing.T, fake *ctxFakeBackend, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	reg := NewRegistry()
-	if err := reg.Add(&Entry{
-		Name:    "fake",
-		Backend: fake,
-		Info:    GraphInfo{Name: "fake", Vertices: fake.n},
-	}); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	s := New(reg, cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
 
 // poolDrained waits for the server to report zero slots in use and an
 // empty wait queue — the "released its slot, queue depth zero"
@@ -101,13 +26,14 @@ func poolDrained(t *testing.T, ts *httptest.Server) {
 // expires mid-solve gets a gateway-timeout answer promptly, and the
 // abandoned solve releases its pool slot.
 func TestSolveTimeoutReturns504(t *testing.T) {
-	fake := &ctxFakeBackend{n: 32, gate: make(chan struct{})}
-	defer close(fake.gate)
-	_, ts := newCtxFakeServer(t, fake, Config{Workers: 1, CacheBytes: 0})
+	gate := make(chan struct{})
+	defer close(gate)
+	injectSolve(t, fault.Plan{Gate: gate})
+	_, ts, _ := newTestServer(t, Config{Workers: 1, CacheBytes: 0})
 
 	start := time.Now()
 	var resp distancesResponse
-	code := postJSON(t, ts, "/v1/distances?timeout_ms=50", distancesRequest{Graph: "fake", Source: 0}, &resp)
+	code := postJSON(t, ts, "/v1/distances?timeout_ms=50", distancesRequest{Graph: "grid", Source: 0}, &resp)
 	elapsed := time.Since(start)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (resp %+v)", code, resp)
@@ -129,18 +55,19 @@ func TestSolveTimeoutReturns504(t *testing.T) {
 // TestServerSolveTimeoutDefault: the server-wide SolveTimeout bounds
 // requests that carry no per-request override.
 func TestServerSolveTimeoutDefault(t *testing.T) {
-	fake := &ctxFakeBackend{n: 16, gate: make(chan struct{})}
-	defer close(fake.gate)
-	_, ts := newCtxFakeServer(t, fake, Config{Workers: 1, SolveTimeout: 50 * time.Millisecond})
+	gate := make(chan struct{})
+	defer close(gate)
+	injectSolve(t, fault.Plan{Gate: gate})
+	_, ts, _ := newTestServer(t, Config{Workers: 1, SolveTimeout: 50 * time.Millisecond})
 
 	var resp distancesResponse
-	if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: 0}, &resp); code != http.StatusGatewayTimeout {
+	if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: 0}, &resp); code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", code)
 	}
 	// The override can shorten but never extend the server budget:
 	// asking for 10s still times out on the 50ms server limit.
 	start := time.Now()
-	if code := postJSON(t, ts, "/v1/distances?timeout_ms=10000", distancesRequest{Graph: "fake", Source: 1}, &resp); code != http.StatusGatewayTimeout {
+	if code := postJSON(t, ts, "/v1/distances?timeout_ms=10000", distancesRequest{Graph: "grid", Source: 1}, &resp); code != http.StatusGatewayTimeout {
 		t.Fatalf("extend attempt: status %d, want 504", code)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -150,16 +77,16 @@ func TestServerSolveTimeoutDefault(t *testing.T) {
 }
 
 func TestBadTimeoutParamRejected(t *testing.T) {
-	fake := &ctxFakeBackend{n: 16}
-	_, ts := newCtxFakeServer(t, fake, Config{})
+	injectSolve(t, fault.Plan{})
+	_, ts, _ := newTestServer(t, Config{})
 	for _, raw := range []string{"abc", "-5", "0"} {
 		var resp distancesResponse
-		if code := postJSON(t, ts, "/v1/distances?timeout_ms="+raw, distancesRequest{Graph: "fake", Source: 0}, &resp); code != http.StatusBadRequest {
+		if code := postJSON(t, ts, "/v1/distances?timeout_ms="+raw, distancesRequest{Graph: "grid", Source: 0}, &resp); code != http.StatusBadRequest {
 			t.Fatalf("timeout_ms=%s: status %d, want 400", raw, code)
 		}
 	}
-	if got := fake.calls.Load(); got != 0 {
-		t.Fatalf("bad timeout reached the backend %d times", got)
+	if got := fault.Fired(fault.SiteSolve); got != 0 {
+		t.Fatalf("bad timeout reached the solver %d times", got)
 	}
 }
 
@@ -167,14 +94,15 @@ func TestBadTimeoutParamRejected(t *testing.T) {
 // third concurrent query must be shed with 503 + Retry-After instead of
 // queuing without bound.
 func TestQueueFullSheds503(t *testing.T) {
-	fake := &ctxFakeBackend{n: 32, gate: make(chan struct{})}
-	_, ts := newCtxFakeServer(t, fake, Config{Workers: 1, QueueDepth: 1, CacheBytes: 0})
+	gate := make(chan struct{})
+	injectSolve(t, fault.Plan{Gate: gate})
+	_, ts, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 1, CacheBytes: 0})
 
 	codes := make(chan int, 2)
 	for src := int64(0); src < 2; src++ {
 		go func(src int64) {
 			var resp distancesResponse
-			codes <- postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: src}, &resp)
+			codes <- postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: src}, &resp)
 		}(src)
 	}
 	flightWait(t, "slot busy and queue full", func() bool {
@@ -183,7 +111,7 @@ func TestQueueFullSheds503(t *testing.T) {
 	})
 
 	r, err := ts.Client().Post(ts.URL+"/v1/distances", "application/json",
-		strings.NewReader(`{"graph":"fake","source":2}`))
+		strings.NewReader(`{"graph":"grid","source":2}`))
 	if err != nil {
 		t.Fatalf("shed request: %v", err)
 	}
@@ -195,7 +123,7 @@ func TestQueueFullSheds503(t *testing.T) {
 		t.Fatalf("Retry-After: %q, want \"1\"", got)
 	}
 
-	close(fake.gate)
+	close(gate)
 	for i := 0; i < 2; i++ {
 		if code := <-codes; code != http.StatusOK {
 			t.Fatalf("held request %d: status %d", i, code)
@@ -208,30 +136,42 @@ func TestQueueFullSheds503(t *testing.T) {
 	}
 }
 
-// TestSolvePanicContained: an engine panic becomes a 500 and a counter
+// TestSolvePanicContained: an engine panic on any solve path —
+// distances, traced distances, routes — becomes a 500 and a counter
 // increment; the daemon keeps serving and no slot is stranded.
 func TestSolvePanicContained(t *testing.T) {
-	fake := &ctxFakeBackend{n: 16}
-	fake.panics.Store(true)
-	_, ts := newCtxFakeServer(t, fake, Config{Workers: 1, CacheBytes: 1 << 20})
+	_, ts, _ := newTestServer(t, Config{Workers: 1, CacheBytes: 1 << 20})
+	for i, q := range []struct {
+		endpoint, query string
+		req             any
+	}{
+		{"/v1/distances", "", distancesRequest{Graph: "grid", Source: 0}},
+		{"/v1/distances", "?trace=1", distancesRequest{Graph: "grid", Source: 1}},
+		{"/v1/route", "", routeRequest{Graph: "grid", Source: 2, Target: 5}},
+	} {
+		injectSolve(t, fault.Plan{Panic: "injected engine panic", Limit: 1})
+		var resp struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, ts, q.endpoint+q.query, q.req, &resp); code != http.StatusInternalServerError {
+			t.Fatalf("%s%s panicking solve: status %d, want 500", q.endpoint, q.query, code)
+		}
+		if !strings.Contains(resp.Error, "panic") {
+			t.Fatalf("%s%s: 500 body does not mention the panic: %q", q.endpoint, q.query, resp.Error)
+		}
+		if snap := fetchStats(t, ts); snap.SolvePanics != int64(i+1) {
+			t.Fatalf("%s%s: solvePanics %d, want %d", q.endpoint, q.query, snap.SolvePanics, i+1)
+		}
+		_, samples := scrape(t, ts)
+		if v, _ := sampleValue(samples, "sssp_http_errors_total", map[string]string{"endpoint": q.endpoint, "class": "5xx"}); v < 1 {
+			t.Fatalf("%s%s: 5xx counter %v, want >= 1", q.endpoint, q.query, v)
+		}
+		poolDrained(t, ts)
 
-	var resp distancesResponse
-	if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: 0}, &resp); code != http.StatusInternalServerError {
-		t.Fatalf("panicking solve: status %d, want 500", code)
-	}
-	if !strings.Contains(resp.Error, "panic") {
-		t.Fatalf("500 body does not mention the panic: %q", resp.Error)
-	}
-	snap := fetchStats(t, ts)
-	if snap.SolvePanics != 1 {
-		t.Fatalf("solvePanics: %d, want 1", snap.SolvePanics)
-	}
-	poolDrained(t, ts)
-
-	// The daemon survived: the next solve succeeds on the same slot.
-	fake.panics.Store(false)
-	if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: 1}, &resp); code != http.StatusOK {
-		t.Fatalf("post-panic solve: status %d, want 200", code)
+		// The daemon survived: the same request succeeds on the same slot.
+		if code := postJSON(t, ts, q.endpoint+q.query, q.req, nil); code != http.StatusOK {
+			t.Fatalf("%s%s post-panic solve: status %d, want 200", q.endpoint, q.query, code)
+		}
 	}
 }
 
@@ -239,8 +179,7 @@ func TestSolvePanicContained(t *testing.T) {
 // /healthz stays 200 throughout — liveness and routability are
 // different questions.
 func TestReadyzLifecycle(t *testing.T) {
-	fake := &ctxFakeBackend{n: 16}
-	s, ts := newCtxFakeServer(t, fake, Config{})
+	s, ts, _ := newTestServer(t, Config{})
 
 	check := func(wantCode int, wantStatus string) {
 		t.Helper()
@@ -278,16 +217,17 @@ func TestReadyzLifecycle(t *testing.T) {
 // Abort cancels it through the flight layer and the client gets a
 // cancellation-class answer.
 func TestDrainThenAbort(t *testing.T) {
-	fake := &ctxFakeBackend{n: 32, gate: make(chan struct{})}
-	defer close(fake.gate)
+	gate := make(chan struct{})
+	defer close(gate)
+	injectSolve(t, fault.Plan{Gate: gate})
 	// SolveTimeout < 0 disables the server deadline: only Abort can end
 	// this solve.
-	s, ts := newCtxFakeServer(t, fake, Config{Workers: 1, SolveTimeout: -1, CacheBytes: 0})
+	s, ts, _ := newTestServer(t, Config{Workers: 1, SolveTimeout: -1, CacheBytes: 0})
 
 	done := make(chan int, 1)
 	go func() {
 		var resp distancesResponse
-		done <- postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "fake", Source: 0}, &resp)
+		done <- postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: 0}, &resp)
 	}()
 	flightWait(t, "straggler to occupy its slot", func() bool {
 		return fetchStats(t, ts).Pool.InUse == 1
@@ -315,15 +255,16 @@ func TestDrainThenAbort(t *testing.T) {
 	}
 }
 
-// TestRouteTimeout504: the route path threads the request deadline into
-// the probe-aware backend too.
+// TestRouteTimeout504: the route path threads the request deadline
+// into its solve too.
 func TestRouteTimeout504(t *testing.T) {
-	fake := &ctxFakeBackend{n: 32, gate: make(chan struct{})}
-	defer close(fake.gate)
-	_, ts := newCtxFakeServer(t, fake, Config{Workers: 1})
+	gate := make(chan struct{})
+	defer close(gate)
+	injectSolve(t, fault.Plan{Gate: gate})
+	_, ts, _ := newTestServer(t, Config{Workers: 1})
 
 	var resp routeResponse
-	code := postJSON(t, ts, "/v1/route?timeout_ms=50", routeRequest{Graph: "fake", Source: 0, Target: 5}, &resp)
+	code := postJSON(t, ts, "/v1/route?timeout_ms=50", routeRequest{Graph: "grid", Source: 0, Target: 5}, &resp)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("route timeout: status %d, want 504 (%+v)", code, resp)
 	}

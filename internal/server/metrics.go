@@ -112,9 +112,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 {
 			var total int
 			for _, e := range s.registry.List() {
-				if lb, ok := e.Backend.(LandmarkBackend); ok {
-					total += lb.Landmarks()
-				}
+				total += e.Solver.Landmarks()
 			}
 			return float64(total)
 		})
@@ -167,7 +165,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Ordered-frontier substrate operations across frontier-backed solves, by op.", "op")
 
 	// Per-solve fork-join contention, sampled as worker-pool counter
-	// deltas around each backend solve (the same counters -trace reads,
+	// deltas around each solve (the same counters -trace reads,
 	// so contention is visible in production without tracing overhead).
 	// The pool counters are process-global: under concurrent solves a
 	// delta also absorbs the overlapping solves' events, so these read

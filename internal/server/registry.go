@@ -15,77 +15,6 @@ import (
 	rs "radiusstep"
 )
 
-// Backend answers shortest-path queries for one graph. The production
-// implementation wraps *radiusstep.Solver; tests substitute fakes to
-// observe solve counts and control timing. The engine argument carries
-// the per-request ?engine= override; EngineAuto means "no override"
-// (the backend's configured engine applies), matching the
-// Solver.DistancesWith contract.
-type Backend interface {
-	NumVertices() int
-	// Distances runs a full SSSP solve from src.
-	Distances(src rs.Vertex, engine rs.Engine) ([]float64, rs.Stats, error)
-	// Path answers a point-to-point query with early termination.
-	Path(src, dst rs.Vertex, engine rs.Engine) ([]rs.Vertex, float64, error)
-}
-
-// ContextBackend is the optional extension a Backend implements to run
-// solves under a context: the serving layer threads the flight call's
-// solve context (and each route request's deadline) through to the
-// library's cooperative cancel probe, so abandoned or expired requests
-// abort mid-solve with ErrCanceled/ErrDeadline instead of running to
-// completion. A backend without it simply runs every solve to the end.
-type ContextBackend interface {
-	// DistancesCtx is Distances with cooperative cancellation.
-	DistancesCtx(ctx context.Context, src rs.Vertex, engine rs.Engine) ([]float64, rs.Stats, error)
-	// RouteCtx is Route with cooperative cancellation.
-	RouteCtx(ctx context.Context, src, dst rs.Vertex, engine rs.Engine, prune bool) ([]rs.Vertex, float64, rs.Stats, error)
-}
-
-// TracingBackend is the optional extension a Backend implements to
-// answer ?trace=1 queries with a solve timeline. It is a separate
-// interface (not a Backend method) so existing Backend fakes and
-// third-party implementations keep compiling; a backend without it
-// simply rejects trace requests.
-type TracingBackend interface {
-	// DistancesTraced runs a full SSSP solve from src and returns the
-	// solve timeline alongside the distances.
-	DistancesTraced(src rs.Vertex, engine rs.Engine) ([]float64, rs.Stats, *rs.Timeline, error)
-}
-
-// RoutingBackend is the optional extension a Backend implements to
-// answer point-to-point queries with goal-directed (ALT landmark)
-// pruning and per-solve statistics. Like TracingBackend it is a
-// separate interface so Backend fakes keep compiling; a backend
-// without it falls back to Path.
-type RoutingBackend interface {
-	// Route answers a point-to-point query. prune enables landmark
-	// pruning when the backend has landmarks (a no-op otherwise); the
-	// distance is identical either way, only Stats.Pruned differs.
-	Route(src, dst rs.Vertex, engine rs.Engine, prune bool) ([]rs.Vertex, float64, rs.Stats, error)
-}
-
-// VectorRouter is the optional extension that reconstructs a route from
-// an already-computed full distance vector — the server uses it to
-// answer /v1/route from the distance cache without spending a solve
-// slot.
-type VectorRouter interface {
-	PathFromDistances(src, dst rs.Vertex, dist []float64) ([]rs.Vertex, float64, error)
-}
-
-// LandmarkBackend is the optional extension for ALT landmark
-// management: reporting the live landmark count and promoting cached
-// distance vectors into the landmark set (Config.AutoLandmarks).
-type LandmarkBackend interface {
-	// Landmarks reports the number of landmark vectors serving
-	// goal-directed route queries.
-	Landmarks() int
-	// AdoptLandmark promotes src's full distance vector into the
-	// landmark set. It reports false with a nil error when src is
-	// already a landmark or the set is full.
-	AdoptLandmark(src rs.Vertex, dist []float64) (bool, error)
-}
-
 // RadiiSource values: where a graph's radii came from at load time. The
 // snapshot value is the observable contract that the registry skipped
 // preprocessing and reused persisted radii.
@@ -126,11 +55,11 @@ type GraphInfo struct {
 	ColdStartMillis int64 `json:"coldStartMillis"`
 	// Landmarks is the number of ALT landmark vectors serving
 	// goal-directed route pruning. handleGraphs refreshes it live from
-	// the backend (cache adoption grows the set after load).
+	// the solver (cache adoption grows the set after load).
 	Landmarks int `json:"landmarks,omitempty"`
 }
 
-// Entry binds a name to a query backend and its metadata. An Entry is
+// Entry binds a name to a query solver and its metadata. An Entry is
 // one immutable epoch of a graph: the registry publishes it through an
 // atomic pointer and never mutates it afterward, so a query that
 // pinned an Entry computes against a consistent snapshot no matter how
@@ -138,270 +67,57 @@ type GraphInfo struct {
 // process-wide monotonic version (zero only for entries never
 // published through a registry).
 type Entry struct {
-	Name    string
-	Backend Backend
-	Info    GraphInfo
-	Epoch   uint64
+	Name   string
+	Solver *rs.Solver
+	Info   GraphInfo
+	Epoch  uint64
+
+	// perm maps client (original) vertex ids to the solver's stored ids
+	// and inv maps them back. Both are nil unless the graph was loaded
+	// from a snapshot packed with a cache-locality relabeling
+	// (graphpack -order); the helpers below keep every answer in
+	// original ids, so clients never observe the relabeling.
+	perm, inv []rs.Vertex
 }
 
-// solverBackend adapts *radiusstep.Solver to the Backend interface.
-type solverBackend struct {
-	solver *rs.Solver
-	n      int
-}
+// numVertices is the graph's vertex count: client ids lie in [0, n).
+func (e *Entry) numVertices() int { return e.Solver.Preprocessed().Graph.NumVertices() }
 
-func (b *solverBackend) NumVertices() int { return b.n }
-
-func (b *solverBackend) Distances(src rs.Vertex, engine rs.Engine) ([]float64, rs.Stats, error) {
-	return b.solver.DistancesWith(src, engine)
-}
-
-func (b *solverBackend) DistancesCtx(ctx context.Context, src rs.Vertex, engine rs.Engine) ([]float64, rs.Stats, error) {
-	return b.solver.DistancesCtx(ctx, src, engine)
-}
-
-func (b *solverBackend) RouteCtx(ctx context.Context, src, dst rs.Vertex, engine rs.Engine, prune bool) ([]rs.Vertex, float64, rs.Stats, error) {
-	return b.solver.RouteCtx(ctx, src, dst, engine, prune)
-}
-
-func (b *solverBackend) DistancesTraced(src rs.Vertex, engine rs.Engine) ([]float64, rs.Stats, *rs.Timeline, error) {
-	return b.solver.DistancesTraced(src, engine)
-}
-
-func (b *solverBackend) Path(src, dst rs.Vertex, engine rs.Engine) ([]rs.Vertex, float64, error) {
-	return b.solver.PathWith(src, dst, engine)
-}
-
-func (b *solverBackend) Route(src, dst rs.Vertex, engine rs.Engine, prune bool) ([]rs.Vertex, float64, rs.Stats, error) {
-	return b.solver.Route(src, dst, engine, prune)
-}
-
-func (b *solverBackend) PathFromDistances(src, dst rs.Vertex, dist []float64) ([]rs.Vertex, float64, error) {
-	return b.solver.PathFromDistances(src, dst, dist)
-}
-
-func (b *solverBackend) Landmarks() int { return b.solver.Landmarks() }
-
-func (b *solverBackend) AdoptLandmark(src rs.Vertex, dist []float64) (bool, error) {
-	return b.solver.AdoptLandmark(src, dist)
-}
-
-// remapBackend serves a graph that was relabeled at pack time for cache
-// locality: queries arrive in original ids, the inner backend solves in
-// stored ids, and every answer is mapped back. Clients never observe the
-// relabeling — the API contract survives -order unchanged. The O(n)
-// distance unpermute runs once per solve (cache misses only: the
-// distance cache above this layer stores already-remapped vectors).
-type remapBackend struct {
-	inner Backend
-	perm  []rs.Vertex // original id -> stored id
-	inv   []rs.Vertex // stored id -> original id
-}
-
-func newRemapBackend(inner Backend, perm []rs.Vertex) *remapBackend {
-	return &remapBackend{inner: inner, perm: perm, inv: rs.InvertPerm(perm)}
-}
-
-func (b *remapBackend) NumVertices() int { return b.inner.NumVertices() }
-
-// checkVertex mirrors the solver's own range validation: out-of-range
-// ids must produce the same clean error a non-reordered backend would,
-// not an index panic from the permutation lookup.
-func (b *remapBackend) checkVertex(v rs.Vertex) error {
-	if v < 0 || int(v) >= len(b.perm) {
-		return fmt.Errorf("server: vertex %d out of range [0,%d)", v, len(b.perm))
+// storedID maps a client vertex id, already range-checked, to the
+// solver's id.
+func (e *Entry) storedID(v rs.Vertex) rs.Vertex {
+	if e.perm == nil {
+		return v
 	}
-	return nil
+	return e.perm[v]
 }
 
-func (b *remapBackend) Distances(src rs.Vertex, engine rs.Engine) ([]float64, rs.Stats, error) {
-	if err := b.checkVertex(src); err != nil {
-		return nil, rs.Stats{}, err
+// clientDistances maps a distance vector from stored to client ids. The
+// O(n) copy runs once per solve; the distance cache holds its result.
+func (e *Entry) clientDistances(d []float64) []float64 {
+	if e.perm == nil {
+		return d
 	}
-	d, st, err := b.inner.Distances(b.perm[src], engine)
-	if err != nil {
-		return nil, st, err
-	}
-	return rs.UnpermuteFloats(d, b.perm), st, nil
+	return rs.UnpermuteFloats(d, e.perm)
 }
 
-// DistancesCtx threads cancellation through the relabeling layer when
-// the inner backend supports it, falling back to the uncancelable path
-// otherwise (ids still remap either way).
-func (b *remapBackend) DistancesCtx(ctx context.Context, src rs.Vertex, engine rs.Engine) ([]float64, rs.Stats, error) {
-	cb, ok := b.inner.(ContextBackend)
-	if !ok {
-		return b.Distances(src, engine)
+// storedDistances maps a client-id distance vector (a cached one) to
+// stored ids for the solver.
+func (e *Entry) storedDistances(d []float64) []float64 {
+	if e.perm == nil {
+		return d
 	}
-	if err := b.checkVertex(src); err != nil {
-		return nil, rs.Stats{}, err
-	}
-	d, st, err := cb.DistancesCtx(ctx, b.perm[src], engine)
-	if err != nil {
-		return nil, st, err
-	}
-	return rs.UnpermuteFloats(d, b.perm), st, nil
+	return rs.PermuteFloats(d, e.perm)
 }
 
-// RouteCtx threads cancellation through the relabeling layer; see
-// Route for the id-mapping contract.
-func (b *remapBackend) RouteCtx(ctx context.Context, src, dst rs.Vertex, engine rs.Engine, prune bool) ([]rs.Vertex, float64, rs.Stats, error) {
-	cb, ok := b.inner.(ContextBackend)
-	if !ok {
-		rb, rok := b.inner.(RoutingBackend)
-		if !rok {
-			return nil, 0, rs.Stats{}, fmt.Errorf("server: backend does not support routing")
+// clientPath maps a path from stored to client ids in place.
+func (e *Entry) clientPath(p []rs.Vertex) []rs.Vertex {
+	if e.inv != nil {
+		for i, v := range p {
+			p[i] = e.inv[v]
 		}
-		return b.routeMapped(src, dst, func(ss, sd rs.Vertex) ([]rs.Vertex, float64, rs.Stats, error) {
-			return rb.Route(ss, sd, engine, prune)
-		})
 	}
-	return b.routeMapped(src, dst, func(ss, sd rs.Vertex) ([]rs.Vertex, float64, rs.Stats, error) {
-		return cb.RouteCtx(ctx, ss, sd, engine, prune)
-	})
-}
-
-// routeMapped wraps an inner stored-id route solve with the endpoint
-// and path remapping shared by Route and RouteCtx.
-func (b *remapBackend) routeMapped(src, dst rs.Vertex, solve func(ss, sd rs.Vertex) ([]rs.Vertex, float64, rs.Stats, error)) ([]rs.Vertex, float64, rs.Stats, error) {
-	if err := b.checkVertex(src); err != nil {
-		return nil, 0, rs.Stats{}, err
-	}
-	if err := b.checkVertex(dst); err != nil {
-		return nil, 0, rs.Stats{}, err
-	}
-	p, d, st, err := solve(b.perm[src], b.perm[dst])
-	if err != nil {
-		return nil, 0, st, err
-	}
-	out := make([]rs.Vertex, len(p))
-	for i, v := range p {
-		out[i] = b.inv[v]
-	}
-	return out, d, st, nil
-}
-
-// DistancesTraced passes tracing through the relabeling layer when the
-// inner backend supports it: the timeline describes the solve on stored
-// ids (step structure is id-agnostic), the distances are mapped back.
-func (b *remapBackend) DistancesTraced(src rs.Vertex, engine rs.Engine) ([]float64, rs.Stats, *rs.Timeline, error) {
-	tb, ok := b.inner.(TracingBackend)
-	if !ok {
-		return nil, rs.Stats{}, nil, fmt.Errorf("server: backend does not support tracing")
-	}
-	if err := b.checkVertex(src); err != nil {
-		return nil, rs.Stats{}, nil, err
-	}
-	d, st, tl, err := tb.DistancesTraced(b.perm[src], engine)
-	if err != nil {
-		return nil, st, nil, err
-	}
-	return rs.UnpermuteFloats(d, b.perm), st, tl, nil
-}
-
-func (b *remapBackend) Path(src, dst rs.Vertex, engine rs.Engine) ([]rs.Vertex, float64, error) {
-	if err := b.checkVertex(src); err != nil {
-		return nil, 0, err
-	}
-	if err := b.checkVertex(dst); err != nil {
-		return nil, 0, err
-	}
-	p, d, err := b.inner.Path(b.perm[src], b.perm[dst], engine)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]rs.Vertex, len(p))
-	for i, v := range p {
-		out[i] = b.inv[v]
-	}
-	return out, d, nil
-}
-
-// Route maps a goal-directed route through the relabeling: endpoints go
-// original → stored, the path comes back stored → original. Landmark
-// pruning happens in stored-id space (where the inner solver's landmark
-// vectors live), invisible to the client.
-func (b *remapBackend) Route(src, dst rs.Vertex, engine rs.Engine, prune bool) ([]rs.Vertex, float64, rs.Stats, error) {
-	rb, ok := b.inner.(RoutingBackend)
-	if !ok {
-		return nil, 0, rs.Stats{}, fmt.Errorf("server: backend does not support routing")
-	}
-	if err := b.checkVertex(src); err != nil {
-		return nil, 0, rs.Stats{}, err
-	}
-	if err := b.checkVertex(dst); err != nil {
-		return nil, 0, rs.Stats{}, err
-	}
-	p, d, st, err := rb.Route(b.perm[src], b.perm[dst], engine, prune)
-	if err != nil {
-		return nil, 0, st, err
-	}
-	out := make([]rs.Vertex, len(p))
-	for i, v := range p {
-		out[i] = b.inv[v]
-	}
-	return out, d, st, nil
-}
-
-// PathFromDistances accepts a distance vector in original ids (what the
-// serving cache above this layer stores), permutes it into stored ids
-// for the inner reconstruction, and maps the path back. The O(n)
-// permute is far cheaper than the solve it replaces.
-func (b *remapBackend) PathFromDistances(src, dst rs.Vertex, dist []float64) ([]rs.Vertex, float64, error) {
-	vr, ok := b.inner.(VectorRouter)
-	if !ok {
-		return nil, 0, fmt.Errorf("server: backend does not support vector routing")
-	}
-	if err := b.checkVertex(src); err != nil {
-		return nil, 0, err
-	}
-	if err := b.checkVertex(dst); err != nil {
-		return nil, 0, err
-	}
-	if len(dist) != len(b.perm) {
-		return nil, 0, fmt.Errorf("server: %d distances for %d vertices", len(dist), len(b.perm))
-	}
-	sd := make([]float64, len(dist))
-	for stored := range sd {
-		sd[stored] = dist[b.inv[stored]]
-	}
-	p, d, err := vr.PathFromDistances(b.perm[src], b.perm[dst], sd)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]rs.Vertex, len(p))
-	for i, v := range p {
-		out[i] = b.inv[v]
-	}
-	return out, d, nil
-}
-
-func (b *remapBackend) Landmarks() int {
-	if lb, ok := b.inner.(LandmarkBackend); ok {
-		return lb.Landmarks()
-	}
-	return 0
-}
-
-// AdoptLandmark permutes a cached original-id vector into stored ids
-// before handing it to the inner solver. The cheap full/duplicate
-// checks run first so the steady state (set full) skips the O(n) copy.
-func (b *remapBackend) AdoptLandmark(src rs.Vertex, dist []float64) (bool, error) {
-	lb, ok := b.inner.(LandmarkBackend)
-	if !ok {
-		return false, nil
-	}
-	if err := b.checkVertex(src); err != nil {
-		return false, err
-	}
-	if lb.Landmarks() >= rs.MaxLandmarks || len(dist) != len(b.perm) {
-		return false, nil
-	}
-	sd := make([]float64, len(dist))
-	for stored := range sd {
-		sd[stored] = dist[b.inv[stored]]
-	}
-	return lb.AdoptLandmark(b.perm[src], sd)
+	return p
 }
 
 // NewSolverEntry wraps a preprocessed solver as a registry entry,
@@ -413,8 +129,8 @@ func NewSolverEntry(name string, solver *rs.Solver, opt rs.Options, source strin
 		g = pre.Graph
 	}
 	return &Entry{
-		Name:    name,
-		Backend: &solverBackend{solver: solver, n: g.NumVertices()},
+		Name:   name,
+		Solver: solver,
 		Info: GraphInfo{
 			Name:             name,
 			Vertices:         g.NumVertices(),
@@ -533,7 +249,7 @@ func BuildEntry(cfg GraphConfig) (entry *Entry, err error) {
 			entry, err = nil, fmt.Errorf("server: graph %q: load panic: %v", cfg.Name, r)
 		}
 	}()
-	if ferr := fault.Check(fault.SiteSnapshotLoad); ferr != nil {
+	if ferr := fault.Check(context.TODO(), fault.SiteSnapshotLoad); ferr != nil {
 		return nil, fmt.Errorf("server: graph %q: %w", cfg.Name, ferr)
 	}
 	return buildEntry(cfg)
@@ -764,14 +480,12 @@ func applyLandmarks(entry *Entry, solver *rs.Solver, cfg GraphConfig) error {
 	return nil
 }
 
-// applySnapshotPerm wraps a snapshot-built entry's backend with the
-// original-id remapping layer when the snapshot was packed reordered.
-// Every query path (distances, routes, batch) goes through the Backend
-// interface, so this one wrap keeps the whole API in original ids.
+// applySnapshotPerm records a reordered snapshot's relabeling on its
+// entry, so every query path answers in original ids.
 func applySnapshotPerm(entry *Entry, snap *rs.Snapshot) {
 	if snap.Perm == nil {
 		return
 	}
-	entry.Backend = newRemapBackend(entry.Backend, snap.Perm)
+	entry.perm, entry.inv = snap.Perm, rs.InvertPerm(snap.Perm)
 	entry.Info.Reordered = true
 }

@@ -15,23 +15,20 @@ func testGraph() *rs.Graph {
 	return rs.WithUniformIntWeights(rs.Grid2D(12, 12), 1, 100, 3)
 }
 
-// solverOf unwraps the production backend to inspect the solver state an
-// entry was built with.
-func solverOf(t *testing.T, e *Entry) *rs.Solver {
+// entryDistances solves src on e's solver and maps the answer to client
+// ids, the way the server does.
+func entryDistances(t *testing.T, e *Entry, src rs.Vertex, eng rs.Engine) []float64 {
 	t.Helper()
-	sb, ok := e.Backend.(*solverBackend)
-	if !ok {
-		t.Fatalf("backend is %T, want *solverBackend", e.Backend)
+	d, _, err := e.Solver.DistancesWith(e.storedID(src), eng)
+	if err != nil {
+		t.Fatalf("Distances(%d, %v): %v", src, eng, err)
 	}
-	return sb.solver
+	return e.clientDistances(d)
 }
 
 func assertMatchesDijkstra(t *testing.T, e *Entry, g *rs.Graph, src rs.Vertex) {
 	t.Helper()
-	got, _, err := e.Backend.Distances(src, rs.EngineAuto)
-	if err != nil {
-		t.Fatalf("Distances: %v", err)
-	}
+	got := entryDistances(t, e, src, rs.EngineAuto)
 	want := rs.Dijkstra(g, src)
 	for v := range want {
 		if got[v] != want[v] && !(math.IsInf(got[v], 1) && math.IsInf(want[v], 1)) {
@@ -63,7 +60,7 @@ func TestBuildEntrySnapshotSkipsPreprocess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildEntry: %v", err)
 	}
-	for i, r := range solverOf(t, entry).Preprocessed().Radii {
+	for i, r := range entry.Solver.Preprocessed().Radii {
 		if r != sentinel {
 			t.Fatalf("radii[%d] = %v: registry re-ran preprocessing instead of loading persisted radii", i, r)
 		}
@@ -111,7 +108,7 @@ func TestBuildEntrySnapshotServesPackedGraph(t *testing.T) {
 	}
 	assertMatchesDijkstra(t, entry, g, 17)
 	// Point-to-point routes must use real (original-graph) edges.
-	pathVs, d, err := entry.Backend.Path(0, rs.Vertex(g.NumVertices()-1), rs.EngineAuto)
+	pathVs, d, err := entry.Solver.Path(0, rs.Vertex(g.NumVertices()-1))
 	if err != nil {
 		t.Fatalf("Path: %v", err)
 	}
@@ -139,7 +136,7 @@ func TestBuildEntryFileAutoDetectsSnapshot(t *testing.T) {
 	if entry.Info.RadiiSource != RadiiFromSnapshot {
 		t.Fatalf("RadiiSource = %q, want %q", entry.Info.RadiiSource, RadiiFromSnapshot)
 	}
-	if solverOf(t, entry).Preprocessed().Radii[0] != 2.5 {
+	if entry.Solver.Preprocessed().Radii[0] != 2.5 {
 		t.Fatal("persisted radii not reused via file= auto-detection")
 	}
 }

@@ -148,12 +148,8 @@ func TestGraphSpecLandmarks(t *testing.T) {
 	if entry.Info.Landmarks != 3 {
 		t.Fatalf("Info.Landmarks = %d, want 3", entry.Info.Landmarks)
 	}
-	lb, ok := entry.Backend.(LandmarkBackend)
-	if !ok {
-		t.Fatal("gen-built backend does not expose landmarks")
-	}
-	if lb.Landmarks() != 3 {
-		t.Fatalf("backend Landmarks() = %d, want 3", lb.Landmarks())
+	if got := entry.Solver.Landmarks(); got != 3 {
+		t.Fatalf("solver Landmarks() = %d, want 3", got)
 	}
 
 	if _, err := ParseGraphSpec("g=gen=grid2d,landmarks=x"); err == nil {
@@ -234,10 +230,10 @@ func packReorderedLandmarks(t *testing.T, g *rs.Graph, k int, path string) {
 	}
 }
 
-// TestReorderedSnapshotRoutesWithLandmarks: the remapping layer must
-// translate pruned routes end-to-end — original-id endpoints in,
-// original-id path out, distances byte-identical to the unreordered
-// oracle — and adopt cache vectors arriving in original ids.
+// TestReorderedSnapshotRoutesWithLandmarks: a reordered snapshot's
+// packed landmarks survive the load (TestReorderedServingContract
+// drives their routes over HTTP), and landmarks= on such a snapshot is a
+// conflict.
 func TestReorderedSnapshotRoutesWithLandmarks(t *testing.T) {
 	g := rs.WithUniformIntWeights(rs.Grid2D(14, 14), 1, 40, 9)
 	path := filepath.Join(t.TempDir(), "lm.snap")
@@ -247,48 +243,9 @@ func TestReorderedSnapshotRoutesWithLandmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !entry.Info.Reordered || entry.Info.Landmarks != 3 {
-		t.Fatalf("entry info: reordered=%v landmarks=%d", entry.Info.Reordered, entry.Info.Landmarks)
-	}
-	rb, ok := entry.Backend.(RoutingBackend)
-	if !ok {
-		t.Fatal("reordered backend does not route")
-	}
-	src, dst := rs.Vertex(3), rs.Vertex(190)
-	want := rs.Dijkstra(g, src)[dst]
-	for _, prune := range []bool{false, true} {
-		route, d, st, err := rb.Route(src, dst, rs.EngineAuto, prune)
-		if err != nil {
-			t.Fatalf("prune=%v: %v", prune, err)
-		}
-		if math.Float64bits(d) != math.Float64bits(want) {
-			t.Fatalf("prune=%v: distance %v, want %v", prune, d, want)
-		}
-		if len(route) == 0 || route[0] != src || route[len(route)-1] != dst {
-			t.Fatalf("prune=%v: endpoints %v", prune, route)
-		}
-		if length, err := rs.PathLength(g, route); err != nil || length != want {
-			t.Fatalf("prune=%v: path not realizable in original ids: %v %v", prune, length, err)
-		}
-		if !prune && st.Pruned != 0 {
-			t.Fatalf("unpruned route pruned %d candidates", st.Pruned)
-		}
-	}
-
-	// Adoption remaps the original-id vector before storing it.
-	lb, ok := entry.Backend.(LandmarkBackend)
-	if !ok {
-		t.Fatal("reordered backend does not expose landmarks")
-	}
-	adopted, err := lb.AdoptLandmark(7, rs.Dijkstra(g, 7))
-	if err != nil || !adopted {
-		t.Fatalf("AdoptLandmark: %v %v", adopted, err)
-	}
-	if lb.Landmarks() != 4 {
-		t.Fatalf("Landmarks() = %d after adoption, want 4", lb.Landmarks())
-	}
-	if _, d, _, err := rb.Route(src, dst, rs.EngineAuto, true); err != nil || math.Float64bits(d) != math.Float64bits(want) {
-		t.Fatalf("post-adoption route: %v %v, want %v", d, err, want)
+	if !entry.Info.Reordered || entry.Info.Landmarks != 3 || entry.Solver.Landmarks() != 3 {
+		t.Fatalf("entry: reordered=%v info landmarks=%d solver landmarks=%d",
+			entry.Info.Reordered, entry.Info.Landmarks, entry.Solver.Landmarks())
 	}
 
 	// landmarks= on a snapshot that already carries them is a conflict.

@@ -94,7 +94,7 @@ func LoadSmoke(s *Server, cfg SmokeConfig) (SmokeReport, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	n := e.Backend.NumVertices()
+	n := e.numVertices()
 	if n == 0 {
 		return SmokeReport{}, fmt.Errorf("server: selftest: graph %q is empty", cfg.Graph)
 	}

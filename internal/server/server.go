@@ -375,7 +375,14 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 		defer s.pool.release()
 		pc0 := s.metrics.poolBefore()
 		t0 := time.Now()
-		d, st, err := s.solveGuarded(solveCtx, e, src, engine)
+		var d []float64
+		var st rs.Stats
+		err := s.guardSolve(solveCtx, e, src, func() (err error) {
+			if d, st, err = e.Solver.DistancesCtx(solveCtx, e.storedID(src), engine); err == nil {
+				d = e.clientDistances(d)
+			}
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +390,7 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 		s.metrics.observePool(pc0)
 		s.metrics.observeSolve(e.Name, st, dur)
 		s.logSolve(e.Name, src, st, dur)
-		s.fillCache(e, key, src, d)
+		s.fillCache(solveCtx, e, key, src, d)
 		return d, nil
 	})
 	if joined {
@@ -399,29 +406,26 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 	return d, false, err
 }
 
-// solveGuarded runs one backend solve with panic containment: an engine
-// panic becomes an error (and a counter increment) instead of a dead
-// daemon — the deferred pool release and flight completion above then
-// unwind normally, so no slot or waiter is stuck. Backends implementing
-// ContextBackend get the solve context threaded through to the
-// cooperative cancel probe; others run to completion as before.
-func (s *Server) solveGuarded(ctx context.Context, e *Entry, src rs.Vertex, engine rs.Engine) (d []float64, st rs.Stats, err error) {
+// guardSolve runs one solve behind the solve fault seam with panic
+// containment: an engine panic becomes an error (and a counter
+// increment) instead of a dead daemon, so the caller's deferred pool
+// release and flight completion unwind normally and no slot or waiter
+// is stuck. Every solve path — distances, traced distances, routes —
+// goes through it.
+func (s *Server) guardSolve(ctx context.Context, e *Entry, src rs.Vertex, solve func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.solvePanics.Inc()
 			if s.logger != nil {
 				s.logger.Error("solve panic", "graph", e.Name, "source", int64(src), "panic", fmt.Sprint(r))
 			}
-			d, st, err = nil, rs.Stats{}, fmt.Errorf("server: solve panic: %v", r)
+			err = fmt.Errorf("server: solve panic: %v", r)
 		}
 	}()
-	if ferr := fault.Check(fault.SiteSolve); ferr != nil {
-		return nil, rs.Stats{}, ferr
+	if err := fault.Check(ctx, fault.SiteSolve); err != nil {
+		return err
 	}
-	if cb, ok := e.Backend.(ContextBackend); ok {
-		return cb.DistancesCtx(ctx, src, engine)
-	}
-	return e.Backend.Distances(src, engine)
+	return solve()
 }
 
 // fillCache publishes a solved vector to the distance cache and the
@@ -429,7 +433,7 @@ func (s *Server) solveGuarded(ctx context.Context, e *Entry, src rs.Vertex, engi
 // real) failure here must never fail the response — the solve already
 // produced a correct answer — so errors skip the fill and panics are
 // contained to a counter.
-func (s *Server) fillCache(e *Entry, key cacheKey, src rs.Vertex, d []float64) {
+func (s *Server) fillCache(ctx context.Context, e *Entry, key cacheKey, src rs.Vertex, d []float64) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.solvePanics.Inc()
@@ -438,7 +442,7 @@ func (s *Server) fillCache(e *Entry, key cacheKey, src rs.Vertex, d []float64) {
 			}
 		}
 	}()
-	if err := fault.Check(fault.SiteCacheFill); err != nil {
+	if err := fault.Check(ctx, fault.SiteCacheFill); err != nil {
 		return
 	}
 	s.cache.Add(key, d)
@@ -449,17 +453,13 @@ func (s *Server) fillCache(e *Entry, key cacheKey, src rs.Vertex, d []float64) {
 // graph's ALT landmark set when Config.AutoLandmarks is on — the cache
 // write doubling as goal-direction index maintenance. Adoption copies
 // the vector, so sharing d with the cache and waiters stays safe.
-// Skipped silently when the set is full, src is already a landmark, or
-// the backend has no landmark support.
+// Skipped silently when the set is full (checked first, so the steady
+// state skips the O(n) id mapping) or src is already a landmark.
 func (s *Server) maybeAdoptLandmark(e *Entry, src rs.Vertex, dist []float64) {
-	if !s.autoLandmarks {
+	if !s.autoLandmarks || e.Solver.Landmarks() >= rs.MaxLandmarks {
 		return
 	}
-	lb, ok := e.Backend.(LandmarkBackend)
-	if !ok {
-		return
-	}
-	adopted, err := lb.AdoptLandmark(src, dist)
+	adopted, err := e.Solver.AdoptLandmark(e.storedID(src), e.storedDistances(dist))
 	if err != nil {
 		if s.logger != nil {
 			s.logger.Warn("landmark adoption failed", "graph", e.Name, "source", int64(src), "err", err.Error())
@@ -614,9 +614,7 @@ func (s *Server) handleGraphs(w http.ResponseWriter, _ *http.Request) {
 		infos[i] = e.Info
 		// Landmark sets grow after load (cache adoption); report the
 		// live count, not the snapshot taken at build time.
-		if lb, ok := e.Backend.(LandmarkBackend); ok {
-			infos[i].Landmarks = lb.Landmarks()
-		}
+		infos[i].Landmarks = e.Solver.Landmarks()
 	}
 	// health covers every registered graph — including failed and cold
 	// ones that have no serving entry above — with epoch, quarantine
@@ -682,11 +680,6 @@ func traceParam(r *http.Request) bool {
 // cache path timings. The pool still bounds it like any other solve.
 func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK int, targets []int64, engine rs.Engine) (distancesResponse, int) {
 	resp := distancesResponse{Graph: e.Name, Source: int64(src), Epoch: e.Epoch}
-	tb, ok := e.Backend.(TracingBackend)
-	if !ok {
-		resp.Error = fmt.Sprintf("graph %q does not support tracing", e.Name)
-		return resp, http.StatusBadRequest
-	}
 	if err := s.pool.acquire(ctx); err != nil {
 		s.recordSolveError(err)
 		resp.Error = err.Error()
@@ -695,10 +688,19 @@ func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK
 	defer s.pool.release()
 	pc0 := s.metrics.poolBefore()
 	t0 := time.Now()
-	dist, st, tl, err := tb.DistancesTraced(src, engine)
+	var dist []float64
+	var st rs.Stats
+	var tl *rs.Timeline
+	err := s.guardSolve(ctx, e, src, func() (err error) {
+		if dist, st, tl, err = e.Solver.DistancesTraced(e.storedID(src), engine); err == nil {
+			dist = e.clientDistances(dist)
+		}
+		return err
+	})
 	if err != nil {
+		s.recordSolveError(err)
 		resp.Error = err.Error()
-		return resp, http.StatusInternalServerError
+		return resp, solveStatus(err)
 	}
 	dur := time.Since(t0)
 	s.metrics.observePool(pc0)
@@ -712,7 +714,7 @@ func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK
 // checkTargets range-checks target vertices before any solve runs, so a
 // bad target is rejected for free instead of after a full SSSP.
 func (s *Server) checkTargets(w http.ResponseWriter, e *Entry, targets []int64) bool {
-	n := int64(e.Backend.NumVertices())
+	n := int64(e.numVertices())
 	for _, t := range targets {
 		if t < 0 || t >= n {
 			s.fail(w, http.StatusBadRequest, "target %d out of range [0, %d)", t, n)
@@ -783,7 +785,6 @@ func pruneParam(r *http.Request) (bool, error) {
 //     tight-edge reconstruction alone — no solve, no solve slot.
 //  2. Otherwise an early-terminated solve runs under the pool, with
 //     goal-directed landmark pruning unless ?prune=0 opts out.
-//  3. A backend without route support falls back to plain Path.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var req routeRequest
 	if !decodeBody(w, r, &req) {
@@ -793,8 +794,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if req.Target < 0 || req.Target >= int64(e.Backend.NumVertices()) {
-		s.fail(w, http.StatusBadRequest, "target %d out of range [0, %d)", req.Target, e.Backend.NumVertices())
+	if n := e.numVertices(); req.Target < 0 || req.Target >= int64(n) {
+		s.fail(w, http.StatusBadRequest, "target %d out of range [0, %d)", req.Target, n)
 		return
 	}
 	eng, perr := engineParam(r)
@@ -813,18 +814,16 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// Cache-first: a full vector for this source already holds every
 	// distance, and reconstruction is a cheap backward walk — answering
 	// here keeps the solve pool free for real misses.
-	if vr, ok := e.Backend.(VectorRouter); ok {
-		if dist, hit := s.cache.Get(cacheKey{graph: e.Name, epoch: e.Epoch, src: int32(src)}); hit {
-			path, d, err := vr.PathFromDistances(src, dst, dist)
-			if err == nil {
-				s.metrics.routeCacheHits.Inc()
-				resp.Cached = true
-				writeRoute(w, resp, path, d)
-				return
-			}
-			// An unusable cached vector falls through to a real solve
-			// rather than failing the request.
+	if dist, hit := s.cache.Get(cacheKey{graph: e.Name, epoch: e.Epoch, src: int32(src)}); hit {
+		path, d, err := e.Solver.PathFromDistances(e.storedID(src), e.storedID(dst), e.storedDistances(dist))
+		if err == nil {
+			s.metrics.routeCacheHits.Inc()
+			resp.Cached = true
+			writeRoute(w, resp, e.clientPath(path), d)
+			return
 		}
+		// An unusable cached vector falls through to a real solve
+		// rather than failing the request.
 	}
 
 	ctx, cancel, cerr := s.requestCtx(r)
@@ -833,12 +832,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	if err := s.pool.acquire(ctx); err != nil {
-		s.recordSolveError(err)
-		s.failSolve(w, err, "route: %v", err)
-		return
-	}
-	path, d, err := s.routeGuarded(ctx, e, src, dst, eng, prune, &resp)
+	path, d, err := s.solveRoute(ctx, e, src, dst, eng, prune, &resp)
 	if err != nil {
 		s.recordSolveError(err)
 		s.failSolve(w, err, "route: %v", err)
@@ -848,34 +842,25 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	writeRoute(w, resp, path, d)
 }
 
-// routeGuarded runs one route solve under the pool slot (released on
-// every path, panics included) with the same panic containment and
-// context threading as solveGuarded.
-func (s *Server) routeGuarded(ctx context.Context, e *Entry, src, dst rs.Vertex, eng rs.Engine, prune bool, resp *routeResponse) (path []rs.Vertex, d float64, err error) {
-	defer s.pool.release()
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.solvePanics.Inc()
-			if s.logger != nil {
-				s.logger.Error("route panic", "graph", e.Name, "source", int64(src), "panic", fmt.Sprint(r))
-			}
-			path, d, err = nil, 0, fmt.Errorf("server: route panic: %v", r)
-		}
-	}()
-	var st rs.Stats
-	switch b := e.Backend.(type) {
-	case ContextBackend:
-		path, d, st, err = b.RouteCtx(ctx, src, dst, eng, prune)
-	case RoutingBackend:
-		path, d, st, err = b.Route(src, dst, eng, prune)
-	default:
-		path, d, err = e.Backend.Path(src, dst, eng)
+// solveRoute runs one route solve under a pool slot and the solve
+// guard, and maps the path back to client ids.
+func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, eng rs.Engine, prune bool, resp *routeResponse) ([]rs.Vertex, float64, error) {
+	if err := s.pool.acquire(ctx); err != nil {
+		return nil, 0, err
 	}
+	defer s.pool.release()
+	var path []rs.Vertex
+	var d float64
+	var st rs.Stats
+	err := s.guardSolve(ctx, e, src, func() (err error) {
+		path, d, st, err = e.Solver.RouteCtx(ctx, e.storedID(src), e.storedID(dst), eng, prune)
+		return err
+	})
 	if st.Pruned > 0 {
 		s.metrics.routePruned.Add(st.Pruned)
 		resp.Pruned = st.Pruned
 	}
-	return path, d, err
+	return e.clientPath(path), d, err
 }
 
 // writeRoute finishes a route response from the computed path.
@@ -914,7 +899,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "batch of %d sources exceeds limit %d", len(req.Sources), maxBatch)
 		return
 	}
-	n := e.Backend.NumVertices()
+	n := e.numVertices()
 	for _, src := range req.Sources {
 		if src < 0 || src >= int64(n) {
 			s.fail(w, http.StatusBadRequest, "source %d out of range [0, %d)", src, n)
@@ -966,8 +951,8 @@ func (s *Server) resolve(w http.ResponseWriter, graph string, source int64) (*En
 	if !ok {
 		return nil, 0, false
 	}
-	if source < 0 || source >= int64(e.Backend.NumVertices()) {
-		s.fail(w, http.StatusBadRequest, "source %d out of range [0, %d)", source, e.Backend.NumVertices())
+	if n := e.numVertices(); source < 0 || source >= int64(n) {
+		s.fail(w, http.StatusBadRequest, "source %d out of range [0, %d)", source, n)
 		return nil, 0, false
 	}
 	return e, rs.Vertex(source), true

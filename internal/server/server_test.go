@@ -317,7 +317,7 @@ func TestBuildEntryFromGen(t *testing.T) {
 	if entry.Info.Vertices != 400 || entry.Info.Rho != 8 || entry.Info.K != 1 {
 		t.Fatalf("metadata: %+v", entry.Info)
 	}
-	if _, _, err := entry.Backend.Distances(0, rs.EngineAuto); err != nil {
+	if _, _, err := entry.Solver.Distances(0); err != nil {
 		t.Fatalf("Distances: %v", err)
 	}
 	// Exactly one of gen|file|pre, and bad names must fail loudly.

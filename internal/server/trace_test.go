@@ -101,26 +101,6 @@ func TestTraceBypassesCache(t *testing.T) {
 	}
 }
 
-// TestTraceUnsupportedBackend: a backend that does not implement
-// TracingBackend must yield a clean 400, not a panic or a silent
-// untraced answer.
-func TestTraceUnsupportedBackend(t *testing.T) {
-	fake := &fakeBackend{n: 10}
-	_, ts := newFakeServer(t, fake, Config{})
-	var resp distancesResponse
-	code := postJSON(t, ts, "/v1/distances?trace=1",
-		distancesRequest{Graph: "fake", Source: 0}, &resp)
-	if code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", code)
-	}
-	if resp.Error == "" || resp.Trace != nil {
-		t.Fatalf("bad error response: %+v", resp)
-	}
-	if fake.calls.Load() != 0 {
-		t.Fatalf("backend solved %d times for an unsupported trace request", fake.calls.Load())
-	}
-}
-
 // TestTraceCountsAsSolve: traced solves must still show up in the
 // solve metrics even though they bypass the cache.
 func TestTraceCountsAsSolve(t *testing.T) {
@@ -138,6 +118,3 @@ func TestTraceCountsAsSolve(t *testing.T) {
 		t.Fatalf("solvesByEngine[%s] = %d, want 1", resp.Trace.Engine, got)
 	}
 }
-
-var _ TracingBackend = (*solverBackend)(nil)
-var _ TracingBackend = (*remapBackend)(nil)

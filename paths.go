@@ -53,20 +53,10 @@ func (s *Solver) Distance(src, dst Vertex) (float64, Stats, error) {
 // When the preprocessing bundle retains the original graph the walk uses
 // only real (non-shortcut) edges, so the route is directly usable;
 // otherwise shortcut edges (whose weights equal exact distances) may
-// appear.
+// appear. When the solver has landmarks the solve is goal-directed;
+// Route takes a per-query engine and the pruning opt-out.
 func (s *Solver) Path(src, dst Vertex) ([]Vertex, float64, error) {
-	return s.PathWith(src, dst, EngineAuto)
-}
-
-// PathWith is Path with a per-query engine override (EngineAuto means
-// the default early-terminating sequential engine). Every engine
-// supports early termination — the settled-set-is-exact invariant is
-// strategy-independent — so the route and its length are identical
-// across engines; only the exploration order differs. When the solver
-// has landmarks the solve is goal-directed (Route with pruning on);
-// pass prune=false to Route to opt out.
-func (s *Solver) PathWith(src, dst Vertex, engine Engine) ([]Vertex, float64, error) {
-	path, d, _, err := s.Route(src, dst, engine, true)
+	path, d, _, err := s.Route(src, dst, EngineAuto, true)
 	return path, d, err
 }
 

@@ -435,9 +435,9 @@ func NewSnapshot(pre *Preprocessed, opt Options) (*Snapshot, error) {
 // sources through s.Perm[src] and returned distance vectors back with
 // UnpermuteFloats(dist, s.Perm) (vertices in paths map back through
 // InvertPerm) — exactly what the serving registry does transparently;
-// see internal/server's remapBackend. Callers that want original ids
-// without remapping should load via LoadGraphFile (which undoes the
-// relabeling) and preprocess with NewSolver instead.
+// see the id-mapping helpers on internal/server's Entry. Callers that
+// want original ids without remapping should load via LoadGraphFile
+// (which undoes the relabeling) and preprocess with NewSolver instead.
 func SolverFromSnapshot(s *Snapshot, engine Engine) (*Solver, error) {
 	if s == nil || s.G == nil {
 		return nil, fmt.Errorf("radiusstep: nil snapshot")

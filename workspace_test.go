@@ -217,6 +217,9 @@ func TestSnapshotSolverRhoQuota(t *testing.T) {
 }
 
 // TestPathWithEngines: point-to-point queries agree across engines.
+// Every engine supports early termination — the settled-set-is-exact
+// invariant is strategy-independent — so Route's distance matches
+// Path's on each.
 func TestPathWithEngines(t *testing.T) {
 	g := rs.WithUniformIntWeights(rs.Grid2D(12, 12), 1, 30, 6)
 	s, err := rs.NewSolver(g, rs.Options{Rho: 8})
@@ -231,7 +234,7 @@ func TestPathWithEngines(t *testing.T) {
 		t.Fatal("no default path")
 	}
 	for _, eng := range []rs.Engine{rs.EngineParallel, rs.EngineFlat, rs.EngineDelta, rs.EngineRho} {
-		path, d, err := s.PathWith(0, 143, eng)
+		path, d, _, err := s.Route(0, 143, eng, true)
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
 		}
