@@ -6,10 +6,10 @@ import (
 	"radiusstep/internal/core"
 )
 
-// Cancellation errors returned by the context-aware query methods
-// (DistancesCtx, RouteCtx) when the context ends before the solve
-// completes. They alias the core sentinels so errors.Is works across
-// layers; the serving daemon maps them onto distinct HTTP statuses.
+// Cancellation errors returned by Solver.Solve when its context ends
+// before the solve completes. They alias the core sentinels so
+// errors.Is works across layers; the serving daemon maps them onto
+// distinct HTTP statuses.
 var (
 	// ErrCanceled reports a solve aborted because its context was
 	// canceled (the caller went away).
@@ -49,35 +49,4 @@ func probeForContext(ctx context.Context) (*core.Probe, func()) {
 	}
 	stop := context.AfterFunc(ctx, fire)
 	return p, func() { stop() }
-}
-
-// DistancesCtx is DistancesWith under a context: the solve aborts
-// cooperatively — at the next step, substep, or ~8k-arc poll — when ctx
-// is canceled or its deadline expires, returning ErrCanceled or
-// ErrDeadline (match with errors.Is). A context that cannot end keeps
-// the query on the identical zero-overhead path as DistancesWith; the
-// pooled workspace stays valid either way.
-func (s *Solver) DistancesCtx(ctx context.Context, src Vertex, engine Engine) ([]float64, Stats, error) {
-	kind, err := engineKind(s.resolve(engine))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	probe, stop := probeForContext(ctx)
-	defer stop()
-	params := s.params
-	params.Probe = probe
-	ws := s.getWS()
-	d, st, err := core.SolveKind(s.pre.Graph, s.pre.Radii, src, kind, params, ws)
-	s.putWS(ws)
-	return d, st, err
-}
-
-// RouteCtx is Route under a context, with the same cooperative-abort
-// semantics as DistancesCtx: ErrCanceled/ErrDeadline when ctx ends
-// before the target settles.
-func (s *Solver) RouteCtx(ctx context.Context, src, dst Vertex, engine Engine, prune bool) ([]Vertex, float64, Stats, error) {
-	probe, stop := probeForContext(ctx)
-	defer stop()
-	path, d, st, _, err := s.route(src, dst, engine, prune, probe)
-	return path, d, st, err
 }

@@ -16,7 +16,7 @@ import (
 // watcher freely), then plain solves on the same solver must still meet
 // the same steady-state allocation budget the pre-cancellation
 // implementation held. A Background context must also stay on the
-// zero-extra-allocation path — probeForContext maps it to a nil probe.
+// zero-extra-allocation path — Solve maps it to a nil probe.
 // CI runs this test by name next to the other alloc gates.
 func TestCancelProbeNilAllocGate(t *testing.T) {
 	g := rs.WithUniformIntWeights(rs.Grid2D(20, 20), 1, 100, 3)
@@ -35,7 +35,7 @@ func TestCancelProbeNilAllocGate(t *testing.T) {
 		// A cancelable solve first: its probe must leave no residue in
 		// the pooled workspaces the probe-free path reuses.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		if _, _, err := s.DistancesCtx(ctx, 0, rs.EngineAuto); err != nil {
+		if _, err := s.Solve(ctx, rs.Query{Source: 0}); err != nil {
 			t.Fatalf("engine %v: ctx solve: %v", tc.engine, err)
 		}
 		cancel()
@@ -53,10 +53,10 @@ func TestCancelProbeNilAllocGate(t *testing.T) {
 			t.Fatalf("engine %v: probe-free solve allocates %v objects after cancellation landed, want <= %v",
 				tc.engine, allocs, tc.budget)
 		}
-		// DistancesCtx with an un-endable context takes the nil-probe
-		// path: same budget, no probe or watcher allocation.
+		// Solve with an un-endable context takes the nil-probe path:
+		// same budget, no probe or watcher allocation.
 		ctxAllocs := testing.AllocsPerRun(50, func() {
-			if _, _, err := s.DistancesCtx(context.Background(), 7, rs.EngineAuto); err != nil {
+			if _, err := s.Solve(context.Background(), rs.Query{Source: 7}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -67,48 +67,58 @@ func TestCancelProbeNilAllocGate(t *testing.T) {
 	}
 }
 
-func TestDistancesCtxCancellation(t *testing.T) {
+// TestSolveCancellation runs a full, a traced and a target query under
+// three contexts each: a live one answers like Distances (with a
+// timeline only when traced), a canceled one returns ErrCanceled and an
+// expired one ErrDeadline.
+func TestSolveCancellation(t *testing.T) {
 	g := rs.WithUniformIntWeights(rs.Grid2D(40, 40), 1, 100, 5)
 	s, err := rs.NewSolver(g, rs.Options{Rho: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A live context solves normally and matches the plain path.
 	want, _, err := s.Distances(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.DistancesCtx(context.Background(), 0, rs.EngineAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("dist[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-
-	// A pre-canceled context aborts with ErrCanceled before any work.
-	ctx, cancel := context.WithCancel(context.Background())
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.DistancesCtx(ctx, 0, rs.EngineAuto); !errors.Is(err, rs.ErrCanceled) {
-		t.Fatalf("canceled ctx: err = %v, want ErrCanceled", err)
-	}
-
-	// An already-expired deadline aborts with ErrDeadline.
-	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	expired, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, _, err := s.DistancesCtx(dctx, 0, rs.EngineAuto); !errors.Is(err, rs.ErrDeadline) {
-		t.Fatalf("expired ctx: err = %v, want ErrDeadline", err)
-	}
 
-	// RouteCtx honors the same semantics.
-	if _, _, _, err := s.RouteCtx(ctx, 0, 100, rs.EngineAuto, false); !errors.Is(err, rs.ErrCanceled) {
-		t.Fatalf("RouteCtx canceled ctx: err = %v, want ErrCanceled", err)
-	}
-	path, d, _, err := s.RouteCtx(context.Background(), 0, 100, rs.EngineAuto, false)
-	if err != nil || len(path) == 0 || d != want[100] {
-		t.Fatalf("RouteCtx live ctx: path=%d d=%v err=%v, want d=%v", len(path), d, err, want[100])
+	for _, tc := range []struct {
+		name string
+		q    rs.Query
+	}{
+		{"full", rs.Query{Source: 0}},
+		{"traced", rs.Query{Source: 0, Trace: true}},
+		{"target", rs.Query{Source: 0, Target: 100, HasTarget: true}},
+	} {
+		r, err := s.Solve(live, tc.q)
+		if err != nil {
+			t.Fatalf("%s: live ctx: %v", tc.name, err)
+		}
+		if tc.q.HasTarget {
+			if r.Distance != want[100] || len(r.Path) == 0 {
+				t.Fatalf("%s: live ctx: path=%d d=%v, want d=%v", tc.name, len(r.Path), r.Distance, want[100])
+			}
+		} else {
+			for i := range want {
+				if r.Dist[i] != want[i] {
+					t.Fatalf("%s: dist[%d] = %v, want %v", tc.name, i, r.Dist[i], want[i])
+				}
+			}
+		}
+		if (r.Timeline != nil) != tc.q.Trace {
+			t.Fatalf("%s: timeline = %v, want one only when traced", tc.name, r.Timeline)
+		}
+		if _, err := s.Solve(canceled, tc.q); !errors.Is(err, rs.ErrCanceled) {
+			t.Fatalf("%s: canceled ctx: err = %v, want ErrCanceled", tc.name, err)
+		}
+		if _, err := s.Solve(expired, tc.q); !errors.Is(err, rs.ErrDeadline) {
+			t.Fatalf("%s: expired ctx: err = %v, want ErrDeadline", tc.name, err)
+		}
 	}
 }

@@ -14,8 +14,10 @@
 //     choice of stepping engines (sequential reference, parallel
 //     ordered-frontier engine, flat frontier engine, plus the
 //     radius-free Δ-stepping and ρ-stepping strategies), selectable per solver
-//     (Options.Engine) or per query (DistancesWith); solves draw pooled
-//     workspaces, so steady-state queries allocate only their results,
+//     (Options.Engine) or per query (Query.Engine); Solver.Solve runs
+//     every query — full or point-to-point, under a context, optionally
+//     traced — and solves draw pooled workspaces, so steady-state
+//     queries allocate only their results,
 //   - Baselines: Dijkstra, Bellman–Ford, ∆-stepping, parallel BFS.
 //
 // Quick start:

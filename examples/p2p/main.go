@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,21 +35,17 @@ func main() {
 		if int(dst) >= g.NumVertices() {
 			continue
 		}
-		d, st, err := solver.Distance(src, dst)
+		r, err := solver.Solve(context.Background(), rs.Query{Source: src, Target: dst, HasTarget: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if d != full[dst] {
-			log.Fatalf("dst %d: got %v, Dijkstra says %v", dst, d, full[dst])
+		if r.Distance != full[dst] {
+			log.Fatalf("dst %d: got %v, Dijkstra says %v", dst, r.Distance, full[dst])
 		}
-		path, pd, err := solver.Path(src, dst)
-		if err != nil {
-			log.Fatal(err)
+		if pd, err := rs.PathLength(g, r.Path); err != nil || pd != r.Distance {
+			log.Fatalf("dst %d: path length %v (%v) != distance %v", dst, pd, err, r.Distance)
 		}
-		if pd != d {
-			log.Fatalf("dst %d: path length %v != distance %v", dst, pd, d)
-		}
-		fmt.Printf("%-7d  %-8.6g  %-6d  %d\n", dst, d, st.Steps, len(path)-1)
+		fmt.Printf("%-7d  %-8.6g  %-6d  %d\n", dst, r.Distance, r.Stats.Steps, len(r.Path)-1)
 	}
 	fmt.Println("\n(rounds grow with distance: the solve stops at the target's annulus)")
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,18 +30,21 @@ func main() {
 	fmt.Printf("preprocess: +%d shortcut edges (graph now has %d)\n",
 		pre.Added, pre.Graph.NumEdges())
 
-	// Solve from vertex 0, tracing each step.
-	fmt.Println("\nstep   d_i      lead  settled  substeps")
-	dist, stats, err := solver.DistancesTrace(0, func(tr rs.StepTrace) {
-		fmt.Printf("%4d   %-7.4g  %-4d  %-7d  %d\n",
-			tr.Step, tr.Di, tr.Lead, tr.Settled, tr.Substeps)
-	})
+	// Solve from vertex 0 with a trace: the timeline holds one record
+	// per step.
+	res, err := solver.Solve(context.Background(), rs.Query{Source: 0, Trace: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ntotal: %s\n", stats)
+	fmt.Println("\nstep   d_i      lead  settled  substeps")
+	for _, st := range res.Timeline.StepList {
+		fmt.Printf("%4d   %-7.4g  %-4d  %-7d  %d\n",
+			st.Step, st.Di, st.Lead, st.Settled, st.Substeps)
+	}
+	fmt.Printf("\ntotal: %s\n", res.Stats)
 
 	// Cross-check against Dijkstra and the optimality certificate.
+	dist := res.Dist
 	want := rs.Dijkstra(g, 0)
 	for v := range want {
 		if dist[v] != want[v] {

@@ -33,9 +33,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Spot-check: unit-grid distance is the Manhattan distance.
+		// Unit-grid distance is the Manhattan distance; the certificate
+		// checks the whole vector.
 		if dist[299] != 299 {
 			log.Fatalf("rho=%d: wrong corner distance %v", rho, dist[299])
+		}
+		if err := rs.VerifyDistances(g, src, dist); err != nil {
+			log.Fatalf("rho=%d: %v", rho, err)
 		}
 		fmt.Printf("  %-4d  %-6d  %.1fx\n", rho, st.Steps, float64(bfsLevels)/float64(st.Steps))
 	}

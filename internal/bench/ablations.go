@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"radiusstep/internal/baseline"
 	"radiusstep/internal/check"
@@ -11,6 +12,7 @@ import (
 	"radiusstep/internal/graph"
 	"radiusstep/internal/parallel"
 	"radiusstep/internal/preprocess"
+	"radiusstep/internal/trace"
 )
 
 // AblationK studies the substep structure as k varies (the design choice
@@ -253,15 +255,57 @@ func AblationParallelism(w io.Writer, sc Scale) error {
 			if err != nil {
 				return err
 			}
-			prof, _, err := core.Profile(pre.G, pre.Radii, src)
+			tl, _, err := traceRef(pre.G, pre.Radii, src)
 			if err != nil {
 				return err
 			}
-			s := prof.Summarize()
+			s := Summarize(tl)
 			t.Add(fi(int64(rho)), fi(int64(s.Steps)), f1(s.MeanSettled),
 				fi(int64(s.MedianSettled)), fi(int64(s.P90)), fi(int64(s.MaxSettled)), f2(s.MeanSubsteps))
 		}
 		t.Render(w)
 	}
 	return nil
+}
+
+// Summary condenses a solve's per-step settled counts into the order
+// statistics AblationParallelism reports.
+type Summary struct {
+	Steps         int
+	TotalSettled  int
+	MeanSettled   float64
+	MedianSettled int
+	MaxSettled    int
+	P10, P90      int     // 10th/90th percentile of per-step settled counts
+	MeanSubsteps  float64 // mean substeps per step
+}
+
+// Summarize computes order statistics of a timeline's per-step settled
+// counts — the work each step exposes, the quantity behind the paper's
+// parallelism argument P = W/D.
+func Summarize(tl *trace.Timeline) Summary {
+	var s Summary
+	s.Steps = len(tl.StepList)
+	if s.Steps == 0 {
+		return s
+	}
+	sorted := make([]int, 0, s.Steps)
+	sub := 0
+	for _, st := range tl.StepList {
+		sorted = append(sorted, st.Settled)
+		sub += st.Substeps
+	}
+	sort.Ints(sorted)
+	for _, v := range sorted {
+		s.TotalSettled += v
+		if v > s.MaxSettled {
+			s.MaxSettled = v
+		}
+	}
+	s.MeanSettled = float64(s.TotalSettled) / float64(s.Steps)
+	s.MedianSettled = sorted[s.Steps/2]
+	s.P10 = sorted[s.Steps/10]
+	s.P90 = sorted[s.Steps*9/10]
+	s.MeanSubsteps = float64(sub) / float64(s.Steps)
+	return s
 }

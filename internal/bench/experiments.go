@@ -9,8 +9,10 @@ import (
 	"radiusstep/internal/baseline"
 	"radiusstep/internal/core"
 	"radiusstep/internal/gen"
+	"radiusstep/internal/graph"
 	"radiusstep/internal/parallel"
 	"radiusstep/internal/preprocess"
+	"radiusstep/internal/trace"
 )
 
 // stepResult is the cached outcome of running radius-stepping from every
@@ -128,20 +130,32 @@ func Fig1(w io.Writer, _ Scale) error {
 	if err != nil {
 		return err
 	}
-	t := &Table{
-		Caption: "Figure 1 — step anatomy of Radius-Stepping (12x12 weighted grid, rho=8, source 0)",
-		Header:  []string{"step", "d_i", "lead", "settled", "substeps"},
-	}
-	_, st, err := core.SolveRefTrace(g, radii, 0, func(tr core.StepTrace) {
-		t.Add(fmt.Sprintf("%d", tr.Step), f1(tr.Di), fmt.Sprintf("%d", tr.Lead),
-			fmt.Sprintf("%d", tr.Settled), fmt.Sprintf("%d", tr.Substeps))
-	})
+	tl, st, err := traceRef(g, radii, 0)
 	if err != nil {
 		return err
 	}
-	t.Caption += fmt.Sprintf("  [total: %s]", st)
+	t := &Table{
+		Caption: fmt.Sprintf("Figure 1 — step anatomy of Radius-Stepping (12x12 weighted grid, rho=8, source 0)  [total: %s]", st),
+		Header:  []string{"step", "d_i", "lead", "settled", "substeps"},
+	}
+	for _, s := range tl.StepList {
+		t.Add(fmt.Sprintf("%d", s.Step), f1(s.Di), fmt.Sprintf("%d", s.Lead),
+			fmt.Sprintf("%d", s.Settled), fmt.Sprintf("%d", s.Substeps))
+	}
 	t.Render(w)
 	return nil
+}
+
+// traceRef runs the reference engine from src with a trace recorder
+// attached and returns its timeline, whose StepList holds one record per
+// step.
+func traceRef(g *graph.CSR, radii []float64, src graph.V) (*trace.Timeline, core.Stats, error) {
+	rec := core.NewTraceRecorder()
+	_, st, err := core.SolveKind(g, radii, src, core.KindSequential, core.Params{Recorder: rec}, nil)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	return rec.Timeline(), st, nil
 }
 
 // --- Figure 2 ----------------------------------------------------------

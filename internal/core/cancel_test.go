@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"radiusstep/internal/check"
@@ -83,32 +84,59 @@ func TestLiveProbeDistancesIdentical(t *testing.T) {
 	}
 }
 
+// cancelOnCall returns a Params.Bound hook that calls fire on its nth
+// call. The relax kernels call the hook (concurrently on the parallel
+// engines) for each vertex a target solve scans, so a far-target solve
+// fires it mid-solve with the workspace genuinely dirty. The hook
+// returns 0 ("no bound"), so it never prunes.
+func cancelOnCall(n int64, fire func()) (func(graph.V) float64, *atomic.Int64) {
+	calls := new(atomic.Int64)
+	return func(graph.V) float64 {
+		if calls.Add(1) == n {
+			fire()
+		}
+		return 0
+	}, calls
+}
+
+// farthest returns the vertex farthest from src, the target that keeps
+// a target solve running longest.
+func farthest(t *testing.T, g *graph.CSR, radii []float64, src graph.V) graph.V {
+	t.Helper()
+	dist, _, err := SolveRef(g, radii, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := src
+	for v, d := range dist {
+		if d > dist[far] {
+			far = graph.V(v)
+		}
+	}
+	return far
+}
+
 func TestMidSolveCancelThenWorkspaceReuse(t *testing.T) {
-	// Fire the probe from the per-step observer so the solve aborts at a
-	// mid-solve boundary with the workspace genuinely dirty, then reuse
-	// the same pooled workspace for a clean solve: distances must be
+	// Fire the probe from inside the solve so it aborts at a mid-solve
+	// boundary with the workspace genuinely dirty, then reuse the same
+	// pooled workspace for a clean solve: distances must be
 	// byte-identical to a fresh solve, proving an aborted solve leaves no
 	// residue in the pooled buffers.
 	g, radii := cancelTestGraph(t)
+	far := farthest(t, g, radii, 0)
 	for _, kind := range allKinds() {
 		ws := NewWorkspace()
 		p := new(Probe)
-		fired := false
-		observe := func(StepTrace) {
-			if !fired {
-				fired = true
-				p.Cancel()
-			}
-		}
-		dist, _, err := solve(g, radii, 0, kind, Params{Probe: p}, ws, observe, -1)
+		bound, calls := cancelOnCall(20, p.Cancel)
+		dist, _, err := solve(g, radii, 0, kind, Params{Probe: p, Bound: bound}, ws, far)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", kind, err)
 		}
 		if dist != nil {
 			t.Fatalf("%s: canceled solve returned distances", kind)
 		}
-		if !fired {
-			t.Fatalf("%s: solve finished before the first step observer", kind)
+		if calls.Load() < 20 {
+			t.Fatalf("%s: solve ended before the hook fired the probe", kind)
 		}
 
 		want, _, err := SolveKind(g, radii, 0, kind, Params{}, nil)
@@ -126,25 +154,19 @@ func TestMidSolveCancelThenWorkspaceReuse(t *testing.T) {
 }
 
 func TestProbeMidArcPollAborts(t *testing.T) {
-	// A probe fired before the seed relaxation must abort even when the
-	// graph is large enough that a single substep spans many arc-interval
-	// polls — exercises the kernels' mid-substep poll paths under -race.
+	// A probe fired mid-solve must abort even when the graph is large
+	// enough that a single substep spans many arc-interval polls —
+	// exercises the kernels' mid-substep poll paths under -race.
 	g := gen.WithUniformIntWeights(gen.RandomConnected(5000, 40000, 7), 1, 30, 9)
 	radii, err := preprocess.RadiiOnly(g, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	far := farthest(t, g, radii, 0)
 	for _, kind := range allKinds() {
-		ws := NewWorkspace()
 		p := new(Probe)
-		steps := 0
-		observe := func(StepTrace) {
-			steps++
-			if steps == 2 {
-				p.Expire()
-			}
-		}
-		_, _, err := solve(g, radii, 0, kind, Params{Probe: p}, ws, observe, -1)
+		bound, _ := cancelOnCall(200, p.Expire)
+		_, _, err := solve(g, radii, 0, kind, Params{Probe: p, Bound: bound}, NewWorkspace(), far)
 		if !errors.Is(err, ErrDeadline) {
 			t.Fatalf("%s: err = %v, want ErrDeadline", kind, err)
 		}

@@ -127,15 +127,6 @@ func validate(g *graph.CSR, radii []float64, src graph.V) error {
 	return nil
 }
 
-// StepTrace describes one completed step for observers.
-type StepTrace struct {
-	Step     int     // 1-based step index
-	Di       float64 // the round distance d_i
-	Lead     graph.V // the lead vertex attaining d_i
-	Settled  int     // vertices settled in this step
-	Substeps int     // substeps this step took
-}
-
 // ZeroRadii returns an all-zero radius vector (Radius-Stepping degenerates
 // to Dijkstra-with-batched-ties, the ρ=1 baseline of Tables 6–7).
 func ZeroRadii(n int) []float64 { return make([]float64, n) }

@@ -217,17 +217,13 @@ func TestStepsDecreaseWithRho(t *testing.T) {
 func TestTraceObserver(t *testing.T) {
 	g := gen.WithUniformIntWeights(gen.Grid2D(8, 8), 1, 50, 12)
 	radii, _ := preprocess.RadiiOnly(g, 4)
-	var traces []StepTrace
-	_, st, err := SolveRefTrace(g, radii, 0, func(tr StepTrace) { traces = append(traces, tr) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != st.Steps {
-		t.Fatalf("traces = %d, steps = %d", len(traces), st.Steps)
+	steps, st := tracedSteps(t, g, radii, 0)
+	if len(steps) != st.Steps {
+		t.Fatalf("traces = %d, steps = %d", len(steps), st.Steps)
 	}
 	totalSettled := 0
 	lastDi := math.Inf(-1)
-	for i, tr := range traces {
+	for i, tr := range steps {
 		if tr.Step != i+1 {
 			t.Fatalf("trace %d has step %d", i, tr.Step)
 		}

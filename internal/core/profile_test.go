@@ -4,8 +4,22 @@ import (
 	"testing"
 
 	"radiusstep/internal/gen"
+	"radiusstep/internal/graph"
 	"radiusstep/internal/preprocess"
+	"radiusstep/internal/trace"
 )
+
+// tracedSteps runs the reference engine with a trace recorder attached
+// and returns the timeline's per-step records with the solve's stats.
+func tracedSteps(t *testing.T, g *graph.CSR, radii []float64, src graph.V) ([]trace.StepRecord, Stats) {
+	t.Helper()
+	rec := NewTraceRecorder()
+	_, st, err := SolveKind(g, radii, src, KindSequential, Params{Recorder: rec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Timeline().StepList, st
+}
 
 func TestProfileConsistentWithStats(t *testing.T) {
 	g := gen.WithUniformIntWeights(gen.Grid2D(20, 20), 1, 100, 1)
@@ -13,59 +27,20 @@ func TestProfileConsistentWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, st, err := Profile(g, radii, 0)
-	if err != nil {
-		t.Fatal(err)
+	steps, st := tracedSteps(t, g, radii, 0)
+	if len(steps) != st.Steps {
+		t.Fatalf("profile length %d, steps %d", len(steps), st.Steps)
 	}
-	if len(prof.Settled) != st.Steps || len(prof.Substeps) != st.Steps {
-		t.Fatalf("profile length %d, steps %d", len(prof.Settled), st.Steps)
-	}
-	total := 0
-	for _, v := range prof.Settled {
-		total += v
+	total, subTotal := 0, 0
+	for _, s := range steps {
+		total += s.Settled
+		subTotal += s.Substeps
 	}
 	if total != g.NumVertices()-1 {
 		t.Fatalf("settled sum %d, want %d", total, g.NumVertices()-1)
 	}
-	subTotal := 0
-	for _, v := range prof.Substeps {
-		subTotal += v
-	}
 	if subTotal != st.Substeps {
 		t.Fatalf("substep sum %d, want %d", subTotal, st.Substeps)
-	}
-}
-
-func TestSummaryOrderStatistics(t *testing.T) {
-	p := &StepProfile{
-		Settled:  []int{1, 9, 5, 3, 7, 2, 8, 4, 6, 10},
-		Substeps: []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
-	}
-	s := p.Summarize()
-	if s.Steps != 10 || s.TotalSettled != 55 {
-		t.Fatalf("basic sums wrong: %+v", s)
-	}
-	if s.MeanSettled != 5.5 || s.MaxSettled != 10 {
-		t.Fatalf("mean/max wrong: %+v", s)
-	}
-	if s.MedianSettled != 6 { // sorted[5]
-		t.Fatalf("median = %d", s.MedianSettled)
-	}
-	if s.P10 != 2 || s.P90 != 10 { // sorted[1], sorted[9]
-		t.Fatalf("percentiles = %d, %d", s.P10, s.P90)
-	}
-	if s.MeanSubsteps != 2 {
-		t.Fatalf("substeps mean = %v", s.MeanSubsteps)
-	}
-	if s.String() == "" {
-		t.Fatal("empty summary string")
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	s := (&StepProfile{}).Summarize()
-	if s.Steps != 0 || s.MeanSettled != 0 {
-		t.Fatalf("empty summary: %+v", s)
 	}
 }
 
@@ -77,14 +52,15 @@ func TestProfileParallelismGrowsWithRho(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, _, err := Profile(pre.G, pre.Radii, 0)
-		if err != nil {
-			t.Fatal(err)
+		steps, _ := tracedSteps(t, pre.G, pre.Radii, 0)
+		total := 0
+		for _, s := range steps {
+			total += s.Settled
 		}
-		s := prof.Summarize()
-		if i > 0 && s.MeanSettled <= prevMean {
-			t.Fatalf("mean settled did not grow: rho=%d gives %.1f after %.1f", rho, s.MeanSettled, prevMean)
+		mean := float64(total) / float64(len(steps))
+		if i > 0 && mean <= prevMean {
+			t.Fatalf("mean settled did not grow: rho=%d gives %.1f after %.1f", rho, mean, prevMean)
 		}
-		prevMean = s.MeanSettled
+		prevMean = mean
 	}
 }

@@ -124,11 +124,5 @@ func (h *heapStepper) fringe() int { return len(h.q) }
 // SolveRef computes shortest-path distances from src with the reference
 // (sequential) Radius-Stepping. It returns +Inf for unreachable vertices.
 func SolveRef(g *graph.CSR, radii []float64, src graph.V) ([]float64, Stats, error) {
-	return SolveRefTrace(g, radii, src, nil)
-}
-
-// SolveRefTrace is SolveRef with an optional per-step observer, used by
-// the Figure-1 demo and by tests that assert the step structure.
-func SolveRefTrace(g *graph.CSR, radii []float64, src graph.V, trace func(StepTrace)) ([]float64, Stats, error) {
-	return solve(g, radii, src, KindSequential, Params{}, nil, trace, -1)
+	return solve(g, radii, src, KindSequential, Params{}, nil, -1)
 }

@@ -252,7 +252,7 @@ func (k EngineKind) usesRadii() bool {
 // engine kind, reusing ws when non-nil (pass nil for a one-shot solve).
 // For the radius-free kinds (KindDelta, KindRho) radii may be nil.
 func SolveKind(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params, ws *Workspace) ([]float64, Stats, error) {
-	return solve(g, radii, src, kind, p, ws, nil, -1)
+	return solve(g, radii, src, kind, p, ws, -1)
 }
 
 // SolveKindTarget is SolveKind with early termination: the solve stops
@@ -264,7 +264,7 @@ func SolveKindTarget(g *graph.CSR, radii []float64, src, target graph.V, kind En
 	if target < 0 || int(target) >= g.NumVertices() {
 		return 0, nil, Stats{}, fmt.Errorf("core: target %d out of range [0,%d)", target, g.NumVertices())
 	}
-	dist, st, err := solve(g, radii, src, kind, p, ws, nil, target)
+	dist, st, err := solve(g, radii, src, kind, p, ws, target)
 	if err != nil {
 		return 0, nil, Stats{}, err
 	}
@@ -277,7 +277,7 @@ func SolveKindTarget(g *graph.CSR, radii []float64, src, target graph.V, kind En
 // until no relaxation lands at or below d_i; improvements beyond d_i go
 // back to the stepper's fringe. When stopAt >= 0 the solve ends as soon
 // as that vertex is settled.
-func solve(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params, ws *Workspace, observe func(StepTrace), stopAt graph.V) ([]float64, Stats, error) {
+func solve(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params, ws *Workspace, stopAt graph.V) ([]float64, Stats, error) {
 	if kind < KindSequential || kind > KindRho {
 		return nil, Stats{}, fmt.Errorf("core: unknown engine kind %d", int(kind))
 	}
@@ -488,9 +488,6 @@ steps:
 			srec.Substeps = substeps
 			srec.Nanos = time.Since(stepStart).Nanoseconds()
 			rec.Step(srec)
-		}
-		if observe != nil {
-			observe(StepTrace{Step: stepNo, Di: di, Lead: lead, Settled: len(active), Substeps: substeps})
 		}
 		if stopAt >= 0 && ws.done[stopAt] {
 			break

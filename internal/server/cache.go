@@ -76,6 +76,18 @@ func (c *distCache) Get(key cacheKey) ([]float64, bool) {
 	return nil, false
 }
 
+// Peek returns the cached vector for key without marking it used or
+// counting a hit or miss: a second look by a request that already
+// counted its lookup.
+func (c *distCache) Peek(key cacheKey) ([]float64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*cacheEntry).dist, true
+	}
+	return nil, false
+}
+
 // Add inserts dist under key, evicting least-recently-used entries until
 // the budget holds. A vector larger than the whole budget is not cached.
 func (c *distCache) Add(key cacheKey, dist []float64) {

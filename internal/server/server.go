@@ -369,17 +369,24 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 	// when the LAST interested participant departs, so an abandoned
 	// solve stops burning its pool slot.
 	d, joined, err := s.flight.Do(ctx, key, func(solveCtx context.Context) ([]float64, error) {
+		// The cache check above and the flight join are not atomic: a
+		// duplicate can miss the cache just before the previous leader
+		// filled it and reach the flight just after that leader left.
+		// Look again before solving; Peek counts nothing and keeps the
+		// LRU order, since this request already counted its miss.
+		if d, ok := s.cache.Peek(key); ok {
+			return d, nil
+		}
 		if err := s.pool.acquire(solveCtx); err != nil {
 			return nil, err
 		}
 		defer s.pool.release()
 		pc0 := s.metrics.poolBefore()
 		t0 := time.Now()
-		var d []float64
-		var st rs.Stats
+		var r rs.Result
 		err := s.guardSolve(solveCtx, e, src, func() (err error) {
-			if d, st, err = e.Solver.DistancesCtx(solveCtx, e.storedID(src), engine); err == nil {
-				d = e.clientDistances(d)
+			if r, err = e.Solver.Solve(solveCtx, rs.Query{Source: e.storedID(src), Engine: engine}); err == nil {
+				r.Dist = e.clientDistances(r.Dist)
 			}
 			return err
 		})
@@ -388,10 +395,10 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 		}
 		dur := time.Since(t0)
 		s.metrics.observePool(pc0)
-		s.metrics.observeSolve(e.Name, st, dur)
-		s.logSolve(e.Name, src, st, dur)
-		s.fillCache(solveCtx, e, key, src, d)
-		return d, nil
+		s.metrics.observeSolve(e.Name, r.Stats, dur)
+		s.logSolve(e.Name, src, r.Stats, dur)
+		s.fillCache(solveCtx, e, key, src, r.Dist)
+		return r.Dist, nil
 	})
 	if joined {
 		s.metrics.coalesced.Inc()
@@ -688,12 +695,10 @@ func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK
 	defer s.pool.release()
 	pc0 := s.metrics.poolBefore()
 	t0 := time.Now()
-	var dist []float64
-	var st rs.Stats
-	var tl *rs.Timeline
+	var r rs.Result
 	err := s.guardSolve(ctx, e, src, func() (err error) {
-		if dist, st, tl, err = e.Solver.DistancesTraced(e.storedID(src), engine); err == nil {
-			dist = e.clientDistances(dist)
+		if r, err = e.Solver.Solve(ctx, rs.Query{Source: e.storedID(src), Engine: engine, Trace: true}); err == nil {
+			r.Dist = e.clientDistances(r.Dist)
 		}
 		return err
 	})
@@ -704,10 +709,10 @@ func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK
 	}
 	dur := time.Since(t0)
 	s.metrics.observePool(pc0)
-	s.metrics.observeSolve(e.Name, st, dur)
-	s.logSolve(e.Name, src, st, dur)
-	resp.Trace = tl
-	s.shapeDistances(&resp, dist, topK, targets)
+	s.metrics.observeSolve(e.Name, r.Stats, dur)
+	s.logSolve(e.Name, src, r.Stats, dur)
+	resp.Trace = r.Timeline
+	s.shapeDistances(&resp, r.Dist, topK, targets)
 	return resp, http.StatusOK
 }
 
@@ -849,18 +854,18 @@ func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, e
 		return nil, 0, err
 	}
 	defer s.pool.release()
-	var path []rs.Vertex
-	var d float64
-	var st rs.Stats
+	var r rs.Result
 	err := s.guardSolve(ctx, e, src, func() (err error) {
-		path, d, st, err = e.Solver.RouteCtx(ctx, e.storedID(src), e.storedID(dst), eng, prune)
+		r, err = e.Solver.Solve(ctx, rs.Query{
+			Source: e.storedID(src), Target: e.storedID(dst), HasTarget: true, Engine: eng, Prune: prune,
+		})
 		return err
 	})
-	if st.Pruned > 0 {
-		s.metrics.routePruned.Add(st.Pruned)
-		resp.Pruned = st.Pruned
+	if r.Stats.Pruned > 0 {
+		s.metrics.routePruned.Add(r.Stats.Pruned)
+		resp.Pruned = r.Stats.Pruned
 	}
-	return e.clientPath(path), d, err
+	return e.clientPath(r.Path), r.Distance, err
 }
 
 // writeRoute finishes a route response from the computed path.

@@ -1,10 +1,10 @@
 package radiusstep
 
 import (
+	"context"
 	"fmt"
 	"math"
 
-	"radiusstep/internal/core"
 	"radiusstep/internal/landmark"
 )
 
@@ -128,58 +128,12 @@ func (s *Solver) LandmarkBound(v, t Vertex) float64 {
 // a vertex sequence over real (non-shortcut) edges, its length, and
 // the solve's round statistics. It returns (nil, +Inf) when dst is
 // unreachable. engine overrides the solve engine per query (EngineAuto
-// means the early-terminating sequential engine, matching Path).
-//
-// When prune is true and the solver has landmarks, the solve is
-// goal-directed: relaxations whose optimistic total (via the ALT
-// triangle lower bound) cannot beat the best known bound on d(src,
-// dst) are skipped — Stats.Pruned counts them — and a landmark
-// certifying that dst is unreachable from src short-circuits the solve
-// entirely. The returned distance is byte-identical to the unpruned
-// solve's; only the work differs. Without landmarks, prune is a no-op.
+// means the early-terminating sequential engine, matching Path), and
+// prune makes the solve goal-directed when the solver has landmarks
+// (see Query.Prune; without landmarks it is a no-op).
 func (s *Solver) Route(src, dst Vertex, engine Engine, prune bool) ([]Vertex, float64, Stats, error) {
-	path, d, st, _, err := s.route(src, dst, engine, prune, nil)
-	return path, d, st, err
-}
-
-// route is Route plus the partial distance vector (for callers that
-// reuse it — tests) and an optional cancellation probe (RouteCtx).
-func (s *Solver) route(src, dst Vertex, engine Engine, prune bool, probe *core.Probe) ([]Vertex, float64, Stats, []float64, error) {
-	kind := core.KindSequential
-	if engine != EngineAuto {
-		var err error
-		if kind, err = engineKind(engine); err != nil {
-			return nil, 0, Stats{}, nil, err
-		}
-	}
-	params := s.params
-	params.Probe = probe
-	n := s.pre.Graph.NumVertices()
-	if prune && src >= 0 && int(src) < n && dst >= 0 && int(dst) < n {
-		if lm := s.lm.Load(); lm.K() > 0 {
-			if math.IsInf(lm.LowerBound(src, dst), 1) {
-				// A landmark reaches exactly one endpoint: src and dst
-				// are in different components, no solve needed.
-				return nil, math.Inf(1), Stats{Engine: kind.String()}, nil, nil
-			}
-			params.Bound = lm.BoundTo(dst)
-			params.UpperBound = lm.Estimate(src, dst)
-		}
-	}
-	ws := s.getWS()
-	d, dist, st, err := core.SolveKindTarget(s.pre.Graph, s.pre.Radii, src, dst, kind, params, ws)
-	s.putWS(ws)
-	if err != nil {
-		return nil, 0, Stats{}, nil, err
-	}
-	if math.IsInf(d, 1) {
-		return nil, d, st, dist, nil
-	}
-	path, err := s.walkBack(dist, src, dst)
-	if err != nil {
-		return nil, 0, Stats{}, nil, err
-	}
-	return path, d, st, dist, nil
+	r, err := s.Solve(context.TODO(), Query{Source: src, Target: dst, HasTarget: true, Engine: engine, Prune: prune})
+	return r.Path, r.Distance, r.Stats, err
 }
 
 // PathFromDistances reconstructs the shortest path src..dst from an

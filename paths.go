@@ -22,31 +22,6 @@ func (s *Solver) Tree(src Vertex) (dist []float64, parent []Vertex, stats Stats,
 	return dist, parent, stats, nil
 }
 
-// Distance answers a point-to-point query with early termination: the
-// solve stops as soon as dst is settled (Theorem 3.1 guarantees settled
-// distances are exact), which on large graphs explores only the ball of
-// radius d(src, dst). When the solver has landmarks the solve is
-// additionally goal-directed (see Route); the distance is identical
-// either way. It returns +Inf when dst is unreachable.
-func (s *Solver) Distance(src, dst Vertex) (float64, Stats, error) {
-	kind := core.KindSequential
-	params := s.params
-	n := s.pre.Graph.NumVertices()
-	if src >= 0 && int(src) < n && dst >= 0 && int(dst) < n {
-		if lm := s.lm.Load(); lm.K() > 0 {
-			if math.IsInf(lm.LowerBound(src, dst), 1) {
-				return math.Inf(1), Stats{Engine: kind.String()}, nil
-			}
-			params.Bound = lm.BoundTo(dst)
-			params.UpperBound = lm.Estimate(src, dst)
-		}
-	}
-	ws := s.getWS()
-	d, _, st, err := core.SolveKindTarget(s.pre.Graph, s.pre.Radii, src, dst, kind, params, ws)
-	s.putWS(ws)
-	return d, st, err
-}
-
 // Path returns the shortest path src..dst as a vertex sequence and its
 // length, or (nil, +Inf) when unreachable. It runs an early-terminated
 // solve on the sequential engine and walks tight edges back from dst.

@@ -3,6 +3,7 @@ package radiusstep_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"math"
@@ -102,32 +103,37 @@ func TestPathToWalksTree(t *testing.T) {
 	}
 }
 
+// solveTo runs a point-to-point Solve from src to dst.
+func solveTo(s *rs.Solver, src, dst rs.Vertex) (rs.Result, error) {
+	return s.Solve(context.Background(), rs.Query{Source: src, Target: dst, HasTarget: true})
+}
+
 func TestDistanceEarlyTermination(t *testing.T) {
 	g := rs.WithUniformIntWeights(rs.Grid2D(60, 60), 1, 100, 5)
 	s := solverOn(t, g, 16)
 	full := rs.Dijkstra(g, 0)
 	// Near target: should settle in far fewer steps than the full solve.
-	d, stNear, err := s.Distance(0, 61) // adjacent diagonal area
+	near, err := solveTo(s, 0, 61) // adjacent diagonal area
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != full[61] {
-		t.Fatalf("near distance %v, want %v", d, full[61])
+	if near.Distance != full[61] {
+		t.Fatalf("near distance %v, want %v", near.Distance, full[61])
 	}
 	_, stFull, err := s.Distances(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stNear.Steps >= stFull.Steps {
-		t.Fatalf("early termination did not help: %d vs %d steps", stNear.Steps, stFull.Steps)
+	if near.Stats.Steps >= stFull.Steps {
+		t.Fatalf("early termination did not help: %d vs %d steps", near.Stats.Steps, stFull.Steps)
 	}
 	// Far target: still exact.
-	dFar, _, err := s.Distance(0, 3599)
+	far, err := solveTo(s, 0, 3599)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dFar != full[3599] {
-		t.Fatalf("far distance %v, want %v", dFar, full[3599])
+	if far.Distance != full[3599] {
+		t.Fatalf("far distance %v, want %v", far.Distance, full[3599])
 	}
 }
 
@@ -136,17 +142,17 @@ func TestDistanceSourceAndUnreachable(t *testing.T) {
 	b.Add(0, 1, 2)
 	g := b.Build()
 	s := solverOn(t, g, 2)
-	if d, _, err := s.Distance(0, 0); err != nil || d != 0 {
-		t.Fatalf("self distance = %v, %v", d, err)
+	if r, err := solveTo(s, 0, 0); err != nil || r.Distance != 0 {
+		t.Fatalf("self distance = %v, %v", r.Distance, err)
 	}
-	d, _, err := s.Distance(0, 3)
+	r, err := solveTo(s, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsInf(d, 1) {
-		t.Fatalf("unreachable distance = %v", d)
+	if !math.IsInf(r.Distance, 1) || r.Path != nil {
+		t.Fatalf("unreachable distance = %v, path %v", r.Distance, r.Path)
 	}
-	if _, _, err := s.Distance(0, 9); err == nil {
+	if _, err := solveTo(s, 0, 9); err == nil {
 		t.Fatal("out-of-range target accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package radiusstep
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -36,13 +37,11 @@ type Stats = core.Stats
 // queries) for one solve on the parallel or rho engine.
 type FrontierOps = core.FrontierOps
 
-// StepTrace describes one completed radius-stepping step to observers.
-type StepTrace = core.StepTrace
-
 // Timeline is the full trace of one solve: per-step and per-substep
 // timing records, worker-pool event deltas, and frontier-substrate
-// phase timings. Produced by Solver.DistancesTraced, the daemon's
-// ?trace=1 query parameter, cmd/sssp -trace and radius-bench -trace.
+// phase timings. Produced by a traced Query (Solver.Solve,
+// DistancesTraced), the daemon's ?trace=1 query parameter, cmd/sssp
+// -trace and radius-bench -trace.
 type Timeline = trace.Timeline
 
 // TimelineStep is one step's trace record (threshold, settled count,
@@ -294,8 +293,7 @@ type Solver struct {
 	// wsPool pools *core.Workspace, one per in-flight solve. It sits
 	// behind an atomic pointer (not a bare sync.Pool) so ResetWorkspaces
 	// can swap in a fresh pool without copying a pool value or racing
-	// concurrent Get/Put; nil means "not created yet" and is equivalent
-	// to an empty pool.
+	// concurrent Get/Put.
 	wsPool atomic.Pointer[sync.Pool]
 
 	// lm is the ALT landmark set serving goal-directed Route queries;
@@ -340,7 +338,9 @@ func newSolver(pre *Preprocessed, engine Engine, params core.Params) *Solver {
 	if !(params.Delta > 0) {
 		params.Delta = core.DefaultDelta(pre.Graph)
 	}
-	return &Solver{pre: pre, engine: engine, params: params}
+	s := &Solver{pre: pre, engine: engine, params: params}
+	s.ResetWorkspaces()
+	return s
 }
 
 // SetDelta overrides the Δ-stepping bucket width EngineDelta uses
@@ -358,29 +358,10 @@ func (s *Solver) SetDelta(delta float64) {
 // getWS takes a workspace from the solver's pool (or makes one). Callers
 // return it with putWS; buffers are grow-only, so steady-state queries
 // on one graph reuse the same allocations.
-func (s *Solver) getWS() *core.Workspace {
-	if p := s.wsPool.Load(); p != nil {
-		if v := p.Get(); v != nil {
-			return v.(*core.Workspace)
-		}
-	}
-	return core.NewWorkspace()
-}
+func (s *Solver) getWS() *core.Workspace { return s.wsPool.Load().Get().(*core.Workspace) }
 
-// putWS returns a workspace to the pool, creating the pool on first use.
-func (s *Solver) putWS(ws *core.Workspace) {
-	p := s.wsPool.Load()
-	for p == nil {
-		if s.wsPool.CompareAndSwap(nil, new(sync.Pool)) {
-			break
-		}
-		p = s.wsPool.Load()
-	}
-	if p == nil {
-		p = s.wsPool.Load()
-	}
-	p.Put(ws)
-}
+// putWS returns a workspace to the pool.
+func (s *Solver) putWS(ws *core.Workspace) { s.wsPool.Load().Put(ws) }
 
 // ResetWorkspaces discards every pooled solve workspace by swapping in a
 // fresh pool; in-flight solves finish on their old workspaces, which are
@@ -393,7 +374,7 @@ func (s *Solver) putWS(ws *core.Workspace) {
 // in ordinary serving, where inherited capacity is exactly the point of
 // pooling.
 func (s *Solver) ResetWorkspaces() {
-	s.wsPool.Store(new(sync.Pool))
+	s.wsPool.Store(&sync.Pool{New: func() any { return core.NewWorkspace() }})
 }
 
 // Preprocessed exposes the solver's augmented graph and radii.
@@ -515,47 +496,17 @@ func (s *Solver) Distances(src Vertex) ([]float64, Stats, error) {
 // EngineAuto means "no override" (the solver's configured engine
 // applies); any other value selects that engine for this query only.
 // Every engine returns identical distances, so overrides are safe to
-// mix freely — the daemon uses this to honor ?engine= per request.
+// mix freely.
 func (s *Solver) DistancesWith(src Vertex, engine Engine) ([]float64, Stats, error) {
-	kind, err := engineKind(s.resolve(engine))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	ws := s.getWS()
-	d, st, err := core.SolveKind(s.pre.Graph, s.pre.Radii, src, kind, s.params, ws)
-	s.putWS(ws)
-	return d, st, err
+	r, err := s.Solve(context.TODO(), Query{Source: src, Engine: engine})
+	return r.Dist, r.Stats, err
 }
 
-// DistancesTraced is DistancesWith plus a solve timeline: per-step and
-// per-substep timing records, worker-pool event deltas, and frontier
-// phase timings. The recorder is created per call, so concurrent traced
-// and untraced queries coexist; untraced queries stay on the zero-
-// overhead path (a traced solve costs clock reads and a few small
-// allocations per step). Pool counters are process-global, so under
-// concurrent solves the timeline's pool delta includes the neighbors'
-// events — exact only when solves are serialized (CLI tools, benches).
+// DistancesTraced is DistancesWith plus the solve's Timeline (see
+// Query.Trace).
 func (s *Solver) DistancesTraced(src Vertex, engine Engine) ([]float64, Stats, *Timeline, error) {
-	kind, err := engineKind(s.resolve(engine))
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	rec := core.NewTraceRecorder()
-	params := s.params
-	params.Recorder = rec
-	ws := s.getWS()
-	d, st, err := core.SolveKind(s.pre.Graph, s.pre.Radii, src, kind, params, ws)
-	s.putWS(ws)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	return d, st, rec.Timeline(), nil
-}
-
-// DistancesTrace is Distances with a per-step observer (sequential
-// engine only, which is the one that reports traces).
-func (s *Solver) DistancesTrace(src Vertex, fn func(StepTrace)) ([]float64, Stats, error) {
-	return core.SolveRefTrace(s.pre.Graph, s.pre.Radii, src, fn)
+	r, err := s.Solve(context.TODO(), Query{Source: src, Engine: engine, Trace: true})
+	return r.Dist, r.Stats, r.Timeline, err
 }
 
 // SolveWithRadii runs a stepping engine directly with caller-provided
@@ -577,7 +528,7 @@ func SolveWithRadii(g *Graph, radii []float64, src Vertex, engine Engine) ([]flo
 // configured engine. For the sequential engine (and EngineAuto, whose
 // batch shape is source-level parallelism — the layout the paper's
 // multi-source amortization argument §5.4 targets) the sources are
-// distributed across cores, each worker reusing a pooled workspace. An
+// distributed across cores, each solve drawing a pooled workspace. An
 // explicitly parallel engine runs the sources one at a time, each solve
 // using all cores, so the machine is never oversubscribed. The result
 // holds one distance vector per source (memory is len(sources)·n·8
@@ -587,31 +538,23 @@ func (s *Solver) DistancesBatch(sources []Vertex) ([][]float64, []Stats, error) 
 	if eng == EngineAuto {
 		eng = EngineSequential
 	}
-	kind, err := engineKind(eng)
-	if err != nil {
-		return nil, nil, err
-	}
 	dists := make([][]float64, len(sources))
 	stats := make([]Stats, len(sources))
 	errs := make([]error, len(sources))
-	if kind == core.KindSequential {
+	solveOne := func(i int) {
+		r, err := s.Solve(context.TODO(), Query{Source: sources[i], Engine: eng})
+		dists[i], stats[i], errs[i] = r.Dist, r.Stats, err
+	}
+	if eng == EngineSequential {
 		parallel.Workers(len(sources), func(_ int, claim func() (int, bool)) {
-			ws := s.getWS()
-			defer s.putWS(ws)
-			for {
-				i, ok := claim()
-				if !ok {
-					return
-				}
-				dists[i], stats[i], errs[i] = core.SolveKind(s.pre.Graph, s.pre.Radii, sources[i], kind, s.params, ws)
+			for i, ok := claim(); ok; i, ok = claim() {
+				solveOne(i)
 			}
 		})
 	} else {
-		ws := s.getWS()
-		for i, src := range sources {
-			dists[i], stats[i], errs[i] = core.SolveKind(s.pre.Graph, s.pre.Radii, src, kind, s.params, ws)
+		for i := range sources {
+			solveOne(i)
 		}
-		s.putWS(ws)
 	}
 	for _, err := range errs {
 		if err != nil {

@@ -121,19 +121,18 @@ func TestSolveWithRadiiCustom(t *testing.T) {
 	}
 }
 
-func TestDistancesTrace(t *testing.T) {
+func TestDistancesTraced(t *testing.T) {
 	g := rs.WithUniformIntWeights(rs.Grid2D(10, 10), 1, 20, 5)
 	s, err := rs.NewSolver(g, rs.Options{Rho: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var steps int
-	_, st, err := s.DistancesTrace(0, func(rs.StepTrace) { steps++ })
+	_, st, tl, err := s.DistancesTraced(0, rs.EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps != st.Steps {
-		t.Fatalf("trace count %d != steps %d", steps, st.Steps)
+	if len(tl.StepList) != st.Steps {
+		t.Fatalf("trace count %d != steps %d", len(tl.StepList), st.Steps)
 	}
 }
 
