@@ -90,9 +90,9 @@ func TestBadTimeoutParamRejected(t *testing.T) {
 	}
 }
 
-// TestQueueFullSheds503: one slot busy, one queue position filled — the
-// third concurrent query must be shed with 503 + Retry-After instead of
-// queuing without bound.
+// TestQueueFullSheds503: one slot busy, one queue position filled — a
+// third concurrent query, traced or not, must be shed with 503 +
+// Retry-After instead of queuing without bound.
 func TestQueueFullSheds503(t *testing.T) {
 	gate := make(chan struct{})
 	injectSolve(t, fault.Plan{Gate: gate})
@@ -110,17 +110,19 @@ func TestQueueFullSheds503(t *testing.T) {
 		return snap.Pool.InUse == 1 && snap.Pool.Waiting == 1
 	})
 
-	r, err := ts.Client().Post(ts.URL+"/v1/distances", "application/json",
-		strings.NewReader(`{"graph":"grid","source":2}`))
-	if err != nil {
-		t.Fatalf("shed request: %v", err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("shed request: status %d, want 503", r.StatusCode)
-	}
-	if got := r.Header.Get("Retry-After"); got != "1" {
-		t.Fatalf("Retry-After: %q, want \"1\"", got)
+	for _, query := range []string{"", "?trace=1"} {
+		r, err := ts.Client().Post(ts.URL+"/v1/distances"+query, "application/json",
+			strings.NewReader(`{"graph":"grid","source":2}`))
+		if err != nil {
+			t.Fatalf("shed request%s: %v", query, err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("shed request%s: status %d, want 503", query, r.StatusCode)
+		}
+		if got := r.Header.Get("Retry-After"); got != "1" {
+			t.Fatalf("shed request%s: Retry-After %q, want \"1\"", query, got)
+		}
 	}
 
 	close(gate)
@@ -131,8 +133,8 @@ func TestQueueFullSheds503(t *testing.T) {
 	}
 	poolDrained(t, ts)
 	snap := fetchStats(t, ts)
-	if snap.Shed != 1 || snap.Pool.Shed != 1 {
-		t.Fatalf("shed counters: stats=%d pool=%d, want 1/1", snap.Shed, snap.Pool.Shed)
+	if snap.Shed != 2 || snap.Pool.Shed != 2 {
+		t.Fatalf("shed counters: stats=%d pool=%d, want 2/2", snap.Shed, snap.Pool.Shed)
 	}
 }
 

@@ -659,16 +659,14 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	var resp distancesResponse
+	var status int
 	if traceParam(r) {
-		resp, status := s.answerTraced(ctx, e, src, req.TopK, req.Targets, eng)
-		writeJSON(w, status, resp)
-		return
+		resp, status = s.answerTraced(ctx, e, src, req.TopK, req.Targets, eng)
+	} else {
+		resp, status = s.answerSource(ctx, e, src, req.TopK, req.Targets, eng)
 	}
-	resp, status := s.answerSource(ctx, e, src, req.TopK, req.Targets, eng)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, resp)
+	writeDistances(w, status, &resp)
 }
 
 // traceParam reports whether the request asked for a solve timeline.
@@ -712,7 +710,7 @@ func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK
 	s.metrics.observeSolve(e.Name, r.Stats, dur)
 	s.logSolve(e.Name, src, r.Stats, dur)
 	resp.Trace = r.Timeline
-	s.shapeDistances(&resp, r.Dist, topK, targets)
+	shapeDistances(&resp, r.Dist, topK, targets)
 	return resp, http.StatusOK
 }
 
@@ -740,12 +738,15 @@ func (s *Server) answerSource(ctx context.Context, e *Entry, src rs.Vertex, topK
 		return resp, solveStatus(err)
 	}
 	resp.Cached = cached
-	s.shapeDistances(&resp, dist, topK, targets)
+	shapeDistances(&resp, dist, topK, targets)
 	return resp, http.StatusOK
 }
 
 // shapeDistances fills the response body per the topk/targets options.
-func (s *Server) shapeDistances(resp *distancesResponse, dist []float64, topK int, targets []int64) {
+// A full vector is not copied: resp.Distances aliases dist, which may be
+// the shared read-only cached vector and holds +Inf for unreachable
+// vertices, so only the distance writer may encode it.
+func shapeDistances(resp *distancesResponse, dist []float64, topK int, targets []int64) {
 	for _, d := range dist {
 		if !math.IsInf(d, 1) {
 			resp.Reached++
@@ -761,11 +762,7 @@ func (s *Server) shapeDistances(resp *distancesResponse, dist []float64, topK in
 	case topK > 0:
 		resp.Nearest = nearestK(dist, topK)
 	default:
-		out := make([]float64, len(dist))
-		for i, d := range dist {
-			out[i] = finite(d)
-		}
-		resp.Distances = out
+		resp.Distances = dist
 	}
 }
 
@@ -942,7 +939,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(i, src)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, batchResponse{Graph: e.Name, Results: results})
+	writeBatch(w, &batchResponse{Graph: e.Name, Results: results})
 }
 
 // --- helpers --------------------------------------------------------------
