@@ -41,7 +41,7 @@ func main() {
 	weights := flag.Int("weights", 0, "assign uniform integer weights in [1, W] (0 = keep)")
 	connected := flag.Bool("connected", false, "keep only the largest connected component")
 	rho := flag.Int("rho", 0, "ball size ρ (0 = solver default 32)")
-	k := flag.Int("k", 0, "hop budget k (0 = solver default 1)")
+	k := flag.Int("k", 0, "hop budget k (0 = solver default: 4, or 1 with -heuristic direct)")
 	heuristic := flag.String("heuristic", "", "shortcut heuristic for k>1: direct|greedy|dp")
 	order := flag.String("order", "none", "cache-locality vertex order: bfs|degree|none; the snapshot stores the permutation and ssspd maps ids transparently")
 	raw := flag.Bool("raw", false, "skip preprocessing: write a graph-only snapshot (no radii)")
@@ -136,6 +136,9 @@ func main() {
 				fail("graphpack: %v", err)
 			}
 			opt.Heuristic = h
+			if h == rs.HeuristicDirect && opt.K == 0 {
+				opt.K = 1 // direct is the (1,ρ) construction
+			}
 		}
 		t1 := time.Now()
 		pre, err := rs.Preprocess(g, opt)

@@ -104,7 +104,7 @@ func main() {
 	src := flag.Int("src", 0, "source vertex")
 	algo := flag.String("algo", "radius", "radius|dijkstra|delta|bellmanford|bfs")
 	rho := flag.Int("rho", 32, "radius-stepping ball size")
-	k := flag.Int("k", 1, "radius-stepping hop budget")
+	k := flag.Int("k", 0, "radius-stepping hop budget (0 = library default: 4, or 1 with -heuristic direct)")
 	heuristic := flag.String("heuristic", "dp", "shortcut heuristic for k>1: direct|greedy|dp")
 	engine := flag.String("engine", "auto", "stepping engine: auto|seq|par|flat|delta|rho")
 	delta := flag.Float64("delta", 1000, "delta-stepping bucket width (-algo delta, or -engine delta when set explicitly)")
@@ -145,6 +145,9 @@ func main() {
 		h, err := rs.ParseHeuristic(*heuristic)
 		if err != nil {
 			fail("%v", err)
+		}
+		if h == rs.HeuristicDirect && *k == 0 {
+			*k = 1 // direct is the (1,ρ) construction
 		}
 		e, err := rs.ParseEngine(*engine)
 		if err != nil {

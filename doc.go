@@ -31,7 +31,8 @@
 // to nρ shortcut edges against query depth (steps shrink roughly as
 // 1/ρ). §5.4 of the paper — and the EXPERIMENTS.md tables regenerated by
 // this repository's benchmarks — suggest k=3..4 and ρ=50..100 as good
-// defaults for graphs in the million-edge range.
+// defaults for graphs in the million-edge range. Options defaults to
+// k = 4 with DP shortcuts and ρ = 32.
 //
 // Graphs come from generators, from real-workload files — the native
 // text format, DIMACS ".gr" road networks, headerless edge lists, and

@@ -30,6 +30,7 @@ func TestIntegrationMatrix(t *testing.T) {
 	options := []rs.Options{
 		{Rho: 1},
 		{Rho: 8},
+		{Rho: 8, K: 1},
 		{Rho: 32, K: 2, Heuristic: rs.HeuristicGreedy},
 		{Rho: 32, K: 3, Heuristic: rs.HeuristicDP},
 	}
@@ -58,7 +59,7 @@ func TestIntegrationMatrix(t *testing.T) {
 						t.Fatalf("%s opt%d %v: dist[%d] = %v, want %v", gname, oi, e, i, dist[i], want[i])
 					}
 				}
-				if opt.K > 0 && st.MaxSubsteps > opt.K+2 {
+				if k := opt.WithDefaults().K; st.MaxSubsteps > k+2 {
 					t.Fatalf("%s opt%d %v: substeps %d exceed k+2", gname, oi, e, st.MaxSubsteps)
 				}
 			}

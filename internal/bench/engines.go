@@ -108,7 +108,8 @@ func MeasureEngineMatrix(cfg EngineMatrixConfig) (*EngineMatrixReport, error) {
 	if cfg.Weights > 0 {
 		g = rs.WithUniformIntWeights(g, 1, cfg.Weights, cfg.Seed+1)
 	}
-	solver, err := rs.NewSolver(g, rs.Options{Rho: cfg.Rho})
+	// K 1: the committed BENCH_* baselines measure the (1,ρ) construction.
+	solver, err := rs.NewSolver(g, rs.Options{Rho: cfg.Rho, K: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -103,7 +103,8 @@ func MeasureScaling(cfg ScalingConfig) (*ScalingReport, error) {
 	if cfg.Weights > 0 {
 		g = rs.WithUniformIntWeights(g, 1, cfg.Weights, cfg.Seed+1)
 	}
-	solver, err := rs.NewSolver(g, rs.Options{Rho: cfg.Rho})
+	// K 1: the committed BENCH_* baselines measure the (1,ρ) construction.
+	solver, err := rs.NewSolver(g, rs.Options{Rho: cfg.Rho, K: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +425,8 @@ func MeasureEngineTimelines(cfg EngineMatrixConfig) ([]rs.Timeline, error) {
 	if cfg.Weights > 0 {
 		g = rs.WithUniformIntWeights(g, 1, cfg.Weights, cfg.Seed+1)
 	}
-	solver, err := rs.NewSolver(g, rs.Options{Rho: cfg.Rho})
+	// K 1: the committed BENCH_* baselines measure the (1,ρ) construction.
+	solver, err := rs.NewSolver(g, rs.Options{Rho: cfg.Rho, K: 1})
 	if err != nil {
 		return nil, err
 	}

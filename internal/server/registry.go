@@ -285,6 +285,9 @@ func buildEntry(cfg GraphConfig) (*Entry, error) {
 			return nil, err
 		}
 		opt.Heuristic = h
+		if h == rs.HeuristicDirect && opt.K == 0 {
+			opt.K = 1 // direct is the (1,ρ) construction
+		}
 	}
 	if cfg.Engine != "" {
 		e, err := rs.ParseEngine(cfg.Engine)

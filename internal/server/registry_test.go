@@ -81,6 +81,66 @@ func TestBuildEntrySnapshotSkipsPreprocess(t *testing.T) {
 	assertMatchesDijkstra(t, entry, g, 5)
 }
 
+// heuristic=direct names the (1,ρ) construction, so with k unset it
+// must not pick up the library's default k (which would pack DP).
+func TestSpecHeuristicDirectMeansK1(t *testing.T) {
+	for _, tc := range []struct {
+		spec      string
+		k         int
+		heuristic string
+	}{
+		{"g=gen=grid2d,n=400,rho=8,heuristic=direct", 1, "direct"},
+		{"g=gen=grid2d,n=400,rho=8", rs.Options{}.WithDefaults().K, "dp"},
+	} {
+		cfg, err := ParseGraphSpec(tc.spec)
+		if err != nil {
+			t.Fatalf("ParseGraphSpec(%q): %v", tc.spec, err)
+		}
+		entry, err := BuildEntry(cfg)
+		if err != nil {
+			t.Fatalf("BuildEntry(%q): %v", tc.spec, err)
+		}
+		if entry.Info.K != tc.k || entry.Info.Heuristic != tc.heuristic {
+			t.Fatalf("%s: k=%d heuristic=%q, want k=%d heuristic=%q",
+				tc.spec, entry.Info.K, entry.Info.Heuristic, tc.k, tc.heuristic)
+		}
+	}
+}
+
+// Snapshots record k and the heuristic: one packed on the direct (1,ρ)
+// construction keeps loading and serving as packed whatever the
+// library's default k is.
+func TestRegistryServesK1Snapshot(t *testing.T) {
+	g := testGraph()
+	opt := rs.Options{Rho: 8, K: 1, Heuristic: rs.HeuristicDirect}
+	pre, err := rs.Preprocess(g, opt)
+	if err != nil {
+		t.Fatalf("Preprocess: %v", err)
+	}
+	snap, err := rs.NewSnapshot(pre, opt)
+	if err != nil {
+		t.Fatalf("NewSnapshot: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "k1.snap")
+	if err := rs.WriteSnapshotFile(path, snap); err != nil {
+		t.Fatalf("WriteSnapshotFile: %v", err)
+	}
+	reg := NewRegistry()
+	if err := reg.LoadConfig(GraphConfig{Name: "k1", Snapshot: path}); err != nil {
+		t.Fatalf("LoadConfig: %v", err)
+	}
+	entry, ok := reg.Get("k1")
+	if !ok {
+		t.Fatal("k1 not serving")
+	}
+	if entry.Info.K != 1 || entry.Info.Heuristic != "direct" {
+		t.Fatalf("k=%d heuristic=%q, want 1/direct", entry.Info.K, entry.Info.Heuristic)
+	}
+	for _, src := range []rs.Vertex{0, 17, rs.Vertex(g.NumVertices() - 1)} {
+		assertMatchesDijkstra(t, entry, g, src)
+	}
+}
+
 // A real packed snapshot (graphpack's output shape: augmented graph,
 // original graph, true radii) must serve correct first queries.
 func TestBuildEntrySnapshotServesPackedGraph(t *testing.T) {

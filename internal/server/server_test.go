@@ -314,7 +314,7 @@ func TestBuildEntryFromGen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildEntry: %v", err)
 	}
-	if entry.Info.Vertices != 400 || entry.Info.Rho != 8 || entry.Info.K != 1 {
+	if entry.Info.Vertices != 400 || entry.Info.Rho != 8 || entry.Info.K != 4 || entry.Info.Heuristic != "dp" {
 		t.Fatalf("metadata: %+v", entry.Info)
 	}
 	if _, _, err := entry.Solver.Distances(0); err != nil {

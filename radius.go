@@ -80,9 +80,11 @@ const (
 type Engine int
 
 const (
-	// EngineAuto picks EngineParallel for large graphs and
-	// EngineSequential for small ones. As a per-query override it means
-	// "no override": the solver's configured engine applies.
+	// EngineAuto picks EngineFlat for a full solve on a graph with at
+	// least 2^17 arcs after preprocessing and EngineSequential below
+	// that; target queries and DistancesBatch resolve it to
+	// EngineSequential. As a per-query override it means "no override":
+	// the solver's configured engine applies.
 	EngineAuto Engine = iota
 	// EngineSequential is the lazy-heap reference implementation —
 	// fastest on a single core and the engine experiments count with.
@@ -169,8 +171,10 @@ type Options struct {
 	// so depth shrinks and preprocessing cost grows with ρ. Default 32.
 	// EngineRho reuses it as the per-step extraction quota.
 	Rho int
-	// K is the hop budget k (>= 1, default 1): larger k adds fewer
-	// shortcut edges but allows up to k+2 substeps per step.
+	// K is the hop budget k (>= 1, default 4): larger k adds fewer
+	// shortcut edges but allows up to k+2 substeps per step. K = 1 is
+	// the direct (1,ρ) construction, which links every vertex to its
+	// whole ρ-ball.
 	K int
 	// Heuristic places shortcuts when K > 1 (default HeuristicDP).
 	Heuristic Heuristic
@@ -187,7 +191,7 @@ func (o *Options) setDefaults() {
 		o.Rho = 32
 	}
 	if o.K == 0 {
-		o.K = 1
+		o.K = 4
 	}
 	if o.K > 1 && o.Heuristic == HeuristicDirect {
 		o.Heuristic = HeuristicDP
@@ -217,7 +221,7 @@ func (o Options) validate() error {
 }
 
 // WithDefaults returns o with the solver defaults filled in (Rho 32,
-// K 1, DP heuristic when K > 1) — the effective parameters NewSolver
+// K 4, DP heuristic when K > 1) — the effective parameters NewSolver
 // would run with. Exposed so tools that persist preprocessing results
 // (cmd/graphpack) and serving metadata report the truth instead of zero
 // values.
@@ -447,7 +451,9 @@ func SolverFromSnapshot(s *Snapshot, engine Engine) (*Solver, error) {
 	return sol, nil
 }
 
-// autoThreshold: below this many arcs the sequential engine wins.
+// autoThreshold: below this many arcs EngineAuto runs the sequential
+// engine. It was measured against the parallel engine at k = 1; the
+// flat engine's crossover is lower and moves with k.
 const autoThreshold = 1 << 17
 
 // resolve maps an engine request to a concrete engine: EngineAuto falls
@@ -459,7 +465,7 @@ func (s *Solver) resolve(e Engine) Engine {
 	}
 	if e == EngineAuto {
 		if s.pre.Graph.NumArcs() >= autoThreshold {
-			return EngineParallel
+			return EngineFlat
 		}
 		return EngineSequential
 	}

@@ -2,6 +2,7 @@ package radiusstep_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -50,6 +51,65 @@ func TestSolverDefaults(t *testing.T) {
 	}
 	if dist[99] != 18 { // manhattan distance on unit grid
 		t.Fatalf("corner distance = %v, want 18", dist[99])
+	}
+}
+
+// TestServingDefaults pins the defaults every serving path runs on:
+// preprocessing packs DP shortcuts at k = 4, and EngineAuto runs a full
+// solve on the flat engine when the packed graph has at least 2^17 arcs
+// (autoThreshold) and on the sequential engine below it, on target
+// queries and in DistancesBatch.
+func TestServingDefaults(t *testing.T) {
+	want := rs.Options{Rho: 32, K: 4, Heuristic: rs.HeuristicDP}
+	if got := (rs.Options{}).WithDefaults(); got != want {
+		t.Fatalf("Options{}.WithDefaults() = %+v, want %+v", got, want)
+	}
+	const autoThreshold = 1 << 17
+	for _, tc := range []struct {
+		g    *rs.Graph
+		full string
+	}{
+		{rs.WithUniformIntWeights(rs.Grid2D(20, 20), 1, 50, 9), "sequential"},
+		{rs.WithUniformIntWeights(rs.Grid2D(200, 200), 1, 50, 9), "flat"},
+	} {
+		s, err := rs.NewSolver(tc.g, rs.Options{Rho: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arcs := s.Preprocessed().Graph.NumArcs()
+		if (arcs >= autoThreshold) != (tc.full == "flat") {
+			t.Fatalf("%d arcs: on the wrong side of autoThreshold for %s", arcs, tc.full)
+		}
+		last := rs.Vertex(tc.g.NumVertices() - 1)
+		want := rs.Dijkstra(tc.g, 0)
+		r, err := s.Solve(context.Background(), rs.Query{Source: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Stats.Engine != tc.full {
+			t.Fatalf("%d arcs: full solve ran %q, want %q", arcs, r.Stats.Engine, tc.full)
+		}
+		for v := range want {
+			if r.Dist[v] != want[v] {
+				t.Fatalf("%d arcs: dist[%d] = %v, want %v", arcs, v, r.Dist[v], want[v])
+			}
+		}
+		r, err = s.Solve(context.Background(), rs.Query{Source: 0, Target: last, HasTarget: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Stats.Engine != "sequential" || r.Distance != want[last] {
+			t.Fatalf("%d arcs: target query ran %q with d=%v, want sequential with d=%v", arcs, r.Stats.Engine, r.Distance, want[last])
+		}
+		_, stats, err := s.DistancesBatch([]rs.Vertex{0, last})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stats {
+			if st.Engine != "sequential" {
+				t.Fatalf("%d arcs: batch solve ran %q, want sequential", arcs, st.Engine)
+			}
+		}
 	}
 }
 
