@@ -190,12 +190,14 @@ func TestRelaxModesKeepStepStructure(t *testing.T) {
 // frontier carries almost every remaining arc, so the adaptive rule must
 // choose at least one pull substep for the parallel kinds. Pull only
 // pays off by skipping push's atomics, so the adaptive rule never picks
-// it single-threaded — raise GOMAXPROCS for the duration.
+// it on the scalar path: raise GOMAXPROCS for the duration, and make the
+// clique big enough that its first substep (399 vertices × 399 arcs)
+// clears the two-worker dispatch gate at GOMAXPROCS 2 and 4.
 func TestAdaptivePullTriggersOnDenseFrontier(t *testing.T) {
 	if parallel.Procs() == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	g := clique(48)
+	g := clique(400)
 	want := baseline.Dijkstra(g, 0)
 	got, st, err := SolveKind(g, nil, 0, KindDelta, Params{}, nil)
 	if err != nil {
@@ -207,6 +209,68 @@ func TestAdaptivePullTriggersOnDenseFrontier(t *testing.T) {
 	if st.PullSubsteps == 0 {
 		t.Fatalf("adaptive mode never pulled on a clique (push=%d pull=%d)",
 			st.PushSubsteps, st.PullSubsteps)
+	}
+}
+
+// TestRelaxDispatchGate pins the adaptive relax's dispatch by the
+// pool's fork count rather than by time. Substeps below two
+// arcsPerWorker units run the scalar kernel without waking the pool; a
+// substep with two units' worth of frontier arcs still forks; and the
+// forced modes keep their parallel kernels on small substeps. Every
+// solve matches Dijkstra bit for bit. The small graph has at most 1,024
+// vertices (no fork outside relax) and far fewer arcs than the gate;
+// huge radii make each radius-engine solve one step whose Bellman–Ford
+// substeps sweep the graph breadth first, so frontiers grow past a
+// kernel's first claim chunk.
+func TestRelaxDispatchGate(t *testing.T) {
+	if parallel.Procs() == 1 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	solve := func(g *graph.CSR, kind EngineKind, mode RelaxMode) (forks int64, maxWorkers int) {
+		t.Helper()
+		radii := make([]float64, g.NumVertices())
+		for v := range radii {
+			radii[v] = 1e9
+		}
+		rec := NewTraceRecorder()
+		before := parallel.ReadPoolCounters().Forks
+		got, _, err := SolveKind(g, radii, 0, kind, Params{Relax: mode, Recorder: rec}, nil)
+		forks = parallel.ReadPoolCounters().Forks - before
+		if err != nil {
+			t.Fatalf("%s mode=%d: %v", kind, mode, err)
+		}
+		want := baseline.Dijkstra(g, 0)
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%s mode=%d: dist[%d] = %v, want %v", kind, mode, v, got[v], want[v])
+			}
+		}
+		for _, sub := range rec.Timeline().SubstepList {
+			maxWorkers = max(maxWorkers, sub.Workers)
+		}
+		return forks, maxWorkers
+	}
+
+	small := randomGraph(1000, 8000, 41)
+	if small.NumArcs() >= 2*arcsPerWorker {
+		t.Fatalf("small graph has %d arcs, not below the gate", small.NumArcs())
+	}
+	for _, kind := range []EngineKind{KindParallel, KindFlat, KindDelta, KindRho} {
+		if forks, w := solve(small, kind, RelaxAdaptive); forks != 0 || w != 1 {
+			t.Errorf("%s adaptive below the gate: %d forks, widest substep %d workers; want 0 and 1", kind, forks, w)
+		}
+		for _, mode := range []RelaxMode{RelaxPush, RelaxPull} {
+			if forks, w := solve(small, kind, mode); forks == 0 || w < 2 {
+				t.Errorf("%s mode=%d below the gate: %d forks, widest substep %d workers; want the parallel kernel", kind, mode, forks, w)
+			}
+		}
+	}
+
+	// 20k vertices of mean degree 20: the breadth-first substeps pass
+	// 2·arcsPerWorker frontier arcs within a few rounds.
+	large := randomGraph(20000, 200000, 43)
+	if forks, w := solve(large, KindFlat, RelaxAdaptive); forks == 0 || w < 2 {
+		t.Errorf("flat adaptive above the gate: %d forks, widest substep %d workers; want a fork", forks, w)
 	}
 }
 

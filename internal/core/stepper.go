@@ -76,10 +76,12 @@ type Params struct {
 	// classic fixed-ρ strategy; distances are byte-identical either way.
 	RhoFixed bool
 	// Relax selects the substep traversal: RelaxAdaptive (default)
-	// switches between push and pull per substep; RelaxPush/RelaxPull
-	// force one direction (distances are identical either way — the
-	// force knobs exist for benchmarking and the cross-mode property
-	// tests).
+	// runs a substep too small to share on the scalar push kernel and
+	// switches between parallel push and pull on larger ones;
+	// RelaxPush/RelaxPull force one direction and, when GOMAXPROCS > 1,
+	// always take its parallel kernel (distances are identical either
+	// way — the force knobs exist for benchmarking and the cross-mode
+	// property tests).
 	Relax RelaxMode
 	// Recorder, when non-nil, receives a per-step/per-substep timeline
 	// of the solve (see internal/trace). nil — the default and the hot
@@ -445,6 +447,7 @@ steps:
 					Step:        stepNo,
 					Substep:     substeps,
 					Mode:        mode,
+					Workers:     ws.workers,
 					FrontierLen: len(frontier),
 					ArcsScanned: st.EdgesScanned - scanned0,
 					Relaxed:     st.Relaxations - relaxed0,

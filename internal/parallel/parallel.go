@@ -7,8 +7,8 @@
 // inputs or when GOMAXPROCS is 1, so callers never need a separate
 // sequential code path. Parallel execution is served by a persistent
 // pool of parked workers (see pool.go) rather than per-call goroutines,
-// so a solve's hundreds of fork-joins pay a channel wake-up instead of
-// goroutine-spawn and scheduler churn.
+// so each fork-join pays a channel wake-up instead of goroutine-spawn
+// and scheduler churn.
 package parallel
 
 import (
@@ -110,25 +110,26 @@ func Workers(n int, fn func(worker int, claim func() (int, bool))) {
 // scheduling cost is one atomic add per grain items instead of one per
 // item. Use it for loops whose per-item work is comparable to an atomic
 // operation (relaxing one vertex's edges, scanning one frontier entry).
-func WorkersGrain(n, grain int, fn func(worker int, claim func() (lo, hi int, ok bool))) {
+// At most maxWorkers participants run (never more than GOMAXPROCS or the
+// number of chunks), so a caller that knows its work is small can keep
+// it off the pool; pass Procs() for no extra limit. It returns the number
+// of participants that ran: 1 means fn ran on the caller without a fork.
+func WorkersGrain(n, grain, maxWorkers int, fn func(worker int, claim func() (lo, hi int, ok bool))) int {
 	if n <= 0 {
-		return
+		return 0
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	numChunks := blocksOf(n, grain)
-	workers := Procs()
-	if workers > numChunks {
-		workers = numChunks
-	}
+	workers := min(Procs(), maxWorkers, blocksOf(n, grain))
 	var next atomic.Int64
 	claim := rangeClaimer(n, grain, &next)
-	if workers == 1 {
+	if workers <= 1 {
 		fn(0, claim)
-		return
+		return 1
 	}
 	fork(workers, func(id int) { fn(id, claim) })
+	return workers
 }
 
 // Do runs the given functions concurrently (pool workers plus the

@@ -9,13 +9,15 @@ import (
 
 // The persistent worker pool behind the fork-join primitives.
 //
-// A solve makes hundreds of Blocks/Workers calls (one or more per
-// Bellman–Ford substep), and spawning fresh goroutines for each one
-// costs a stack allocation, scheduler churn, and WaitGroup traffic that
-// can rival the useful work on small frontiers. Instead, the package
-// keeps a small set of long-lived workers, each parked on a channel
-// receive (the runtime parks the goroutine — the Go analogue of a futex
-// wait) until a fork hands it a task. Waking a parked worker is a single
+// A solve forks once or more for every Bellman–Ford substep large
+// enough to share (core's adaptive rule runs smaller substeps on the
+// caller, so a 50k-vertex road solve at k = 4 forks about twice), and
+// spawning fresh goroutines for each fork costs a stack allocation,
+// scheduler churn, and WaitGroup traffic that can rival the useful work
+// on small frontiers. Instead, the package keeps a small set of
+// long-lived workers, each parked on a channel receive (the runtime
+// parks the goroutine — the Go analogue of a futex wait) until a fork
+// hands it a task. Waking a parked worker is a single
 // channel send to an already-waiting receiver, an order of magnitude
 // cheaper than goroutine creation, and steady-state fork-joins stop
 // producing dead goroutines for the scheduler and GC to digest.

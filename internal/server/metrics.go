@@ -268,9 +268,9 @@ func (m *serverMetrics) poolBefore() parallel.PoolCounters {
 
 // observePool folds the solve's pool-counter delta into the barrier and
 // wake histograms (see their registration comment for the concurrency
-// caveat). Solves that never forked (sequential engine, GOMAXPROCS=1)
-// still observe zeros, keeping _count equal to the solve count so rates
-// stay comparable.
+// caveat). Solves that never forked (sequential engine, GOMAXPROCS=1,
+// or every substep below the relax dispatch gate) still observe zeros,
+// keeping _count equal to the solve count so rates stay comparable.
 func (m *serverMetrics) observePool(before parallel.PoolCounters) {
 	after := parallel.ReadPoolCounters()
 	m.solveBarrier.Observe(float64(after.BarrierNanos - before.BarrierNanos))

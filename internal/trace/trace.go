@@ -37,6 +37,11 @@ type SubstepRecord struct {
 	// (scatter from the frontier with priority-writes) or "pull"
 	// (vertex-owned gather over the unsettled remainder).
 	Mode string `json:"mode"`
+	// Workers is the number of participants the substep's relax ran
+	// with: 1 means it did not fork (under the default adaptive rule,
+	// the scalar kernel on the caller), more means it woke Workers-1
+	// pool workers or ran their shares inline when the pool was busy.
+	Workers int `json:"workers"`
 	// FrontierLen is the number of changed vertices relaxed from.
 	FrontierLen int `json:"frontierLen"`
 	// ArcsScanned counts arcs examined by this substep.

@@ -128,9 +128,9 @@ func (s *Solver) LandmarkBound(v, t Vertex) float64 {
 // a vertex sequence over real (non-shortcut) edges, its length, and
 // the solve's round statistics. It returns (nil, +Inf) when dst is
 // unreachable. engine overrides the solve engine per query (EngineAuto
-// means the early-terminating sequential engine, matching Path), and
-// prune makes the solve goal-directed when the solver has landmarks
-// (see Query.Prune; without landmarks it is a no-op).
+// resolves as for a full solve, matching Path), and prune makes the
+// solve goal-directed when the solver has landmarks (see Query.Prune;
+// without landmarks it is a no-op).
 func (s *Solver) Route(src, dst Vertex, engine Engine, prune bool) ([]Vertex, float64, Stats, error) {
 	r, err := s.Solve(context.TODO(), Query{Source: src, Target: dst, HasTarget: true, Engine: engine, Prune: prune})
 	return r.Path, r.Distance, r.Stats, err

@@ -24,7 +24,7 @@ func (s *Solver) Tree(src Vertex) (dist []float64, parent []Vertex, stats Stats,
 
 // Path returns the shortest path src..dst as a vertex sequence and its
 // length, or (nil, +Inf) when unreachable. It runs an early-terminated
-// solve on the sequential engine and walks tight edges back from dst.
+// solve on the EngineAuto choice and walks tight edges back from dst.
 // When the preprocessing bundle retains the original graph the walk uses
 // only real (non-shortcut) edges, so the route is directly usable;
 // otherwise shortcut edges (whose weights equal exact distances) may

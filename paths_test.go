@@ -161,7 +161,8 @@ func TestPathMatchesDijkstra(t *testing.T) {
 	g := rs.WithUniformIntWeights(rs.RandomConnected(300, 900, 6), 1, 30, 7)
 	s := solverOn(t, g, 10)
 	full := rs.Dijkstra(g, 5)
-	for _, dst := range []rs.Vertex{0, 42, 123, 299} {
+	targets := []rs.Vertex{0, 42, 123, 299}
+	for _, dst := range targets {
 		path, d, err := s.Path(5, dst)
 		if err != nil {
 			t.Fatal(err)
@@ -180,6 +181,38 @@ func TestPathMatchesDijkstra(t *testing.T) {
 		}
 		if length != d {
 			t.Fatalf("dst %d: edge sum %v != %v", dst, length, d)
+		}
+	}
+
+	// A route's bytes must not depend on the engine EngineAuto resolves
+	// to: the sequential and flat engines, unpruned and pruned by
+	// landmarks, return the same distance and path, and at each pruning
+	// setting the same steps and substeps.
+	if _, err := s.BuildLandmarks(4, rs.LandmarksFarthest); err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range targets {
+		wantPath, _, err := s.Path(5, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prune := range []bool{false, true} {
+			var seq rs.Stats
+			for _, eng := range []rs.Engine{rs.EngineSequential, rs.EngineFlat} {
+				path, d, st, err := s.Route(5, dst, eng, prune)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d != full[dst] || !reflect.DeepEqual(path, wantPath) {
+					t.Fatalf("dst %d %s prune=%v: d=%v path %v, want d=%v path %v", dst, eng, prune, d, path, full[dst], wantPath)
+				}
+				if eng == rs.EngineSequential {
+					seq = st
+				} else if st.Steps != seq.Steps || st.Substeps != seq.Substeps {
+					t.Fatalf("dst %d prune=%v: flat ran %d steps / %d substeps, sequential %d / %d",
+						dst, prune, st.Steps, st.Substeps, seq.Steps, seq.Substeps)
+				}
+			}
 		}
 	}
 }

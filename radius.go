@@ -49,7 +49,8 @@ type Timeline = trace.Timeline
 type TimelineStep = trace.StepRecord
 
 // TimelineSubstep is one Bellman–Ford substep's trace record
-// (push/pull mode, frontier size, arcs scanned, wall time).
+// (push/pull mode, relax participants, frontier size, arcs scanned,
+// wall time).
 type TimelineSubstep = trace.SubstepRecord
 
 // TimelinePool is the worker-pool event delta across a traced solve
@@ -80,11 +81,12 @@ const (
 type Engine int
 
 const (
-	// EngineAuto picks EngineFlat for a full solve on a graph with at
-	// least 2^17 arcs after preprocessing and EngineSequential below
-	// that; target queries and DistancesBatch resolve it to
-	// EngineSequential. As a per-query override it means "no override":
-	// the solver's configured engine applies.
+	// EngineAuto picks EngineFlat for a full or target solve on a graph
+	// with at least 2^17 arcs after preprocessing and EngineSequential
+	// below that; DistancesBatch resolves it to EngineSequential and
+	// spreads the sources over the cores instead. As a per-query
+	// override it means "no override": the solver's configured engine
+	// applies.
 	EngineAuto Engine = iota
 	// EngineSequential is the lazy-heap reference implementation —
 	// fastest on a single core and the engine experiments count with.
@@ -452,8 +454,9 @@ func SolverFromSnapshot(s *Snapshot, engine Engine) (*Solver, error) {
 }
 
 // autoThreshold: below this many arcs EngineAuto runs the sequential
-// engine. It was measured against the parallel engine at k = 1; the
-// flat engine's crossover is lower and moves with k.
+// engine, for full and target queries alike. It was measured against
+// the parallel engine at k = 1; the flat engine's crossover is lower and
+// moves with k.
 const autoThreshold = 1 << 17
 
 // resolve maps an engine request to a concrete engine: EngineAuto falls

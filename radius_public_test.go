@@ -55,10 +55,10 @@ func TestSolverDefaults(t *testing.T) {
 }
 
 // TestServingDefaults pins the defaults every serving path runs on:
-// preprocessing packs DP shortcuts at k = 4, and EngineAuto runs a full
-// solve on the flat engine when the packed graph has at least 2^17 arcs
-// (autoThreshold) and on the sequential engine below it, on target
-// queries and in DistancesBatch.
+// preprocessing packs DP shortcuts at k = 4, and EngineAuto runs full
+// and target solves on the flat engine when the packed graph has at
+// least 2^17 arcs (autoThreshold) and on the sequential engine below
+// it, and DistancesBatch on the sequential engine at every size.
 func TestServingDefaults(t *testing.T) {
 	want := rs.Options{Rho: 32, K: 4, Heuristic: rs.HeuristicDP}
 	if got := (rs.Options{}).WithDefaults(); got != want {
@@ -98,8 +98,8 @@ func TestServingDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Stats.Engine != "sequential" || r.Distance != want[last] {
-			t.Fatalf("%d arcs: target query ran %q with d=%v, want sequential with d=%v", arcs, r.Stats.Engine, r.Distance, want[last])
+		if r.Stats.Engine != tc.full || r.Distance != want[last] {
+			t.Fatalf("%d arcs: target query ran %q with d=%v, want %s with d=%v", arcs, r.Stats.Engine, r.Distance, tc.full, want[last])
 		}
 		_, stats, err := s.DistancesBatch([]rs.Vertex{0, last})
 		if err != nil {

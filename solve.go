@@ -20,9 +20,11 @@ type Query struct {
 	Target    Vertex
 	HasTarget bool
 	// Engine overrides the solve engine for this query. EngineAuto
-	// means the solver's configured engine on a full query and the
-	// early-terminating sequential engine on a target query. Every
-	// engine returns identical distances.
+	// means the solver's configured engine, and a still-auto choice
+	// picks by graph size for full and target queries alike (see
+	// EngineAuto). Every engine returns identical distances and, on a
+	// target query, the same path; the three radius engines also take
+	// the same steps and substeps.
 	Engine Engine
 	// Prune makes a target query goal-directed when the solver has
 	// landmarks: relaxations whose optimistic total (via the ALT
@@ -70,11 +72,7 @@ type Result struct {
 // solve on the probe-free path with no extra allocation. Every other
 // Solver method that runs a solve is a wrapper around Solve.
 func (s *Solver) Solve(ctx context.Context, q Query) (Result, error) {
-	eng := q.Engine
-	if eng == EngineAuto && q.HasTarget {
-		eng = EngineSequential
-	}
-	kind, err := engineKind(s.resolve(eng))
+	kind, err := engineKind(s.resolve(q.Engine))
 	if err != nil {
 		return Result{}, err
 	}
