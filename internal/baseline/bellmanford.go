@@ -95,7 +95,7 @@ func relaxFrontier(g *graph.CSR, bits []uint64, stamp []uint32, round uint32, fr
 	parallel.For(len(frontier), func(i int) {
 		snap[i] = parallel.FromBits(atomic.LoadUint64(&bits[frontier[i]]))
 	})
-	parallel.WorkersGrain(len(frontier), frontierGrain, p, func(w int, claim func() (int, int, bool)) {
+	parallel.WorkersGrain(len(frontier), frontierGrain, func(w int, claim func() (int, int, bool)) {
 		var local []graph.V
 		for {
 			lo, hi, ok := claim()

@@ -53,7 +53,7 @@ func BFSParallel(g *graph.CSR, src graph.V) (dist []int32, levels int) {
 		depth++
 		level := depth // level index being discovered this round
 		parts := make([][]graph.V, p)
-		parallel.WorkersGrain(len(frontier), frontierGrain, p, func(w int, claim func() (int, int, bool)) {
+		parallel.WorkersGrain(len(frontier), frontierGrain, func(w int, claim func() (int, int, bool)) {
 			var local []graph.V
 			for {
 				lo, hi, ok := claim()

@@ -64,7 +64,7 @@ func DeltaStepping(g *graph.CSR, src graph.V, delta float64) ([]float64, DeltaSt
 			snap[i] = parallel.FromBits(atomic.LoadUint64(&bits[frontier[i]]))
 		})
 		var relaxed atomic.Int64
-		parallel.WorkersGrain(len(frontier), frontierGrain, p, func(w int, claim func() (int, int, bool)) {
+		parallel.WorkersGrain(len(frontier), frontierGrain, func(w int, claim func() (int, int, bool)) {
 			var local []graph.V
 			for {
 				lo, hi, ok := claim()

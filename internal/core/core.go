@@ -67,7 +67,9 @@ type Stats struct {
 	// Pruned counts relaxation candidates skipped by the target-mode
 	// goal-direction hook (Params.Bound): their optimistic total
 	// d(u)+w+Bound(v) could not beat the target's current upper bound.
-	// Always zero on full solves and when no Bound is set.
+	// Always zero on full solves and when no Bound is set. Like
+	// Relaxations, it depends on the order candidates are met, so it
+	// can differ between engines and between runs of a parallel kernel.
 	Pruned int64
 	// EdgesScanned counts arcs examined.
 	EdgesScanned int64

@@ -192,7 +192,7 @@ func TestRelaxModesKeepStepStructure(t *testing.T) {
 // pays off by skipping push's atomics, so the adaptive rule never picks
 // it on the scalar path: raise GOMAXPROCS for the duration, and make the
 // clique big enough that its first substep (399 vertices × 399 arcs)
-// clears the two-worker dispatch gate at GOMAXPROCS 2 and 4.
+// clears the forkArcs gate.
 func TestAdaptivePullTriggersOnDenseFrontier(t *testing.T) {
 	if parallel.Procs() == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -213,15 +213,15 @@ func TestAdaptivePullTriggersOnDenseFrontier(t *testing.T) {
 }
 
 // TestRelaxDispatchGate pins the adaptive relax's dispatch by the
-// pool's fork count rather than by time. Substeps below two
-// arcsPerWorker units run the scalar kernel without waking the pool; a
-// substep with two units' worth of frontier arcs still forks; and the
-// forced modes keep their parallel kernels on small substeps. Every
-// solve matches Dijkstra bit for bit. The small graph has at most 1,024
-// vertices (no fork outside relax) and far fewer arcs than the gate;
-// huge radii make each radius-engine solve one step whose Bellman–Ford
-// substeps sweep the graph breadth first, so frontiers grow past a
-// kernel's first claim chunk.
+// pool's fork count rather than by time. Substeps below forkArcs
+// frontier arcs run the scalar kernel without waking the pool; a
+// substep at or above it still forks; and the forced modes keep their
+// parallel kernels on small substeps. Every solve matches Dijkstra bit
+// for bit. The small graph has at most 1,024 vertices (no fork outside
+// relax) and far fewer arcs than the gate; huge radii make each
+// radius-engine solve one step whose Bellman–Ford substeps sweep the
+// graph breadth first, so frontiers grow past a kernel's first claim
+// chunk.
 func TestRelaxDispatchGate(t *testing.T) {
 	if parallel.Procs() == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -252,7 +252,7 @@ func TestRelaxDispatchGate(t *testing.T) {
 	}
 
 	small := randomGraph(1000, 8000, 41)
-	if small.NumArcs() >= 2*arcsPerWorker {
+	if small.NumArcs() >= forkArcs {
 		t.Fatalf("small graph has %d arcs, not below the gate", small.NumArcs())
 	}
 	for _, kind := range []EngineKind{KindParallel, KindFlat, KindDelta, KindRho} {
@@ -267,7 +267,7 @@ func TestRelaxDispatchGate(t *testing.T) {
 	}
 
 	// 20k vertices of mean degree 20: the breadth-first substeps pass
-	// 2·arcsPerWorker frontier arcs within a few rounds.
+	// forkArcs frontier arcs within a few rounds.
 	large := randomGraph(20000, 200000, 43)
 	if forks, w := solve(large, KindFlat, RelaxAdaptive); forks == 0 || w < 2 {
 		t.Errorf("flat adaptive above the gate: %d forks, widest substep %d workers; want a fork", forks, w)

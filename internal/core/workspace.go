@@ -17,35 +17,35 @@ import (
 type RelaxMode int
 
 const (
-	// RelaxAdaptive (the default) sizes each substep by the frontier's
-	// outgoing-arc count: below two arcsPerWorker units it runs the
-	// scalar push on the caller (no fork, no atomics); above, it forks
-	// one worker per unit and picks a direction — sparse frontiers push
-	// (work proportional to the frontier), dense frontiers pull (no
-	// atomics, work proportional to the unsettled remainder).
+	// RelaxAdaptive (the default) gates each substep on the frontier's
+	// outgoing-arc count: below forkArcs it runs the scalar push on the
+	// caller (no fork, no atomics); from forkArcs up it picks a direction
+	// for the parallel kernels — sparse frontiers push (work proportional
+	// to the frontier), dense frontiers pull (no atomics, work
+	// proportional to the unsettled remainder).
 	RelaxAdaptive RelaxMode = iota
 	// RelaxPush forces push-style relaxation (scatter with atomic
 	// priority-writes). With GOMAXPROCS > 1 every substep takes the
-	// parallel kernel on all procs, however small.
+	// parallel kernel, however small.
 	RelaxPush
 	// RelaxPull forces pull-style relaxation (each unsettled vertex
 	// gathers over its incident arcs; one plain write per improvement).
-	// With GOMAXPROCS > 1 every substep takes the parallel kernel on all
-	// procs, however small.
+	// With GOMAXPROCS > 1 every substep takes the parallel kernel,
+	// however small.
 	RelaxPull
 )
 
-// arcsPerWorker is the adaptive relax's dispatch unit: a substep forks
-// one worker per arcsPerWorker frontier arcs (never more than
-// GOMAXPROCS), so one below 2·arcsPerWorker arcs runs the scalar push on
-// the caller. Waking a parked worker and joining it back costs about as
-// much as relaxing tens of thousands of arcs. Swept over 8k, 16k, 32k
-// and 64k arcs per worker (flat engine, k = 4, ρ = 32, 50k-vertex road
-// and rmat graphs, GOMAXPROCS=2 on a 2-vCPU VM), the median p50 fell
-// from 15.6 ms without the gate to 9.6–11.4 ms on road, where most
-// substeps hold a few thousand arcs whatever the unit, and from 20.1 to
-// 17.3–18.6 ms on rmat, lowest at 32k.
-const arcsPerWorker = 32 << 10
+// forkArcs is the adaptive relax's fork gate: a substep whose frontier
+// has fewer outgoing arcs runs the scalar push on the caller, because
+// waking a parked worker and joining it back costs about as much as
+// relaxing tens of thousands of arcs. Swept at 16k, 32k, 64k and 128k
+// (flat engine, k = 4, ρ = 32, 50k-vertex road and rmat graphs,
+// GOMAXPROCS=2 on a 2-vCPU VM), the median p50 fell from 15.6 ms without
+// the gate to 9.6–11.4 ms on road, where most substeps hold a few
+// thousand arcs whatever the gate, and from 20.1 to 17.3–18.6 ms on
+// rmat, lowest at 64k. Wider hosts were not measured: a substep that
+// clears the gate forks on every proc.
+const forkArcs = 64 << 10
 
 // pullAtomicFactor weighs the adaptive push/pull decision: a push arc
 // costs an atomic priority-write, roughly this many times a pull arc's
@@ -70,13 +70,13 @@ const (
 )
 
 // adaptiveGrain sizes a dynamic claim chunk for total work items split
-// across workers: aim for ~8 chunks per worker — enough slack for
-// dynamic balancing when per-chunk costs vary, few enough that
+// across the current worker count: aim for ~8 chunks per worker — enough
+// slack for dynamic balancing when per-chunk costs vary, few enough that
 // claim-counter traffic stays negligible — clamped to [minG, maxG] so
 // tiny substeps keep chunks worth dispatching and huge ones don't widen
 // the straggler tail.
-func adaptiveGrain(total, workers, minG, maxG int) int {
-	g := total / (workers * 8)
+func adaptiveGrain(total, minG, maxG int) int {
+	g := total / (parallel.Procs() * 8)
 	if g < minG {
 		return minG
 	}
@@ -301,12 +301,11 @@ func (ws *Workspace) mergeParts(parts []workerBuf) []graph.V {
 // relaxation, so results (and therefore step/substep counts) are
 // deterministic and identical across every mode and parallelism degree.
 //
-// seq (the sequential engine) and GOMAXPROCS=1 always take the scalar
-// kernels — same distances, no atomics. Otherwise RelaxAdaptive sizes
-// the substep by its frontier arcs (dispatchWidth): one worker's worth
-// runs the scalar push, more forks that many workers and compares the
-// frontier's arcs against the unsettled remainder to pick push or pull.
-// The forced modes run their parallel kernel on every proc.
+// mode picks the traversal: RelaxAdaptive runs a substep below forkArcs
+// frontier arcs on the scalar push and otherwise compares the frontier's
+// outgoing arcs against the unsettled remainder; seq (the sequential
+// engine) always takes the scalar paths. On GOMAXPROCS=1 the scalar
+// paths also serve the parallel engines — same distances, no atomics.
 func (ws *Workspace) relax(frontier []graph.V, st *Stats, seq bool, mode RelaxMode) []graph.V {
 	if ws.bound != nil {
 		// One upper-bound snapshot per substep: the best known distance
@@ -320,17 +319,19 @@ func (ws *Workspace) relax(frontier []graph.V, st *Stats, seq bool, mode RelaxMo
 		}
 		ws.ub = ub + ub*ubSlack
 	}
-	workers := 1
-	if !seq {
-		workers = parallel.Procs()
-		if mode == RelaxAdaptive && workers > 1 {
-			workers = ws.dispatchWidth(frontier, workers)
-		}
+	par := !seq && parallel.Procs() > 1
+	if par && mode == RelaxAdaptive {
+		par = ws.frontierArcsReach(frontier, forkArcs)
 	}
 	ws.workers = 1
 	totalArcs := int64(-1) // frontier arc count; built lazily, at most once
-	pull := mode == RelaxPull
-	if mode == RelaxAdaptive && workers > 1 {
+	pull := false
+	switch mode {
+	case RelaxPull:
+		pull = true
+	case RelaxPush:
+		pull = false
+	default:
 		// Pull's payoff is skipping push's atomic priority-writes, so it
 		// can only win on the parallel path: the scalar push already has
 		// no atomics, and a scalar pull would scan a superset of its
@@ -338,39 +339,38 @@ func (ws *Workspace) relax(frontier []graph.V, st *Stats, seq bool, mode RelaxMo
 		// The degree prefix built for the decision is the same one the
 		// edge-balanced push partitions by, so push (the common case)
 		// pays for it only once.
-		totalArcs = ws.frontierDegOffSnap(frontier)
-		pull = pullAtomicFactor*totalArcs > ws.remArcs+int64(len(ws.bits))
+		if par {
+			totalArcs = ws.frontierDegOffSnap(frontier)
+			pull = pullAtomicFactor*totalArcs > ws.remArcs+int64(len(ws.bits))
+		}
 	}
 	if pull {
 		st.PullSubsteps++
-		if workers > 1 {
-			return ws.pullPar(frontier, workers, st)
+		if par {
+			return ws.pullPar(frontier, st)
 		}
 		return ws.pullSeq(frontier, st)
 	}
 	st.PushSubsteps++
-	if workers > 1 {
+	if par {
 		if totalArcs < 0 { // forced push: the decision never built the prefix
 			totalArcs = ws.frontierDegOffSnap(frontier)
 		}
-		return ws.pushPar(frontier, totalArcs, workers, st)
+		return ws.pushPar(frontier, totalArcs, st)
 	}
 	return ws.pushSeq(frontier, st)
 }
 
-// dispatchWidth is the adaptive relax's worker count for frontier: one
-// per arcsPerWorker outgoing arcs, at least 1 and at most procs. The
-// count stops once it reaches procs units, so sizing a huge frontier
-// costs a bounded scan of its degrees.
-func (ws *Workspace) dispatchWidth(frontier []graph.V, procs int) int {
-	limit := int64(procs) * arcsPerWorker
+// frontierArcsReach reports whether frontier has at least limit outgoing
+// arcs, stopping the degree count once it does.
+func (ws *Workspace) frontierArcsReach(frontier []graph.V, limit int64) bool {
 	var arcs int64
 	for _, u := range frontier {
 		if arcs += int64(ws.g.Degree(u)); arcs >= limit {
-			return procs
+			return true
 		}
 	}
-	return max(1, int(arcs/arcsPerWorker))
+	return false
 }
 
 // frontierDegOffSnap fills ws.degOff with the frontier's degree prefix
@@ -469,19 +469,18 @@ func (ws *Workspace) pushSeq(frontier []graph.V, st *Stats) []graph.V {
 // vertex's arcs split across workers instead of making one worker a
 // straggler (safe because relaxation targets are claimed with atomic
 // priority-writes, not by arc ownership). Improved vertices are claimed
-// once per substep via CAS stamps into padded per-worker buffers. At
-// most workers participants run.
-func (ws *Workspace) pushPar(frontier []graph.V, totalArcs int64, workers int, st *Stats) []graph.V {
+// once per substep via CAS stamps into padded per-worker buffers.
+func (ws *Workspace) pushPar(frontier []graph.V, totalArcs int64, st *Stats) []graph.V {
 	subID := ws.subID
-	parts := ws.growParts(workers)
+	parts := ws.growParts(parallel.Procs())
 	snap := ws.snap
 	bits := ws.bits
 	degOff := ws.degOff
 	bnd, ub := ws.bound, ws.ub
 
 	var relaxed, scanned, pruned atomic.Int64
-	grain := adaptiveGrain(int(totalArcs), workers, arcGrainMin, arcGrainMax)
-	ws.workers = parallel.WorkersGrain(int(totalArcs), grain, workers, func(w int, claim func() (int, int, bool)) {
+	grain := adaptiveGrain(int(totalArcs), arcGrainMin, arcGrainMax)
+	ws.workers = parallel.WorkersGrain(int(totalArcs), grain, func(w int, claim func() (int, int, bool)) {
 		local := parts[w].buf[:0]
 		var rl, sc, pr int64
 		for {
@@ -628,17 +627,17 @@ func (ws *Workspace) pullSeq(frontier []graph.V, st *Stats) []graph.V {
 // pullPar is the parallel pull substep: vertex-partitioned, so each
 // vertex has exactly one writer and the sweep needs no atomics at all —
 // the read side touches only the immutable frontier snapshot and the
-// worker's own distance cells. At most workers participants run.
-func (ws *Workspace) pullPar(frontier []graph.V, workers int, st *Stats) []graph.V {
+// worker's own distance cells.
+func (ws *Workspace) pullPar(frontier []graph.V, st *Stats) []graph.V {
 	subID := ws.subID
 	fs := ws.markFrontier(frontier, true)
-	parts := ws.growParts(workers)
+	parts := ws.growParts(parallel.Procs())
 	bits := ws.bits
 	infr := ws.infr
 	bnd, ub := ws.bound, ws.ub
 	var relaxed, scanned, pruned atomic.Int64
-	grain := adaptiveGrain(len(bits), workers, pullGrainMin, pullGrainMax)
-	ws.workers = parallel.WorkersGrain(len(bits), grain, workers, func(w int, claim func() (int, int, bool)) {
+	grain := adaptiveGrain(len(bits), pullGrainMin, pullGrainMax)
+	ws.workers = parallel.WorkersGrain(len(bits), grain, func(w int, claim func() (int, int, bool)) {
 		local := parts[w].buf[:0]
 		var rl, sc, pr int64
 		for {

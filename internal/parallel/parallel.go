@@ -110,21 +110,23 @@ func Workers(n int, fn func(worker int, claim func() (int, bool))) {
 // scheduling cost is one atomic add per grain items instead of one per
 // item. Use it for loops whose per-item work is comparable to an atomic
 // operation (relaxing one vertex's edges, scanning one frontier entry).
-// At most maxWorkers participants run (never more than GOMAXPROCS or the
-// number of chunks), so a caller that knows its work is small can keep
-// it off the pool; pass Procs() for no extra limit. It returns the number
-// of participants that ran: 1 means fn ran on the caller without a fork.
-func WorkersGrain(n, grain, maxWorkers int, fn func(worker int, claim func() (lo, hi int, ok bool))) int {
+// It returns the number of participants, the caller included: 1 means
+// it did not fork.
+func WorkersGrain(n, grain int, fn func(worker int, claim func() (lo, hi int, ok bool))) int {
 	if n <= 0 {
-		return 0
+		return 1
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	workers := min(Procs(), maxWorkers, blocksOf(n, grain))
+	numChunks := blocksOf(n, grain)
+	workers := Procs()
+	if workers > numChunks {
+		workers = numChunks
+	}
 	var next atomic.Int64
 	claim := rangeClaimer(n, grain, &next)
-	if workers <= 1 {
+	if workers == 1 {
 		fn(0, claim)
 		return 1
 	}

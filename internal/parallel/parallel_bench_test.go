@@ -135,7 +135,7 @@ func BenchmarkWorkersGrainClaim(b *testing.B) {
 	})
 	b.Run("grain=64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			WorkersGrain(n, 64, Procs(), func(_ int, claim func() (int, int, bool)) {
+			WorkersGrain(n, 64, func(_ int, claim func() (int, int, bool)) {
 				for {
 					lo, hi, ok := claim()
 					if !ok {

@@ -74,7 +74,7 @@ func TestWorkersGrainCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4099} {
 		for _, grain := range []int{0, 1, 64, 4096} {
 			hits := make([]int32, n)
-			WorkersGrain(n, grain, Procs(), func(w int, claim func() (int, int, bool)) {
+			WorkersGrain(n, grain, func(w int, claim func() (int, int, bool)) {
 				for {
 					lo, hi, ok := claim()
 					if !ok {
@@ -102,7 +102,7 @@ func TestWorkersGrainCoversAllIndices(t *testing.T) {
 // so per-worker scratch arrays never alias.
 func TestWorkersGrainWorkerIDsDistinct(t *testing.T) {
 	seen := make([]int32, Procs()+1)
-	WorkersGrain(10_000, 16, Procs(), func(w int, claim func() (int, int, bool)) {
+	WorkersGrain(10_000, 16, func(w int, claim func() (int, int, bool)) {
 		if w < 0 || w >= len(seen) {
 			t.Errorf("worker id %d out of range", w)
 			return
@@ -182,7 +182,7 @@ func TestConcurrentSolvesAtProcs(t *testing.T) {
 					for rep := 0; rep < reps; rep++ {
 						// A mock substep: a grained claim loop plus a
 						// nested fork, like relax + frontier commit.
-						WorkersGrain(96, 16, Procs(), func(_ int, claim func() (int, int, bool)) {
+						WorkersGrain(96, 16, func(_ int, claim func() (int, int, bool)) {
 							for {
 								lo, hi, ok := claim()
 								if !ok {

@@ -548,7 +548,8 @@ type routeResponse struct {
 	// distance vector — no solve ran and no solve slot was held.
 	Cached bool `json:"cached,omitempty"`
 	// Pruned counts relaxation candidates skipped by goal-directed
-	// landmark pruning during this route's solve.
+	// landmark pruning during this route's solve. It is a work counter:
+	// it depends on the engine and kernel, the route does not.
 	Pruned int64 `json:"pruned,omitempty"`
 }
 

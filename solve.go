@@ -24,7 +24,8 @@ type Query struct {
 	// picks by graph size for full and target queries alike (see
 	// EngineAuto). Every engine returns identical distances and, on a
 	// target query, the same path; the three radius engines also take
-	// the same steps and substeps.
+	// the same steps and substeps. Work counters such as
+	// Stats.Relaxations and Stats.Pruned may differ between engines.
 	Engine Engine
 	// Prune makes a target query goal-directed when the solver has
 	// landmarks: relaxations whose optimistic total (via the ALT
