@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
+	"radiusstep/internal/baseline"
 	"radiusstep/internal/check"
 	"radiusstep/internal/gen"
 	"radiusstep/internal/graph"
@@ -128,7 +130,7 @@ func TestMidSolveCancelThenWorkspaceReuse(t *testing.T) {
 		ws := NewWorkspace()
 		p := new(Probe)
 		bound, calls := cancelOnCall(20, p.Cancel)
-		dist, _, err := solve(g, radii, 0, kind, Params{Probe: p, Bound: bound}, ws, far)
+		_, dist, _, err := SolveKindTarget(g, radii, 0, far, kind, Params{Probe: p, Bound: bound}, ws)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", kind, err)
 		}
@@ -153,6 +155,92 @@ func TestMidSolveCancelThenWorkspaceReuse(t *testing.T) {
 	}
 }
 
+func TestWorkspaceReuseResetPaths(t *testing.T) {
+	// One pooled workspace per engine serves a sequence that switches
+	// between prepare's two reset paths — the partial reset after a
+	// small target solve, the full fill after an overflowed, canceled
+	// or full solve, or a graph change — with pruning on, so the bound
+	// memo's stamps are reused too. Every target distance must match
+	// Dijkstra bit for bit, and every vector (a target solve's partial
+	// one included) must match a fresh workspace's: a stale entry left
+	// by an earlier solve would show in either.
+	g, radii := cancelTestGraph(t)
+	h := gen.WithUniformIntWeights(gen.Grid2D(20, 20), 1, 100, 22)
+	hRadii, err := preprocess.RadiiOnly(h, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Near targets lie a few steps from the corner source; each pruned
+	// solve aims at a new one, so a bound memoized for an earlier target
+	// would be wrong for the next.
+	const src = 0
+	far := farthest(t, g, radii, src)
+	want := baseline.Dijkstra(g, src)
+	set := testLandmarks(t, g, 3)
+	params := func(dst graph.V, prune bool) Params {
+		if !prune {
+			return Params{}
+		}
+		return Params{Bound: set.BoundTo(dst), UpperBound: set.Estimate(src, dst)}
+	}
+	for _, kind := range allKinds() {
+		ws := NewWorkspace()
+		target := func(step string, dst graph.V, prune, wantComplete bool) {
+			t.Helper()
+			d, got, _, err := SolveKindTarget(g, radii, src, dst, kind, params(dst, prune), ws)
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, step, err)
+			}
+			if math.Float64bits(d) != math.Float64bits(want[dst]) {
+				t.Fatalf("%s %s: d = %v, want %v", kind, step, d, want[dst])
+			}
+			_, fresh, _, err := SolveKindTarget(g, radii, src, dst, kind, params(dst, prune), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := check.SameDistances(got, fresh, 0); i >= 0 {
+				t.Fatalf("%s %s: reused workspace dist[%d] = %v, fresh %v", kind, step, i, got[i], fresh[i])
+			}
+			if ws.complete != wantComplete {
+				t.Fatalf("%s %s: touched list complete = %v, want %v", kind, step, ws.complete, wantComplete)
+			}
+		}
+		full := func(step string, g *graph.CSR, radii []float64) {
+			t.Helper()
+			got, _, err := SolveKind(g, radii, src, kind, Params{}, ws)
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, step, err)
+			}
+			fresh, _, err := SolveKind(g, radii, src, kind, Params{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := check.SameDistances(got, fresh, 0); i >= 0 {
+				t.Fatalf("%s %s: reused workspace dist[%d] = %v, fresh %v", kind, step, i, got[i], fresh[i])
+			}
+			if ws.complete {
+				t.Fatalf("%s %s: a full solve stayed under the touched cap", kind, step)
+			}
+		}
+
+		target("near", 21, true, true)
+		target("far", far, false, false) // unpruned: explores past the cap
+		target("near after overflow", 42, true, true)
+		p := new(Probe)
+		bound, _ := cancelOnCall(20, p.Cancel)
+		if _, err := solve(g, radii, src, kind, Params{Probe: p, Bound: bound}, ws, far); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s canceled: err = %v, want ErrCanceled", kind, err)
+		}
+		if ws.complete {
+			t.Fatalf("%s: a canceled solve left its touched list complete", kind)
+		}
+		target("near after cancel", 3, true, true)
+		full("full", g, radii)
+		full("full on another graph", h, hRadii)
+		target("near after graph change", 60, true, true)
+	}
+}
+
 func TestProbeMidArcPollAborts(t *testing.T) {
 	// A probe fired mid-solve must abort even when the graph is large
 	// enough that a single substep spans many arc-interval polls —
@@ -166,7 +254,7 @@ func TestProbeMidArcPollAborts(t *testing.T) {
 	for _, kind := range allKinds() {
 		p := new(Probe)
 		bound, _ := cancelOnCall(200, p.Expire)
-		_, _, err := solve(g, radii, 0, kind, Params{Probe: p, Bound: bound}, NewWorkspace(), far)
+		_, err := solve(g, radii, 0, kind, Params{Probe: p, Bound: bound}, NewWorkspace(), far)
 		if !errors.Is(err, ErrDeadline) {
 			t.Fatalf("%s: err = %v, want ErrDeadline", kind, err)
 		}

@@ -115,7 +115,10 @@ func TestFiveEnginesTargetPruneByteIdentical(t *testing.T) {
 // (never exceeds the true distance from the sequential oracle), and a
 // target solve with the bound and a-priori estimate installed returns
 // the oracle's distance bit-for-bit on every engine — in particular,
-// never +Inf for a reachable target.
+// never +Inf for a reachable target. The hook BoundTo builds must also
+// have LowerBound's bits for every vertex; the random graphs include
+// disconnected components, so both its inline path (the target reaches
+// every landmark) and its fallback run.
 func FuzzLandmarkBound(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(2), uint8(0), uint8(5))
 	f.Add(int64(42), uint8(47), uint8(0), uint8(3), uint8(3))
@@ -133,9 +136,15 @@ func FuzzLandmarkBound(f *testing.F) {
 		// for distances TO dst). Inf > Inf is false, so certified
 		// disconnection passes the same comparison.
 		toDst := baseline.Dijkstra(g, dst)
+		hook := set.BoundTo(dst)
 		for v := 0; v < n; v++ {
-			if lb := set.LowerBound(graph.V(v), dst); lb > toDst[v] {
+			lb := set.LowerBound(graph.V(v), dst)
+			if lb > toDst[v] {
 				t.Fatalf("inadmissible bound: LowerBound(%d,%d) = %v > true %v", v, dst, lb, toDst[v])
+			}
+			if hb := hook(graph.V(v)); math.Float64bits(hb) != math.Float64bits(lb) {
+				t.Fatalf("BoundTo(%d)(%d) = %v (bits %x), LowerBound = %v (bits %x)",
+					dst, v, hb, math.Float64bits(hb), lb, math.Float64bits(lb))
 			}
 		}
 		if est := set.Estimate(src, dst); est < toDst[src] {

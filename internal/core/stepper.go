@@ -254,23 +254,45 @@ func (k EngineKind) usesRadii() bool {
 // engine kind, reusing ws when non-nil (pass nil for a one-shot solve).
 // For the radius-free kinds (KindDelta, KindRho) radii may be nil.
 func SolveKind(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params, ws *Workspace) ([]float64, Stats, error) {
-	return solve(g, radii, src, kind, p, ws, -1)
+	if ws == nil {
+		ws = NewWorkspace()
+	}
+	st, err := solve(g, radii, src, kind, p, ws, -1)
+	if err != nil {
+		return nil, st, err
+	}
+	return parallel.BitsToFloats(ws.bits), st, nil
 }
 
 // SolveKindTarget is SolveKind with early termination: the solve stops
 // as soon as target is settled (its distance is then exact — the settled
 // set is always correct, Theorem 3.1, and the same invariant holds for
 // every stepping strategy). Remaining distances are tentative upper
-// bounds or +Inf.
+// bounds or +Inf. The partial vector is a copy, an O(n) cost the
+// solve itself does not pay; SolveTarget leaves it in the workspace.
 func SolveKindTarget(g *graph.CSR, radii []float64, src, target graph.V, kind EngineKind, p Params, ws *Workspace) (float64, []float64, Stats, error) {
-	if target < 0 || int(target) >= g.NumVertices() {
-		return 0, nil, Stats{}, fmt.Errorf("core: target %d out of range [0,%d)", target, g.NumVertices())
+	if ws == nil {
+		ws = NewWorkspace()
 	}
-	dist, st, err := solve(g, radii, src, kind, p, ws, target)
+	d, st, err := SolveTarget(g, radii, src, target, kind, p, ws)
 	if err != nil {
 		return 0, nil, Stats{}, err
 	}
-	return dist[target], dist, st, nil
+	return d, parallel.BitsToFloats(ws.bits), st, nil
+}
+
+// SolveTarget is SolveKindTarget without the copy: the partial distance
+// vector stays in ws (which must be non-nil), readable through ws.Dist
+// until ws's next solve.
+func SolveTarget(g *graph.CSR, radii []float64, src, target graph.V, kind EngineKind, p Params, ws *Workspace) (float64, Stats, error) {
+	if target < 0 || int(target) >= g.NumVertices() {
+		return 0, Stats{}, fmt.Errorf("core: target %d out of range [0,%d)", target, g.NumVertices())
+	}
+	st, err := solve(g, radii, src, kind, p, ws, target)
+	if err != nil {
+		return 0, Stats{}, err
+	}
+	return ws.Dist(target), st, nil
 }
 
 // solve is the unified driver behind every engine. One outer loop asks
@@ -278,23 +300,20 @@ func SolveKindTarget(g *graph.CSR, radii []float64, src, target graph.V, kind En
 // {v : δ(v) <= d_i}, and runs synchronous Bellman–Ford substeps over A
 // until no relaxation lands at or below d_i; improvements beyond d_i go
 // back to the stepper's fringe. When stopAt >= 0 the solve ends as soon
-// as that vertex is settled.
-func solve(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params, ws *Workspace, stopAt graph.V) ([]float64, Stats, error) {
+// as that vertex is settled. The distances stay in ws.
+func solve(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params, ws *Workspace, stopAt graph.V) (Stats, error) {
 	if kind < KindSequential || kind > KindRho {
-		return nil, Stats{}, fmt.Errorf("core: unknown engine kind %d", int(kind))
+		return Stats{}, fmt.Errorf("core: unknown engine kind %d", int(kind))
 	}
 	if p.Relax < RelaxAdaptive || p.Relax > RelaxPull {
-		return nil, Stats{}, fmt.Errorf("core: unknown relax mode %d", int(p.Relax))
+		return Stats{}, fmt.Errorf("core: unknown relax mode %d", int(p.Relax))
 	}
 	if radii == nil && !kind.usesRadii() {
 		if err := validateSrc(g, src); err != nil {
-			return nil, Stats{}, err
+			return Stats{}, err
 		}
 	} else if err := validate(g, radii, src); err != nil {
-		return nil, Stats{}, err
-	}
-	if ws == nil {
-		ws = NewWorkspace()
+		return Stats{}, err
 	}
 	ws.prepare(g, radii)
 	sp := ws.stepperFor(kind, p)
@@ -307,7 +326,7 @@ func solve(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params
 	probe := p.Probe
 	ws.probe = probe
 	if err := probe.Err(); err != nil {
-		return nil, Stats{Engine: kind.String()}, err
+		return Stats{Engine: kind.String()}, err
 	}
 
 	// Goal-directed pruning: the Bound hook is honored only when the
@@ -343,6 +362,7 @@ func solve(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params
 	ws.bits[src] = parallel.ToBits(0)
 	ws.done[src] = true
 	ws.settled(src)
+	ws.track(src)
 
 	// Relax the source's neighbors (Algorithm 1, line 2) and seed the
 	// fringe with the unique improved vertices at their final distances.
@@ -365,6 +385,7 @@ func solve(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params
 				seedList = append(seedList, v)
 			}
 		}
+		ws.track(seedList...)
 		sp.seed(seedList)
 		ws.active = seedList
 	}
@@ -454,6 +475,7 @@ steps:
 					Nanos:       dur,
 				})
 			}
+			ws.track(updated...)
 			next = next[:0]
 			for _, v := range updated {
 				nd := parallel.FromBits(ws.bits[v])
@@ -512,11 +534,13 @@ steps:
 	}
 	if solveErr != nil {
 		// Aborted solves return the typed cancellation error and no
-		// distances. The workspace needs no special cleanup: every
-		// buffer the partial solve dirtied is re-prepared (distances,
-		// settled marks) or stamp-invalidated (act/sub/seen/infr) by the
-		// next solve, and each stepper's reset() rebuilds its fringe.
-		return nil, st, solveErr
+		// distances. The workspace needs no special cleanup: the touched
+		// list stays marked incomplete, so the next prepare re-fills the
+		// distances and settled marks in full, the stamp arrays
+		// (act/sub/seen/infr/bgen) are invalidated by the next stamps, and
+		// each stepper's reset() rebuilds its fringe.
+		return st, solveErr
 	}
-	return parallel.BitsToFloats(ws.bits), st, nil
+	ws.complete = !ws.overflow
+	return st, nil
 }

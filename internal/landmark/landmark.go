@@ -165,7 +165,8 @@ func (s *Set) With(v graph.V, dist []float64) (*Set, error) {
 // FromRows rebuilds a Set from landmark-major rows: rows[i*n : (i+1)*n]
 // is landmark i's full distance vector. This is the snapshot
 // persistence layout (one contiguous vector per landmark); the
-// constructor transposes into the vertex-major query layout.
+// constructor validates every row as With would, then transposes all of
+// them into the vertex-major query layout in one pass.
 func FromRows(n int, verts []graph.V, rows []float64) (*Set, error) {
 	s, err := New(n)
 	if err != nil {
@@ -175,8 +176,18 @@ func FromRows(n int, verts []graph.V, rows []float64) (*Set, error) {
 		return nil, fmt.Errorf("landmark: %d row entries for %d landmarks over %d vertices", len(rows), len(verts), n)
 	}
 	for i, v := range verts {
-		if s, err = s.With(v, rows[i*n:(i+1)*n]); err != nil {
+		// checkVector reads the landmarks already in s, so s grows one
+		// vertex at a time; the matrix is built once, below.
+		if err := s.checkVector(v, rows[i*n:(i+1)*n]); err != nil {
 			return nil, fmt.Errorf("landmark %d: %w", i, err)
+		}
+		s.verts = append(s.verts, v)
+	}
+	k := len(verts)
+	s.dist = make([]float64, n*k)
+	for i := range verts {
+		for u, d := range rows[i*n : (i+1)*n] {
+			s.dist[u*k+i] = d
 		}
 	}
 	return s, nil
@@ -256,6 +267,14 @@ func (s *Set) LowerBound(v, t graph.V) float64 {
 // the shape core.Params.Bound expects. Returns nil when the set holds
 // no landmarks (no hook beats a useless hook on the hot path). The
 // closure is pure and safe for concurrent use.
+//
+// When every landmark reaches t — always, on a connected graph — the
+// closure inlines lower: a v that misses a landmark is in another
+// component (+Inf at once), and otherwise each landmark contributes
+// |a−b| − slack·max(a,b), whose negative values lose to the running
+// maximum just as lower's clamp to 0 does. The result has the same bits
+// as LowerBound(v, t), which the closure calls when some landmark
+// misses t.
 func (s *Set) BoundTo(t graph.V) func(graph.V) float64 {
 	if s.K() == 0 {
 		return nil
@@ -266,11 +285,27 @@ func (s *Set) BoundTo(t graph.V) func(graph.V) float64 {
 	k := len(s.verts)
 	dist := s.dist
 	dt := dist[int(t)*k : int(t)*k+k]
+	for _, b := range dt {
+		if math.IsInf(b, 1) {
+			return func(v graph.V) float64 { return s.LowerBound(v, t) }
+		}
+	}
 	return func(v graph.V) float64 {
 		dv := dist[int(v)*k : int(v)*k+k]
 		best := 0.0
 		for i, a := range dv {
-			if lb := lower(a, dt[i]); lb > best {
+			if math.IsInf(a, 1) {
+				return math.Inf(1)
+			}
+			b := dt[i]
+			d, m := a-b, a
+			if d < 0 {
+				d = -d
+			}
+			if b > m {
+				m = b
+			}
+			if lb := d - slack*m; lb > best {
 				best = lb
 			}
 		}

@@ -50,6 +50,7 @@ type serverMetrics struct {
 
 	solves           *metrics.Counter
 	solveDur         *metrics.HistogramVec // engine
+	routeSolveDur    *metrics.HistogramVec // engine
 	engineSolves     *metrics.CounterVec   // engine
 	graphSolves      *metrics.CounterVec   // graph
 	routeSolves      *metrics.Counter
@@ -102,6 +103,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Full SSSP solves, by graph name.", "graph")
 	m.routeSolves = r.NewCounter("sssp_route_solves_total",
 		"Early-terminated point-to-point route solves.")
+	m.routeSolveDur = r.NewHistogramVec("sssp_route_solve_duration_seconds",
+		"Route solve latency, by engine (cache-answered routes excluded).", []string{"engine"}, solveBuckets)
 	m.routeCacheHits = r.NewCounter("sssp_route_cache_hits_total",
 		"Route queries answered from a cached distance vector (no solve).")
 	m.routePruned = r.NewCounter("sssp_route_pruned_relaxations_total",

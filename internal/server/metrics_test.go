@@ -145,6 +145,36 @@ func TestMetricsScrape(t *testing.T) {
 	}
 }
 
+// TestRouteSolveDuration: a route that solves is timed under its
+// engine; a route answered from a cached vector is not.
+func TestRouteSolveDuration(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{CacheBytes: 1 << 20})
+	var route routeResponse
+	if code := postJSON(t, ts, "/v1/route", routeRequest{Graph: "grid", Source: 5, Target: 390}, &route); code != http.StatusOK || route.Cached {
+		t.Fatalf("route: status %d, cached %v", code, route.Cached)
+	}
+	var dist distancesResponse
+	if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: 5}, &dist); code != http.StatusOK {
+		t.Fatalf("distances: status %d", code)
+	}
+	if code := postJSON(t, ts, "/v1/route", routeRequest{Graph: "grid", Source: 5, Target: 390}, &route); code != http.StatusOK || !route.Cached {
+		t.Fatalf("cached route: status %d, cached %v", code, route.Cached)
+	}
+	body, samples := scrape(t, ts)
+	if !strings.Contains(body, "# TYPE sssp_route_solve_duration_seconds histogram") {
+		t.Fatal("missing route solve histogram TYPE line")
+	}
+	var routes float64
+	for _, s := range samples {
+		if s.Name == "sssp_route_solve_duration_seconds_count" {
+			routes += s.Value
+		}
+	}
+	if routes != 1 {
+		t.Fatalf("route solve histogram counts %v routes, want 1 (the cached route is not a solve)", routes)
+	}
+}
+
 // TestMetricsAndStatsAgree: both views read the same registry, so the
 // numbers must match exactly.
 func TestMetricsAndStatsAgree(t *testing.T) {

@@ -852,6 +852,7 @@ func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, e
 		return nil, 0, err
 	}
 	defer s.pool.release()
+	t0 := time.Now()
 	var r rs.Result
 	err := s.guardSolve(ctx, e, src, func() (err error) {
 		r, err = e.Solver.Solve(ctx, rs.Query{
@@ -859,6 +860,9 @@ func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, e
 		})
 		return err
 	})
+	if err == nil {
+		s.metrics.routeSolveDur.With(r.Stats.Engine).Observe(time.Since(t0).Seconds())
+	}
 	if r.Stats.Pruned > 0 {
 		s.metrics.routePruned.Add(r.Stats.Pruned)
 		resp.Pruned = r.Stats.Pruned

@@ -161,7 +161,7 @@ func (s *Solver) PathFromDistances(src, dst Vertex, dist []float64) ([]Vertex, f
 	if math.IsInf(d, 1) {
 		return nil, d, nil
 	}
-	path, err := s.walkBack(dist, src, dst)
+	path, err := s.walkBack(func(v Vertex) float64 { return dist[v] }, src, dst)
 	if err != nil {
 		return nil, 0, err
 	}

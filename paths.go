@@ -36,21 +36,22 @@ func (s *Solver) Path(src, dst Vertex) ([]Vertex, float64, error) {
 }
 
 // walkBack reconstructs the path src..dst by walking tight edges of a
-// distance vector backward from dst. All vertices on a shortest path
+// distance function backward from dst. All vertices on a shortest path
 // to dst are settled by a target solve (their distances are <= d(dst)
 // and exact — goal-directed pruning never skips a relaxation on such a
 // path), and the original graph realizes the same metric as the
 // augmented one, so a tight predecessor always exists in it and the
 // route uses only real (non-shortcut) edges whenever the bundle
 // retains the original graph. Ties break toward the smaller distance,
-// then the smaller vertex id, so the route is deterministic.
-func (s *Solver) walkBack(dist []float64, src, dst Vertex) ([]Vertex, error) {
+// then the smaller vertex id, so the route is deterministic. dist is a
+// function so a target solve's distances can be read in its workspace.
+func (s *Solver) walkBack(dist func(Vertex) float64, src, dst Vertex) ([]Vertex, error) {
 	walk := s.pre.Graph
 	if s.pre.Original != nil {
 		walk = s.pre.Original
 	}
 	path := []Vertex{dst}
-	cur := dst
+	cur, dcur := dst, dist(dst)
 	for cur != src {
 		if len(path) > walk.NumVertices() {
 			// Zero-weight cycles could make the tight-edge walk
@@ -58,11 +59,11 @@ func (s *Solver) walkBack(dist []float64, src, dst Vertex) ([]Vertex, error) {
 			return nil, fmt.Errorf("radiusstep: path reconstruction cycled at %d (zero-weight cycle?)", cur)
 		}
 		adj, ws := walk.Neighbors(cur)
-		next := Vertex(-1)
+		next, dnext := Vertex(-1), 0.0
 		for i, u := range adj {
-			if !math.IsInf(dist[u], 1) && dist[u]+ws[i] == dist[cur] && u != cur {
-				if next == -1 || dist[u] < dist[next] || (dist[u] == dist[next] && u < next) {
-					next = u
+			if du := dist(u); !math.IsInf(du, 1) && du+ws[i] == dcur && u != cur {
+				if next == -1 || du < dnext || (du == dnext && u < next) {
+					next, dnext = u, du
 				}
 			}
 		}
@@ -70,7 +71,7 @@ func (s *Solver) walkBack(dist []float64, src, dst Vertex) ([]Vertex, error) {
 			return nil, fmt.Errorf("radiusstep: internal: no tight predecessor at %d", cur)
 		}
 		path = append(path, next)
-		cur = next
+		cur, dcur = next, dnext
 	}
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]

@@ -16,7 +16,8 @@ type Query struct {
 	// the solve stops as soon as Target is settled (Theorem 3.1
 	// guarantees settled distances are exact), which on large graphs
 	// explores only the ball of radius d(Source, Target), and the
-	// Result carries the distance and the path.
+	// Result carries the distance and the path but no distance vector
+	// (Result.Dist is nil).
 	Target    Vertex
 	HasTarget bool
 	// Engine overrides the solve engine for this query. EngineAuto
@@ -49,9 +50,8 @@ type Query struct {
 // Result is the answer to one Query.
 type Result struct {
 	// Dist is the distance vector from Source (+Inf for unreachable
-	// vertices). On a target query only the vertices settled before
-	// Target are exact; the rest are upper bounds or +Inf, and Dist is
-	// nil when a landmark proved Target unreachable without a solve.
+	// vertices) of a full query. It is nil on a target query, whose
+	// answer is Distance and Path.
 	Dist []float64
 	// Distance is d(Source, Target) on a target query (+Inf when
 	// unreachable).
@@ -100,7 +100,13 @@ func (s *Solver) Solve(ctx context.Context, q Query) (Result, error) {
 	var r Result
 	ws := s.getWS()
 	if q.HasTarget {
-		r.Distance, r.Dist, r.Stats, err = core.SolveKindTarget(s.pre.Graph, s.pre.Radii, src, dst, kind, params, ws)
+		// The path is walked on the workspace's distances before it
+		// goes back to the pool, so a target query never copies out an
+		// n-vector.
+		r.Distance, r.Stats, err = core.SolveTarget(s.pre.Graph, s.pre.Radii, src, dst, kind, params, ws)
+		if err == nil && !math.IsInf(r.Distance, 1) {
+			r.Path, err = s.walkBack(ws.Dist, src, dst)
+		}
 	} else {
 		r.Dist, r.Stats, err = core.SolveKind(s.pre.Graph, s.pre.Radii, src, kind, params, ws)
 	}
@@ -110,11 +116,6 @@ func (s *Solver) Solve(ctx context.Context, q Query) (Result, error) {
 	}
 	if params.Recorder != nil {
 		r.Timeline = params.Recorder.Timeline()
-	}
-	if q.HasTarget && !math.IsInf(r.Distance, 1) {
-		if r.Path, err = s.walkBack(r.Dist, src, dst); err != nil {
-			return Result{}, err
-		}
 	}
 	return r, nil
 }

@@ -2,6 +2,8 @@ package radiusstep_test
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	rs "radiusstep"
@@ -72,6 +74,57 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("steady-state %v Distances allocates %v objects per solve, want <= %v",
 				tc.engine, allocs, tc.budget)
 		}
+	}
+}
+
+// TestRouteBytesConstant is the route allocation gate: on a warmed
+// solver with landmarks, a pruned Route explores a ball around its
+// endpoints and allocates about the same bytes on a 10k-vertex and a
+// 40k-vertex grid — its path, not an n-vector. CI runs this test by
+// name.
+func TestRouteBytesConstant(t *testing.T) {
+	perRoute := func(side int) uint64 {
+		g := rs.WithUniformIntWeights(rs.Grid2D(side, side), 1, 100, 4)
+		s, err := rs.NewSolver(g, rs.Options{Rho: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.BuildLandmarks(4, rs.LandmarksFarthest); err != nil {
+			t.Fatal(err)
+		}
+		// The same offset from the grid's center on both sizes, at
+		// least 30 hops away.
+		src := rs.Vertex(side/2*side + side/2)
+		dst := src + rs.Vertex(15*side+15)
+		route := func() {
+			path, _, st, err := s.Route(src, dst, rs.EngineAuto, true)
+			if err != nil || len(path) < 31 || st.Pruned == 0 {
+				t.Fatalf("%dx%d grid: route of %d vertices, %d pruned, err %v", side, side, len(path), st.Pruned, err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			route()
+		}
+		// The median route: sync.Pool caches per P (and drops items at
+		// random under -race), so now and then a route misses the pool
+		// and grows a fresh workspace, which says nothing about a
+		// route's own cost.
+		bytes := make([]uint64, 101)
+		var ms runtime.MemStats
+		for i := range bytes {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			route()
+			runtime.ReadMemStats(&ms)
+			bytes[i] = ms.TotalAlloc - before
+		}
+		slices.Sort(bytes)
+		return bytes[len(bytes)/2]
+	}
+	small, large := perRoute(100), perRoute(200)
+	t.Logf("bytes allocated by the median route: %d on 10k vertices, %d on 40k vertices", small, large)
+	if large > small+4<<10 {
+		t.Fatalf("the median route allocates %d bytes on 40k vertices against %d on 10k, want within 4 KiB", large, small)
 	}
 }
 
