@@ -99,13 +99,16 @@ func adaptiveGrain(total, minG, maxG int) int {
 const ubSlack = 1e-9
 
 // touchedDiv sets the touched-list cap at n/touchedDiv vertices. Below
-// the cap the next solve resets only the vertices this one wrote;
-// above it, a plain O(n) fill is as cheap and the list stops growing.
-// Over 300 pruned routes to targets 50 hops away on the serving
-// benchmark's road-route graph (49,160 vertices, BFS order, 8
-// landmarks) the median route touched 4,034 vertices, the p90 6,019
-// and the largest 8,300: 23 routes passed n/8 and none n/4. Full
-// solves touch every reachable vertex and pass it.
+// the cap the next solve resets only the vertices this one wrote; above
+// it the list stops growing and the next solve does the O(n) fill. The
+// cap is sized so that routes stay under it: over 300 pruned routes to
+// targets 50 hops away on the serving benchmark's road-route graph
+// (49,160 vertices, BFS order, 8 landmarks) the median route touched
+// 4,034 vertices, the p90 6,019 and the largest 8,300, so 23 routes
+// passed n/8 and none n/4. The touched count where a partial reset
+// stops beating the fill has not been measured. A full solve touches
+// every vertex it reaches, so it passes the cap unless its source lies
+// in a component of at most n/4 vertices.
 const touchedDiv = 4
 
 // Workspace holds every buffer a solve needs — the distance bits, the

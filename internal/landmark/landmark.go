@@ -210,33 +210,33 @@ func (s *Set) Rows() []float64 {
 	return rows
 }
 
-// lower is the per-landmark admissible bound |a−b| with Inf semantics
-// and the float-safety margin applied.
-func lower(a, b float64) float64 {
-	if math.IsInf(a, 1) || math.IsInf(b, 1) {
-		if a == b {
-			// Both outside the landmark's component: the landmark says
-			// nothing about d(v, t).
-			return 0
+// bound is the best triangle-inequality bound on d(v, t) from v's and
+// t's landmark columns: the maximum over landmarks of
+// |a−b| − slack·max(a,b), and 0 when none is positive. When exactly one
+// of a, b is +Inf, |a−b| is +Inf: the landmark reaches one endpoint
+// only, so they lie in different components of the (undirected) graph,
+// d(v, t) = +Inf, and +Inf is an exact — hence admissible — bound. When
+// both are +Inf the landmark reaches neither and says nothing: a−b is
+// NaN, which loses every comparison, so it adds nothing.
+func bound(dv, dt []float64) float64 {
+	best := 0.0
+	for i, a := range dv {
+		b := dt[i]
+		d, m := a-b, a
+		if d < 0 {
+			d = -d
 		}
-		// Exactly one of v, t reaches the landmark, so they are in
-		// different components of the (undirected) graph: d(v,t) = +Inf,
-		// and +Inf is an exact — hence admissible — bound.
-		return math.Inf(1)
+		if d > math.MaxFloat64 {
+			return d
+		}
+		if b > m {
+			m = b
+		}
+		if lb := d - slack*m; lb > best {
+			best = lb
+		}
 	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	m := a
-	if b > m {
-		m = b
-	}
-	d -= slack * m
-	if d < 0 {
-		return 0
-	}
-	return d
+	return best
 }
 
 // LowerBound returns an admissible lower bound on d(v, t): the best
@@ -251,15 +251,7 @@ func (s *Set) LowerBound(v, t graph.V) float64 {
 		return 0 // out-of-range queries get the vacuous (admissible) bound
 	}
 	k := len(s.verts)
-	dv := s.dist[int(v)*k : int(v)*k+k]
-	dt := s.dist[int(t)*k : int(t)*k+k]
-	best := 0.0
-	for i, a := range dv {
-		if lb := lower(a, dt[i]); lb > best {
-			best = lb
-		}
-	}
-	return best
+	return bound(s.dist[int(v)*k:int(v)*k+k], s.dist[int(t)*k:int(t)*k+k])
 }
 
 // BoundTo returns the goal-direction hook for target t — a closure
@@ -267,14 +259,6 @@ func (s *Set) LowerBound(v, t graph.V) float64 {
 // the shape core.Params.Bound expects. Returns nil when the set holds
 // no landmarks (no hook beats a useless hook on the hot path). The
 // closure is pure and safe for concurrent use.
-//
-// When every landmark reaches t — always, on a connected graph — the
-// closure inlines lower: a v that misses a landmark is in another
-// component (+Inf at once), and otherwise each landmark contributes
-// |a−b| − slack·max(a,b), whose negative values lose to the running
-// maximum just as lower's clamp to 0 does. The result has the same bits
-// as LowerBound(v, t), which the closure calls when some landmark
-// misses t.
 func (s *Set) BoundTo(t graph.V) func(graph.V) float64 {
 	if s.K() == 0 {
 		return nil
@@ -285,31 +269,8 @@ func (s *Set) BoundTo(t graph.V) func(graph.V) float64 {
 	k := len(s.verts)
 	dist := s.dist
 	dt := dist[int(t)*k : int(t)*k+k]
-	for _, b := range dt {
-		if math.IsInf(b, 1) {
-			return func(v graph.V) float64 { return s.LowerBound(v, t) }
-		}
-	}
 	return func(v graph.V) float64 {
-		dv := dist[int(v)*k : int(v)*k+k]
-		best := 0.0
-		for i, a := range dv {
-			if math.IsInf(a, 1) {
-				return math.Inf(1)
-			}
-			b := dt[i]
-			d, m := a-b, a
-			if d < 0 {
-				d = -d
-			}
-			if b > m {
-				m = b
-			}
-			if lb := d - slack*m; lb > best {
-				best = lb
-			}
-		}
-		return best
+		return bound(dist[int(v)*k:int(v)*k+k], dt)
 	}
 }
 

@@ -104,7 +104,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.routeSolves = r.NewCounter("sssp_route_solves_total",
 		"Early-terminated point-to-point route solves.")
 	m.routeSolveDur = r.NewHistogramVec("sssp_route_solve_duration_seconds",
-		"Route solve latency, by engine (cache-answered routes excluded).", []string{"engine"}, solveBuckets)
+		"Route solve latency, by engine (cache-answered and landmark-certified unreachable routes excluded).", []string{"engine"}, solveBuckets)
 	m.routeCacheHits = r.NewCounter("sssp_route_cache_hits_total",
 		"Route queries answered from a cached distance vector (no solve).")
 	m.routePruned = r.NewCounter("sssp_route_pruned_relaxations_total",

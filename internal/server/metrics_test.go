@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	rs "radiusstep"
 	"radiusstep/internal/metrics"
 )
 
@@ -160,18 +161,53 @@ func TestRouteSolveDuration(t *testing.T) {
 	if code := postJSON(t, ts, "/v1/route", routeRequest{Graph: "grid", Source: 5, Target: 390}, &route); code != http.StatusOK || !route.Cached {
 		t.Fatalf("cached route: status %d, cached %v", code, route.Cached)
 	}
+	timed := func(samples []metrics.Sample) (routes float64) {
+		for _, s := range samples {
+			if s.Name == "sssp_route_solve_duration_seconds_count" {
+				routes += s.Value
+			}
+		}
+		return routes
+	}
 	body, samples := scrape(t, ts)
 	if !strings.Contains(body, "# TYPE sssp_route_solve_duration_seconds histogram") {
 		t.Fatal("missing route solve histogram TYPE line")
 	}
-	var routes float64
-	for _, s := range samples {
-		if s.Name == "sssp_route_solve_duration_seconds_count" {
-			routes += s.Value
+	if routes := timed(samples); routes != 1 {
+		t.Fatalf("route solve histogram counts %v routes, want 1 (the cached route is not a solve)", routes)
+	}
+
+	// Two disjoint 5x5 grids with landmarks: a route across them is
+	// answered by a landmark certificate without a solve, and not timed.
+	grid := rs.Grid2D(5, 5)
+	edges := rs.Edges(grid)
+	for _, e := range rs.Edges(grid) {
+		edges = append(edges, rs.Edge{U: e.U + 25, V: e.V + 25, W: e.W})
+	}
+	solver, err := rs.NewSolver(rs.FromEdges(50, edges), rs.Options{Rho: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := solver.BuildLandmarks(2, rs.LandmarksFarthest); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.Add(NewSolverEntry("split", solver, rs.Options{Rho: 8}, "test", 0)); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(New(reg, Config{}).Handler())
+	defer ts2.Close()
+	for _, c := range []struct {
+		target  int64
+		reached bool
+	}{{30, false}, {24, true}} {
+		var resp routeResponse
+		if code := postJSON(t, ts2, "/v1/route", routeRequest{Graph: "split", Source: 0, Target: c.target}, &resp); code != http.StatusOK || (resp.Distance > 0) != c.reached {
+			t.Fatalf("route 0 -> %d: status %d, distance %v", c.target, code, resp.Distance)
 		}
 	}
-	if routes != 1 {
-		t.Fatalf("route solve histogram counts %v routes, want 1 (the cached route is not a solve)", routes)
+	if _, samples := scrape(t, ts2); timed(samples) != 1 {
+		t.Fatalf("route solve histogram counts %v routes on the split graph, want 1 (the certified-unreachable route is not a solve)", timed(samples))
 	}
 }
 

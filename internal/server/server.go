@@ -860,7 +860,9 @@ func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, e
 		})
 		return err
 	})
-	if err == nil {
+	// A pair a landmark proves unreachable returns without a solve (no
+	// steps) and is not timed.
+	if err == nil && r.Stats.Steps > 0 {
 		s.metrics.routeSolveDur.With(r.Stats.Engine).Observe(time.Since(t0).Seconds())
 	}
 	if r.Stats.Pruned > 0 {
