@@ -189,7 +189,7 @@ func ReadDIMACS(r io.Reader) (*CSR, error) {
 				return nil, fmt.Errorf("graph: negative sizes at line %d: %q", line, text)
 			}
 			seenHeader = true
-			edges = make([]Edge, 0, m)
+			edges = edgesFor(m)
 		case "a":
 			if !seenHeader {
 				return nil, fmt.Errorf("graph: arc before problem line at line %d", line)

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -105,6 +106,31 @@ func TestReadDIMACSErrors(t *testing.T) {
 		_, err := ReadDIMACS(strings.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestHeaderArcCountNotPreallocated: a header's arc count is not
+// trusted before the input bears it out, so a header declaring 2e9 arcs
+// with none following is rejected without allocating for them.
+func TestHeaderArcCountNotPreallocated(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		read func() error
+		want string
+	}{
+		{"text", func() error { _, err := ReadText(strings.NewReader("p sssp 1 2000000000\n")); return err }, "declares 2000000000 edges, found 0"},
+		{"dimacs", func() error { _, err := ReadDIMACS(strings.NewReader("p sp 1 2000000000\n")); return err }, "declares 2000000000 arcs, found 0"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+			t.Errorf("%s: rejecting the header allocated %d bytes, want < %d", tc.name, alloc, 4<<20)
 		}
 	}
 }

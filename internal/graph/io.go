@@ -26,6 +26,17 @@ func WriteText(w io.Writer, g *CSR) error {
 	return bw.Flush()
 }
 
+// maxPreallocEdges caps the edges a reader allocates up front from a
+// header's count. The count is not trusted: the end-of-input check
+// rejects a header the input does not bear out, and until then append
+// grows the slice, so a lying header costs no more than this.
+const maxPreallocEdges = 1 << 16
+
+// edgesFor returns an empty edge slice sized for a header's count.
+func edgesFor(m int) []Edge {
+	return make([]Edge, 0, min(max(m, 0), maxPreallocEdges))
+}
+
 // ReadText parses the text edge-list format.
 func ReadText(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
@@ -49,7 +60,7 @@ func ReadText(r io.Reader) (*CSR, error) {
 				return nil, fmt.Errorf("graph: unsupported problem kind %q", kind)
 			}
 			seenHeader = true
-			edges = make([]Edge, 0, m)
+			edges = edgesFor(m)
 			continue
 		}
 		fields := strings.Fields(text)

@@ -10,13 +10,15 @@ import (
 )
 
 // The bodies that carry distances — /v1/distances, traced or not, and
-// /v1/batch — are written by hand rather than through encoding/json. A
-// cache hit hands the writer the cached vector itself: it is formatted
-// in place into a pooled buffer and streamed to the ResponseWriter, with
-// no copy to map +Inf to -1 and no reflection. The bytes are exactly
-// those json.NewEncoder(w).Encode writes for the same response with
-// +Inf mapped to -1 (TestDistanceBodiesMatchEncodingJSON pins this), so
-// the distancesResponse struct and its tags stay the schema of record.
+// /v1/batch — are written by hand rather than through encoding/json.
+// The fields around a distance vector are formatted into a pooled buffer
+// and streamed to the ResponseWriter. A full vector whose JSON array the
+// cache holds (its body, built once by appendDistances) is written as
+// those bytes; any other vector is formatted in place from the shared
+// slice, with no copy to map +Inf to -1 and no reflection. The bytes are
+// exactly those json.NewEncoder(w).Encode writes for the same response
+// with +Inf mapped to -1 (TestDistanceBodiesMatchEncodingJSON pins this),
+// so the distancesResponse struct and its tags stay the schema of record.
 
 // bodyBufSize is the capacity of a pooled body buffer. A body that fits
 // goes out in one Write, as with encoding/json; a longer one goes out in
@@ -116,6 +118,11 @@ func (bw *bodyWriter) marshal(v any) {
 		bw.err = err
 		return
 	}
+	bw.raw(b)
+}
+
+// raw appends b, or writes it on its own when it does not fit the buffer.
+func (bw *bodyWriter) raw(b []byte) {
 	if len(bw.buf)+len(b) > bodyBufSize-bodySlack {
 		bw.flush()
 		if len(b) > bodyBufSize-bodySlack {
@@ -146,7 +153,10 @@ func (bw *bodyWriter) response(r *distancesResponse) {
 	bw.buf = strconv.AppendBool(bw.buf, r.Cached)
 	bw.buf = append(bw.buf, `,"reached":`...)
 	bw.buf = strconv.AppendInt(bw.buf, int64(r.Reached), 10)
-	if len(r.Distances) > 0 {
+	if r.body != nil {
+		bw.buf = append(bw.buf, `,"distances":`...)
+		bw.raw(r.body)
+	} else if len(r.Distances) > 0 {
 		bw.buf = append(bw.buf, `,"distances":[`...)
 		for i, d := range r.Distances {
 			if i > 0 {
@@ -193,6 +203,19 @@ func (bw *bodyWriter) pairs(key string, ps []vertexDistance) {
 		}
 	}
 	bw.buf = append(bw.buf, ']')
+}
+
+// appendDistances appends dist as the JSON array a full-vector body
+// carries, each distance as appendDistance formats it.
+func appendDistances(b []byte, dist []float64) []byte {
+	b = append(b, '[')
+	for i, d := range dist {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendDistance(b, d)
+	}
+	return append(b, ']')
 }
 
 // appendDistance appends d as encoding/json encodes finite(d): +Inf

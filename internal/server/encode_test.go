@@ -87,7 +87,8 @@ func distanceVectors(t *testing.T) map[string][]float64 {
 // kind of value, must produce exactly what json.NewEncoder(w).Encode
 // writes for the same response with +Inf mapped to -1. The graph name
 // and error text carry characters the encoder HTML-escapes, and the
-// timeline is longer than the writer's buffer.
+// timeline is longer than the writer's buffer. The full-body shape, alone
+// and in the batch, sends the body a cache entry keeps for the vector.
 func TestDistanceBodiesMatchEncodingJSON(t *testing.T) {
 	const graph = `g<>&"1`
 	grid, err := rs.NewSolver(rs.WithUniformIntWeights(rs.Grid2D(30, 30), 1, 100, 3), rs.Options{Rho: 1})
@@ -100,19 +101,31 @@ func TestDistanceBodiesMatchEncodingJSON(t *testing.T) {
 	}
 	for name, dist := range distanceVectors(t) {
 		n := int64(len(dist))
-		shape := func(epoch uint64, cached bool, topK int, targets []int64) distancesResponse {
+		cache := newDistCache(1 << 30)
+		key := cacheKey{graph: graph, src: int32(n / 3)}
+		cache.Add(key, dist)
+		cache.AttachBody(key, dist, appendDistances(nil, dist))
+		cached, _ := cache.Peek(key)
+		if cached.body == nil || cached.reached != countReached(dist) {
+			t.Fatalf("%s: cache entry has body %t, reached %d", name, cached.body != nil, cached.reached)
+		}
+		shapeFrom := func(v vector, epoch uint64, cached bool, topK int, targets []int64) distancesResponse {
 			resp := distancesResponse{Graph: graph, Source: n / 3, Epoch: epoch, Cached: cached}
-			shapeDistances(&resp, dist, topK, targets)
+			shapeDistances(&resp, v, topK, targets)
 			return resp
+		}
+		shape := func(epoch uint64, cached bool, topK int, targets []int64) distancesResponse {
+			return shapeFrom(vector{dist: dist, reached: countReached(dist)}, epoch, cached, topK, targets)
 		}
 		trace := shape(0, false, 0, nil)
 		trace.Trace = traced.Timeline
 		shapes := map[string]distancesResponse{
-			"full":    shape(3, true, 0, nil),
-			"topk":    shape(0, false, 7, nil),
-			"targets": shape(1<<40, true, 0, []int64{0, n - 1, n / 2, n - 1}),
-			"error":   {Graph: graph, Source: 5, Epoch: 2, Error: `solve <failed> & "stopped"`},
-			"trace":   trace,
+			"full":      shape(3, true, 0, nil),
+			"full-body": shapeFrom(cached, 3, true, 0, nil),
+			"topk":      shape(0, false, 7, nil),
+			"targets":   shape(1<<40, true, 0, []int64{0, n - 1, n / 2, n - 1}),
+			"error":     {Graph: graph, Source: 5, Epoch: 2, Error: `solve <failed> & "stopped"`},
+			"trace":     trace,
 		}
 		var batch batchResponse
 		batch.Graph = graph
@@ -157,7 +170,8 @@ func firstDiff(a, b []byte) int {
 
 // FuzzDistanceJSON: for any float64 but NaN and -Inf (distances are
 // never either), the writer formats a distance exactly as encoding/json
-// formats finite(x).
+// formats finite(x), and the array encoder formats short vectors of x
+// exactly as encoding/json formats them with +Inf mapped to -1.
 func FuzzDistanceJSON(f *testing.F) {
 	for _, x := range jsonEdgeValues {
 		f.Add(x)
@@ -172,6 +186,20 @@ func FuzzDistanceJSON(f *testing.F) {
 		}
 		if got := appendDistance(nil, x); !bytes.Equal(got, want) {
 			t.Fatalf("%v (bits %#x): writer %q, encoding/json %q", x, math.Float64bits(x), got, want)
+		}
+		vec := []float64{x, x / 3, math.Inf(1), x}
+		for k := range len(vec) + 1 {
+			safe := make([]float64, k)
+			for i, d := range vec[:k] {
+				safe[i] = finite(d)
+			}
+			want, err := json.Marshal(safe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendDistances(nil, vec[:k]); !bytes.Equal(got, want) {
+				t.Fatalf("%v (bits %#x): array encoder %q, encoding/json %q", vec[:k], math.Float64bits(x), got, want)
+			}
 		}
 	})
 }

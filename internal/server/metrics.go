@@ -190,8 +190,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.cache.Stats().Evictions) })
 	r.NewGaugeFunc("sssp_cache_entries", "Distance-cache resident entries.",
 		func() float64 { return float64(s.cache.Stats().Entries) })
-	r.NewGaugeFunc("sssp_cache_bytes", "Distance-cache resident bytes.",
+	r.NewGaugeFunc("sssp_cache_bytes", "Distance-cache resident bytes: vectors and their encoded bodies.",
 		func() float64 { return float64(s.cache.Stats().Bytes) })
+	r.NewGaugeFunc("sssp_cache_body_bytes", "Distance-cache resident bytes of encoded full-vector bodies.",
+		func() float64 { return float64(s.cache.Stats().BodyBytes) })
 	r.NewGaugeFunc("sssp_pool_workers", "Solve-pool slot count.",
 		func() float64 { return float64(s.pool.Stats().Workers) })
 	r.NewGaugeFunc("sssp_pool_in_use", "Solve-pool slots currently held.",

@@ -229,6 +229,9 @@ func TestMetricsAndStatsAgree(t *testing.T) {
 	if v, _ := sampleValue(samples, "sssp_cache_hits_total", nil); int64(v) != snap.Cache.Hits {
 		t.Fatalf("/metrics cache hits %v != /v1/stats %d", v, snap.Cache.Hits)
 	}
+	if v, _ := sampleValue(samples, "sssp_cache_body_bytes", nil); int64(v) != snap.Cache.BodyBytes || v == 0 {
+		t.Fatalf("/metrics cache body bytes %v != /v1/stats %d, or zero after three full-vector queries", v, snap.Cache.BodyBytes)
+	}
 	if v, _ := sampleValue(samples, "sssp_graph_solves_total", map[string]string{"graph": "grid"}); int64(v) != snap.SolvesByGraph["grid"] {
 		t.Fatalf("/metrics graph solves %v != /v1/stats %d", v, snap.SolvesByGraph["grid"])
 	}

@@ -52,7 +52,8 @@ const DefaultSolveTimeout = 30 * time.Second
 type Config struct {
 	// Workers bounds concurrent solves (default GOMAXPROCS).
 	Workers int
-	// CacheBytes is the distance-cache budget; <= 0 disables caching.
+	// CacheBytes is the distance-cache budget, covering the vectors and
+	// their encoded bodies; <= 0 disables caching.
 	CacheBytes int64
 	// Logger, when non-nil, receives structured request logs (one line
 	// per request with endpoint, status and latency) and per-solve logs
@@ -346,21 +347,21 @@ func engineParam(r *http.Request) (rs.Engine, error) {
 }
 
 // distances answers one (graph, source) query through the cache →
-// coalescing → pool pipeline. The returned slice is shared (cache and
+// coalescing → pool pipeline. The returned vector is shared (cache and
 // concurrent waiters) and must not be modified. Distances are identical
 // across engines, so the cache and coalescing key stays (graph, source):
 // an engine override only decides which engine runs on a miss, and
 // concurrent same-key requests with different overrides share the
 // leader's solve.
-func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine rs.Engine) (dist []float64, cached bool, err error) {
+func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine rs.Engine) (v vector, cached bool, err error) {
 	// The key carries e.Epoch: the whole request already pinned one
 	// epoch at resolve time, so cache hits, coalesced joins, and the
 	// fill below are all scoped to that epoch — a reload mid-request
 	// can neither serve this request a stale vector nor adopt this
 	// request's vector into the new epoch's cache.
 	key := cacheKey{graph: e.Name, epoch: e.Epoch, src: int32(src)}
-	if d, ok := s.cache.Get(key); ok {
-		return d, true, nil
+	if v, ok := s.cache.Get(key); ok {
+		return v, true, nil
 	}
 	// The solve runs under the flight call's own context: detached from
 	// any single request's values and deadline — its result is shared
@@ -374,8 +375,8 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 		// filled it and reach the flight just after that leader left.
 		// Look again before solving; Peek counts nothing and keeps the
 		// LRU order, since this request already counted its miss.
-		if d, ok := s.cache.Peek(key); ok {
-			return d, nil
+		if v, ok := s.cache.Peek(key); ok {
+			return v.dist, nil
 		}
 		if err := s.pool.acquire(solveCtx); err != nil {
 			return nil, err
@@ -407,10 +408,18 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 	// different ones), so a solve aborted because THIS request's
 	// deadline expired comes back as a cancellation; restore the real
 	// cause for status mapping (504, not 499).
-	if err != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		err = rs.ErrDeadline
+	if err != nil {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			err = rs.ErrDeadline
+		}
+		return vector{}, false, err
 	}
-	return d, false, err
+	// The leader's fill counted the vector's reached vertices; a vector
+	// the cache did not keep is counted here.
+	if v, ok := s.cache.Peek(key); ok {
+		return v, false, nil
+	}
+	return vector{dist: d, reached: countReached(d)}, false, nil
 }
 
 // guardSolve runs one solve behind the solve fault seam with panic
@@ -525,6 +534,10 @@ type distancesResponse struct {
 	// Trace is the solve timeline, present only for ?trace=1 requests.
 	Trace *rs.Timeline `json:"trace,omitempty"`
 	Error string       `json:"error,omitempty"`
+
+	// body, when set, is Distances as a JSON array, which the distance
+	// writer sends in place of formatting Distances.
+	body []byte
 }
 
 type routeRequest struct {
@@ -711,7 +724,7 @@ func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK
 	s.metrics.observeSolve(e.Name, r.Stats, dur)
 	s.logSolve(e.Name, src, r.Stats, dur)
 	resp.Trace = r.Timeline
-	shapeDistances(&resp, r.Dist, topK, targets)
+	shapeDistances(&resp, vector{dist: r.Dist, reached: countReached(r.Dist)}, topK, targets)
 	return resp, http.StatusOK
 }
 
@@ -729,30 +742,34 @@ func (s *Server) checkTargets(w http.ResponseWriter, e *Entry, targets []int64) 
 }
 
 // answerSource runs one source query and shapes the response per the
-// topk/targets options. It is shared by /v1/distances and /v1/batch.
+// topk/targets options. It is shared by /v1/distances and /v1/batch. The
+// first full-vector response for a cached vector with room for a body
+// builds the body and attaches it to the cache.
 func (s *Server) answerSource(ctx context.Context, e *Entry, src rs.Vertex, topK int, targets []int64, engine rs.Engine) (distancesResponse, int) {
 	resp := distancesResponse{Graph: e.Name, Source: int64(src), Epoch: e.Epoch}
-	dist, cached, err := s.distances(ctx, e, src, engine)
+	v, cached, err := s.distances(ctx, e, src, engine)
 	if err != nil {
 		s.recordSolveError(err)
 		resp.Error = err.Error()
 		return resp, solveStatus(err)
 	}
 	resp.Cached = cached
-	shapeDistances(&resp, dist, topK, targets)
+	shapeDistances(&resp, v, topK, targets)
+	if len(resp.Distances) > 0 && v.build > 0 {
+		resp.body = appendDistances(make([]byte, 0, v.build), v.dist)
+		s.cache.AttachBody(cacheKey{graph: e.Name, epoch: e.Epoch, src: int32(src)}, v.dist, resp.body)
+	}
 	return resp, http.StatusOK
 }
 
 // shapeDistances fills the response body per the topk/targets options.
-// A full vector is not copied: resp.Distances aliases dist, which may be
-// the shared read-only cached vector and holds +Inf for unreachable
-// vertices, so only the distance writer may encode it.
-func shapeDistances(resp *distancesResponse, dist []float64, topK int, targets []int64) {
-	for _, d := range dist {
-		if !math.IsInf(d, 1) {
-			resp.Reached++
-		}
-	}
+// A full vector is not copied: resp.Distances aliases v.dist, which may
+// be the shared read-only cached vector and holds +Inf for unreachable
+// vertices, so only the distance writer may encode it, and resp.body is
+// the vector's cached body, if any.
+func shapeDistances(resp *distancesResponse, v vector, topK int, targets []int64) {
+	dist := v.dist
+	resp.Reached = v.reached
 	switch {
 	case len(targets) > 0:
 		// Targets were range-checked by the handler before the solve.
@@ -763,7 +780,7 @@ func shapeDistances(resp *distancesResponse, dist []float64, topK int, targets [
 	case topK > 0:
 		resp.Nearest = nearestK(dist, topK)
 	default:
-		resp.Distances = dist
+		resp.Distances, resp.body = dist, v.body
 	}
 }
 
@@ -817,8 +834,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// Cache-first: a full vector for this source already holds every
 	// distance, and reconstruction is a cheap backward walk — answering
 	// here keeps the solve pool free for real misses.
-	if dist, hit := s.cache.Get(cacheKey{graph: e.Name, epoch: e.Epoch, src: int32(src)}); hit {
-		path, d, err := e.Solver.PathFromDistances(e.storedID(src), e.storedID(dst), e.storedDistances(dist))
+	if v, hit := s.cache.Get(cacheKey{graph: e.Name, epoch: e.Epoch, src: int32(src)}); hit {
+		path, d, err := e.Solver.PathFromDistances(e.storedID(src), e.storedID(dst), e.storedDistances(v.dist))
 		if err == nil {
 			s.metrics.routeCacheHits.Inc()
 			resp.Cached = true
