@@ -2,10 +2,8 @@ package baseline
 
 import (
 	"math"
-	"sync/atomic"
 
 	"radiusstep/internal/graph"
-	"radiusstep/internal/parallel"
 )
 
 // BellmanFord computes SSSP distances with round-synchronous relaxation
@@ -27,8 +25,8 @@ func BellmanFord(g *graph.CSR, src graph.V) ([]float64, int) {
 	for len(frontier) > 0 {
 		rounds++
 		// Synchronous (Jacobi) rounds: sources relax with their
-		// distance as of the round start, so round counts match the
-		// parallel variant exactly.
+		// distance as of the round start, so the round count does not
+		// depend on the order of the frontier.
 		snap = snap[:0]
 		for _, u := range frontier {
 			snap = append(snap, dist[u])
@@ -55,72 +53,4 @@ func BellmanFord(g *graph.CSR, src graph.V) ([]float64, int) {
 	// The last executed round produced no updates: it is the natural
 	// "until no δ(v) was updated" check, already counted.
 	return dist, rounds
-}
-
-// BellmanFordParallel is the parallel variant: each round relaxes all
-// frontier edges concurrently with priority-writes and claims each newly
-// updated vertex exactly once for the next frontier.
-func BellmanFordParallel(g *graph.CSR, src graph.V) ([]float64, int) {
-	n := g.NumVertices()
-	bits := make([]uint64, n)
-	parallel.Fill(bits, parallel.InfBits)
-	bits[src] = parallel.ToBits(0)
-	stamp := make([]uint32, n)
-	frontier := []graph.V{src}
-	round := uint32(0)
-	rounds := 0
-	for len(frontier) > 0 {
-		rounds++
-		round++
-		next := relaxFrontier(g, bits, stamp, round, frontier)
-		frontier = next
-	}
-	return parallel.BitsToFloats(bits), rounds
-}
-
-// frontierGrain is the batched-claim size for per-vertex frontier loops
-// in the parallel baselines: enough vertices per atomic claim that
-// scheduling vanishes next to the relaxation work, small enough that
-// skewed degree distributions still load-balance.
-const frontierGrain = 64
-
-// relaxFrontier relaxes every arc out of frontier with WriteMin and
-// returns the deduplicated set of vertices whose distance improved.
-// Rounds are synchronous (sources snapshotted first), so round counts
-// are deterministic. Shared by the parallel baselines.
-func relaxFrontier(g *graph.CSR, bits []uint64, stamp []uint32, round uint32, frontier []graph.V) []graph.V {
-	p := parallel.Procs()
-	parts := make([][]graph.V, p)
-	snap := make([]float64, len(frontier))
-	parallel.For(len(frontier), func(i int) {
-		snap[i] = parallel.FromBits(atomic.LoadUint64(&bits[frontier[i]]))
-	})
-	parallel.WorkersGrain(len(frontier), frontierGrain, func(w int, claim func() (int, int, bool)) {
-		var local []graph.V
-		for {
-			lo, hi, ok := claim()
-			if !ok {
-				break
-			}
-			for i := lo; i < hi; i++ {
-				u := frontier[i]
-				du := snap[i]
-				adj, ws := g.Neighbors(u)
-				for j, v := range adj {
-					nb := parallel.ToBits(du + ws[j])
-					if parallel.WriteMin(&bits[v], nb) {
-						if parallel.Claim(&stamp[v], round) {
-							local = append(local, v)
-						}
-					}
-				}
-			}
-		}
-		parts[w] = local
-	})
-	var next []graph.V
-	for _, part := range parts {
-		next = append(next, part...)
-	}
-	return next
 }

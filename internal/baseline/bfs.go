@@ -37,6 +37,12 @@ func BFS(g *graph.CSR, src graph.V) (dist []int32, levels int) {
 	return dist, levels
 }
 
+// frontierGrain is the batched-claim size for per-vertex frontier loops
+// in the parallel baselines: enough vertices per atomic claim that
+// scheduling vanishes next to the relaxation work, small enough that
+// skewed degree distributions still load-balance.
+const frontierGrain = 64
+
 // BFSParallel is the level-synchronous parallel BFS: each level expands
 // the frontier concurrently, claiming each discovered vertex exactly once.
 func BFSParallel(g *graph.CSR, src graph.V) (dist []int32, levels int) {
@@ -82,16 +88,4 @@ func BFSParallel(g *graph.CSR, src graph.V) (dist []int32, levels int) {
 		frontier = next
 	}
 	return dist, levels
-}
-
-// Eccentricity returns the largest finite hop distance from src.
-func Eccentricity(g *graph.CSR, src graph.V) int32 {
-	dist, _ := BFS(g, src)
-	var ecc int32
-	for _, d := range dist {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
 }

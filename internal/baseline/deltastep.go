@@ -10,11 +10,15 @@ import (
 
 // DeltaStats reports the phase structure of a ∆-stepping run: Steps is the
 // number of buckets processed, Substeps the total inner (light-edge)
-// iterations, Relaxations the number of successful distance improvements.
+// iterations, Relaxations the number of successful distance improvements,
+// and EdgesScanned the number of arcs the light and heavy passes tried to
+// relax. Which priority-writes succeed depends on thread interleaving, so
+// Relaxations can vary between parallel runs; EdgesScanned cannot.
 type DeltaStats struct {
-	Steps       int
-	Substeps    int
-	Relaxations int64
+	Steps        int
+	Substeps     int
+	Relaxations  int64
+	EdgesScanned int64
 }
 
 // DeltaStepping runs the Meyer–Sanders ∆-stepping algorithm from src with
@@ -63,9 +67,10 @@ func DeltaStepping(g *graph.CSR, src graph.V, delta float64) ([]float64, DeltaSt
 		parallel.For(len(frontier), func(i int) {
 			snap[i] = parallel.FromBits(atomic.LoadUint64(&bits[frontier[i]]))
 		})
-		var relaxed atomic.Int64
+		var relaxed, scanned atomic.Int64
 		parallel.WorkersGrain(len(frontier), frontierGrain, func(w int, claim func() (int, int, bool)) {
 			var local []graph.V
+			var arcs int64
 			for {
 				lo, hi, ok := claim()
 				if !ok {
@@ -80,6 +85,7 @@ func DeltaStepping(g *graph.CSR, src graph.V, delta float64) ([]float64, DeltaSt
 						if isLight != light {
 							continue
 						}
+						arcs++
 						nb := parallel.ToBits(du + ws[j])
 						if parallel.WriteMin(&bits[v], nb) {
 							relaxed.Add(1)
@@ -91,8 +97,10 @@ func DeltaStepping(g *graph.CSR, src graph.V, delta float64) ([]float64, DeltaSt
 				}
 			}
 			parts[w] = local
+			scanned.Add(arcs)
 		})
 		st.Relaxations += relaxed.Load()
+		st.EdgesScanned += scanned.Load()
 		var next []graph.V
 		for _, part := range parts {
 			next = append(next, part...)

@@ -439,12 +439,12 @@ func Table1(w io.Writer, sc Scale) error {
 		t.Add("Dijkstra (rho=1)", fi(int64(g.NumArcs())), fi(int64(steps)))
 	}
 	{
-		_, rounds := baseline.BellmanFordParallel(g, src)
+		_, rounds := baseline.BellmanFord(g, src)
 		t.Add("Bellman-Ford", "O(m x rounds)", fi(int64(rounds)))
 	}
 	{
 		_, st := baseline.DeltaStepping(g, src, 2000)
-		t.Add("Delta-stepping (d=2000)", fi(st.Relaxations), fi(int64(st.Substeps)))
+		t.Add("Delta-stepping (d=2000)", fi(st.EdgesScanned), fi(int64(st.Substeps)))
 	}
 	for _, rho := range []int{16, 64} {
 		pre, err := preprocess.Run(g, preprocess.Options{Rho: rho, K: 1})

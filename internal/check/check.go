@@ -87,17 +87,3 @@ func SameDistances(a, b []float64, tol float64) int {
 	}
 	return -1
 }
-
-// HopsToFloats widens an int32 hop-distance vector (-1 = unreachable)
-// into float64 distances (+Inf = unreachable) for comparisons.
-func HopsToFloats(h []int32) []float64 {
-	out := make([]float64, len(h))
-	for i, v := range h {
-		if v < 0 {
-			out[i] = math.Inf(1)
-		} else {
-			out[i] = float64(v)
-		}
-	}
-	return out
-}

@@ -81,10 +81,3 @@ func TestSameDistances(t *testing.T) {
 		t.Fatal("length mismatch not flagged")
 	}
 }
-
-func TestHopsToFloats(t *testing.T) {
-	f := HopsToFloats([]int32{0, 3, -1})
-	if f[0] != 0 || f[1] != 3 || !math.IsInf(f[2], 1) {
-		t.Fatalf("HopsToFloats = %v", f)
-	}
-}

@@ -128,17 +128,3 @@ func validate(g *graph.CSR, radii []float64, src graph.V) error {
 	}
 	return nil
 }
-
-// ZeroRadii returns an all-zero radius vector (Radius-Stepping degenerates
-// to Dijkstra-with-batched-ties, the ρ=1 baseline of Tables 6–7).
-func ZeroRadii(n int) []float64 { return make([]float64, n) }
-
-// UniformRadii returns a constant radius vector (Radius-Stepping becomes
-// approximately ∆-stepping with ∆ = r, §3).
-func UniformRadii(n int, r float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r
-	}
-	return out
-}

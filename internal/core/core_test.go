@@ -12,6 +12,31 @@ import (
 	"radiusstep/internal/preprocess"
 )
 
+// ZeroRadii returns an all-zero radius vector (Radius-Stepping degenerates
+// to Dijkstra-with-batched-ties, the ρ=1 baseline of Tables 6–7).
+func ZeroRadii(n int) []float64 { return make([]float64, n) }
+
+// UniformRadii returns a constant radius vector (Radius-Stepping becomes
+// approximately ∆-stepping with ∆ = r, §3).
+func UniformRadii(n int, r float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = r
+	}
+	return out
+}
+
+// SolveRefTarget is SolveRef with early termination: it stops as soon as
+// target is settled (its distance is then exact — by Theorem 3.1 the
+// settled set is always correct) and returns the target's distance plus
+// the partial distance vector. Distances of vertices not yet settled are
+// tentative upper bounds or +Inf. Point-to-point queries on large graphs
+// typically settle the target after exploring only the ball of radius
+// d(src, target).
+func SolveRefTarget(g *graph.CSR, radii []float64, src, target graph.V) (float64, []float64, Stats, error) {
+	return SolveKindTarget(g, radii, src, target, KindSequential, Params{}, nil)
+}
+
 type solver struct {
 	name string
 	fn   func(*graph.CSR, []float64, graph.V) ([]float64, Stats, error)

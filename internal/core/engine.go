@@ -20,7 +20,7 @@ type frontierBacked interface {
 // frontierStepper is the fringe of the paper's parallel engine
 // (Algorithm 2) on the flat arena-backed frontier substrate: the
 // priority set Q (keyed by δ(v)) is a lazy-batched run collection
-// instead of the pointer-based ordered sets of internal/pset. push and
+// instead of the paper's join-based ordered sets (§3.2). push and
 // settle stage their work as O(1) epoch-stamped records; commit seals
 // each substep's batch into a sorted run and merges runs lazily (the
 // bulk union), and collect is a binary-searched prefix extraction (the
@@ -28,7 +28,7 @@ type frontierBacked interface {
 // materialized: its only role in Algorithm 2 is the d_i = min δ(v)+r(v)
 // query, which the substrate answers with one shifted min-reduction
 // over Q's runs — maintaining R's order cost as much as Q's and bought
-// nothing else. Same step/substep structure as the tree version, with
+// nothing else. Same step/substep structure as the paper's trees, with
 // zero steady-state allocations and no pointer chasing.
 type frontierStepper struct {
 	ws *Workspace

@@ -62,14 +62,3 @@ func PathTo(parent []graph.V, dst graph.V) []graph.V {
 	}
 	return rev
 }
-
-// SolveRefTarget is SolveRef with early termination: it stops as soon as
-// target is settled (its distance is then exact — by Theorem 3.1 the
-// settled set is always correct) and returns the target's distance plus
-// the partial distance vector. Distances of vertices not yet settled are
-// tentative upper bounds or +Inf. Point-to-point queries on large graphs
-// typically settle the target after exploring only the ball of radius
-// d(src, target).
-func SolveRefTarget(g *graph.CSR, radii []float64, src, target graph.V) (float64, []float64, Stats, error) {
-	return SolveKindTarget(g, radii, src, target, KindSequential, Params{}, nil)
-}

@@ -1,89 +1,56 @@
 package frontier
 
 import (
+	"maps"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
-
-	"radiusstep/internal/pset"
 )
 
-// The differential oracle: internal/pset's join-based ordered set — the
-// paper's §2/§3.3 substrate, and the structure the flat frontier
-// replaced on the hot path — driven with the exact same operation
-// sequences. dv and its order/hash are the key type the pset engine
-// used before the rewire.
+// model is the differential oracle: the frontier's semantics stated as
+// plainly as possible. It holds one live key per member vertex and
+// answers every query by a scan or a sort, so each answer can be read
+// off the definition. Min and MinShifted break key ties toward the
+// smaller vertex, as F does.
+type model map[int32]float64
 
-type dv struct {
-	d float64
-	v int32
-}
+func (m model) push(v int32, key float64) { m[v] = key }
 
-func dvLess(a, b dv) bool { return a.d < b.d || (a.d == b.d && a.v < b.v) }
+func (m model) drop(v int32) { delete(m, v) }
 
-func dvHash(k dv) uint64 {
-	return pset.Splitmix64(math.Float64bits(k.d) ^ uint64(uint32(k.v))*0x9e3779b97f4a7c15)
-}
-
-// oracle mirrors F's semantics on a pset tree: one live (key, vertex)
-// pair per member vertex, explicit delete-then-insert for moves.
-type oracle struct {
-	set *pset.Set[dv]
-	cur map[int32]float64
-}
-
-func newOracle() *oracle {
-	return &oracle{set: pset.New(dvLess, dvHash), cur: make(map[int32]float64)}
-}
-
-func (o *oracle) push(v int32, key float64) {
-	if old, ok := o.cur[v]; ok {
-		if old == key {
-			return
+func (m model) min() (key float64, v int32, ok bool) {
+	v = -1
+	for u, k := range m {
+		if v < 0 || k < key || (k == key && u < v) {
+			key, v = k, u
 		}
-		o.set.Delete(dv{old, v})
 	}
-	o.set.Insert(dv{key, v})
-	o.cur[v] = key
+	return key, v, v >= 0
 }
 
-func (o *oracle) drop(v int32) {
-	if old, ok := o.cur[v]; ok {
-		o.set.Delete(dv{old, v})
-		delete(o.cur, v)
-	}
-}
-
-func (o *oracle) min() (dv, bool) { return o.set.Min() }
-
-// extractBelow is Algorithm 2's split on the tree: every key <= d. The
-// result is canonicalized to ascending vertex order for set comparison.
-func (o *oracle) extractBelow(d float64) []int32 {
-	aset := o.set.SplitLE(dv{d, math.MaxInt32})
+// extractBelow removes and returns, in ascending vertex order, every
+// vertex with key <= d (Algorithm 2's split).
+func (m model) extractBelow(d float64) []int32 {
 	var out []int32
-	for _, k := range aset.Slice() {
-		out = append(out, k.v)
-		delete(o.cur, k.v)
+	for v, k := range m {
+		if k <= d {
+			out = append(out, v)
+			delete(m, v)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// selectKth is the tree rank query frontier.SelectKth replaces.
-func (o *oracle) selectKth(k int) float64 {
-	e, ok := o.set.At(k - 1)
-	if !ok {
-		panic("oracle: rank out of range")
-	}
-	return e.d
-}
+// selectKth is the rank query: the k-th smallest key, 1-based.
+func (m model) selectKth(k int) float64 { return slices.Sorted(maps.Values(m))[k-1] }
 
-// minShifted is the radius target rule d = min key+shift[v] (ties to
-// the smaller vertex) computed the slow, obviously-correct way.
-func (o *oracle) minShifted(shift []float64) (int32, float64, bool) {
+// minShifted is the radius target rule d = min key+shift[v], ties to
+// the smaller vertex.
+func (m model) minShifted(shift []float64) (int32, float64, bool) {
 	bestV, best := int32(-1), math.Inf(1)
-	for v, key := range o.cur {
+	for v, key := range m {
 		s := key + shift[v]
 		if s < best || (s == best && (bestV < 0 || v < bestV)) {
 			bestV, best = v, s
@@ -94,7 +61,7 @@ func (o *oracle) minShifted(shift []float64) (int32, float64, bool) {
 
 // checkStep runs one random operation on both structures and compares
 // every observable: length, minimum, extracted sets, rank queries.
-func checkStep(t *testing.T, rng *rand.Rand, f *F, o *oracle, n int, shift []float64, buf *[]int32) {
+func checkStep(t *testing.T, rng *rand.Rand, f *F, o model, n int, shift []float64, buf *[]int32) {
 	t.Helper()
 	switch op := rng.Intn(11); {
 	case op < 4: // push / decrease-key / re-key
@@ -111,26 +78,19 @@ func checkStep(t *testing.T, rng *rand.Rand, f *F, o *oracle, n int, shift []flo
 	case op == 7: // extract
 		d := float64(rng.Intn(34) - 1)
 		*buf = f.ExtractBelow(d, (*buf)[:0])
-		got := append([]int32(nil), *buf...)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		want := o.extractBelow(d)
-		if len(got) != len(want) {
+		got := slices.Sorted(slices.Values(*buf))
+		if want := o.extractBelow(d); !slices.Equal(got, want) {
 			t.Fatalf("ExtractBelow(%v): %v vs oracle %v", d, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("ExtractBelow(%v): %v vs oracle %v", d, got, want)
-			}
 		}
 	case op == 8: // min (exact) + head (key-witness only)
 		gm, gok := f.Min()
-		wm, wok := o.min()
-		if gok != wok || (gok && (gm.Key != wm.d || gm.V != wm.v)) {
-			t.Fatalf("Min: (%v,%v,%v) vs oracle (%v,%v,%v)", gm.Key, gm.V, gok, wm.d, wm.v, wok)
+		wk, wv, wok := o.min()
+		if gok != wok || (gok && (gm.Key != wk || gm.V != wv)) {
+			t.Fatalf("Min: (%v,%v,%v) vs oracle (%v,%v,%v)", gm.Key, gm.V, gok, wk, wv, wok)
 		}
 		gh, hok := f.Head()
-		if hok != wok || (hok && gh.Key != wm.d) {
-			t.Fatalf("Head: (%v,%v) vs oracle min key (%v,%v)", gh.Key, hok, wm.d, wok)
+		if hok != wok || (hok && gh.Key != wk) {
+			t.Fatalf("Head: (%v,%v) vs oracle min key (%v,%v)", gh.Key, hok, wk, wok)
 		}
 		if hok {
 			if k, live := f.Key(gh.V); !live || k != gh.Key {
@@ -152,22 +112,22 @@ func checkStep(t *testing.T, rng *rand.Rand, f *F, o *oracle, n int, shift []flo
 			t.Fatalf("MinShifted: (%v,%v,%v) vs oracle (%v,%v,%v)", gv, gd, gok, wv, wd, wok)
 		}
 	}
-	if f.Len() != o.set.Len() {
-		t.Fatalf("Len: %d vs oracle %d", f.Len(), o.set.Len())
+	if f.Len() != len(o) {
+		t.Fatalf("Len: %d vs oracle %d", f.Len(), len(o))
 	}
 }
 
-// TestDifferentialVsPset drives the flat frontier and the ordered-set
-// oracle with identical random extract/union/ρ-select sequences — the
-// results must be byte-identical (integer keys make every float exact).
-// CI runs this under -race alongside the engine equivalence tests.
-func TestDifferentialVsPset(t *testing.T) {
+// TestDifferentialVsModel drives the flat frontier and the map model
+// with identical random extract/union/ρ-select sequences — the results
+// must be byte-identical (integer keys make every float exact). CI runs
+// this under -race alongside the engine equivalence tests.
+func TestDifferentialVsModel(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 6364136223846793005))
 		n := 4 + rng.Intn(60)
 		f := New()
 		f.Reset(n)
-		o := newOracle()
+		o := model{}
 		shift := make([]float64, n)
 		for v := range shift {
 			shift[v] = float64(rng.Intn(6))
@@ -178,24 +138,17 @@ func TestDifferentialVsPset(t *testing.T) {
 			checkStep(t, rng, f, o, n, shift, &buf)
 		}
 		// Drain both and compare the tails.
-		got := f.ExtractBelow(math.Inf(1), buf[:0])
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		want := o.extractBelow(math.Inf(1))
-		if len(got) != len(want) {
+		got := slices.Sorted(slices.Values(f.ExtractBelow(math.Inf(1), buf[:0])))
+		if want := o.extractBelow(math.Inf(1)); !slices.Equal(got, want) {
 			t.Fatalf("trial %d drain: %v vs %v", trial, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d drain: %v vs %v", trial, got, want)
-			}
 		}
 	}
 }
 
-// FuzzFrontierVsPset feeds byte-string-driven operation sequences to
-// both structures. Each pair of bytes is one operation; every query
-// result must match the oracle exactly.
-func FuzzFrontierVsPset(f *testing.F) {
+// FuzzFrontierVsModel feeds byte-string-driven operation sequences to
+// the frontier and the model. Each pair of bytes is one operation;
+// every query result must match the model exactly.
+func FuzzFrontierVsModel(f *testing.F) {
 	f.Add([]byte{0x00, 0x05, 0x13, 0x07, 0x46, 0x00, 0x63, 0x01})
 	f.Add([]byte{0x20, 0x1f, 0x81, 0x10, 0x42, 0x33, 0xa5, 0x00, 0x64, 0x09})
 	f.Add([]byte{0xff, 0x00, 0x00, 0xff, 0x81, 0x81, 0x42, 0x42, 0x63})
@@ -203,7 +156,7 @@ func FuzzFrontierVsPset(f *testing.F) {
 		const n = 32
 		fr := New()
 		fr.Reset(n)
-		o := newOracle()
+		o := model{}
 		shift := make([]float64, n)
 		for v := range shift {
 			shift[v] = float64(v % 5)
@@ -226,21 +179,14 @@ func FuzzFrontierVsPset(f *testing.F) {
 			case 4: // extract below
 				d := float64(arg % 26)
 				buf = fr.ExtractBelow(d, buf[:0])
-				got := append([]int32(nil), buf...)
-				sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-				want := o.extractBelow(d)
-				if len(got) != len(want) {
+				got := slices.Sorted(slices.Values(buf))
+				if want := o.extractBelow(d); !slices.Equal(got, want) {
 					t.Fatalf("op %d ExtractBelow(%v): %v vs %v", i, d, got, want)
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Fatalf("op %d ExtractBelow(%v): %v vs %v", i, d, got, want)
-					}
 				}
 			default: // min + shifted min + rank query
 				gm, gok := fr.Min()
-				wm, wok := o.min()
-				if gok != wok || (gok && (gm.Key != wm.d || gm.V != wm.v)) {
+				wk, wv, wok := o.min()
+				if gok != wok || (gok && (gm.Key != wk || gm.V != wv)) {
 					t.Fatalf("op %d Min mismatch", i)
 				}
 				gv, gd, gsok := fr.MinShifted(shift)
@@ -255,8 +201,8 @@ func FuzzFrontierVsPset(f *testing.F) {
 					}
 				}
 			}
-			if fr.Len() != o.set.Len() {
-				t.Fatalf("op %d Len: %d vs %d", i, fr.Len(), o.set.Len())
+			if fr.Len() != len(o) {
+				t.Fatalf("op %d Len: %d vs %d", i, fr.Len(), len(o))
 			}
 		}
 	})

@@ -2,8 +2,8 @@
 // that backs the paper's parallel engine (Algorithm 2) and the
 // ρ-stepping engine: a lazy-batched priority multiset in the style of
 // Dong et al., "Efficient Stepping Algorithms and Implementations for
-// Parallel Shortest Paths" (2021), replacing the pointer-based ordered
-// sets of internal/pset on the query hot path.
+// Parallel Shortest Paths" (2021), in place of the join-based ordered
+// sets the paper keeps Q and R in (§3.2–3.3).
 //
 // The structure keeps its (key, vertex) entries in a small collection of
 // distance-sorted runs plus one unsorted staging batch:
@@ -32,9 +32,9 @@
 // for concurrent use — per-worker staging happens upstream (the relax
 // kernels' per-worker buffers), and batches arrive here already merged.
 //
-// internal/pset remains in the tree as the differential-testing oracle
-// for this package: both expose the same extract/union/select semantics,
-// and the property tests drive them with identical operation sequences.
+// The differential test and fuzzer (differential_test.go) drive this
+// structure and a map model of one key per vertex with identical
+// operation sequences and compare every answer.
 package frontier
 
 import (
@@ -54,8 +54,7 @@ type Entry struct {
 	E   uint32
 }
 
-// lessEntry orders entries lexicographically by (Key, V), the same
-// total order the pset engine used for its tree keys. It is the
+// lessEntry orders entries lexicographically by (Key, V). It is the
 // tie-breaking order of Min; run STORAGE order is by Key alone (see
 // entrysort.go).
 func lessEntry(a, b Entry) bool {

@@ -42,31 +42,11 @@ func Chain(n int) *graph.CSR {
 	return b.Build()
 }
 
-// Cycle returns a cycle on n vertices with unit weights.
-func Cycle(n int) *graph.CSR {
-	b := graph.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		b.Add(graph.V(i), graph.V((i+1)%n), 1)
-	}
-	return b.Build()
-}
-
 // Star returns a star with center 0 and n-1 leaves, unit weights.
 func Star(n int) *graph.CSR {
 	b := graph.NewBuilder(n)
 	for i := 1; i < n; i++ {
 		b.Add(0, graph.V(i), 1)
-	}
-	return b.Build()
-}
-
-// Complete returns the complete graph K_n with unit weights.
-func Complete(n int) *graph.CSR {
-	b := graph.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			b.Add(graph.V(i), graph.V(j), 1)
-		}
 	}
 	return b.Build()
 }

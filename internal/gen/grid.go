@@ -49,19 +49,3 @@ func Grid3D(nx, ny, nz int) *graph.CSR {
 	}
 	return b.Build()
 }
-
-// Torus2D is Grid2D with wraparound edges, eliminating boundary effects.
-func Torus2D(nx, ny int) *graph.CSR {
-	if nx < 3 || ny < 3 {
-		panic("gen: torus dimensions must be at least 3")
-	}
-	b := graph.NewBuilder(nx * ny)
-	id := func(x, y int) graph.V { return graph.V(y*nx + x) }
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			b.Add(id(x, y), id((x+1)%nx, y), 1)
-			b.Add(id(x, y), id(x, (y+1)%ny), 1)
-		}
-	}
-	return b.Build()
-}

@@ -52,13 +52,6 @@ func (b *Builder) Add(u, v V, w float64) {
 	b.edges = append(b.edges, Edge{u, v, w})
 }
 
-// AddEdges records a batch of edges.
-func (b *Builder) AddEdges(edges []Edge) {
-	for _, e := range edges {
-		b.Add(e.U, e.V, e.W)
-	}
-}
-
 // Build produces the CSR. The accumulated edge list is consumed.
 func (b *Builder) Build() *CSR {
 	return FromEdges(b.n, b.edges)

@@ -268,6 +268,7 @@ func TestTextErrors(t *testing.T) {
 		"p sssp 2 1\n0 1 -3\n",     // negative weight
 		"p sssp 2 2\n0 1 1\n",      // count mismatch
 		"p sssp 2 -1\n",            // negative count
+		"p sssp -1 0\n",            // negative vertex count
 		"p sssp 2 1\n0 1\n",        // missing field
 		"p sssp 2 1\nnope nah 1\n", // garbage
 	}

@@ -59,6 +59,9 @@ func ReadText(r io.Reader) (*CSR, error) {
 			if kind != "sssp" {
 				return nil, fmt.Errorf("graph: unsupported problem kind %q", kind)
 			}
+			if n < 0 || m < 0 {
+				return nil, fmt.Errorf("graph: negative sizes at line %d: %q", line, text)
+			}
 			seenHeader = true
 			edges = edgesFor(m)
 			continue

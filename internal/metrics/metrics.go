@@ -1,15 +1,15 @@
 // Package metrics is a dependency-free metrics registry that exposes
 // counters, gauges and histograms in the Prometheus text exposition
 // format (version 0.0.4). It implements exactly the subset the daemon
-// needs — counter/gauge/histogram families with a fixed label set,
-// callback gauges for sampled runtime values, and a deterministic
-// text writer — so the serving layer gets a scrape endpoint without
-// pulling in a client library.
+// needs — counter and histogram families with a fixed label set,
+// callback gauges and counters for values maintained elsewhere, and a
+// deterministic text writer — so the serving layer gets a scrape
+// endpoint without pulling in a client library.
 //
-// All mutation paths (Counter.Add, Gauge.Set, Histogram.Observe) are
-// lock-free atomics; With() on a labeled family takes a mutex only on
-// the first observation of a label combination, so hot paths should
-// capture the child once and reuse it.
+// All mutation paths (Counter.Add, Histogram.Observe) are lock-free
+// atomics; With() on a labeled family takes a mutex only on the first
+// observation of a label combination, so hot paths should capture the
+// child once and reuse it.
 package metrics
 
 import (
@@ -53,18 +53,6 @@ func (c *Counter) Add(n int64) {
 
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an integer metric that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add shifts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value reports the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram accumulates observations into cumulative buckets plus a
 // running sum and count, matching the Prometheus histogram contract
@@ -142,7 +130,7 @@ type family struct {
 	labels []string
 
 	mu       sync.Mutex
-	children map[string]any // label-values key -> *Counter | *Gauge | *Histogram
+	children map[string]any // label-values key -> *Counter | *Histogram
 	order    []string       // insertion order of keys, for stable output
 
 	gaugeFn func() float64 // callback gauge (children empty)
@@ -182,8 +170,6 @@ func (f *family) child(values []string) any {
 	switch f.typ {
 	case kindCounter:
 		c = &Counter{}
-	case kindGauge:
-		c = &Gauge{}
 	case kindHistogram:
 		c = newHistogram(f.bounds)
 	}
@@ -201,12 +187,6 @@ type CounterVec struct{ f *family }
 // With returns the counter for one label-value combination, creating it
 // on first use. Hot paths should cache the result.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).(*Counter) }
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for one label-value combination.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).(*Gauge) }
 
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
@@ -254,20 +234,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 	f := &family{name: name, help: help, typ: kindCounter, labels: labels}
 	r.add(f)
 	return &CounterVec{f}
-}
-
-// NewGauge registers an unlabeled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := &family{name: name, help: help, typ: kindGauge}
-	r.add(f)
-	return f.child(nil).(*Gauge)
-}
-
-// NewGaugeVec registers a gauge family with the given label names.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	f := &family{name: name, help: help, typ: kindGauge, labels: labels}
-	r.add(f)
-	return &GaugeVec{f}
 }
 
 // NewGaugeFunc registers a gauge whose value is computed by fn at each
@@ -338,8 +304,6 @@ func (f *family) write(b *strings.Builder) {
 	for i, key := range order {
 		switch c := children[i].(type) {
 		case *Counter:
-			writeSample(b, f.name, "", key, "", float64(c.Value()))
-		case *Gauge:
 			writeSample(b, f.name, "", key, "", float64(c.Value()))
 		case *Histogram:
 			// Snapshot counts first so the cumulative sums cannot go

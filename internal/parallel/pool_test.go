@@ -30,8 +30,8 @@ func TestForkRunsEveryParticipantOnce(t *testing.T) {
 }
 
 // TestForkNested: forks from inside pool workers (nested parallelism, as
-// in parallel sort and the pset bulk operations) must complete without
-// deadlock even when they saturate the pool.
+// in parallel sort and merge) must complete without deadlock even when
+// they saturate the pool.
 func TestForkNested(t *testing.T) {
 	var total atomic.Int64
 	fork(4, func(outer int) {
@@ -63,8 +63,11 @@ func TestForkConcurrent(t *testing.T) {
 	if got := total.Load(); got != 8*50*4 {
 		t.Fatalf("concurrent forks ran %d bodies, want %d", got, 8*50*4)
 	}
-	if limit := runtime.GOMAXPROCS(0) - 1; PoolSize() > limit && limit > 0 {
-		t.Fatalf("pool grew to %d workers, limit %d", PoolSize(), limit)
+	pool.mu.Lock()
+	size := pool.size
+	pool.mu.Unlock()
+	if limit := runtime.GOMAXPROCS(0) - 1; size > limit && limit > 0 {
+		t.Fatalf("pool grew to %d workers, limit %d", size, limit)
 	}
 }
 

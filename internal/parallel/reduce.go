@@ -71,21 +71,6 @@ func MinIndex(n int, identity float64, key func(i int) float64) (int, float64) {
 	return best.i, best.k
 }
 
-// Sum adds mapf(i) over [0, n) in parallel.
-func Sum[T Number](n int, mapf func(i int) T) T {
-	return Reduce(n, T(0), mapf, func(a, b T) T { return a + b })
-}
-
-// Count reports how many i in [0, n) satisfy pred.
-func Count(n int, pred func(i int) bool) int {
-	return Reduce(n, 0, func(i int) int {
-		if pred(i) {
-			return 1
-		}
-		return 0
-	}, func(a, b int) int { return a + b })
-}
-
 func blocksOf(n, grain int) int { return (n + grain - 1) / grain }
 
 func blockBounds(b, n, grain int) (lo, hi int) {

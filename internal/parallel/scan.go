@@ -1,6 +1,6 @@
 package parallel
 
-// Number is the constraint for scan and sum primitives.
+// Number is the constraint for the scan primitives.
 type Number interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 |
 		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 |

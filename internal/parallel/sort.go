@@ -138,13 +138,3 @@ func lowerBound[T any](s []T, v T, less func(x, y T) bool) int {
 	}
 	return lo
 }
-
-// IsSorted reports whether data is nondecreasing under less.
-func IsSorted[T any](data []T, less func(a, b T) bool) bool {
-	for i := 1; i < len(data); i++ {
-		if less(data[i], data[i-1]) {
-			return false
-		}
-	}
-	return true
-}

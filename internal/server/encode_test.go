@@ -225,10 +225,11 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 }
 
 // TestCacheHitBytesConstant is the cache-hit path's allocation gate: a
-// warm full-vector hit streams the cached vector through a pooled
-// buffer, so the bytes it allocates do not grow with the vector
-// (copying the vector and encoding it through encoding/json would
-// allocate about 160 KB per hit on this graph). Under -race sync.Pool
+// warm full-vector hit sends the cached body (the vector's JSON array,
+// kept since the first full-vector response), so the bytes it
+// allocates do not grow with the vector (copying the vector and
+// encoding it through encoding/json would allocate about 160 KB per hit
+// on this graph). Under -race sync.Pool
 // drops items at random, so the gate runs without it (CI runs it by
 // name next to the other alloc gates).
 func TestCacheHitBytesConstant(t *testing.T) {

@@ -280,18 +280,6 @@ func (r *Registry) Len() int {
 	return n
 }
 
-// Names returns every registered graph name (serving or not), sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	out := make([]string, 0, len(r.graphs))
-	for name := range r.graphs {
-		out = append(out, name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
 // LoadConfig builds cfg's graph and publishes its first epoch. On
 // failure the graph is still registered — failed, with the error in
 // its health record and the watcher re-probing with backoff — so a
