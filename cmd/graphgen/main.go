@@ -1,7 +1,8 @@
 // Command graphgen emits generated graphs for feeding cmd/sssp,
 // cmd/graphpack, or external tools. Output formats: the native text
-// format (default), DIMACS ".gr", a headerless edge list, or the
-// compact binary CSR.
+// format (default), DIMACS ".gr", or a headerless edge list. For a
+// binary file, pack the graph with cmd/graphpack (-raw for a
+// graph-only snapshot).
 //
 // Examples:
 //
@@ -24,19 +25,15 @@ func main() {
 	weights := flag.Int("weights", 0, "uniform integer weights in [1, W] (0 = unit/native)")
 	seed := flag.Uint64("seed", 42, "generator seed")
 	out := flag.String("o", "-", "output file (- for stdout)")
-	format := flag.String("format", "text", "output format: text|dimacs|edgelist|binary")
-	binary := flag.Bool("binary", false, "write the binary CSR format (alias for -format binary)")
+	format := flag.String("format", "text", "output format: text|dimacs|edgelist")
 	connected := flag.Bool("connected", true, "keep only the largest component")
 	flag.Parse()
-	if *binary {
-		*format = "binary"
-	}
 	// Validate before generating so a typo fails in microseconds, not
 	// after minutes of generation (and never truncates the output file).
 	switch *format {
-	case "text", "dimacs", "edgelist", "binary":
+	case "text", "dimacs", "edgelist":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -format %q (want text|dimacs|edgelist|binary)\n", *format)
+		fmt.Fprintf(os.Stderr, "unknown -format %q (want text|dimacs|edgelist)\n", *format)
 		os.Exit(2)
 	}
 
@@ -76,8 +73,6 @@ func main() {
 		err = rs.WriteDIMACS(w, g)
 	case "edgelist":
 		err = rs.WriteEdgeList(w, g)
-	case "binary":
-		err = rs.WriteGraphBinary(w, g)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

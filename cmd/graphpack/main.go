@@ -7,8 +7,7 @@
 //
 // Input formats are auto-detected: the native text format, DIMACS ".gr"
 // ("p sp" / 1-indexed "a u v w" lines), headerless "u v [w]" edge
-// lists, binary CSR, or an existing snapshot (re-packing with new
-// parameters).
+// lists, or an existing snapshot (re-packing with new parameters).
 //
 // Examples:
 //
@@ -34,7 +33,7 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	in := flag.String("in", "", "input graph file (text|dimacs|edgelist|binary|snapshot, auto-detected)")
+	in := flag.String("in", "", "input graph file (text|dimacs|edgelist|snapshot, auto-detected)")
 	gen := flag.String("gen", "", "generate instead: grid2d|grid3d|road|web|er|rmat|smallworld|comb")
 	n := flag.Int("n", 100000, "approximate vertex count for -gen")
 	seed := flag.Uint64("seed", 42, "generator seed")

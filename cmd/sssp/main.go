@@ -202,8 +202,8 @@ func main() {
 	case "delta":
 		t0 := time.Now()
 		d, st := rs.DeltaStepping(g, source, *delta)
-		fmt.Printf("delta-stepping: %v  steps=%d substeps=%d relax=%d\n",
-			time.Since(t0).Round(time.Microsecond), st.Steps, st.Substeps, st.Relaxations)
+		fmt.Printf("delta-stepping: %v  steps=%d substeps=%d scanned=%d\n",
+			time.Since(t0).Round(time.Microsecond), st.Steps, st.Substeps, st.EdgesScanned)
 		dist = d
 	case "bellmanford":
 		t0 := time.Now()

@@ -5,10 +5,9 @@
 //
 // Graph sources: gen=FAMILY generates in-process; file=PATH ingests any
 // auto-detected format (native text, DIMACS ".gr", headerless edge
-// list, binary CSR); snapshot=PATH loads a cmd/graphpack snapshot whose
+// list, snapshot); snapshot=PATH loads a cmd/graphpack snapshot whose
 // persisted radii skip preprocessing entirely — the fast cold-start
-// path for production restarts; pre=PATH loads a WritePreprocessed
-// bundle.
+// path for production restarts.
 //
 // Each graph's default stepping engine comes from the engine= spec key
 // (auto|seq|par|flat|delta|rho; delta= tunes the Δ bucket width), and
@@ -131,7 +130,7 @@ func fail(format string, args ...any) {
 
 func main() {
 	var graphSpecs multiFlag
-	flag.Var(&graphSpecs, "graph", "load a graph: name=gen=road,n=50000,rho=64,engine=auto | name=file=PATH | name=snapshot=PATH | name=pre=PATH (repeatable)")
+	flag.Var(&graphSpecs, "graph", "load a graph: name=gen=road,n=50000,rho=64,engine=auto | name=file=PATH | name=snapshot=PATH (repeatable)")
 	configPath := flag.String("config", "", "JSON config file (see package doc)")
 	listen := flag.String("listen", ":8517", "HTTP listen address")
 	workers := flag.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")

@@ -151,10 +151,22 @@ func TestCLIGraphgenAndSsspFile(t *testing.T) {
 	if !strings.Contains(out, "certificate OK") {
 		t.Fatalf("file-based solve not verified:\n%s", out)
 	}
-	// Binary output round-trips through size report only (sssp reads text).
-	out, err = runCLI(t, dir, "graphgen", "-kind", "grid2d", "-n", "100", "-binary", "-o", filepath.Join(dir, "g.bin"))
+	// The snapshot is the only binary format: a graph-only snapshot
+	// (graphpack -raw) feeds sssp, and graphgen writes no binary CSR.
+	snap := filepath.Join(dir, "g.snap")
+	out, err = runCLI(t, dir, "graphpack", "-gen", "grid2d", "-n", "100", "-raw", "-o", snap)
 	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+		t.Fatalf("graphpack -raw: %v\n%s", err, out)
+	}
+	out, err = runCLI(t, dir, "sssp", "-in", snap, "-algo", "radius", "-rho", "8", "-verify")
+	if err != nil || !strings.Contains(out, "certificate OK") {
+		t.Fatalf("sssp on a raw snapshot: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{{"-format", "binary"}, {"-binary"}} {
+		args = append(args, "-kind", "grid2d", "-n", "100", "-o", filepath.Join(dir, "g.bin"))
+		if out, err := runCLI(t, dir, "graphgen", args...); err == nil {
+			t.Fatalf("graphgen %v accepted:\n%s", args, out)
+		}
 	}
 }
 

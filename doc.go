@@ -35,9 +35,9 @@
 // k = 4 with DP shortcuts and ρ = 32.
 //
 // Graphs come from generators, from real-workload files — the native
-// text format, DIMACS ".gr" road networks, headerless edge lists, and
-// binary CSR, all auto-detected by ReadGraphAuto/LoadGraphFile — or
-// from snapshots: versioned, checksummed binary files (Snapshot,
+// text format, DIMACS ".gr" road networks and headerless edge lists,
+// all auto-detected by ReadGraphAuto/LoadGraphFile — or from
+// snapshots: versioned, checksummed binary files (Snapshot,
 // WriteSnapshotFile, SolverFromSnapshot) that persist the CSR arrays
 // together with the preprocessing outputs (radii, augmented and
 // original graphs, and the ρ/k/heuristic they were derived with).

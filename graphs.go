@@ -84,24 +84,17 @@ func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadText(r) }
 // WriteGraph serializes g in the text edge-list format.
 func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteText(w, g) }
 
-// ReadGraphBinary parses the compact binary CSR format.
-func ReadGraphBinary(r io.Reader) (*Graph, error) { return graph.ReadBinary(r) }
-
-// WriteGraphBinary serializes g in the compact binary CSR format.
-func WriteGraphBinary(w io.Writer, g *Graph) error { return graph.WriteBinary(w, g) }
-
 // GraphFormat identifies one of the supported interchange formats.
 type GraphFormat = graph.Format
 
 // The graph interchange formats, as detected by DetectGraphFormat and
 // named by GraphFormat.String: the native text format, DIMACS ".gr",
-// headerless edge lists, binary CSR, and preprocessed snapshots.
+// headerless edge lists, and snapshots.
 const (
 	FormatUnknown  = graph.FormatUnknown
 	FormatText     = graph.FormatText
 	FormatDIMACS   = graph.FormatDIMACS
 	FormatEdgeList = graph.FormatEdgeList
-	FormatBinary   = graph.FormatBinary
 	FormatSnapshot = graph.FormatSnapshot
 )
 

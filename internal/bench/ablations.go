@@ -55,8 +55,9 @@ func AblationK(w io.Writer, sc Scale) error {
 
 // AblationDelta compares radius-stepping against ∆-stepping across a ∆
 // sweep on one weighted workload: rounds (steps), total inner iterations
-// (substeps), and relaxations. Radius-stepping's per-vertex radii replace
-// the global ∆ the baseline must tune.
+// (substeps), and arcs scanned, which unlike successful relaxations do
+// not depend on thread interleaving. Radius-stepping's per-vertex radii
+// replace the global ∆ the baseline must tune.
 func AblationDelta(w io.Writer, sc Scale) error {
 	wl := Workloads(sc)[0]
 	g := wl.Weighted
@@ -65,7 +66,7 @@ func AblationDelta(w io.Writer, sc Scale) error {
 	t := &Table{
 		Caption: fmt.Sprintf("Ablation — delta-stepping vs radius-stepping on %s weighted (n=%d, L=%g)",
 			wl.Name, g.NumVertices(), L),
-		Header: []string{"algorithm", "param", "steps", "substeps", "relaxations"},
+		Header: []string{"algorithm", "param", "steps", "substeps", "edges scanned"},
 	}
 	want := baseline.Dijkstra(g, src)
 	for _, delta := range []float64{L / 100, L / 10, L, 10 * L} {
@@ -74,7 +75,7 @@ func AblationDelta(w io.Writer, sc Scale) error {
 			return fmt.Errorf("delta-stepping wrong at %d", i)
 		}
 		t.Add("delta-stepping", fmt.Sprintf("d=%.0f", delta),
-			fi(int64(st.Steps)), fi(int64(st.Substeps)), fi(st.Relaxations))
+			fi(int64(st.Steps)), fi(int64(st.Substeps)), fi(st.EdgesScanned))
 	}
 	for _, rho := range sc.RhosCut {
 		pre, err := preprocess.Run(g, preprocess.Options{Rho: rho, K: 1})
@@ -89,7 +90,7 @@ func AblationDelta(w io.Writer, sc Scale) error {
 			return fmt.Errorf("radius-stepping wrong at %d", i)
 		}
 		t.Add("radius-stepping", fmt.Sprintf("rho=%d", rho),
-			fi(int64(st.Steps)), fi(int64(st.Substeps)), fi(st.Relaxations))
+			fi(int64(st.Steps)), fi(int64(st.Substeps)), fi(st.EdgesScanned))
 	}
 	t.Render(w)
 	return nil

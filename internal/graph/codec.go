@@ -10,15 +10,13 @@ import (
 	"unsafe"
 )
 
-// The section codec shared by the three binary formats: the snapshot
-// (WriteSnapshot), the binary CSR (WriteBinary) and the root package's
-// preprocessed bundle. Every format is a sequence of little-endian
-// scalars and fixed-width arrays ("sections"). A section moves between
-// the stream and its slice as one block of bytes: the writer hands the
-// slice's memory to the io.Writer, and the reader fills a fresh slice's
-// memory with io.ReadFull, so no per-element encoding and no temporary
-// buffer sit in between. The byte view is the only use of unsafe in
-// the package.
+// The section codec of the snapshot format (WriteSnapshot). A snapshot
+// is a sequence of little-endian scalars and fixed-width arrays
+// ("sections"). A section moves between the stream and its slice as one
+// block of bytes: the writer hands the slice's memory to the io.Writer,
+// and the reader fills a fresh slice's memory with io.ReadFull, so no
+// per-element encoding and no temporary buffer sit in between. The byte
+// view is the only use of unsafe in the package.
 
 // word is an element type a section can carry.
 type word interface {
@@ -48,10 +46,10 @@ func swapWords(b []byte, size int) {
 	}
 }
 
-// Encoder writes scalars and sections to an io.Writer without
+// encoder writes scalars and sections to an io.Writer without
 // buffering: a section is one Write of its slice's memory. After the
-// first error it writes nothing; Err reports that error.
-type Encoder struct {
+// first error it writes nothing and keeps that error in err.
+type encoder struct {
 	w   io.Writer
 	sum bool   // keep crc
 	crc uint32 // CRC-32C of everything written while sum is set
@@ -59,10 +57,7 @@ type Encoder struct {
 	buf [8]byte
 }
 
-// NewEncoder returns an Encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
-
-func (e *Encoder) write(p []byte) {
+func (e *encoder) write(p []byte) {
 	if e.err != nil || len(p) == 0 {
 		return
 	}
@@ -72,42 +67,28 @@ func (e *Encoder) write(p []byte) {
 	_, e.err = e.w.Write(p)
 }
 
-// Uint32 writes v.
-func (e *Encoder) Uint32(v uint32) {
+// u32 writes v.
+func (e *encoder) u32(v uint32) {
 	binary.LittleEndian.PutUint32(e.buf[:4], v)
 	e.write(e.buf[:4])
 }
 
-// Uint64 writes v.
-func (e *Encoder) Uint64(v uint64) {
+// u64 writes v.
+func (e *encoder) u64(v uint64) {
 	binary.LittleEndian.PutUint64(e.buf[:], v)
 	e.write(e.buf[:])
 }
 
-// Float64s writes s as a section.
-func (e *Encoder) Float64s(s []float64) { writeWords(e, s) }
-
-// BinaryCSR writes g in the binary CSR format (see WriteBinary).
-func (e *Encoder) BinaryCSR(g *CSR) {
-	e.Uint64(uint64(binaryMagic))
-	e.Uint64(uint64(g.NumVertices()))
-	e.Uint64(uint64(g.NumArcs()))
-	e.csr(g)
-}
-
 // csr writes g's Off, Adj and W sections.
-func (e *Encoder) csr(g *CSR) {
+func (e *encoder) csr(g *CSR) {
 	writeWords(e, g.Off)
 	writeWords(e, g.Adj)
 	writeWords(e, g.W)
 }
 
-// Err returns the first error a write met.
-func (e *Encoder) Err() error { return e.err }
-
 // writeWords writes s as a section. A big-endian host swaps a copy, a
 // chunk at a time: the slice may be shared with concurrent readers.
-func writeWords[T word](e *Encoder, s []T) {
+func writeWords[T word](e *encoder, s []T) {
 	b := byteView(s)
 	if nativeLE || len(s) == 0 {
 		e.write(b)
@@ -123,11 +104,10 @@ func writeWords[T word](e *Encoder, s []T) {
 	}
 }
 
-// Decoder reads what an Encoder wrote, without buffering past what it
-// consumes, so formats nest: one decoder can hand the stream to the
-// next. Scalar reads keep the first error for Err; section reads return
-// theirs.
-type Decoder struct {
+// decoder reads what an encoder wrote, without buffering past what it
+// consumes. Scalar reads keep the first error in err; section reads
+// return theirs.
+type decoder struct {
 	r io.Reader
 	// sized is set when the caller has checked every size the header
 	// declares against the input's real length, so a section can be
@@ -139,11 +119,8 @@ type Decoder struct {
 	buf   [8]byte
 }
 
-// NewDecoder returns a Decoder reading from r, whose length is unknown.
-func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
-
 // full reads exactly len(p) bytes.
-func (d *Decoder) full(p []byte) error {
+func (d *decoder) full(p []byte) error {
 	if _, err := io.ReadFull(d.r, p); err != nil {
 		return err
 	}
@@ -155,7 +132,7 @@ func (d *Decoder) full(p []byte) error {
 
 // scalar reads the next size bytes into buf. Once any scalar read has
 // failed it reads nothing and yields zeros.
-func (d *Decoder) scalar(size int) []byte {
+func (d *decoder) scalar(size int) []byte {
 	if d.err == nil {
 		d.err = d.full(d.buf[:size])
 	}
@@ -165,56 +142,15 @@ func (d *Decoder) scalar(size int) []byte {
 	return d.buf[:size]
 }
 
-// Uint32 reads a uint32, or returns 0 once a read has failed.
-func (d *Decoder) Uint32() uint32 { return binary.LittleEndian.Uint32(d.scalar(4)) }
+// u32 reads a uint32, or returns 0 once a read has failed.
+func (d *decoder) u32() uint32 { return binary.LittleEndian.Uint32(d.scalar(4)) }
 
-// Uint64 reads a uint64, or returns 0 once a read has failed.
-func (d *Decoder) Uint64() uint64 { return binary.LittleEndian.Uint64(d.scalar(8)) }
-
-// Err returns the first error a scalar read met: io.EOF when the input
-// ended before it, io.ErrUnexpectedEOF when it ended inside it.
-func (d *Decoder) Err() error { return d.err }
-
-// Radii reads n radii and checks them (see checkRadii).
-func (d *Decoder) Radii(n uint64) ([]float64, error) {
-	r, err := readWords[float64](d, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkRadii(r); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// BinaryCSR reads and validates a graph in the binary CSR format (see
-// ReadBinary).
-func (d *Decoder) BinaryCSR() (*CSR, error) {
-	magic, n, arcs := d.Uint64(), d.Uint64(), d.Uint64()
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("graph: binary CSR header: %w", err)
-	}
-	// Only the low half of the first word is the magic; the writer
-	// zero-extends it.
-	if uint32(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", magic)
-	}
-	if n > maxReasonable || arcs > maxReasonable {
-		return nil, fmt.Errorf("graph: implausible sizes n=%d arcs=%d", n, arcs)
-	}
-	g, err := d.csr(n, arcs)
-	if err != nil {
-		return nil, fmt.Errorf("graph: binary CSR arrays: %w", err)
-	}
-	if err := checkCSR(g); err != nil {
-		return nil, fmt.Errorf("graph: corrupt binary CSR: %w", err)
-	}
-	return g, nil
-}
+// u64 reads a uint64, or returns 0 once a read has failed.
+func (d *decoder) u64() uint64 { return binary.LittleEndian.Uint64(d.scalar(8)) }
 
 // csr reads the Off, Adj and W sections of a graph with n vertices and
 // arcs arcs. It does not validate them: see checkCSR.
-func (d *Decoder) csr(n, arcs uint64) (*CSR, error) {
+func (d *decoder) csr(n, arcs uint64) (*CSR, error) {
 	var g CSR
 	var err error
 	if g.Off, err = readWords[int64](d, n+1); err != nil {
@@ -233,7 +169,7 @@ func (d *Decoder) csr(n, arcs uint64) (*CSR, error) {
 // decoder allocates it whole. Otherwise a section over growChunk grows
 // by doubling as its bytes arrive, so an input that declares more than
 // it holds fails having allocated a small multiple of what it held.
-func readWords[T word](d *Decoder, n uint64) ([]T, error) {
+func readWords[T word](d *decoder, n uint64) ([]T, error) {
 	size := uint64(unsafe.Sizeof(*new(T)))
 	if d.sized || n*size <= growChunk {
 		s := make([]T, n)
@@ -259,7 +195,7 @@ func readWords[T word](d *Decoder, n uint64) ([]T, error) {
 
 // words fills b with size-byte little-endian words, converting them to
 // host order in place.
-func (d *Decoder) words(b []byte, size int) error {
+func (d *decoder) words(b []byte, size int) error {
 	if err := d.full(b); err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@
 //
 // # Interchange formats
 //
-// The package reads and writes five formats, auto-detected by ReadAuto:
+// The package reads and writes four formats, auto-detected by ReadAuto:
 //
 //   - text (ReadText/WriteText): "p sssp n m" header, 0-indexed
 //     "u v w" edge lines — the repo's native interchange format.
@@ -20,7 +20,6 @@
 //   - edgelist (ReadEdgeList/WriteEdgeList): headerless whitespace/TSV
 //     "u v [w]" lines, the SNAP/web-graph convention; weight defaults
 //     to 1.
-//   - binary (ReadBinary/WriteBinary): compact binary CSR.
 //   - snapshot (ReadSnapshot/WriteSnapshot): the versioned, checksummed
 //     persistence format. A snapshot carries the CSR arrays and, when
 //     produced by preprocessing, the per-vertex radii, the pre-shortcut
@@ -30,9 +29,9 @@
 //     byte layout.
 //
 // All parsers reject NaN, infinite, and negative weights at parse time
-// with the offending line number; the binary readers validate magic,
-// sizes, and structural invariants, and the snapshot reader additionally
-// verifies a CRC-32C checksum so corruption fails loudly at load time.
+// with the offending line number; the snapshot reader validates its
+// magic, sizes and structural invariants and verifies a CRC-32C
+// checksum, so corruption fails loudly at load time.
 package graph
 
 import "math"

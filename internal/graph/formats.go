@@ -27,8 +27,6 @@ const (
 	// lines with 0-indexed endpoints (the SNAP/web-graph convention);
 	// a missing weight defaults to 1.
 	FormatEdgeList
-	// FormatBinary is the compact binary CSR format (WriteBinary).
-	FormatBinary
 	// FormatSnapshot is the versioned snapshot format (WriteSnapshot),
 	// which may also carry radii and the pre-shortcut original graph.
 	FormatSnapshot
@@ -43,8 +41,6 @@ func (f Format) String() string {
 		return "dimacs"
 	case FormatEdgeList:
 		return "edgelist"
-	case FormatBinary:
-		return "binary"
 	case FormatSnapshot:
 		return "snapshot"
 	default:
@@ -53,16 +49,11 @@ func (f Format) String() string {
 }
 
 // Detect sniffs the format from the first bytes of a file. A few KiB is
-// plenty: binary formats are identified by magic, text formats by the
+// plenty: a snapshot is identified by its magic, text formats by the
 // first non-comment line.
 func Detect(prefix []byte) Format {
-	if len(prefix) >= 8 {
-		switch binary.LittleEndian.Uint64(prefix[:8]) {
-		case snapMagic:
-			return FormatSnapshot
-		case uint64(binaryMagic):
-			return FormatBinary
-		}
+	if len(prefix) >= 8 && binary.LittleEndian.Uint64(prefix) == snapMagic {
+		return FormatSnapshot
 	}
 	for _, line := range bytes.Split(prefix, []byte("\n")) {
 		text := strings.TrimSpace(string(line))
@@ -119,8 +110,6 @@ func ReadAuto(r io.Reader) (*CSR, Format, error) {
 		g, err = ReadDIMACS(br)
 	case FormatEdgeList:
 		g, err = ReadEdgeList(br)
-	case FormatBinary:
-		g, err = ReadBinary(br)
 	case FormatSnapshot:
 		var s *Snapshot
 		if s, err = ReadSnapshot(br); err == nil {

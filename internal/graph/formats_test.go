@@ -172,11 +172,8 @@ func TestReadTextRejectsBadWeights(t *testing.T) {
 
 func TestDetect(t *testing.T) {
 	g := randomCSR(20, 40, 9)
-	var snap, bin bytes.Buffer
+	var snap bytes.Buffer
 	if err := WriteSnapshot(&snap, &Snapshot{G: g}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(&bin, g); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -184,7 +181,6 @@ func TestDetect(t *testing.T) {
 		want   Format
 	}{
 		{snap.Bytes()[:16], FormatSnapshot},
-		{bin.Bytes()[:16], FormatBinary},
 		{[]byte("c comment\np sssp 10 2\n0 1 5\n"), FormatText},
 		{[]byte("c road net\np sp 10 4\na 1 2 5\n"), FormatDIMACS},
 		{[]byte("a 1 2 5\na 2 1 5\n"), FormatDIMACS},
@@ -210,7 +206,6 @@ func TestReadAuto(t *testing.T) {
 		{FormatText, func(b *bytes.Buffer) error { return WriteText(b, g) }},
 		{FormatDIMACS, func(b *bytes.Buffer) error { return WriteDIMACS(b, g) }},
 		{FormatEdgeList, func(b *bytes.Buffer) error { return WriteEdgeList(b, g) }},
-		{FormatBinary, func(b *bytes.Buffer) error { return WriteBinary(b, g) }},
 		{FormatSnapshot, func(b *bytes.Buffer) error {
 			return WriteSnapshot(b, &Snapshot{G: g, Radii: radii, Rho: 8, K: 1, Heuristic: "direct"})
 		}},

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -275,52 +274,6 @@ func TestTextErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := ReadText(strings.NewReader(c)); err == nil {
 			t.Errorf("input %q: expected error", c)
-		}
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	g := triangle()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SameGraph(g, g2) {
-		t.Fatal("binary round trip changed the graph")
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph at all........"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// Well-framed files with one bad value must fail at load, not when
-	// a solve indexes past the arrays.
-	g := triangle()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	off := 3 * 8
-	adj := off + (g.NumVertices()+1)*8
-	w := adj + g.NumArcs()*4
-	for _, tc := range []struct {
-		name string
-		set  func(raw []byte)
-	}{
-		{"out-of-range target", func(raw []byte) { binary.LittleEndian.PutUint32(raw[adj:], 1<<30) }},
-		{"negative target", func(raw []byte) { binary.LittleEndian.PutUint32(raw[adj:], math.MaxUint32) }},
-		{"+Inf weight", func(raw []byte) { binary.LittleEndian.PutUint64(raw[w:], math.Float64bits(math.Inf(1))) }},
-		{"decreasing offsets", func(raw []byte) { binary.LittleEndian.PutUint64(raw[off+8:], uint64(g.NumArcs())+1) }},
-	} {
-		raw := append([]byte(nil), buf.Bytes()...)
-		tc.set(raw)
-		if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
-			t.Fatalf("%s accepted", tc.name)
 		}
 	}
 }

@@ -101,20 +101,3 @@ func ReadText(r io.Reader) (*CSR, error) {
 	}
 	return FromEdges(n, edges), nil
 }
-
-// binaryMagic identifies the binary CSR format.
-const binaryMagic = uint32(0x52535447) // "GTSR"
-
-// WriteBinary serializes g in a compact little-endian binary format:
-// magic, n, arcs, Off, Adj, W.
-func WriteBinary(w io.Writer, g *CSR) error {
-	e := NewEncoder(w)
-	e.BinaryCSR(g)
-	return e.Err()
-}
-
-// ReadBinary parses the binary CSR format and validates its structural
-// invariants (see Decoder.BinaryCSR).
-func ReadBinary(r io.Reader) (*CSR, error) {
-	return NewDecoder(r).BinaryCSR()
-}

@@ -198,7 +198,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		}
 	}
 
-	e := &Encoder{w: w, sum: true} // checksum everything except the trailer
+	e := &encoder{w: w, sum: true} // checksum everything except the trailer
 	flags := uint32(0)
 	if s.Radii != nil {
 		flags |= snapFlagRadii
@@ -214,19 +214,19 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if len(s.Landmarks) > 0 {
 		flags |= snapFlagLandmarks
 	}
-	e.Uint64(snapMagic)
-	e.Uint32(snapVersion)
-	e.Uint32(flags)
-	e.Uint64(uint64(n))
-	e.Uint64(uint64(s.G.NumArcs()))
-	e.Uint64(uint64(origArcs))
-	e.Uint32(uint32(s.Rho))
-	e.Uint32(uint32(s.K))
-	e.Uint32(uint32(len(s.Heuristic)))
+	e.u64(snapMagic)
+	e.u32(snapVersion)
+	e.u32(flags)
+	e.u64(uint64(n))
+	e.u64(uint64(s.G.NumArcs()))
+	e.u64(uint64(origArcs))
+	e.u32(uint32(s.Rho))
+	e.u32(uint32(s.K))
+	e.u32(uint32(len(s.Heuristic)))
 	e.write([]byte(s.Heuristic))
 	e.csr(s.G)
 	if s.Radii != nil {
-		e.Float64s(s.Radii)
+		writeWords(e, s.Radii)
 	}
 	if s.Original != nil {
 		e.csr(s.Original)
@@ -235,13 +235,13 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		writeWords(e, s.Perm)
 	}
 	if len(s.Landmarks) > 0 {
-		e.Uint32(uint32(len(s.Landmarks)))
+		e.u32(uint32(len(s.Landmarks)))
 		writeWords(e, s.Landmarks)
-		e.Float64s(s.LandmarkDist)
+		writeWords(e, s.LandmarkDist)
 	}
 	e.sum = false
-	e.Uint32(e.crc)
-	return e.Err()
+	e.u32(e.crc)
+	return e.err
 }
 
 // ReadSnapshot parses a snapshot, verifying the magic, version, checksum,
@@ -258,19 +258,19 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // known length is rejected immediately instead of attempting a
 // many-GiB allocation the checksum pass would never reach.
 func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
-	d := &Decoder{r: r, sized: maxBytes > 0, sum: true}
-	magic := d.Uint64()
-	if err := d.Err(); err != nil {
-		return nil, snapReadErr("header", err)
+	d := &decoder{r: r, sized: maxBytes > 0, sum: true}
+	magic := d.u64()
+	if d.err != nil {
+		return nil, snapReadErr("header", d.err)
 	}
 	if magic != snapMagic {
 		return nil, snapCorruptf("bad snapshot magic %#x", magic)
 	}
-	version, flags := d.Uint32(), d.Uint32()
-	n, arcs, origArcs := d.Uint64(), d.Uint64(), d.Uint64()
-	rho, k, hlen := d.Uint32(), d.Uint32(), d.Uint32()
-	if err := d.Err(); err != nil {
-		return nil, snapReadErr("header", err)
+	version, flags := d.u32(), d.u32()
+	n, arcs, origArcs := d.u64(), d.u64(), d.u64()
+	rho, k, hlen := d.u32(), d.u32(), d.u32()
+	if d.err != nil {
+		return nil, snapReadErr("header", d.err)
 	}
 	if version != snapVersion {
 		return nil, fmt.Errorf("graph: unsupported snapshot version %d (want %d)", version, snapVersion)
@@ -369,9 +369,9 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 		}
 	}
 	if flags&snapFlagLandmarks != 0 {
-		lmK := d.Uint32()
-		if err := d.Err(); err != nil {
-			return nil, snapReadErr("landmark count", err)
+		lmK := d.u32()
+		if d.err != nil {
+			return nil, snapReadErr("landmark count", d.err)
 		}
 		if lmK == 0 || lmK > maxSnapshotLandmarks || uint64(lmK) > n {
 			return nil, snapCorruptf("implausible snapshot landmark count %d (n=%d)", lmK, n)
@@ -407,9 +407,9 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 	}
 
 	sum := d.crc // everything checksummed so far; the trailer is not
-	want := d.Uint32()
-	if err := d.Err(); err != nil {
-		return nil, snapReadErr("checksum trailer", err)
+	want := d.u32()
+	if d.err != nil {
+		return nil, snapReadErr("checksum trailer", d.err)
 	}
 	if sum != want {
 		return nil, snapCorruptf("snapshot checksum mismatch: computed %#x, stored %#x", sum, want)
@@ -418,7 +418,7 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 }
 
 // readSnapshotCSR reads one CSR section and validates its invariants.
-func readSnapshotCSR(d *Decoder, n, arcs uint64) (*CSR, error) {
+func readSnapshotCSR(d *decoder, n, arcs uint64) (*CSR, error) {
 	g, err := d.csr(n, arcs)
 	if err != nil {
 		return nil, snapReadErr("CSR arrays", err)

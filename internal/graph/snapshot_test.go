@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -166,6 +169,34 @@ func TestReadSnapshotRejectsBadValues(t *testing.T) {
 		}
 		if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "radius") {
 			t.Fatalf("radius %v accepted: err = %v", bad, err)
+		}
+	}
+
+	// A well-framed snapshot with one bad CSR value and a valid CRC must
+	// fail at load, not when a solve indexes past the arrays.
+	g := triangle()
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, &Snapshot{G: g}); err != nil {
+		t.Fatal(err)
+	}
+	off := 52 // the fixed header; the heuristic name is empty
+	adj := off + (g.NumVertices()+1)*8
+	w := adj + g.NumArcs()*4
+	for _, tc := range []struct {
+		name string
+		set  func(raw []byte)
+	}{
+		{"out-of-range target", func(raw []byte) { binary.LittleEndian.PutUint32(raw[adj:], 1<<30) }},
+		{"negative target", func(raw []byte) { binary.LittleEndian.PutUint32(raw[adj:], math.MaxUint32) }},
+		{"+Inf weight", func(raw []byte) { binary.LittleEndian.PutUint64(raw[w:], math.Float64bits(math.Inf(1))) }},
+		{"decreasing offsets", func(raw []byte) { binary.LittleEndian.PutUint64(raw[off+8:], uint64(g.NumArcs())+1) }},
+	} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		tc.set(raw)
+		body := raw[:len(raw)-4]
+		binary.LittleEndian.PutUint32(raw[len(body):], crc32.Checksum(body, snapCRC))
+		if _, err := ReadSnapshot(bytes.NewReader(raw)); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrSnapshotCorrupt", tc.name, err)
 		}
 	}
 }

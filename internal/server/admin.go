@@ -133,7 +133,7 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := req.GraphConfig
 	if req.Spec != "" {
-		if cfg.Name != "" || cfg.Gen != "" || cfg.File != "" || cfg.Snapshot != "" || cfg.Pre != "" {
+		if cfg.Name != "" || cfg.Gen != "" || cfg.File != "" || cfg.Snapshot != "" {
 			s.fail(w, http.StatusBadRequest, "give either spec or structured fields, not both")
 			return
 		}

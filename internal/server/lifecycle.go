@@ -93,8 +93,6 @@ func (g *GraphConfig) sourcePath() string {
 		return g.Snapshot
 	case g.File != "":
 		return g.File
-	case g.Pre != "":
-		return g.Pre
 	}
 	return ""
 }

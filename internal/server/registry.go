@@ -1,9 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -21,7 +21,6 @@ import (
 const (
 	RadiiComputed     = "computed"
 	RadiiFromSnapshot = "snapshot"
-	RadiiFromBundle   = "bundle"
 )
 
 // GraphInfo is the registry metadata served by GET /v1/graphs.
@@ -38,17 +37,17 @@ type GraphInfo struct {
 	PreprocessMillis int64   `json:"preprocessMillis"`
 	Source           string  `json:"source"`
 	// Format names the on-disk format the graph was loaded from
-	// (text, dimacs, edgelist, binary, snapshot) or "gen".
+	// (text, dimacs, edgelist, snapshot) or "gen".
 	Format string `json:"format,omitempty"`
 	// RadiiSource reports whether the (k, ρ)-radii were computed at
-	// startup or loaded from persistence (RadiiComputed, RadiiFromSnapshot,
-	// RadiiFromBundle).
+	// startup or loaded from a snapshot (RadiiComputed,
+	// RadiiFromSnapshot).
 	RadiiSource string `json:"radiiSource,omitempty"`
 	// Reordered reports that the snapshot was packed with a
 	// cache-locality vertex relabeling (graphpack -order); queries and
 	// answers are mapped between original and stored ids transparently.
 	Reordered bool `json:"reordered,omitempty"`
-	// SnapshotBytes is the on-disk size of the loaded snapshot/bundle.
+	// SnapshotBytes is the on-disk size of the loaded snapshot.
 	SnapshotBytes int64 `json:"snapshotBytes,omitempty"`
 	// ColdStartMillis is the total load time — file read plus any
 	// preprocessing — from BuildEntry start to a query-ready solver.
@@ -121,7 +120,7 @@ func (e *Entry) clientPath(p []rs.Vertex) []rs.Vertex {
 }
 
 // NewSolverEntry wraps a preprocessed solver as a registry entry,
-// deriving the metadata from the preprocessing bundle.
+// deriving the metadata from the solver's preprocessing result.
 func NewSolverEntry(name string, solver *rs.Solver, opt rs.Options, source string, prepTime time.Duration) *Entry {
 	pre := solver.Preprocessed()
 	g := pre.Original
@@ -151,16 +150,14 @@ func NewSolverEntry(name string, solver *rs.Solver, opt rs.Options, source strin
 
 // GraphConfig describes one graph to load: exactly one of Gen (a
 // generator family name), File (a graph file in any auto-detected
-// format), Snapshot (a cmd/graphpack snapshot), or Pre (a preprocessed
-// bundle written by radiusstep.WritePreprocessed) must be set. The
+// format), or Snapshot (a cmd/graphpack snapshot) must be set. The
 // remaining fields tune generation and preprocessing; they are rejected
-// for sources whose preprocessing is already persisted.
+// for snapshots whose preprocessing is already persisted.
 type GraphConfig struct {
 	Name      string  `json:"name"`
 	Gen       string  `json:"gen,omitempty"`
 	File      string  `json:"file,omitempty"`
 	Snapshot  string  `json:"snapshot,omitempty"`
-	Pre       string  `json:"pre,omitempty"`
 	N         int     `json:"n,omitempty"`
 	Seed      uint64  `json:"seed,omitempty"`
 	Weights   int     `json:"weights,omitempty"`
@@ -180,7 +177,6 @@ type GraphConfig struct {
 //	name=gen=road,n=50000,weights=10000,rho=64
 //	name=file=/data/g.gr,rho=32
 //	name=snapshot=/data/g.snap
-//	name=pre=/data/g.pre
 //
 // into a GraphConfig. Unknown keys are an error, matching the
 // fail-loudly contract of ParseHeuristic/ParseEngine.
@@ -204,8 +200,6 @@ func ParseGraphSpec(spec string) (GraphConfig, error) {
 			cfg.File = v
 		case "snapshot":
 			cfg.Snapshot = v
-		case "pre":
-			cfg.Pre = v
 		case "n":
 			cfg.N, err = strconv.Atoi(v)
 		case "seed":
@@ -235,14 +229,14 @@ func ParseGraphSpec(spec string) (GraphConfig, error) {
 }
 
 // BuildEntry loads or generates the graph described by cfg and returns a
-// ready registry entry. For gen/file sources it preprocesses at startup;
-// for snapshot and bundle sources carrying persisted radii it skips
-// preprocessing entirely (the registry's fast cold-start path) and the
-// entry's Info reports RadiiSource, the snapshot size, and the total
-// cold-start time. A panic anywhere in the load path (a corrupt
-// snapshot tripping an index, an injected chaos fault) is contained
-// into a clean error so one bad graph config cannot kill a daemon
-// loading several.
+// ready registry entry. A snapshot carrying persisted radii (through
+// snapshot=, or a file= that holds one) skips preprocessing entirely
+// (the registry's fast cold-start path) and the entry's Info reports
+// RadiiSource; every other source is preprocessed at load. Info also
+// reports the snapshot size and the total cold-start time. A panic
+// anywhere in the load path (a corrupt snapshot tripping an index, an
+// injected chaos fault) is contained into a clean error so one bad
+// graph config cannot kill a daemon loading several.
 func BuildEntry(cfg GraphConfig) (entry *Entry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -260,13 +254,13 @@ func buildEntry(cfg GraphConfig) (*Entry, error) {
 		return nil, fmt.Errorf("server: graph config needs a name")
 	}
 	srcs := 0
-	for _, s := range []string{cfg.Gen, cfg.File, cfg.Snapshot, cfg.Pre} {
+	for _, s := range []string{cfg.Gen, cfg.File, cfg.Snapshot} {
 		if s != "" {
 			srcs++
 		}
 	}
 	if srcs != 1 {
-		return nil, fmt.Errorf("server: graph %q: exactly one of gen|file|snapshot|pre required", cfg.Name)
+		return nil, fmt.Errorf("server: graph %q: exactly one of gen|file|snapshot required", cfg.Name)
 	}
 	// delta is a query-time knob, valid for every source — so a bad
 	// value must fail on every source too, not just the ones that run
@@ -298,129 +292,43 @@ func buildEntry(cfg GraphConfig) (*Entry, error) {
 	}
 
 	start := time.Now()
+	var (
+		g      *rs.Graph
+		snap   *rs.Snapshot
+		size   int64
+		err    error
+		source = "file:" + cfg.File
+		format = "snapshot"
+	)
 	switch {
-	case cfg.Pre != "":
-		// The bundle was preprocessed elsewhere: rho/k/heuristic are
-		// baked in and unknown here, so accepting them would silently
-		// do nothing while /v1/graphs echoed them back as truth.
-		if cfg.Rho != 0 || cfg.K != 0 || cfg.Heuristic != "" || cfg.Weights != 0 {
-			return nil, fmt.Errorf("server: graph %q: rho/k/heuristic/weights do not apply to a preprocessed bundle", cfg.Name)
-		}
-		f, ferr := os.Open(cfg.Pre)
-		if ferr != nil {
-			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, ferr)
-		}
-		defer f.Close()
-		st, _ := f.Stat()
-		pre, perr := rs.ReadPreprocessed(f)
-		if perr != nil {
-			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, perr)
-		}
-		solver, err := rs.NewSolverPre(pre, opt.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
-		}
-		if cfg.Delta > 0 {
-			solver.SetDelta(cfg.Delta)
-		}
-		// A bundle does not record its preprocessing parameters; report
-		// them as unknown (zero) rather than inventing defaults.
-		entry := NewSolverEntry(cfg.Name, solver, rs.Options{Engine: opt.Engine}, "pre:"+cfg.Pre, 0)
-		entry.Info.Rho, entry.Info.K, entry.Info.Heuristic = 0, 0, ""
-		entry.Info.Format = "pre"
-		entry.Info.RadiiSource = RadiiFromBundle
-		if st != nil {
-			entry.Info.SnapshotBytes = st.Size()
-		}
-		if err := applyLandmarks(entry, solver, cfg); err != nil {
-			return nil, err
-		}
-		entry.Info.ColdStartMillis = time.Since(start).Milliseconds()
-		return entry, nil
-
 	case cfg.Snapshot != "":
-		snap, size, err := rs.ReadSnapshotFile(cfg.Snapshot)
-		if err != nil {
-			// %w: the truncated/corrupt classification must survive to
-			// the registry's quarantine health report.
-			return nil, fmt.Errorf("server: graph %q: %w", cfg.Name, err)
-		}
-		return buildFromSnapshot(cfg, opt, snap, size, "snapshot:"+cfg.Snapshot, start)
-
+		source = "snapshot:" + cfg.Snapshot
+		snap, size, err = rs.ReadSnapshotFile(cfg.Snapshot)
+	case cfg.File != "" && isSnapshotFile(cfg.File):
+		// A file= holding a snapshot gets the full snapshot treatment
+		// (persisted radii and all), not a silent graph-only load.
+		snap, size, err = rs.ReadSnapshotFile(cfg.File)
 	case cfg.File != "":
-		f, ferr := os.Open(cfg.File)
-		if ferr != nil {
-			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, ferr)
-		}
-		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<20)
-		// A file= pointing at a snapshot gets the full snapshot treatment
-		// (persisted radii and all), not a silent graph-only load. The
-		// magic fits in 8 bytes; a short or unreadable prefix simply
-		// falls through to ReadGraphAuto, which reports the real error.
-		prefix, _ := br.Peek(8)
-		if rs.DetectGraphFormat(prefix) == rs.FormatSnapshot {
-			snap, size, serr := rs.ReadSnapshotFile(cfg.File)
-			if serr != nil {
-				return nil, fmt.Errorf("server: graph %q: %w", cfg.Name, serr)
-			}
-			return buildFromSnapshot(cfg, opt, snap, size, "file:"+cfg.File, start)
-		}
-		g, format, gerr := rs.ReadGraphAuto(br)
-		if gerr != nil {
-			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, gerr)
-		}
-		if cfg.Weights > 0 {
-			g = rs.WithUniformIntWeights(g, 1, cfg.Weights, cfg.Seed+1)
-		}
-		prep := time.Now()
-		solver, err := rs.NewSolver(g, opt)
-		if err != nil {
-			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
-		}
-		entry := NewSolverEntry(cfg.Name, solver, opt.WithDefaults(), "file:"+cfg.File, time.Since(prep))
-		entry.Info.Format = format.String()
-		if err := applyLandmarks(entry, solver, cfg); err != nil {
-			return nil, err
-		}
-		entry.Info.ColdStartMillis = time.Since(start).Milliseconds()
-		return entry, nil
-
+		var f rs.GraphFormat
+		g, f, err = rs.LoadGraphFile(cfg.File)
+		format = f.String()
 	default:
 		n := cfg.N
 		if n == 0 {
 			n = 100000
 		}
-		g, gerr := rs.GenerateByName(cfg.Gen, n, cfg.Seed)
-		if gerr != nil {
-			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, gerr)
-		}
-		if cfg.Weights > 0 {
-			g = rs.WithUniformIntWeights(g, 1, cfg.Weights, cfg.Seed+1)
-		}
-		prep := time.Now()
-		solver, err := rs.NewSolver(g, opt)
-		if err != nil {
-			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
-		}
-		source := fmt.Sprintf("gen:%s,n=%d,seed=%d", cfg.Gen, n, cfg.Seed)
-		entry := NewSolverEntry(cfg.Name, solver, opt.WithDefaults(), source, time.Since(prep))
-		entry.Info.Format = "gen"
-		if err := applyLandmarks(entry, solver, cfg); err != nil {
-			return nil, err
-		}
-		entry.Info.ColdStartMillis = time.Since(start).Milliseconds()
-		return entry, nil
+		source = fmt.Sprintf("gen:%s,n=%d,seed=%d", cfg.Gen, n, cfg.Seed)
+		format = "gen"
+		g, err = rs.GenerateByName(cfg.Gen, n, cfg.Seed)
 	}
-}
+	if err != nil {
+		// %w: a snapshot's truncated/corrupt classification must
+		// survive to the registry's quarantine health report.
+		return nil, fmt.Errorf("server: graph %q: %w", cfg.Name, err)
+	}
 
-// buildFromSnapshot turns a loaded snapshot into a registry entry. When
-// the snapshot carries radii, preprocessing is skipped entirely: the
-// persisted radii (and augmented graph) go straight into a solver, and
-// the entry reports RadiiFromSnapshot. A graph-only snapshot (no radii)
-// is preprocessed like any other loaded graph.
-func buildFromSnapshot(cfg GraphConfig, opt rs.Options, snap *rs.Snapshot, size int64, source string, start time.Time) (*Entry, error) {
-	if snap.Radii != nil {
+	var entry *Entry
+	if snap != nil && snap.Radii != nil {
 		// Preprocessing knobs cannot apply when its output is persisted;
 		// accepting them would silently do nothing.
 		if cfg.Rho != 0 || cfg.K != 0 || cfg.Heuristic != "" || cfg.Weights != 0 {
@@ -433,62 +341,61 @@ func buildFromSnapshot(cfg GraphConfig, opt rs.Options, snap *rs.Snapshot, size 
 		if cfg.Delta > 0 {
 			solver.SetDelta(cfg.Delta)
 		}
-		entry := NewSolverEntry(cfg.Name, solver, rs.Options{Engine: opt.Engine}, source, 0)
+		entry = NewSolverEntry(cfg.Name, solver, rs.Options{Engine: opt.Engine}, source, 0)
 		entry.Info.Rho, entry.Info.K, entry.Info.Heuristic = snap.Rho, snap.K, snap.Heuristic
-		entry.Info.Format = "snapshot"
 		entry.Info.RadiiSource = RadiiFromSnapshot
-		entry.Info.SnapshotBytes = size
-		applySnapshotPerm(entry, snap)
-		if err := applyLandmarks(entry, solver, cfg); err != nil {
-			return nil, err
+	} else {
+		if snap != nil {
+			g = snap.G
 		}
-		entry.Info.ColdStartMillis = time.Since(start).Milliseconds()
-		return entry, nil
+		if cfg.Weights > 0 {
+			g = rs.WithUniformIntWeights(g, 1, cfg.Weights, cfg.Seed+1)
+		}
+		prep := time.Now()
+		solver, err := rs.NewSolver(g, opt)
+		if err != nil {
+			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
+		}
+		entry = NewSolverEntry(cfg.Name, solver, opt.WithDefaults(), source, time.Since(prep))
 	}
-	g := snap.G
-	if cfg.Weights > 0 {
-		g = rs.WithUniformIntWeights(g, 1, cfg.Weights, cfg.Seed+1)
+	entry.Info.Format = format
+	if snap != nil {
+		entry.Info.SnapshotBytes = size
+		// A reordered snapshot's relabeling: every query path answers
+		// in original ids.
+		if snap.Perm != nil {
+			entry.perm, entry.inv = snap.Perm, rs.InvertPerm(snap.Perm)
+			entry.Info.Reordered = true
+		}
 	}
-	prep := time.Now()
-	solver, err := rs.NewSolver(g, opt)
-	if err != nil {
-		return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
+	// Landmarks are selected once the solver is query-ready (selection
+	// solves run on the final metric). A snapshot that restored
+	// persisted landmarks rejects the knob: rebuilding would silently
+	// discard the packed vectors.
+	solver := entry.Solver
+	if cfg.Landmarks > 0 {
+		if solver.Landmarks() > 0 {
+			return nil, fmt.Errorf("server: graph %q: %d landmarks are baked into the snapshot; landmarks= does not apply", cfg.Name, solver.Landmarks())
+		}
+		if _, err := solver.BuildLandmarks(cfg.Landmarks, rs.LandmarksFarthest); err != nil {
+			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
+		}
 	}
-	entry := NewSolverEntry(cfg.Name, solver, opt.WithDefaults(), source, time.Since(prep))
-	entry.Info.Format = "snapshot"
-	entry.Info.SnapshotBytes = size
-	applySnapshotPerm(entry, snap)
-	if err := applyLandmarks(entry, solver, cfg); err != nil {
-		return nil, err
-	}
+	entry.Info.Landmarks = solver.Landmarks()
 	entry.Info.ColdStartMillis = time.Since(start).Milliseconds()
 	return entry, nil
 }
 
-// applyLandmarks builds the configured landmark set once the solver is
-// query-ready (selection solves run on the final metric) and records
-// the live count in the entry metadata. A snapshot that already
-// restored persisted landmarks rejects the knob — rebuilding would
-// silently discard the packed vectors.
-func applyLandmarks(entry *Entry, solver *rs.Solver, cfg GraphConfig) error {
-	if cfg.Landmarks > 0 {
-		if solver.Landmarks() > 0 {
-			return fmt.Errorf("server: graph %q: %d landmarks are baked into the snapshot; landmarks= does not apply", cfg.Name, solver.Landmarks())
-		}
-		if _, err := solver.BuildLandmarks(cfg.Landmarks, rs.LandmarksFarthest); err != nil {
-			return fmt.Errorf("server: graph %q: %v", cfg.Name, err)
-		}
+// isSnapshotFile reports whether the file at path starts with the
+// snapshot magic. An unreadable file reports false, and the graph read
+// that follows reports the real error.
+func isSnapshotFile(path string) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
 	}
-	entry.Info.Landmarks = solver.Landmarks()
-	return nil
-}
-
-// applySnapshotPerm records a reordered snapshot's relabeling on its
-// entry, so every query path answers in original ids.
-func applySnapshotPerm(entry *Entry, snap *rs.Snapshot) {
-	if snap.Perm == nil {
-		return
-	}
-	entry.perm, entry.inv = snap.Perm, rs.InvertPerm(snap.Perm)
-	entry.Info.Reordered = true
+	defer f.Close()
+	prefix := make([]byte, 8)
+	n, _ := io.ReadFull(f, prefix)
+	return rs.DetectGraphFormat(prefix[:n]) == rs.FormatSnapshot
 }

@@ -246,33 +246,6 @@ func TestBuildEntrySnapshotRejectsBakedOptions(t *testing.T) {
 	}
 }
 
-// pre= bundles persist preprocessing too, so the same knobs — including
-// weights — must be rejected rather than silently ignored.
-func TestBuildEntryPreBundleRejectsWeights(t *testing.T) {
-	g := testGraph()
-	pre, err := rs.Preprocess(g, rs.Options{Rho: 8})
-	if err != nil {
-		t.Fatalf("Preprocess: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "g.pre")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.WritePreprocessed(f, pre); err != nil {
-		t.Fatalf("WritePreprocessed: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildEntry(GraphConfig{Name: "x", Pre: path, Weights: 100}); err == nil {
-		t.Fatal("weights override on a pre bundle accepted")
-	}
-	if _, err := BuildEntry(GraphConfig{Name: "x", Pre: path}); err != nil {
-		t.Fatalf("plain pre bundle rejected: %v", err)
-	}
-}
-
 // DIMACS .gr files must ingest end-to-end: parse, preprocess, serve.
 func TestBuildEntryDIMACSFile(t *testing.T) {
 	g := testGraph()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	rs "radiusstep"
@@ -306,6 +307,11 @@ func TestParseGraphSpec(t *testing.T) {
 		if _, err := ParseGraphSpec(bad); err == nil {
 			t.Fatalf("spec %q should fail", bad)
 		}
+	}
+	// The snapshot is the only persisted format; the old bundle key is
+	// gone, not silently ignored.
+	if _, err := ParseGraphSpec("x=pre=/data/g.pre"); err == nil || !strings.Contains(err.Error(), `unknown key "pre"`) {
+		t.Fatalf("pre= spec: err = %v, want an unknown key error", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package radiusstep
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"radiusstep/internal/core"
@@ -25,7 +24,7 @@ func (s *Solver) Tree(src Vertex) (dist []float64, parent []Vertex, stats Stats,
 // Path returns the shortest path src..dst as a vertex sequence and its
 // length, or (nil, +Inf) when unreachable. It runs an early-terminated
 // solve on the EngineAuto choice and walks tight edges back from dst.
-// When the preprocessing bundle retains the original graph the walk uses
+// When the preprocessing result retains the original graph the walk uses
 // only real (non-shortcut) edges, so the route is directly usable;
 // otherwise shortcut edges (whose weights equal exact distances) may
 // appear. When the solver has landmarks the solve is goal-directed;
@@ -41,8 +40,8 @@ func (s *Solver) Path(src, dst Vertex) ([]Vertex, float64, error) {
 // and exact — goal-directed pruning never skips a relaxation on such a
 // path), and the original graph realizes the same metric as the
 // augmented one, so a tight predecessor always exists in it and the
-// route uses only real (non-shortcut) edges whenever the bundle
-// retains the original graph. Ties break toward the smaller distance,
+// route uses only real (non-shortcut) edges whenever the preprocessing
+// result retains the original graph. Ties break toward the smaller distance,
 // then the smaller vertex id, so the route is deterministic. dist is a
 // function so a target solve's distances can be read in its workspace.
 func (s *Solver) walkBack(dist func(Vertex) float64, src, dst Vertex) ([]Vertex, error) {
@@ -97,84 +96,4 @@ func PathLength(g *Graph, path []Vertex) (float64, error) {
 		total += w
 	}
 	return total, nil
-}
-
-// --- preprocessing persistence -------------------------------------------
-
-// preMagic identifies the preprocessed-bundle format.
-const preMagic = uint64(0x5052455052503031) // "PREPRP01"
-
-// WritePreprocessed persists a preprocessing result (augmented graph,
-// original graph when present, radii, counters) so the Θ(nρ²) phase can
-// be paid once and reloaded across processes. The layout is six uint64
-// header words (magic, n, added, visited, edges scanned, original-graph
-// flag), the radii, then the augmented and the optional original graph
-// in the binary CSR format.
-func WritePreprocessed(w io.Writer, pre *Preprocessed) error {
-	if pre == nil || pre.Graph == nil || len(pre.Radii) != pre.Graph.NumVertices() {
-		return fmt.Errorf("radiusstep: invalid preprocessed bundle")
-	}
-	hasOrig := uint64(0)
-	if pre.Original != nil {
-		hasOrig = 1
-	}
-	e := graph.NewEncoder(w)
-	for _, h := range []uint64{preMagic, uint64(len(pre.Radii)), uint64(pre.Added), uint64(pre.Visited), uint64(pre.EdgesScanned), hasOrig} {
-		e.Uint64(h)
-	}
-	e.Float64s(pre.Radii)
-	e.BinaryCSR(pre.Graph)
-	if pre.Original != nil {
-		e.BinaryCSR(pre.Original)
-	}
-	return e.Err()
-}
-
-// ReadPreprocessed loads a bundle written by WritePreprocessed. Like a
-// snapshot, a corrupt bundle fails here, never at query time: the radii
-// must be finite and non-negative and both graphs pass the binary CSR
-// format's structural checks.
-func ReadPreprocessed(r io.Reader) (*Preprocessed, error) {
-	d := graph.NewDecoder(r)
-	var head [6]uint64
-	for i := range head {
-		head[i] = d.Uint64()
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("radiusstep: preprocessed header: %w", err)
-	}
-	if head[0] != preMagic {
-		return nil, fmt.Errorf("radiusstep: bad preprocessed magic %#x", head[0])
-	}
-	n := head[1]
-	if n > 1<<34 {
-		return nil, fmt.Errorf("radiusstep: implausible vertex count %d", n)
-	}
-	if head[5] > 1 {
-		return nil, fmt.Errorf("radiusstep: corrupt original-graph flag %d", head[5])
-	}
-	pre := &Preprocessed{
-		Added:        int64(head[2]),
-		Visited:      int64(head[3]),
-		EdgesScanned: int64(head[4]),
-	}
-	var err error
-	if pre.Radii, err = d.Radii(n); err != nil {
-		return nil, fmt.Errorf("radiusstep: preprocessed radii: %w", err)
-	}
-	if pre.Graph, err = d.BinaryCSR(); err != nil {
-		return nil, fmt.Errorf("radiusstep: preprocessed graph: %w", err)
-	}
-	if pre.Graph.NumVertices() != int(n) {
-		return nil, fmt.Errorf("radiusstep: radii/graph size mismatch")
-	}
-	if head[5] == 1 {
-		if pre.Original, err = d.BinaryCSR(); err != nil {
-			return nil, fmt.Errorf("radiusstep: preprocessed original graph: %w", err)
-		}
-		if pre.Original.NumVertices() != int(n) {
-			return nil, fmt.Errorf("radiusstep: original graph size mismatch")
-		}
-	}
-	return pre, nil
 }

@@ -1,14 +1,10 @@
 package radiusstep_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
-	"io"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	rs "radiusstep"
@@ -242,34 +238,40 @@ func TestPathLengthErrors(t *testing.T) {
 	}
 }
 
+// TestPreprocessedRoundTrip: a preprocessing result persisted in a
+// snapshot reloads with its radii, original graph and parameters, and
+// the reloaded solver answers queries identically.
 func TestPreprocessedRoundTrip(t *testing.T) {
 	g := rs.WithUniformIntWeights(rs.Grid2D(15, 15), 1, 500, 8)
-	pre, err := rs.Preprocess(g, rs.Options{Rho: 10, K: 2, Heuristic: rs.HeuristicDP})
+	opt := rs.Options{Rho: 10, K: 2, Heuristic: rs.HeuristicDP}
+	pre, err := rs.Preprocess(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := rs.NewSnapshot(pre, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := rs.WritePreprocessed(&buf, pre); err != nil {
+	if err := rs.WriteSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	got, err := rs.ReadPreprocessed(&buf)
+	got, err := rs.ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Added != pre.Added || got.Visited != pre.Visited || got.EdgesScanned != pre.EdgesScanned {
-		t.Fatal("counters changed in round trip")
+	if got.Rho != 10 || got.K != 2 || got.Heuristic != "dp" {
+		t.Fatalf("parameters changed in round trip: rho=%d k=%d heuristic=%q", got.Rho, got.K, got.Heuristic)
 	}
 	if got.Original == nil || got.Original.NumEdges() != g.NumEdges() {
 		t.Fatal("original graph lost in round trip")
 	}
-	for i := range pre.Radii {
-		if got.Radii[i] != pre.Radii[i] {
-			t.Fatalf("radii differ at %d", i)
-		}
+	if !reflect.DeepEqual(got.Radii, pre.Radii) {
+		t.Fatal("radii changed in round trip")
 	}
-	// The reloaded bundle answers queries identically.
+	// The reloaded snapshot answers queries identically.
 	want := rs.Dijkstra(g, 7)
-	s, err := rs.NewSolverPre(got, rs.EngineSequential)
+	s, err := rs.SolverFromSnapshot(got, rs.EngineSequential)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,126 +283,5 @@ func TestPreprocessedRoundTrip(t *testing.T) {
 		if dist[i] != want[i] {
 			t.Fatalf("reloaded solver wrong at %d", i)
 		}
-	}
-}
-
-func TestReadPreprocessedRejectsCorruption(t *testing.T) {
-	g := rs.Grid2D(5, 5)
-	pre, err := rs.Preprocess(g, rs.Options{Rho: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rs.WritePreprocessed(&buf, pre); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Truncations at several boundaries.
-	for _, cut := range []int{0, 4, 16, len(raw) / 2, len(raw) - 3} {
-		if _, err := rs.ReadPreprocessed(bytes.NewReader(raw[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	// Bad magic.
-	bad := append([]byte(nil), raw...)
-	bad[0] ^= 0xff
-	if _, err := rs.ReadPreprocessed(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Corrupt radii (negative). The header is 6 uint64 fields; the first
-	// radius follows.
-	bad2 := append([]byte(nil), raw...)
-	bad2[6*8+7] = 0xff // sign bit of first radius
-	if _, err := rs.ReadPreprocessed(bytes.NewReader(bad2)); err == nil {
-		t.Fatal("negative radius accepted")
-	}
-	// An arc target far outside [0, n) and a +Inf radius must fail at
-	// load, not at the first solve.
-	n := pre.Graph.NumVertices()
-	bad3 := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(bad3[6*8+n*8+3*8+(n+1)*8:], 1<<30) // first Adj entry
-	if _, err := rs.ReadPreprocessed(bytes.NewReader(bad3)); err == nil {
-		t.Fatal("out-of-range arc target accepted")
-	}
-	bad4 := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(bad4[6*8:], math.Float64bits(math.Inf(1)))
-	if _, err := rs.ReadPreprocessed(bytes.NewReader(bad4)); err == nil {
-		t.Fatal("+Inf radius accepted")
-	}
-	// Writing a broken bundle fails fast.
-	if err := rs.WritePreprocessed(&bytes.Buffer{}, &rs.Preprocessed{}); err == nil {
-		t.Fatal("nil graph accepted")
-	}
-}
-
-// refWritePreprocessed encodes a bundle element by element through
-// encoding/binary, independently of the section codec. It pins the
-// format: WritePreprocessed must produce the same bytes.
-func refWritePreprocessed(w io.Writer, pre *rs.Preprocessed) error {
-	bw := bufio.NewWriter(w)
-	hasOrig := uint64(0)
-	graphs := []*rs.Graph{pre.Graph}
-	if pre.Original != nil {
-		hasOrig = 1
-		graphs = append(graphs, pre.Original)
-	}
-	fields := []any{preMagicRef, uint64(len(pre.Radii)), uint64(pre.Added), uint64(pre.Visited), uint64(pre.EdgesScanned), hasOrig, pre.Radii}
-	for _, g := range graphs {
-		fields = append(fields, uint64(binaryMagicRef), uint64(g.NumVertices()), uint64(g.NumArcs()), g.Off, g.Adj, g.W)
-	}
-	for _, f := range fields {
-		if err := binary.Write(bw, binary.LittleEndian, f); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-const (
-	preMagicRef    = uint64(0x5052455052503031) // "PREPRP01"
-	binaryMagicRef = uint32(0x52535447)         // "GTSR"
-)
-
-// TestPreprocessedMatchesReferenceWriter: WritePreprocessed produces the
-// reference writer's bytes, which read back to the bundle written.
-func TestPreprocessedMatchesReferenceWriter(t *testing.T) {
-	g := rs.WithUniformIntWeights(rs.Grid2D(9, 9), 1, 100, 3)
-	for _, k := range []int{1, 2} {
-		pre, err := rs.Preprocess(g, rs.Options{Rho: 6, K: k, Heuristic: rs.HeuristicDP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got, want bytes.Buffer
-		if err := rs.WritePreprocessed(&got, pre); err != nil {
-			t.Fatal(err)
-		}
-		if err := refWritePreprocessed(&want, pre); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("k=%d: bundle bytes differ from the reference writer's", k)
-		}
-		back, err := rs.ReadPreprocessed(&want)
-		if err != nil || !reflect.DeepEqual(back, pre) {
-			t.Fatalf("k=%d: reference bytes read back wrong: %v", k, err)
-		}
-	}
-}
-
-// TestReadPreprocessedBoundsAllocation: a 116-byte stream declaring 2^24
-// radii fails having allocated in proportion to what arrived.
-func TestReadPreprocessedBoundsAllocation(t *testing.T) {
-	raw := make([]byte, 116)
-	binary.LittleEndian.PutUint64(raw, preMagicRef)
-	binary.LittleEndian.PutUint64(raw[8:], 1<<24)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := rs.ReadPreprocessed(bytes.NewReader(raw))
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("short bundle accepted")
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
-		t.Fatalf("ReadPreprocessed allocated %d bytes for a 116-byte stream", got)
 	}
 }

@@ -351,7 +351,7 @@ func newSolver(pre *Preprocessed, engine Engine, params core.Params) *Solver {
 
 // SetDelta overrides the Δ-stepping bucket width EngineDelta uses
 // (<= 0 restores the derived default). It exists so deployments loading
-// persisted preprocessing (snapshots, bundles) can still tune the
+// persisted preprocessing (snapshots) can still tune the
 // query-time strategy; call it before serving queries — it is not
 // synchronized with in-flight solves.
 func (s *Solver) SetDelta(delta float64) {

@@ -209,17 +209,6 @@ func TestGraphRoundTripPublic(t *testing.T) {
 	if g2.NumEdges() != g.NumEdges() || g2.NumVertices() != g.NumVertices() {
 		t.Fatal("round trip changed the graph")
 	}
-	var bin bytes.Buffer
-	if err := rs.WriteGraphBinary(&bin, g); err != nil {
-		t.Fatal(err)
-	}
-	g3, err := rs.ReadGraphBinary(&bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3.NumArcs() != g.NumArcs() {
-		t.Fatal("binary round trip changed the graph")
-	}
 }
 
 func TestBuilderPublic(t *testing.T) {
