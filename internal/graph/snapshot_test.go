@@ -171,9 +171,16 @@ func TestReadSnapshotRejectsBadValues(t *testing.T) {
 			t.Fatalf("radius %v accepted: err = %v", bad, err)
 		}
 	}
+}
 
-	// A well-framed snapshot with one bad CSR value and a valid CRC must
-	// fail at load, not when a solve indexes past the arrays.
+// TestBinaryRejectsGarbage: the snapshot, the one binary graph format,
+// rejects bytes that are not a snapshot, and a well-framed snapshot with
+// one bad CSR value and a valid CRC fails at load, not when a solve
+// indexes past the arrays.
+func TestBinaryRejectsGarbage(t *testing.T) {
+	if _, err := ReadSnapshot(bytes.NewReader([]byte("not a graph at all........"))); err == nil {
+		t.Fatal("garbage accepted")
+	}
 	g := triangle()
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, &Snapshot{G: g}); err != nil {
