@@ -1,5 +1,5 @@
 // Command radius-bench regenerates the paper's tables and figures, and
-// benchmarks the stepping-engine matrix.
+// benchmarks the stepping engines.
 //
 // Usage:
 //
@@ -8,37 +8,31 @@
 //	radius-bench -exp all -scale tiny
 //	radius-bench -engines all -gen road -n 100000 -trials 9
 //	radius-bench -engines seq,delta,rho -gen web -n 50000
-//	radius-bench -engines all -trace timelines.json
-//	radius-bench -procs 1,2,4,8 -engines seq,par
+//	radius-bench -procs 1,2,4,8 -engines seq,par -min-speedup 1.0
 //	radius-bench -compare BENCH_5.json
 //	radius-bench -compare latest
-//	radius-bench -routes -gen rmat -n 50000 -pairs 25 -landmarks 8
+//	radius-bench -scaling-baseline BENCH_7.json
 //
-// The -routes mode measures per-engine point-to-point route latency
-// with and without goal-directed ALT landmark pruning over the same
-// deterministic source/target pairs, asserting every pruned distance is
-// byte-identical to its unpruned twin; it reports the p50 ratio and the
-// fraction of relaxation candidates the landmark bound skipped.
+// The engine benchmark (-engines, -procs) times each engine at each
+// listed GOMAXPROCS value (default: the current one) over one
+// preprocessed graph, through the per-query engine-override path the
+// daemon serves. It prints a one-workload record — per cell p50/p90
+// latency, speedup over the first procs value, allocations per solve
+// and the solve counters — as JSON on stdout and a table on stderr.
+// With -min-speedup X, every engine's p50 at the last procs value must
+// reach X times its p50 at the first; the gate skips itself with a
+// warning on hosts with fewer CPUs than the last procs value.
 //
-// The -engines matrix mode emits per-engine p50/p90 solve latency and
-// per-solve allocation counts as JSON (the BENCH_* trajectory seed); it
-// exercises the same per-query engine-override path the daemon serves.
-// The -compare mode re-runs the workloads recorded in a committed
-// baseline file and exits nonzero when any engine's p50 latency
-// regressed by more than -compare-threshold (default 25%) or its
-// allocs-per-solve grew by more than -compare-alloc-threshold times the
-// baseline (default 2x, past an absolute noise floor). The special
-// baseline name "latest" resolves to the highest-numbered
-// BENCH_<n>.json in the working directory, so the gate always runs
-// against the freshest committed baseline.
-//
-// The -procs mode re-runs the engine matrix at each listed GOMAXPROCS
-// value over one shared preprocessed graph and reports per-engine
-// speedup columns (JSON on stdout, aligned table on stderr). The
-// -trace mode appends one traced solve per engine after the matrix and
-// writes the solve timelines (steps, substeps, pool and frontier
-// timings) as JSON to the named file; timelines stay out of the
-// BENCH_* baselines because traced solves pay clock-read overhead.
+// The -compare mode re-runs every workload of a record, each cell at
+// its recorded procs value, and exits nonzero when a gate fails: p50 at
+// a workload's first procs column more than 10% above the record,
+// allocations per solve above 2x the record and more than 256 above it,
+// or (on hosts with 4 or more CPUs, workloads of 1M or more vertices)
+// parallel, flat or rho below -min-speedup (default 1.8x) at 4 procs.
+// The record name "latest" resolves to the highest-numbered
+// BENCH_<n>.json in the working directory. -scaling-baseline measures
+// the default workload set (rmat and grid2d at 50k and past 1M
+// vertices, procs 1,2,4,8) and writes the record to the named file.
 //
 // Scales: tiny (seconds), default (minutes), full (closer to the paper's
 // sizes; expect long runtimes — preprocessing is Θ(nρ²)).
@@ -49,6 +43,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -60,23 +56,17 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (see -list) or 'all'")
 	scale := flag.String("scale", "default", "tiny | default | full")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	engines := flag.String("engines", "", "engine matrix mode: 'all' or a comma list (seq,par,flat,delta,rho); emits JSON")
-	gen := flag.String("gen", "road", "matrix mode: generator family")
-	n := flag.Int("n", 50000, "matrix mode: approximate vertex count")
-	weights := flag.Int("weights", 10000, "matrix mode: uniform integer weights in [1, W] (0 keeps generator weights)")
-	rho := flag.Int("rho", 32, "matrix mode: preprocessing ball size (and rho-stepping quota)")
-	trials := flag.Int("trials", 9, "matrix mode: timed solves per engine")
-	seed := flag.Uint64("seed", 42, "matrix mode: generator seed")
-	compare := flag.String("compare", "", "regression-gate mode: re-run the workloads in this baseline JSON (e.g. BENCH_5.json, or 'latest' for the newest committed BENCH_<n>.json) and exit nonzero on p50 or allocation regressions")
-	threshold := flag.Float64("compare-threshold", 0.25, "compare mode: maximum tolerated p50 regression (0.25 = 25%)")
-	allocThreshold := flag.Float64("compare-alloc-threshold", 2.0, "compare mode: maximum tolerated allocs-per-solve growth factor (2 = doubled; <= 0 disables)")
-	procs := flag.String("procs", "", "scaling mode: comma list of GOMAXPROCS values (e.g. 1,2,4,8); re-runs the engine matrix at each and reports speedup columns (JSON to stdout, table to stderr)")
-	minSpeedup := flag.Float64("min-speedup", 0, "scaling mode: require every engine's p50 speedup at the last procs value to reach this factor (1.0 = monotonicity; 0 disables); skipped with a warning when the host has fewer CPUs. In compare mode against a scaling baseline, overrides the default 1.8x gate")
-	scalingBaseline := flag.String("scaling-baseline", "", "measure the default multi-proc workload set (50k + >=1M rmat/grid2d at procs 1,2,4,8) and write the committable scaling baseline JSON to this file")
-	traceOut := flag.String("trace", "", "matrix mode: write one solve timeline per engine as JSON to this file")
-	routes := flag.Bool("routes", false, "route mode: per-engine point-to-point p50 latency with and without ALT landmark pruning; asserts pruned distances byte-identical (JSON to stdout, table to stderr)")
-	pairs := flag.Int("pairs", 25, "route mode: source/target pairs measured per engine")
-	landmarks := flag.Int("landmarks", 8, "route mode: ALT landmark count")
+	engines := flag.String("engines", "", "engine benchmark: 'all' or a comma list (seq,par,flat,delta,rho); record JSON to stdout, table to stderr")
+	gen := flag.String("gen", "road", "engine benchmark: generator family")
+	n := flag.Int("n", 50000, "engine benchmark: approximate vertex count")
+	weights := flag.Int("weights", 10000, "engine benchmark: uniform integer weights in [1, W] (0 keeps generator weights)")
+	rho := flag.Int("rho", 32, "engine benchmark: preprocessing ball size (and rho-stepping quota)")
+	trials := flag.Int("trials", 9, "engine benchmark: timed solves per engine and procs value")
+	seed := flag.Uint64("seed", 42, "engine benchmark: generator seed")
+	compare := flag.String("compare", "", "regression gate: re-run the workloads of this record (e.g. BENCH_5.json, or 'latest' for the newest committed BENCH_<n>.json) at their recorded procs values and exit nonzero on a p50, allocation or speedup regression")
+	procs := flag.String("procs", "", "engine benchmark: comma list of GOMAXPROCS values (e.g. 1,2,4,8); default the current one")
+	minSpeedup := flag.Float64("min-speedup", 0, "engine benchmark: require every engine's p50 speedup at the last procs value to reach this factor (1.0 = monotonicity; 0 disables); skipped with a warning when the host has fewer CPUs. In compare mode, overrides the default 1.8x gate at 4 procs")
+	scalingBaseline := flag.String("scaling-baseline", "", "measure the default workload set (50k + >=1M rmat/grid2d at procs 1,2,4,8) and write the record JSON to this file")
 	flag.Parse()
 
 	if *list {
@@ -91,145 +81,86 @@ func main() {
 		if path == "latest" {
 			var err error
 			if path, err = bench.LatestBaseline("."); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				exit(2, err)
 			}
 			fmt.Printf("# baseline: %s\n", path)
 		}
-		// Baselines come in two shapes: the engine-matrix trajectory and
-		// the multi-proc scaling envelope (kind == "scaling"). Dispatch on
-		// the committed file, so `-compare latest` keeps working as the
-		// trajectory alternates shapes.
-		if _, isScaling, err := bench.ReadScalingBaseline(path); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		} else if isScaling {
-			if err := bench.CompareScaling(os.Stdout, path, *minSpeedup); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := bench.CompareEngineMatrix(os.Stdout, path, *threshold, *allocThreshold); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := bench.Compare(os.Stdout, path, *minSpeedup); err != nil {
+			exit(1, err)
 		}
 		return
 	}
 	if *scalingBaseline != "" {
-		b, err := bench.MeasureScalingSet(bench.DefaultScalingConfigs(), os.Stderr)
+		b, err := bench.MeasureSet(bench.DefaultConfigs(), os.Stderr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1, err)
 		}
 		f, err := os.Create(*scalingBaseline)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit(1, err)
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		werr := enc.Encode(b)
-		cerr := f.Close()
-		if werr != nil || cerr != nil {
-			fmt.Fprintf(os.Stderr, "scaling baseline: write %s: %v%v\n", *scalingBaseline, werr, cerr)
-			os.Exit(1)
+		werr := writeJSON(f, b)
+		if cerr := f.Close(); werr != nil || cerr != nil {
+			exit(1, fmt.Errorf("scaling baseline: write %s: %v%v", *scalingBaseline, werr, cerr))
 		}
 		fmt.Fprintf(os.Stderr, "# scaling baseline (%d workloads, hostProcs=%d) written to %s\n",
 			len(b.Workloads), b.HostProcs, *scalingBaseline)
 		return
 	}
-	if *engines != "" || *procs != "" || *routes {
-		var names []string
+	if *engines != "" || *procs != "" {
+		cfg := bench.Config{Gen: *gen, N: *n, Weights: *weights, Rho: *rho, Seed: *seed, Trials: *trials}
 		if *engines != "" && *engines != "all" {
 			for _, raw := range strings.Split(*engines, ",") {
 				e, err := rs.ParseEngine(strings.TrimSpace(raw))
 				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(2)
+					exit(2, err)
 				}
-				names = append(names, e.String())
+				cfg.Engines = append(cfg.Engines, e.String())
 			}
-		}
-		if *routes {
-			report, err := bench.RunRouteBench(os.Stdout, bench.RouteBenchConfig{
-				Gen: *gen, N: *n, Weights: *weights, Rho: *rho,
-				Seed: *seed, Pairs: *pairs, Landmarks: *landmarks, Engines: names,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprint(os.Stderr, bench.FormatRouteTable(report))
-			return
-		}
-		mcfg := bench.EngineMatrixConfig{
-			Gen: *gen, N: *n, Weights: *weights, Rho: *rho,
-			Seed: *seed, Trials: *trials, Engines: names,
 		}
 		if *procs != "" {
-			var pvals []int
 			for _, raw := range strings.Split(*procs, ",") {
-				var p int
-				if _, err := fmt.Sscanf(strings.TrimSpace(raw), "%d", &p); err != nil || p < 1 {
-					fmt.Fprintf(os.Stderr, "bad -procs value %q (want a comma list of integers >= 1)\n", raw)
-					os.Exit(2)
+				p, err := strconv.Atoi(strings.TrimSpace(raw))
+				if err != nil || p < 1 {
+					exit(2, fmt.Errorf("bad -procs value %q (want a comma list of integers >= 1)", raw))
 				}
-				pvals = append(pvals, p)
+				cfg.Procs = append(cfg.Procs, p)
 			}
-			report, err := bench.RunScaling(os.Stdout, bench.ScalingConfig{
-				Gen: *gen, N: *n, Weights: *weights, Rho: *rho,
-				Seed: *seed, Trials: *trials, Engines: names, Procs: pvals,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprint(os.Stderr, bench.FormatScalingTable(report))
-			if *minSpeedup > 0 {
-				if err := bench.GateScalingReport(os.Stderr, report, *minSpeedup); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-			}
-			return
 		}
-		if err := bench.RunEngineMatrix(os.Stdout, mcfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		b, err := bench.MeasureSet([]bench.Config{cfg}, os.Stderr)
+		if err != nil {
+			exit(1, err)
 		}
-		if *traceOut != "" {
-			timelines, err := bench.MeasureEngineTimelines(mcfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+		if err := writeJSON(os.Stdout, b); err != nil {
+			exit(1, err)
+		}
+		if *minSpeedup > 0 {
+			if err := bench.GateMonotonic(os.Stderr, &b.Workloads[0], *minSpeedup, runtime.NumCPU()); err != nil {
+				exit(1, err)
 			}
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			werr := enc.Encode(timelines)
-			cerr := f.Close()
-			if werr != nil || cerr != nil {
-				fmt.Fprintf(os.Stderr, "trace: write %s: %v%v\n", *traceOut, werr, cerr)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "# %d engine timelines written to %s\n", len(timelines), *traceOut)
 		}
 		return
 	}
 	sc, err := bench.ScaleByName(*scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2, err)
 	}
 	start := time.Now()
 	if err := bench.RunExperiment(os.Stdout, *exp, sc); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1, err)
 	}
 	fmt.Printf("# done in %v (scale=%s)\n", time.Since(start).Round(time.Millisecond), sc.Name)
+}
+
+// writeJSON writes v as indented JSON.
+func writeJSON(f *os.File, v any) error {
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// exit prints err to stderr and exits with code.
+func exit(code int, err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(code)
 }

@@ -1,12 +1,16 @@
 package radiusstep_test
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
+
+	"radiusstep/internal/bench"
 )
 
 // CLI smoke tests: build each command once into a temp dir and exercise
@@ -79,6 +83,77 @@ func TestCLIBenchSingleExperiment(t *testing.T) {
 	}
 	if _, err := runCLI(t, dir, "radius-bench", "-scale", "nope"); err == nil {
 		t.Fatal("unknown scale accepted")
+	}
+}
+
+// TestCLIBenchRecordRoundTrip: the engine benchmark's stdout is a record
+// that -compare reads back and gates on p50.
+func TestCLIBenchRecordRoundTrip(t *testing.T) {
+	dir := buildCLIs(t)
+	// run runs radius-bench and returns its stdout and stderr apart.
+	run := func(args ...string) (string, string, error) {
+		var stdout, stderr strings.Builder
+		cmd := exec.Command(filepath.Join(dir, "radius-bench"), args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		return stdout.String(), stderr.String(), err
+	}
+	stdout, stderr, err := run("-engines", "seq", "-procs", "1", "-gen", "grid2d", "-n", "400", "-trials", "3")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr)
+	}
+	var rec bench.Baseline
+	if err := json.Unmarshal([]byte(stdout), &rec); err != nil {
+		t.Fatalf("stdout is not a record: %v\n%s", err, stdout)
+	}
+	if len(rec.Workloads) != 1 || len(rec.Workloads[0].Rows) != 1 || len(rec.Workloads[0].Rows[0].Cells) != 1 {
+		t.Fatalf("want one workload, engine and cell:\n%s", stdout)
+	}
+	cell := &rec.Workloads[0].Rows[0].Cells[0]
+	// compare writes the record with the cell's p50 set and returns
+	// -compare's stderr.
+	compare := func(p50 float64) (string, error) {
+		cell.P50Micros = p50
+		data, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "rec.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, err := run("-compare", path)
+		return stderr, err
+	}
+	if msg, err := compare((cell.P50Micros + 1) * 1000); err != nil {
+		t.Fatalf("record with p50 x1000 failed -compare: %v\n%s", err, msg)
+	}
+	if msg, err := compare(0.001); err == nil || !strings.Contains(msg, "p50") {
+		t.Fatalf("record with p50 0.001: %v, want a p50 failure:\n%s", err, msg)
+	}
+	// The flag set is exactly these; any other flag, such as the removed
+	// route, trace and gate-threshold flags, fails to parse.
+	_, usage, err := run("-h")
+	if err != nil {
+		t.Fatalf("-h: %v\n%s", err, usage)
+	}
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage, -1) {
+		flags = append(flags, m[1])
+	}
+	want := "compare engines exp gen list min-speedup n procs rho scale scaling-baseline seed trials weights"
+	if got := strings.Join(flags, " "); got != want {
+		t.Fatalf("flags %q, want %q", got, want)
+	}
+	for _, args := range [][]string{{"-routes"}, {"-trace", "x"}} {
+		if out, err := runCLI(t, dir, "radius-bench", args...); err == nil {
+			t.Fatalf("%v accepted:\n%s", args, out)
+		}
+	}
+	// -procs rejects trailing input.
+	out, err := runCLI(t, dir, "radius-bench", "-engines", "seq", "-procs", "1,2x", "-gen", "grid2d", "-n", "100")
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+		t.Fatalf("-procs 1,2x: %v, want exit status 2:\n%s", err, out)
 	}
 }
 

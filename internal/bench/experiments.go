@@ -98,8 +98,7 @@ func StepsFor(sc Scale, wl *Workload, weighted bool, rho int) (stepResult, error
 // Barabási–Albert web substitute the unweighted balls are degenerate
 // (diameter ≈ 4, so k ≥ 3 needs no shortcuts at all); the weighted
 // variant restores the deep, irregular shortest-path trees the paper's
-// heuristic comparison is actually about, so we measure there. See
-// EXPERIMENTS.md for the deviation note.
+// heuristic comparison is actually about, so we measure there.
 func CutsFor(sc Scale, wl *Workload, rho int) (cutResult, error) {
 	key := fmt.Sprintf("%s/%s/%d", sc.Name, wl.Name, rho)
 	cacheMu.Lock()

@@ -16,8 +16,7 @@
 // A Recorder is single-solve, single-goroutine state: make one per
 // traced solve (the traced paths are diagnostic, not hot). The
 // resulting Timeline is the JSON body returned by the daemon's
-// ?trace=1 query parameter, written by cmd/sssp -trace, and emitted per
-// engine by radius-bench -trace.
+// ?trace=1 query parameter and written by cmd/sssp -trace.
 //
 // The package sits below every other internal package (it imports only
 // the standard library), so core, frontier, parallel and server are all
@@ -130,7 +129,7 @@ type FrontierPhases struct {
 }
 
 // Timeline is the complete trace of one solve — the JSON body behind
-// ?trace=1, cmd/sssp -trace and radius-bench -trace.
+// ?trace=1 and cmd/sssp -trace.
 type Timeline struct {
 	Engine string `json:"engine"`
 	Source int64  `json:"source"`

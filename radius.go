@@ -40,8 +40,8 @@ type FrontierOps = core.FrontierOps
 // Timeline is the full trace of one solve: per-step and per-substep
 // timing records, worker-pool event deltas, and frontier-substrate
 // phase timings. Produced by a traced Query (Solver.Solve,
-// DistancesTraced), the daemon's ?trace=1 query parameter, cmd/sssp
-// -trace and radius-bench -trace.
+// DistancesTraced), the daemon's ?trace=1 query parameter and cmd/sssp
+// -trace.
 type Timeline = trace.Timeline
 
 // TimelineStep is one step's trace record (threshold, settled count,
