@@ -159,11 +159,12 @@ func TestWorkspaceReuseResetPaths(t *testing.T) {
 	// One pooled workspace per engine serves a sequence that switches
 	// between prepare's two reset paths — the partial reset after a
 	// small target solve, the full fill after an overflowed, canceled
-	// or full solve, or a graph change — with pruning on, so the bound
-	// memo's stamps are reused too. Every target distance must match
-	// Dijkstra bit for bit, and every vector (a target solve's partial
-	// one included) must match a fresh workspace's: a stale entry left
-	// by an earlier solve would show in either.
+	// or full solve, or a graph change — with pruning on, so a hook left
+	// by an earlier target must not leak into the next. Every target
+	// distance must match Dijkstra bit for bit, and every vector (a
+	// target solve's partial one included) must match a fresh
+	// workspace's: a stale entry left by an earlier solve would show in
+	// either.
 	g, radii := cancelTestGraph(t)
 	h := gen.WithUniformIntWeights(gen.Grid2D(20, 20), 1, 100, 22)
 	hRadii, err := preprocess.RadiiOnly(h, 8)
@@ -171,7 +172,7 @@ func TestWorkspaceReuseResetPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Near targets lie a few steps from the corner source; each pruned
-	// solve aims at a new one, so a bound memoized for an earlier target
+	// solve aims at a new one, so a bound kept from an earlier target
 	// would be wrong for the next.
 	const src = 0
 	far := farthest(t, g, radii, src)
@@ -181,7 +182,8 @@ func TestWorkspaceReuseResetPaths(t *testing.T) {
 		if !prune {
 			return Params{}
 		}
-		return Params{Bound: set.BoundTo(dst), UpperBound: set.Estimate(src, dst)}
+		hook, _, est := set.BoundTo(src, dst)
+		return Params{Bound: hook, UpperBound: est}
 	}
 	for _, kind := range allKinds() {
 		ws := NewWorkspace()

@@ -112,19 +112,24 @@ func validateSrc(g *graph.CSR, src graph.V) error {
 	return nil
 }
 
-// validate checks common argument invariants for the solvers.
+// validate checks the source and the radii's length. It does not scan
+// the radii's values: a Solver checks those once when it is built, and
+// the entry points that take caller radii check them on each call (see
+// solveCallerRadii).
 func validate(g *graph.CSR, radii []float64, src graph.V) error {
-	n := g.NumVertices()
-	if len(radii) != n {
+	if n := g.NumVertices(); len(radii) != n {
 		return fmt.Errorf("core: %d radii for %d vertices", len(radii), n)
 	}
-	if err := validateSrc(g, src); err != nil {
-		return err
+	return validateSrc(g, src)
+}
+
+// solveCallerRadii is a one-shot full solve on radii no Solver has
+// checked: it applies graph.CheckRadii first, so a negative, NaN or
+// infinite radius is an error instead of a solve that never ends or
+// returns wrong distances.
+func solveCallerRadii(g *graph.CSR, radii []float64, src graph.V, kind EngineKind) ([]float64, Stats, error) {
+	if err := graph.CheckRadii(radii); err != nil {
+		return nil, Stats{}, fmt.Errorf("core: %w", err)
 	}
-	for v, r := range radii {
-		if r < 0 {
-			return fmt.Errorf("core: negative radius %v at vertex %d", r, v)
-		}
-	}
-	return nil
+	return SolveKind(g, radii, src, kind, Params{}, nil)
 }

@@ -123,15 +123,23 @@ func TestEnginesAgreeOnStepCounts(t *testing.T) {
 }
 
 func TestBellmanFordDegenerate(t *testing.T) {
-	// r = ∞ must give a single step (the Bellman–Ford degenerate case).
+	// An unbounded radius must give a single step (the Bellman–Ford
+	// degenerate case). The largest radius the radii rule admits stands
+	// in for r = ∞, which TestValidation shows is rejected.
 	g := gen.WithUniformIntWeights(gen.Grid2D(10, 10), 1, 20, 5)
-	radii := UniformRadii(g.NumVertices(), math.Inf(1))
-	_, st, err := SolveRef(g, radii, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Steps != 1 {
-		t.Fatalf("steps = %d, want 1", st.Steps)
+	radii := UniformRadii(g.NumVertices(), math.MaxFloat64)
+	want := baseline.Dijkstra(g, 0)
+	for _, s := range solvers() {
+		got, st, err := s.fn(g, radii, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Steps != 1 {
+			t.Fatalf("%s: steps = %d, want 1", s.name, st.Steps)
+		}
+		if i := check.SameDistances(want, got, 0); i >= 0 {
+			t.Fatalf("%s: mismatch at %d", s.name, i)
+		}
 	}
 }
 
@@ -284,6 +292,17 @@ func TestValidation(t *testing.T) {
 	}
 	if _, _, err := SolveFlat(g, bad, 0); err == nil {
 		t.Fatal("flat: negative radius accepted")
+	}
+	// NaN and +Inf radii fail the same rule. Unchecked, all-NaN radii
+	// made SolveFlat loop forever and all-+Inf ones made it return wrong
+	// distances.
+	for _, r := range []float64{math.NaN(), math.Inf(1)} {
+		odd := UniformRadii(5, r)
+		for _, s := range solvers() {
+			if _, _, err := s.fn(g, odd, 0); err == nil {
+				t.Fatalf("%s: radius %v accepted", s.name, r)
+			}
+		}
 	}
 }
 

@@ -93,5 +93,5 @@ func (p *frontierStepper) frontierOps() frontier.Ops {
 // arcs concurrently using priority-writes. Steps, substeps and
 // distances are identical to SolveRef.
 func Solve(g *graph.CSR, radii []float64, src graph.V) ([]float64, Stats, error) {
-	return SolveKind(g, radii, src, KindParallel, Params{}, nil)
+	return solveCallerRadii(g, radii, src, KindParallel)
 }

@@ -129,7 +129,7 @@ func (f *flatStepper) fringe() int { return len(f.pending) }
 // weights and produces step/substep counts identical to SolveRef and
 // Solve.
 func SolveFlat(g *graph.CSR, radii []float64, src graph.V) ([]float64, Stats, error) {
-	return SolveKind(g, radii, src, KindFlat, Params{}, nil)
+	return solveCallerRadii(g, radii, src, KindFlat)
 }
 
 // SolveDelta computes shortest-path distances from src with the

@@ -70,7 +70,8 @@ func TestFiveEnginesTargetPruneByteIdentical(t *testing.T) {
 					t.Fatalf("graph %d %s target %d: unpruned solve reported %d pruned candidates",
 						gi, kind, dst, st.Pruned)
 				}
-				p := Params{Bound: set.BoundTo(dst), UpperBound: set.Estimate(src, dst)}
+				hook, _, est := set.BoundTo(src, dst)
+				p := Params{Bound: hook, UpperBound: est}
 				dp, distp, stp, err := SolveKindTarget(g, radii, src, dst, kind, p, ws)
 				if err != nil {
 					t.Fatalf("graph %d %s target %d pruned: %v", gi, kind, dst, err)
@@ -87,8 +88,8 @@ func TestFiveEnginesTargetPruneByteIdentical(t *testing.T) {
 			}
 			// A full solve must ignore the goal-direction hook: every
 			// distance byte-identical, nothing counted as pruned.
-			got, st, err := SolveKind(g, radii, src, kind,
-				Params{Bound: set.BoundTo(targets[0]), UpperBound: set.Estimate(src, targets[0])}, ws)
+			hook, _, est := set.BoundTo(src, targets[0])
+			got, st, err := SolveKind(g, radii, src, kind, Params{Bound: hook, UpperBound: est}, ws)
 			if err != nil {
 				t.Fatalf("graph %d %s full-with-hook: %v", gi, kind, err)
 			}
@@ -110,20 +111,62 @@ func TestFiveEnginesTargetPruneByteIdentical(t *testing.T) {
 	}
 }
 
-// FuzzLandmarkBound fuzzes the two properties the byte-identical
-// pruning guarantee rests on: the landmark lower bound is admissible
-// (never exceeds the true distance from the sequential oracle), and a
-// target solve with the bound and a-priori estimate installed returns
-// the oracle's distance bit-for-bit on every engine — in particular,
-// never +Inf for a reachable target. The hook BoundTo builds must also
-// have LowerBound's bits for every vertex; the random graphs include
-// disconnected components, so both its inline path (the target reaches
-// every landmark) and its fallback run.
+// activePair is the two-landmark Set the hook of set.BoundTo(src, dst)
+// must equal, chosen here without BoundTo: each landmark's bound at
+// src is LowerBound(src, dst) over that landmark alone, the two largest
+// win, ties go to the lower index, and a one-landmark set pairs its
+// landmark with itself (a set holds a vertex once, so the pair is then
+// the landmark alone).
+func activePair(t *testing.T, set *landmark.Set, src, dst graph.V) *landmark.Set {
+	t.Helper()
+	n, verts, rows := set.N(), set.Vertices(), set.Rows()
+	single := func(i int) *landmark.Set {
+		one, err := landmark.FromRows(n, verts[i:i+1], rows[i*n:(i+1)*n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return one
+	}
+	first, second := -1, -1
+	var b1, b2 float64
+	for i := range verts {
+		b := single(i).LowerBound(src, dst)
+		switch {
+		case first < 0 || b > b1:
+			second, b2 = first, b1
+			first, b1 = i, b
+		case second < 0 || b > b2:
+			second, b2 = i, b
+		}
+	}
+	pair := single(first)
+	if second >= 0 {
+		var err error
+		if pair, err = pair.With(verts[second], rows[second*n:(second+1)*n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pair
+}
+
+// FuzzLandmarkBound fuzzes the properties the byte-identical pruning
+// guarantee rests on: the landmark lower bound is admissible (never
+// exceeds the true distance from the sequential oracle), the a-priori
+// estimate is a true upper bound, and a target solve with the hook and
+// estimate installed returns the oracle's distance bit-for-bit on every
+// engine — in particular, never +Inf for a reachable target. The hook
+// BoundTo builds must never exceed LowerBound, and must have the bits
+// of the bound over the two active landmarks, which activePair selects
+// independently. The random graphs include disconnected components, so
+// one-sided and double-sided infinities both occur.
 func FuzzLandmarkBound(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(2), uint8(0), uint8(5))
 	f.Add(int64(42), uint8(47), uint8(0), uint8(3), uint8(3))
 	f.Add(int64(-7), uint8(9), uint8(3), uint8(8), uint8(1))
 	f.Add(int64(1299721), uint8(31), uint8(1), uint8(30), uint8(30))
+	// Three and four landmarks: the hook then bounds with a subset.
+	f.Add(int64(6), uint8(40), uint8(1), uint8(2), uint8(37))
+	f.Add(int64(7), uint8(45), uint8(2), uint8(44), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, nn, mm, ss, tt uint8) {
 		n := 2 + int(nn)%48
 		g := randomGraph(n, n*(1+int(mm)%4), seed)
@@ -136,19 +179,27 @@ func FuzzLandmarkBound(f *testing.F) {
 		// for distances TO dst). Inf > Inf is false, so certified
 		// disconnection passes the same comparison.
 		toDst := baseline.Dijkstra(g, dst)
-		hook := set.BoundTo(dst)
+		hook, lb, est := set.BoundTo(src, dst)
+		pair := activePair(t, set, src, dst)
 		for v := 0; v < n; v++ {
-			lb := set.LowerBound(graph.V(v), dst)
-			if lb > toDst[v] {
-				t.Fatalf("inadmissible bound: LowerBound(%d,%d) = %v > true %v", v, dst, lb, toDst[v])
+			all := set.LowerBound(graph.V(v), dst)
+			if all > toDst[v] {
+				t.Fatalf("inadmissible bound: LowerBound(%d,%d) = %v > true %v", v, dst, all, toDst[v])
 			}
-			if hb := hook(graph.V(v)); math.Float64bits(hb) != math.Float64bits(lb) {
-				t.Fatalf("BoundTo(%d)(%d) = %v (bits %x), LowerBound = %v (bits %x)",
-					dst, v, hb, math.Float64bits(hb), lb, math.Float64bits(lb))
+			hb := hook(graph.V(v))
+			if hb > all {
+				t.Fatalf("hook(%d) = %v above LowerBound(%d,%d) = %v", v, hb, v, dst, all)
+			}
+			if want := pair.LowerBound(graph.V(v), dst); math.Float64bits(hb) != math.Float64bits(want) {
+				t.Fatalf("hook(%d) = %v (bits %x), active landmarks %v give %v (bits %x)",
+					v, hb, math.Float64bits(hb), pair.Vertices(), want, math.Float64bits(want))
 			}
 		}
-		if est := set.Estimate(src, dst); est < toDst[src] {
-			t.Fatalf("Estimate(%d,%d) = %v below true distance %v", src, dst, est, toDst[src])
+		if want := set.LowerBound(src, dst); math.Float64bits(lb) != math.Float64bits(want) {
+			t.Fatalf("BoundTo(%d,%d) bound at src %v, LowerBound %v", src, dst, lb, want)
+		}
+		if est < toDst[src] {
+			t.Fatalf("estimate for (%d,%d) = %v below true distance %v", src, dst, est, toDst[src])
 		}
 
 		// Pruned target solves stay exact on every engine.
@@ -157,7 +208,7 @@ func FuzzLandmarkBound(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := Params{Bound: set.BoundTo(dst), UpperBound: set.Estimate(src, dst)}
+		p := Params{Bound: hook, UpperBound: est}
 		for _, kind := range allKinds() {
 			d, _, _, err := SolveKindTarget(g, radii, src, dst, kind, p, nil)
 			if err != nil {

@@ -124,5 +124,5 @@ func (h *heapStepper) fringe() int { return len(h.q) }
 // SolveRef computes shortest-path distances from src with the reference
 // (sequential) Radius-Stepping. It returns +Inf for unreachable vertices.
 func SolveRef(g *graph.CSR, radii []float64, src graph.V) ([]float64, Stats, error) {
-	return SolveKind(g, radii, src, KindSequential, Params{}, nil)
+	return solveCallerRadii(g, radii, src, KindSequential)
 }

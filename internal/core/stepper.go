@@ -99,9 +99,13 @@ type Params struct {
 	// distance is byte-identical to the unpruned solve's (remaining
 	// entries of the distance vector may be looser upper bounds than an
 	// unpruned target solve would leave). Full solves (no target)
-	// ignore the hook. Bound is called on the relaxation hot path from
-	// multiple goroutines concurrently: it must be cheap, pure, and
-	// safe for concurrent use.
+	// ignore the hook. The relax kernels call Bound directly, once per
+	// frontier vertex they expand and once per candidate that improves
+	// a distance, from multiple goroutines concurrently: it must be
+	// cheap, pure, and safe for concurrent use. It must also be
+	// consistent (Bound(u) <= w(u,v) + Bound(v) for every arc), which
+	// lets a kernel skip a whole adjacency when Bound fails at its
+	// source.
 	Bound func(v graph.V) float64
 	// UpperBound primes the target's upper bound before the first
 	// substep (for ALT, the landmark estimate min_L d(L,s)+d(L,t) >=
@@ -253,6 +257,10 @@ func (k EngineKind) usesRadii() bool {
 // SolveKind computes shortest-path distances from src with the given
 // engine kind, reusing ws when non-nil (pass nil for a one-shot solve).
 // For the radius-free kinds (KindDelta, KindRho) radii may be nil.
+// SolveKind and the target variants check the radii's length but not
+// their values: the caller passes radii that meet graph.CheckRadii, as
+// a Solver's are checked when it is built. SolveRef, Solve and
+// SolveFlat check caller radii on every call.
 func SolveKind(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params, ws *Workspace) ([]float64, Stats, error) {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -341,7 +349,6 @@ func solve(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params
 		if p.UpperBound > 0 {
 			ws.ubPrior = p.UpperBound
 		}
-		ws.resetBound(g.NumVertices())
 	}
 
 	// Solve tracing: rec == nil (the hot path) keeps every site below a
@@ -537,7 +544,7 @@ steps:
 		// distances. The workspace needs no special cleanup: the touched
 		// list stays marked incomplete, so the next prepare re-fills the
 		// distances and settled marks in full, the stamp arrays
-		// (act/sub/seen/infr/bgen) are invalidated by the next stamps, and
+		// (act/sub/seen/infr) are invalidated by the next stamps, and
 		// each stepper's reset() rebuilds its fringe.
 		return st, solveErr
 	}

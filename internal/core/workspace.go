@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 	"sync/atomic"
 
@@ -155,15 +154,14 @@ type Workspace struct {
 	// per-substep snapshot min(ubPrior, δ(boundTarget)) that relax
 	// paths prune against — snapshotted once per substep so pruning
 	// decisions are deterministic and free of cross-worker reads. The
-	// driver resets bound on every solve.
+	// driver resets bound on every solve. The relax kernels call bound
+	// directly, once per frontier vertex and once per improving
+	// candidate: a per-vertex cache of its values would cost two random
+	// reads per lookup, as many as a two-landmark bound reads.
 	bound       func(graph.V) float64
 	boundTarget graph.V
 	ubPrior     float64
 	ub          float64
-	// bcache memoizes bound(v) for the current solve, valid where
-	// bgen[v] == solveID — see boundAt.
-	bcache []uint64
-	bgen   []uint32
 
 	// probe is the current solve's cooperative-cancellation probe
 	// (Params.Probe), reset by the driver on every solve; nil on the
@@ -183,7 +181,7 @@ type Workspace struct {
 
 	step    uint32 // current step stamp (1-based within a solve)
 	subID   uint32 // current substep stamp
-	solveID uint32 // current solve stamp (mark, bgen)
+	solveID uint32 // current solve stamp (mark)
 
 	// touched lists each vertex whose bits or done entry the current
 	// solve wrote, once (mark[v] == solveID), up to n/touchedDiv
@@ -287,11 +285,11 @@ func (ws *Workspace) nextStep() uint32 {
 }
 
 // nextSolve advances the solve stamp. On wraparound it drops the
-// solve-stamped arrays, whose old stamps could collide with new ones;
-// prepare and resetBound re-grow them zeroed.
+// solve-stamped mark array, whose old stamps could collide with new
+// ones; prepare re-grows it zeroed.
 func (ws *Workspace) nextSolve() {
 	if ws.solveID == ^uint32(0) {
-		ws.mark, ws.bgen = nil, nil
+		ws.mark = nil
 		ws.solveID = 0
 	}
 	ws.solveID++
@@ -307,32 +305,6 @@ func (ws *Workspace) nextSubID() uint32 {
 	}
 	ws.subID++
 	return ws.subID
-}
-
-// resetBound sizes the bound memo; the driver calls it once when a
-// goal-directed solve begins. The memo needs no clearing: entries from
-// earlier solves carry older bgen stamps.
-func (ws *Workspace) resetBound(n int) {
-	ws.bcache = sized(ws.bcache, n)
-	ws.bgen = sized(ws.bgen, n)
-}
-
-// boundAt memoizes ws.bound per vertex for the current solve: the k-way
-// landmark scan behind the hook runs at most once per vertex instead of
-// once per scanned arc — the difference between goal-directed pruning
-// being a net win and a net loss on dense frontiers. An entry is valid
-// when its bgen stamp is the current solve's; the value is stored before
-// the stamp, so a reader that sees the stamp sees the value. Atomics make
-// concurrent fills race-free, and duplicate computations are benign
-// because bound is pure (identical bits land either way).
-func (ws *Workspace) boundAt(v graph.V) float64 {
-	if atomic.LoadUint32(&ws.bgen[v]) == ws.solveID {
-		return math.Float64frombits(atomic.LoadUint64(&ws.bcache[v]))
-	}
-	b := ws.bound(v)
-	atomic.StoreUint64(&ws.bcache[v], math.Float64bits(b))
-	atomic.StoreUint32(&ws.bgen[v], ws.solveID)
-	return b
 }
 
 // sized returns s with length exactly n, reusing capacity when possible.
@@ -513,7 +485,7 @@ func (ws *Workspace) pushSeq(frontier []graph.V, st *Stats) []graph.V {
 		// every arc out of u would fail the write-time test anyway.
 		// Skipping the whole adjacency here is what turns pruning into
 		// saved scan work rather than just saved writes.
-		if bnd != nil && du+ws.boundAt(u) > ub {
+		if bnd != nil && du+bnd(u) > ub {
 			st.Pruned += int64(len(adj))
 			continue
 		}
@@ -526,10 +498,10 @@ func (ws *Workspace) pushSeq(frontier []graph.V, st *Stats) []graph.V {
 			if nd >= parallel.FromBits(ws.bits[v]) {
 				continue
 			}
-			// The improvement test runs first: it is one load against the
-			// memoized bound's potential miss, and a candidate is written
-			// iff it improves AND survives the bound — order-free.
-			if bnd != nil && nd+ws.boundAt(v) > ub {
+			// The improvement test runs first: it is one load, cheaper than
+			// a call to the hook, and a candidate is written iff it
+			// improves AND survives the bound — order-free.
+			if bnd != nil && nd+bnd(v) > ub {
 				st.Pruned++
 				continue
 			}
@@ -595,7 +567,7 @@ func (ws *Workspace) pushPar(frontier []graph.V, totalArcs int64, st *Stats) []g
 				// Expansion-time prune (see pushSeq): a source vertex
 				// that cannot beat the target bound contributes nothing;
 				// skip its share of the claimed arc range wholesale.
-				if bnd != nil && du+ws.boundAt(u) > ub {
+				if bnd != nil && du+bnd(u) > ub {
 					pr += hi - lo
 					continue
 				}
@@ -610,7 +582,7 @@ func (ws *Workspace) pushPar(frontier []graph.V, totalArcs int64, st *Stats) []g
 						if nd >= parallel.FromBits(atomic.LoadUint64(&bits[v])) {
 							continue
 						}
-						if nd+ws.boundAt(v) > ub {
+						if nd+bnd(v) > ub {
 							pr++
 							continue
 						}
@@ -695,7 +667,7 @@ func (ws *Workspace) pullSeq(frontier []graph.V, st *Stats) []graph.V {
 			// Pull gathers the min first, so the prune test runs once
 			// per improved vertex, not per arc: if the min candidate
 			// cannot beat the target bound, no candidate can.
-			if bnd != nil && nd+ws.boundAt(graph.V(v)) > ub {
+			if bnd != nil && nd+bnd(graph.V(v)) > ub {
 				st.Pruned++
 				continue
 			}
@@ -749,7 +721,7 @@ func (ws *Workspace) pullPar(frontier []graph.V, st *Stats) []graph.V {
 					}
 				}
 				if nd < dv {
-					if bnd != nil && nd+ws.boundAt(graph.V(v)) > ub {
+					if bnd != nil && nd+bnd(graph.V(v)) > ub {
 						pr++
 						continue
 					}

@@ -248,14 +248,3 @@ func checkCSR(g *CSR) error {
 	g.maxW, g.minW, g.maxDeg, g.hasStats = maxW, minW, int(maxDeg), true
 	return nil
 }
-
-// checkRadii enforces the radii-persistence contract: every radius is
-// finite and non-negative (see internal/preprocess).
-func checkRadii(radii []float64) error {
-	for v, r := range radii {
-		if !(r >= 0 && r <= math.MaxFloat64) {
-			return fmt.Errorf("invalid radius %v at vertex %d", r, v)
-		}
-	}
-	return nil
-}

@@ -344,7 +344,7 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 		if s.Radii, err = readWords[float64](d, n); err != nil {
 			return nil, snapReadErr("radii", err)
 		}
-		if err := checkRadii(s.Radii); err != nil {
+		if err := CheckRadii(s.Radii); err != nil {
 			return nil, snapCorruptf("snapshot has %v", err)
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrInvalid is wrapped by all validation failures.
@@ -52,6 +53,20 @@ func Validate(g *CSR) error {
 			if w != ws[i] {
 				return fmt.Errorf("%w: asymmetric weight on (%d,%d): %v vs %v", ErrInvalid, u, v, ws[i], w)
 			}
+		}
+	}
+	return nil
+}
+
+// CheckRadii is the rule every radius vector meets before a solve uses
+// it: each radius finite and non-negative. The snapshot reader, Solver
+// construction and the entry points that take caller radii all call it.
+// A negative or NaN radius can make a solve loop forever, and +Inf ones
+// return wrong distances.
+func CheckRadii(radii []float64) error {
+	for v, r := range radii {
+		if !(r >= 0 && r <= math.MaxFloat64) {
+			return fmt.Errorf("invalid radius %v at vertex %d", r, v)
 		}
 	}
 	return nil

@@ -44,6 +44,15 @@ func mustWith(t *testing.T, s *Set, v graph.V, dist []float64) *Set {
 	return out
 }
 
+func mustNew(t *testing.T, n int) *Set {
+	t.Helper()
+	s, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestEmptyAndNilSets(t *testing.T) {
 	if _, err := New(-1); err == nil {
 		t.Fatal("New(-1) accepted")
@@ -58,11 +67,8 @@ func TestEmptyAndNilSets(t *testing.T) {
 	if lb := s.LowerBound(0, 4); lb != 0 {
 		t.Fatalf("empty LowerBound = %v, want 0", lb)
 	}
-	if est := s.Estimate(0, 4); !math.IsInf(est, 1) {
-		t.Fatalf("empty Estimate = %v, want +Inf", est)
-	}
-	if s.BoundTo(3) != nil {
-		t.Fatal("empty set returned a bound closure")
+	if hook, lb, est := s.BoundTo(0, 4); hook != nil || lb != 0 || !math.IsInf(est, 1) {
+		t.Fatalf("empty BoundTo: hook %v, lb %v, est %v; want nil, 0, +Inf", hook != nil, lb, est)
 	}
 
 	var nilSet *Set
@@ -92,15 +98,23 @@ func TestBoundsOnLineGraph(t *testing.T) {
 			if lb > want || lb < want-1e-6 {
 				t.Fatalf("LowerBound(%d,%d) = %v, want ≈%v", v, u, lb, want)
 			}
-			if est := s.Estimate(graph.V(v), graph.V(u)); est < want {
-				t.Fatalf("Estimate(%d,%d) = %v below true %v", v, u, est, want)
+			// With two landmarks both are active, so the hook is
+			// LowerBound itself.
+			hook, lbs, est := s.BoundTo(graph.V(v), graph.V(u))
+			if est < want {
+				t.Fatalf("BoundTo(%d,%d) estimate %v below true %v", v, u, est, want)
 			}
-			hook := s.BoundTo(graph.V(u))
 			if hook == nil {
-				t.Fatalf("BoundTo(%d) = nil on a populated set", u)
+				t.Fatalf("BoundTo(%d,%d) hook = nil on a populated set", v, u)
 			}
-			if hb := hook(graph.V(v)); math.Float64bits(hb) != math.Float64bits(lb) {
-				t.Fatalf("BoundTo(%d)(%d) = %v != LowerBound %v", u, v, hb, lb)
+			if math.Float64bits(lbs) != math.Float64bits(lb) {
+				t.Fatalf("BoundTo(%d,%d) bound at the source %v != LowerBound %v", v, u, lbs, lb)
+			}
+			for x := 0; x < n; x++ {
+				hb, all := hook(graph.V(x)), s.LowerBound(graph.V(x), graph.V(u))
+				if math.Float64bits(hb) != math.Float64bits(all) {
+					t.Fatalf("BoundTo(%d,%d) hook(%d) = %v != LowerBound %v", v, u, x, hb, all)
+				}
 			}
 		}
 	}
@@ -108,8 +122,71 @@ func TestBoundsOnLineGraph(t *testing.T) {
 	if lb := s.LowerBound(-1, 2); lb != 0 {
 		t.Fatalf("out-of-range LowerBound = %v", lb)
 	}
-	if s.BoundTo(-1) != nil || s.BoundTo(n) != nil {
-		t.Fatal("BoundTo handed out a closure for an out-of-range target")
+	for _, e := range [][2]graph.V{{-1, 2}, {2, -1}, {n, 2}, {2, n}} {
+		if hook, _, _ := s.BoundTo(e[0], e[1]); hook != nil {
+			t.Fatalf("BoundTo%v handed out a hook for an out-of-range endpoint", e)
+		}
+	}
+
+	// A third landmark: with landmarks 2, 6 and 4, BoundTo keeps the two
+	// whose bound at the source is largest, ties to the lower index, and
+	// the hook is the bound over those two alone.
+	vec := func(l graph.V) []float64 { return baseline.Dijkstra(g, l) }
+	three := mustWith(t, mustWith(t, mustWith(t, mustNew(t, n), 2, vec(2)), 6, vec(6)), 4, vec(4))
+	for _, c := range []struct {
+		src, dst graph.V
+		keep     [2]graph.V
+	}{
+		{0, 8, [2]graph.V{2, 6}}, // bounds at the source 4, 4 and 0
+		{0, 3, [2]graph.V{6, 4}}, // 1, 3 and 3
+		{4, 4, [2]graph.V{2, 6}}, // all 0: the lower indices
+	} {
+		pair := mustWith(t, mustWith(t, mustNew(t, n), c.keep[0], vec(c.keep[0])), c.keep[1], vec(c.keep[1]))
+		hook, _, _ := three.BoundTo(c.src, c.dst)
+		for x := 0; x < n; x++ {
+			hb, want := hook(graph.V(x)), pair.LowerBound(graph.V(x), c.dst)
+			if math.Float64bits(hb) != math.Float64bits(want) {
+				t.Fatalf("BoundTo(%d,%d) hook(%d) = %v, want %v from landmarks %v", c.src, c.dst, x, hb, want, c.keep)
+			}
+			if all := three.LowerBound(graph.V(x), c.dst); hb > all {
+				t.Fatalf("BoundTo(%d,%d) hook(%d) = %v above LowerBound %v", c.src, c.dst, x, hb, all)
+			}
+		}
+	}
+
+	// A one-landmark set bounds with that landmark.
+	one := mustWith(t, mustNew(t, n), 2, vec(2))
+	hook, lb, _ := one.BoundTo(0, 7)
+	if want := one.LowerBound(0, 7); math.Float64bits(lb) != math.Float64bits(want) || lb < 3-1e-6 {
+		t.Fatalf("one landmark: bound at the source %v, LowerBound %v, want ≈3", lb, want)
+	}
+	for x := 0; x < n; x++ {
+		if hb, want := hook(graph.V(x)), one.LowerBound(graph.V(x), 7); math.Float64bits(hb) != math.Float64bits(want) {
+			t.Fatalf("one landmark: hook(%d) = %v, LowerBound %v", x, hb, want)
+		}
+	}
+
+	// A chosen landmark that reaches only one endpoint. On two separate
+	// lines {0—1 (2)} ∪ {2—3 (3)} with landmarks 0, 2 and 3, a query from
+	// 1 to 3 has every landmark reach one endpoint only, so every bound
+	// at the source is +Inf and certifies the query disconnected. The
+	// tie keeps 0 and 2. The hook is +Inf on the source's line, where
+	// each of them reaches exactly one of v and 3, and 2's bound on the
+	// target's line, where 0 reaches neither vertex and says nothing.
+	g2 := twoComponents()
+	split := mustNew(t, 4)
+	for _, l := range []graph.V{0, 2, 3} {
+		split = mustWith(t, split, l, baseline.Dijkstra(g2, l))
+	}
+	hook, lb, est := split.BoundTo(1, 3)
+	if !math.IsInf(lb, 1) || !math.IsInf(est, 1) {
+		t.Fatalf("BoundTo(1,3) across lines: bound at the source %v, estimate %v; want +Inf, +Inf", lb, est)
+	}
+	for v, want := range []float64{math.Inf(1), math.Inf(1), 3, 0} {
+		hb := hook(graph.V(v))
+		if math.IsInf(want, 1) != math.IsInf(hb, 1) || hb > want || hb < want-1e-6 {
+			t.Fatalf("BoundTo(1,3) across lines: hook(%d) = %v, want ≈%v", v, hb, want)
+		}
 	}
 }
 
@@ -126,11 +203,11 @@ func TestInfinitySemantics(t *testing.T) {
 	if lb := s.LowerBound(2, 3); lb != 0 {
 		t.Fatalf("both-unreached LowerBound = %v, want 0", lb)
 	}
-	if est := s.Estimate(2, 3); !math.IsInf(est, 1) {
-		t.Fatalf("unreached Estimate = %v, want +Inf", est)
+	if _, _, est := s.BoundTo(2, 3); !math.IsInf(est, 1) {
+		t.Fatalf("unreached estimate = %v, want +Inf", est)
 	}
-	if est := s.Estimate(0, 1); est < 2 {
-		t.Fatalf("Estimate(0,1) = %v below true 2", est)
+	if _, _, est := s.BoundTo(0, 1); est < 2 {
+		t.Fatalf("estimate (0,1) = %v below true 2", est)
 	}
 }
 

@@ -126,9 +126,8 @@ func Build(g *graph.CSR, k int, strat Strategy, solve SolveFunc) (*Set, error) {
 			minDist[i] = math.Inf(1)
 		}
 		fold := func() {
-			kk := len(set.verts)
-			for v := 0; v < n; v++ {
-				if d := set.dist[v*kk+kk-1]; d < minDist[v] {
+			for v, d := range set.vecs[len(set.vecs)-1] {
+				if d < minDist[v] {
 					minDist[v] = d
 				}
 			}

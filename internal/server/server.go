@@ -560,10 +560,6 @@ type routeResponse struct {
 	// Cached reports the route was reconstructed from a cached full
 	// distance vector — no solve ran and no solve slot was held.
 	Cached bool `json:"cached,omitempty"`
-	// Pruned counts relaxation candidates skipped by goal-directed
-	// landmark pruning during this route's solve. It is a work counter:
-	// it depends on the engine and kernel, the route does not.
-	Pruned int64 `json:"pruned,omitempty"`
 }
 
 type batchRequest struct {
@@ -852,7 +848,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	path, d, err := s.solveRoute(ctx, e, src, dst, eng, prune, &resp)
+	path, d, err := s.solveRoute(ctx, e, src, dst, eng, prune)
 	if err != nil {
 		s.recordSolveError(err)
 		s.failSolve(w, err, "route: %v", err)
@@ -863,8 +859,11 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 // solveRoute runs one route solve under a pool slot and the solve
-// guard, and maps the path back to client ids.
-func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, eng rs.Engine, prune bool, resp *routeResponse) ([]rs.Vertex, float64, error) {
+// guard, and maps the path back to client ids. The candidates pruning
+// skipped go to the routePruned counter, not into the response: the
+// count depends on the order a kernel meets candidates, so it differs
+// between engines while the route does not.
+func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, eng rs.Engine, prune bool) ([]rs.Vertex, float64, error) {
 	if err := s.pool.acquire(ctx); err != nil {
 		return nil, 0, err
 	}
@@ -884,7 +883,6 @@ func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, e
 	}
 	if r.Stats.Pruned > 0 {
 		s.metrics.routePruned.Add(r.Stats.Pruned)
-		resp.Pruned = r.Stats.Pruned
 	}
 	return e.clientPath(r.Path), r.Distance, err
 }

@@ -21,8 +21,9 @@ const (
 	LandmarksDegree = landmark.Degree
 )
 
-// MaxLandmarks caps a solver's landmark set; bound queries cost O(k)
-// per relaxation candidate on the prune hot path.
+// MaxLandmarks caps a solver's landmark set. A pruned query picks its
+// two active landmarks in one O(k) pass at query start; the bound it
+// prunes with reads only those two, whatever k is.
 const MaxLandmarks = landmark.MaxLandmarks
 
 // ParseLandmarkStrategy maps a strategy name (farthest, degree) to its

@@ -323,10 +323,11 @@ func NewSolver(g *Graph, opt Options) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSolver(pre, opt.Engine, core.Params{Delta: opt.Delta, Rho: opt.Rho}), nil
+	return newSolver(pre, opt.Engine, core.Params{Delta: opt.Delta, Rho: opt.Rho})
 }
 
-// NewSolverPre wraps an existing preprocessing result.
+// NewSolverPre wraps an existing preprocessing result. Its radii must
+// be finite and non-negative.
 func NewSolverPre(pre *Preprocessed, engine Engine) (*Solver, error) {
 	if pre == nil || pre.Graph == nil || len(pre.Radii) != pre.Graph.NumVertices() {
 		return nil, fmt.Errorf("radiusstep: invalid preprocessed input")
@@ -334,19 +335,23 @@ func NewSolverPre(pre *Preprocessed, engine Engine) (*Solver, error) {
 	if engine < EngineAuto || engine > EngineRho {
 		return nil, fmt.Errorf("radiusstep: unknown engine %d", int(engine))
 	}
-	return newSolver(pre, engine, core.Params{}), nil
+	return newSolver(pre, engine, core.Params{})
 }
 
-// newSolver finalizes the strategy parameters: the Δ default is derived
-// once here (it scans the weights) so per-query engine overrides never
-// pay for it on the hot path.
-func newSolver(pre *Preprocessed, engine Engine, params core.Params) *Solver {
+// newSolver checks the radii once, so no solve scans them again, and
+// finalizes the strategy parameters: the Δ default is derived once here
+// (it scans the weights) so per-query engine overrides never pay for it
+// on the hot path.
+func newSolver(pre *Preprocessed, engine Engine, params core.Params) (*Solver, error) {
+	if err := graph.CheckRadii(pre.Radii); err != nil {
+		return nil, fmt.Errorf("radiusstep: %w", err)
+	}
 	if !(params.Delta > 0) {
 		params.Delta = core.DefaultDelta(pre.Graph)
 	}
 	s := &Solver{pre: pre, engine: engine, params: params}
 	s.ResetWorkspaces()
-	return s
+	return s, nil
 }
 
 // SetDelta overrides the Δ-stepping bucket width EngineDelta uses
@@ -438,11 +443,14 @@ func SolverFromSnapshot(s *Snapshot, engine Engine) (*Solver, error) {
 	if engine < EngineAuto || engine > EngineRho {
 		return nil, fmt.Errorf("radiusstep: unknown engine %d", int(engine))
 	}
-	sol := newSolver(&Preprocessed{
+	sol, err := newSolver(&Preprocessed{
 		Graph:    s.G,
 		Original: s.Original,
 		Radii:    s.Radii,
 	}, engine, core.Params{Rho: s.Rho})
+	if err != nil {
+		return nil, err
+	}
 	if len(s.Landmarks) > 0 {
 		// Restore persisted ALT landmark vectors (graphpack -landmarks)
 		// so the loaded solver serves goal-directed routes immediately.
@@ -519,9 +527,10 @@ func (s *Solver) DistancesTraced(src Vertex, engine Engine) ([]float64, Stats, *
 }
 
 // SolveWithRadii runs a stepping engine directly with caller-provided
-// radii (correct for any non-negative radii; the step bounds require the
-// (k,ρ) property; EngineDelta and EngineRho ignore the radii). Exposed
-// for experimentation — most callers want Solver.
+// radii (correct for any finite non-negative radii; the step bounds
+// require the (k,ρ) property; EngineDelta and EngineRho ignore the
+// radii). The radii are checked on every call, as no Solver has checked
+// them. Exposed for experimentation — most callers want Solver.
 func SolveWithRadii(g *Graph, radii []float64, src Vertex, engine Engine) ([]float64, Stats, error) {
 	if engine == EngineAuto {
 		engine = EngineSequential
@@ -529,6 +538,9 @@ func SolveWithRadii(g *Graph, radii []float64, src Vertex, engine Engine) ([]flo
 	kind, err := engineKind(engine)
 	if err != nil {
 		return nil, Stats{}, err
+	}
+	if err := graph.CheckRadii(radii); err != nil {
+		return nil, Stats{}, fmt.Errorf("radiusstep: %w", err)
 	}
 	return core.SolveKind(g, radii, src, kind, core.Params{}, nil)
 }

@@ -260,6 +260,24 @@ func TestNewSolverPreRejectsBadInput(t *testing.T) {
 	if _, err := rs.NewSolverPre(bad, rs.EngineAuto); err == nil {
 		t.Fatal("mismatched radii accepted")
 	}
+	// A Solver checks its radii once, when it is built, so a NaN or
+	// +Inf radius must fail here: unchecked, all-+Inf radii gave wrong
+	// distances and all-NaN radii a flat solve that never returned.
+	// SolveWithRadii checks caller radii on every call.
+	for _, r := range []float64{-1, math.NaN(), math.Inf(1)} {
+		radii := make([]float64, g.NumVertices())
+		for i := range radii {
+			radii[i] = r
+		}
+		if _, err := rs.NewSolverPre(&rs.Preprocessed{Graph: g, Original: g, Radii: radii}, rs.EngineFlat); err == nil {
+			t.Fatalf("NewSolverPre accepted radius %v", r)
+		}
+		for _, e := range []rs.Engine{rs.EngineSequential, rs.EngineParallel, rs.EngineFlat} {
+			if _, _, err := rs.SolveWithRadii(g, radii, 0, e); err == nil {
+				t.Fatalf("SolveWithRadii(%s) accepted radius %v", e, r)
+			}
+		}
+	}
 }
 
 func TestEngineString(t *testing.T) {

@@ -30,12 +30,13 @@ type Query struct {
 	Engine Engine
 	// Prune makes a target query goal-directed when the solver has
 	// landmarks: relaxations whose optimistic total (via the ALT
-	// triangle lower bound) cannot beat the best known bound on
+	// triangle lower bound of the query's two active landmarks, chosen
+	// once at query start) cannot beat the best known bound on
 	// d(Source, Target) are skipped — Stats.Pruned counts them — and a
 	// landmark certifying that Target is unreachable short-circuits the
-	// solve. The distance is byte-identical to the unpruned solve's;
-	// only the work differs. Full queries and solvers without landmarks
-	// ignore it.
+	// solve. The distance and path are byte-identical to the unpruned
+	// solve's; the work, and with it the step and substep counts, can
+	// differ. Full queries and solvers without landmarks ignore it.
 	Prune bool
 	// Trace attaches a recorder and returns its Timeline: per-step and
 	// per-substep timing records, worker-pool event deltas, and frontier
@@ -87,13 +88,13 @@ func (s *Solver) Solve(ctx context.Context, q Query) (Result, error) {
 	src, dst := q.Source, q.Target
 	if n := Vertex(s.pre.Graph.NumVertices()); q.HasTarget && q.Prune && src >= 0 && src < n && dst >= 0 && dst < n {
 		if lm := s.lm.Load(); lm.K() > 0 {
-			if math.IsInf(lm.LowerBound(src, dst), 1) {
+			bound, lb, est := lm.BoundTo(src, dst)
+			if math.IsInf(lb, 1) {
 				// A landmark reaches exactly one endpoint: src and dst
 				// are in different components, no solve needed.
 				return Result{Distance: math.Inf(1), Stats: Stats{Engine: kind.String()}}, nil
 			}
-			params.Bound = lm.BoundTo(dst)
-			params.UpperBound = lm.Estimate(src, dst)
+			params.Bound, params.UpperBound = bound, est
 		}
 	}
 
