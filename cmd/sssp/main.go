@@ -107,7 +107,7 @@ func main() {
 	k := flag.Int("k", 0, "radius-stepping hop budget (0 = library default: 4, or 1 with -heuristic direct)")
 	heuristic := flag.String("heuristic", "dp", "shortcut heuristic for k>1: direct|greedy|dp")
 	engine := flag.String("engine", "auto", "stepping engine: auto|seq|par|flat|delta|rho")
-	delta := flag.Float64("delta", 1000, "delta-stepping bucket width (-algo delta, or -engine delta when set explicitly)")
+	delta := flag.Float64("delta", 1000, "delta-stepping bucket width (-algo delta only; -engine delta derives its width from the graph)")
 	verify := flag.Bool("verify", false, "verify the result certificate")
 	traceOut := flag.String("trace", "", "write the solve timeline (steps, substeps, pool and frontier timings) as JSON to this file (-algo radius only; - for stdout)")
 	target := flag.Int("target", -1, "route mode: answer a point-to-point query src..target with an early-terminated solve (-algo radius only)")
@@ -115,6 +115,11 @@ func main() {
 	lmStrategy := flag.String("landmark-strategy", "farthest", "landmark selection: farthest|degree")
 	prune := flag.Bool("prune", true, "route mode: apply goal-directed landmark pruning (needs -landmarks)")
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "delta" && *algo != "delta" {
+			fail("-delta applies to -algo delta only, not -algo %s", *algo)
+		}
+	})
 
 	var g *rs.Graph
 	switch {
@@ -153,16 +158,8 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		// -delta configures EngineDelta only when the operator actually
-		// passed it; otherwise the solver derives a width from the graph.
-		engineDelta := 0.0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "delta" {
-				engineDelta = *delta
-			}
-		})
 		t0 := time.Now()
-		solver, err := rs.NewSolver(g, rs.Options{Rho: *rho, K: *k, Heuristic: h, Engine: e, Delta: engineDelta})
+		solver, err := rs.NewSolver(g, rs.Options{Rho: *rho, K: *k, Heuristic: h, Engine: e})
 		if err != nil {
 			fail("preprocess: %v", err)
 		}

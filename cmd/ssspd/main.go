@@ -10,10 +10,10 @@
 // path for production restarts.
 //
 // Each graph's default stepping engine comes from the engine= spec key
-// (auto|seq|par|flat|delta|rho; delta= tunes the Δ bucket width), and
-// clients may override it per request with the ?engine= query parameter
-// on /v1/distances, /v1/route and /v1/batch; /v1/stats reports solve
-// counts per engine.
+// (auto|seq|par|flat|delta|rho; delta derives its Δ bucket width from
+// the graph), and clients may override it per request with the ?engine=
+// query parameter on /v1/distances, /v1/route and /v1/batch; /v1/stats
+// reports solve counts per engine.
 //
 // Goal-directed routing: the landmarks=K spec key builds K ALT landmark
 // vectors at load time, making /v1/route solves goal-directed (pruned);
@@ -58,31 +58,20 @@
 // draining at shutdown, which waits up to -shutdown-grace for in-flight
 // solves before aborting the stragglers.
 //
+// Configuration: daemon settings come from flags alone, and every graph
+// from a -graph spec (server.ParseGraphSpec), the same grammar POST
+// /v1/admin/load takes as {"spec": "..."}.
+//
 // Examples:
 //
 //	ssspd -graph road=gen=road,n=200000,weights=10000,rho=64 -listen :8517
 //	ssspd -graph ny=snapshot=ny.snap -cache-mb 512     # no preprocessing
 //	ssspd -graph g=file=USA-road-d.NY.gr,rho=64 -workers 8
-//	ssspd -config deploy.json
 //	ssspd -selftest -selftest-queries 5000
-//
-// Config file format (JSON):
-//
-//	{
-//	  "listen": ":8517",
-//	  "workers": 8,
-//	  "cacheMB": 256,
-//	  "graphs": [
-//	    {"name": "road", "gen": "road", "n": 200000, "weights": 10000, "rho": 64},
-//	    {"name": "web",  "gen": "web",  "n": 100000, "rho": 32, "k": 3}
-//	  ]
-//	}
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -99,24 +88,6 @@ import (
 	"radiusstep/internal/server"
 )
 
-// fileConfig is the JSON config accepted by -config. Durations are Go
-// duration strings ("30s", "1m30s").
-type fileConfig struct {
-	Listen           string               `json:"listen,omitempty"`
-	Workers          int                  `json:"workers,omitempty"`
-	CacheMB          int64                `json:"cacheMB,omitempty"`
-	AutoLandmarks    bool                 `json:"autoLandmarks,omitempty"`
-	SolveTimeout     string               `json:"solveTimeout,omitempty"`
-	ShutdownGrace    string               `json:"shutdownGrace,omitempty"`
-	MaxQueue         int                  `json:"maxQueue,omitempty"`
-	AdminAddr        string               `json:"adminAddr,omitempty"`
-	AdminToken       string               `json:"adminToken,omitempty"`
-	GraphBudgetMB    int64                `json:"graphBudgetMB,omitempty"`
-	Watch            string               `json:"watch,omitempty"`
-	RequireAllGraphs bool                 `json:"requireAllGraphs,omitempty"`
-	Graphs           []server.GraphConfig `json:"graphs"`
-}
-
 // multiFlag collects repeated -graph flags.
 type multiFlag []string
 
@@ -131,7 +102,6 @@ func fail(format string, args ...any) {
 func main() {
 	var graphSpecs multiFlag
 	flag.Var(&graphSpecs, "graph", "load a graph: name=gen=road,n=50000,rho=64,engine=auto | name=file=PATH | name=snapshot=PATH (repeatable)")
-	configPath := flag.String("config", "", "JSON config file (see package doc)")
 	listen := flag.String("listen", ":8517", "HTTP listen address")
 	workers := flag.Int("workers", 0, "max concurrent solves (0 = GOMAXPROCS)")
 	cacheMB := flag.Int64("cache-mb", 256, "distance-cache budget in MiB (0 disables)")
@@ -151,89 +121,20 @@ func main() {
 	requireAllGraphs := flag.Bool("require-all-graphs", false, "exit at startup if ANY graph fails to load (default: come up degraded if at least one serves)")
 	flag.Parse()
 
-	// Explicit flags beat the config file; flag.Visit distinguishes a
-	// flag the operator actually passed from one left at its default.
-	setFlags := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-
-	var cfgs []server.GraphConfig
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
-			fail("config: %v", err)
+	if len(graphSpecs) == 0 {
+		if !*selftest {
+			fail("need at least one -graph spec (try: -graph demo=gen=road,n=50000)")
 		}
-		var fc fileConfig
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&fc); err != nil {
-			fail("config %s: %v", *configPath, err)
-		}
-		cfgs = append(cfgs, fc.Graphs...)
-		if fc.Listen != "" && !setFlags["listen"] {
-			*listen = fc.Listen
-		}
-		if fc.Workers > 0 && !setFlags["workers"] {
-			*workers = fc.Workers
-		}
-		if fc.CacheMB > 0 && !setFlags["cache-mb"] {
-			*cacheMB = fc.CacheMB
-		}
-		if fc.AutoLandmarks && !setFlags["auto-landmarks"] {
-			*autoLandmarks = true
-		}
-		if fc.SolveTimeout != "" && !setFlags["solve-timeout"] {
-			d, err := time.ParseDuration(fc.SolveTimeout)
-			if err != nil {
-				fail("config %s: solveTimeout: %v", *configPath, err)
-			}
-			*solveTimeout = d
-		}
-		if fc.ShutdownGrace != "" && !setFlags["shutdown-grace"] {
-			d, err := time.ParseDuration(fc.ShutdownGrace)
-			if err != nil {
-				fail("config %s: shutdownGrace: %v", *configPath, err)
-			}
-			*shutdownGrace = d
-		}
-		if fc.MaxQueue > 0 && !setFlags["max-queue"] {
-			*maxQueue = fc.MaxQueue
-		}
-		if fc.AdminAddr != "" && !setFlags["admin-addr"] {
-			*adminAddr = fc.AdminAddr
-		}
-		if fc.AdminToken != "" && !setFlags["admin-token"] {
-			*adminToken = fc.AdminToken
-		}
-		if fc.GraphBudgetMB > 0 && !setFlags["graph-budget-mb"] {
-			*graphBudgetMB = fc.GraphBudgetMB
-		}
-		if fc.Watch != "" && !setFlags["watch"] {
-			d, err := time.ParseDuration(fc.Watch)
-			if err != nil {
-				fail("config %s: watch: %v", *configPath, err)
-			}
-			*watch = d
-		}
-		if fc.RequireAllGraphs && !setFlags["require-all-graphs"] {
-			*requireAllGraphs = true
-		}
+		// A sensible default workload so `ssspd -selftest` works bare.
+		graphSpecs = multiFlag{"demo=gen=road,n=50000,weights=10000,rho=64"}
 	}
+	var cfgs []server.GraphConfig
 	for _, spec := range graphSpecs {
 		cfg, err := server.ParseGraphSpec(spec)
 		if err != nil {
 			fail("%v", err)
 		}
 		cfgs = append(cfgs, cfg)
-	}
-	if len(cfgs) == 0 {
-		if *selftest {
-			// A sensible default workload so `ssspd -selftest` works bare.
-			cfgs = append(cfgs, server.GraphConfig{
-				Name: "demo", Gen: "road", N: 50000, Weights: 10000, Rho: 64, Seed: 42,
-			})
-		} else {
-			fail("need at least one -graph spec or a -config file (try: -graph demo=gen=road,n=50000)")
-		}
 	}
 
 	reg := server.NewRegistry()

@@ -186,6 +186,13 @@ func TestCLISsspAlgorithms(t *testing.T) {
 	if _, err := runCLI(t, dir, "sssp", "-gen", "grid2d", "-n", "100", "-engine", "typo"); err == nil {
 		t.Fatal("bogus -engine accepted")
 	}
+	// -delta feeds -algo delta alone; -engine delta derives its width.
+	if out, err := runCLI(t, dir, "sssp", "-gen", "grid2d", "-n", "100", "-algo", "radius", "-delta", "5"); err == nil {
+		t.Fatalf("-delta with -algo radius accepted:\n%s", out)
+	}
+	if out, err := runCLI(t, dir, "sssp", "-gen", "grid2d", "-n", "100", "-algo", "delta", "-delta", "5", "-verify"); err != nil {
+		t.Fatalf("-algo delta -delta 5: %v\n%s", err, out)
+	}
 }
 
 func TestCLISsspdSelftest(t *testing.T) {
@@ -206,6 +213,11 @@ func TestCLISsspdSelftest(t *testing.T) {
 	}
 	if _, err := runCLI(t, dir, "ssspd"); err == nil {
 		t.Fatal("serving with no graphs accepted")
+	}
+	// Flags and -graph specs are the only configuration.
+	out, err = runCLI(t, dir, "ssspd", "-config", "x.json")
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 || !strings.Contains(out, "flag provided but not defined: -config") {
+		t.Fatalf("-config: %v, want exit status 2 as an unknown flag:\n%s", err, out)
 	}
 }
 

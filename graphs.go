@@ -7,6 +7,7 @@ import (
 
 	"radiusstep/internal/baseline"
 	"radiusstep/internal/check"
+	"radiusstep/internal/core"
 	"radiusstep/internal/gen"
 	"radiusstep/internal/graph"
 )
@@ -287,8 +288,9 @@ func intCbrt(n int) int {
 func Dijkstra(g *Graph, src Vertex) []float64 { return baseline.Dijkstra(g, src) }
 
 // BellmanFord computes SSSP with synchronous relaxation rounds,
-// returning distances and the number of rounds.
-func BellmanFord(g *Graph, src Vertex) ([]float64, int) { return baseline.BellmanFord(g, src) }
+// returning distances and the number of rounds. It is the sequential
+// engine with every radius unbounded, so the whole solve is one step.
+func BellmanFord(g *Graph, src Vertex) ([]float64, int) { return core.BellmanFord(g, src) }
 
 // DeltaStats reports the phase structure of a ∆-stepping run.
 type DeltaStats = baseline.DeltaStats

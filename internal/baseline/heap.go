@@ -1,8 +1,9 @@
 // Package baseline implements the comparison algorithms the paper
 // measures Radius-Stepping against: sequential Dijkstra (the work
-// baseline), Bellman–Ford (the r(v)=∞ degenerate case), Meyer–Sanders
-// ∆-stepping, and level-synchronous parallel BFS (the unweighted, ρ=1
-// baseline).
+// baseline), Meyer–Sanders ∆-stepping, and level-synchronous parallel
+// BFS (the unweighted, ρ=1 baseline). Bellman–Ford, the r(v)=∞
+// degenerate case, is core.BellmanFord: the sequential engine with
+// unbounded radii.
 package baseline
 
 import (

@@ -438,7 +438,7 @@ func Table1(w io.Writer, sc Scale) error {
 		t.Add("Dijkstra (rho=1)", fi(int64(g.NumArcs())), fi(int64(steps)))
 	}
 	{
-		_, rounds := baseline.BellmanFord(g, src)
+		_, rounds := core.BellmanFord(g, src)
 		t.Add("Bellman-Ford", "O(m x rounds)", fi(int64(rounds)))
 	}
 	{

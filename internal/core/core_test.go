@@ -143,6 +143,28 @@ func TestBellmanFordDegenerate(t *testing.T) {
 	}
 }
 
+func TestBellmanFordMatchesDijkstra(t *testing.T) {
+	g := gen.WithUniformIntWeights(gen.Grid2D(25, 25), 1, 100, 3)
+	want := baseline.Dijkstra(g, 5)
+	got, rounds := BellmanFord(g, 5)
+	if i := check.SameDistances(want, got, 0); i >= 0 {
+		t.Fatalf("mismatch at %d: %v vs %v", i, want[i], got[i])
+	}
+	if rounds < 2 {
+		t.Fatalf("rounds = %d implausible", rounds)
+	}
+}
+
+func TestBellmanFordRoundsOnChain(t *testing.T) {
+	// A chain relaxes one vertex per round from the end: n-1 productive
+	// rounds plus the final check.
+	g := gen.Chain(10)
+	_, rounds := BellmanFord(g, 0)
+	if rounds != 10 {
+		t.Fatalf("rounds = %d, want 10", rounds)
+	}
+}
+
 func TestDijkstraDegenerate(t *testing.T) {
 	// r = 0: steps = number of distinct shortest-path distances
 	// (vertices with equal distance settle together).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"radiusstep/internal/graph"
 	"radiusstep/internal/parallel"
 )
@@ -125,4 +127,24 @@ func (h *heapStepper) fringe() int { return len(h.q) }
 // (sequential) Radius-Stepping. It returns +Inf for unreachable vertices.
 func SolveRef(g *graph.CSR, radii []float64, src graph.V) ([]float64, Stats, error) {
 	return solveCallerRadii(g, radii, src, KindSequential)
+}
+
+// BellmanFord computes shortest-path distances from src with synchronous
+// relaxation rounds. It is the r(v) = ∞ degenerate case of
+// radius-stepping: the sequential engine with every radius at
+// math.MaxFloat64 (the largest the radii rule admits) runs one step of
+// many substeps. The round count is the substeps plus one, because a
+// solve relaxes the source's arcs before its first substep; the last
+// substep is the round that changed nothing. src must lie in [0, n), as
+// for baseline.Dijkstra.
+func BellmanFord(g *graph.CSR, src graph.V) ([]float64, int) {
+	radii := make([]float64, g.NumVertices())
+	for i := range radii {
+		radii[i] = math.MaxFloat64
+	}
+	dist, st, err := SolveKind(g, radii, src, KindSequential, Params{}, nil)
+	if err != nil {
+		panic(err) // only an out-of-range source gets here
+	}
+	return dist, st.Substeps + 1
 }

@@ -104,7 +104,7 @@ func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 	case errors.Is(err, ErrGraphUnknown):
 		s.fail(w, http.StatusNotFound, "unknown graph %q", req.Graph)
-	case strings.Contains(err.Error(), "cannot be reloaded"):
+	case errors.Is(err, ErrGraphNotReloadable):
 		s.fail(w, http.StatusConflict, "%v", err)
 	default:
 		// Build/validation failure: the old epoch (if any) keeps
@@ -115,11 +115,10 @@ func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// adminLoadRequest accepts either a structured GraphConfig or a -graph
-// style spec string ("name=snapshot=/path"); exactly one of the two.
+// adminLoadRequest carries one graph in the -graph spec grammar
+// ("name=snapshot=/path"). Any other field is rejected by decodeBody.
 type adminLoadRequest struct {
-	Spec string `json:"spec,omitempty"`
-	GraphConfig
+	Spec string `json:"spec"`
 }
 
 // handleAdminLoad registers and loads a new graph at runtime. A build
@@ -131,30 +130,18 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	cfg := req.GraphConfig
-	if req.Spec != "" {
-		if cfg.Name != "" || cfg.Gen != "" || cfg.File != "" || cfg.Snapshot != "" {
-			s.fail(w, http.StatusBadRequest, "give either spec or structured fields, not both")
-			return
-		}
-		var err error
-		cfg, err = ParseGraphSpec(req.Spec)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	if cfg.Name == "" {
-		s.fail(w, http.StatusBadRequest, "load needs a graph name")
+	cfg, err := ParseGraphSpec(req.Spec)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	err := s.registry.LoadConfig(cfg)
+	err = s.registry.LoadConfig(cfg)
 	resp := adminGraphResponse{Graph: cfg.Name, Health: s.healthFor(cfg.Name)}
 	switch {
 	case err == nil:
 		s.logAdmin("load", cfg.Name, resp.Health.Epoch, nil)
 		writeJSON(w, http.StatusOK, resp)
-	case strings.Contains(err.Error(), "duplicate graph name"):
+	case errors.Is(err, ErrGraphDuplicate):
 		s.fail(w, http.StatusConflict, "%v", err)
 	default:
 		resp.Error = err.Error()

@@ -3,6 +3,7 @@ package server
 import (
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	rs "radiusstep"
@@ -132,13 +133,17 @@ func TestRouteEngineOverride(t *testing.T) {
 	}
 }
 
-// TestGraphSpecDelta: the delta= key reaches the solver configuration.
+// TestGraphSpecDelta: engine=delta serves with the bucket width the
+// solver derives from the graph; there is no delta= key to set one.
 func TestGraphSpecDelta(t *testing.T) {
-	cfg, err := ParseGraphSpec("g=gen=road,n=500,delta=2.5,engine=delta")
+	if _, err := ParseGraphSpec("g=gen=road,n=500,delta=2.5,engine=delta"); err == nil || !strings.Contains(err.Error(), `unknown key "delta"`) {
+		t.Fatalf("delta= key: err = %v, want unknown key", err)
+	}
+	cfg, err := ParseGraphSpec("g=gen=road,n=500,engine=delta")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Delta != 2.5 || cfg.Engine != "delta" {
+	if cfg.Engine != "delta" {
 		t.Fatalf("parsed spec: %+v", cfg)
 	}
 	entry, err := BuildEntry(cfg)

@@ -468,8 +468,8 @@ func TestAdminTokenGate(t *testing.T) {
 }
 
 // TestAdminHandlerLifecycle exercises the private-listener surface end
-// to end: reload (200 / 404 / 422-quarantine), load (200 / 409 / 400),
-// and remove (200 / 404).
+// to end: reload (200 / 404 / 409 / 422-quarantine), load (200 / 409 /
+// 400), and remove (200 / 404).
 func TestAdminHandlerLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.snap")
@@ -483,6 +483,17 @@ func TestAdminHandlerLifecycle(t *testing.T) {
 	}
 	if code, _ := adminDo(t, admin, "POST", "/v1/admin/reload", "", `{"graph":"nope"}`); code != http.StatusNotFound {
 		t.Fatalf("reload unknown: %d, want 404", code)
+	}
+	// A graph published through Add has no rebuild recipe.
+	solver, err := rs.NewSolver(rs.Grid2D(4, 4), rs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Registry().Add(NewSolverEntry("fixed", solver, rs.Options{}, "test", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := adminDo(t, admin, "POST", "/v1/admin/reload", "", `{"graph":"fixed"}`); code != http.StatusConflict {
+		t.Fatalf("reload without a recipe: %d, want 409", code)
 	}
 
 	// A reload failure answers 422 and reports the quarantine.
@@ -509,8 +520,18 @@ func TestAdminHandlerLifecycle(t *testing.T) {
 	if code, _ := adminDo(t, admin, "POST", "/v1/admin/load", "", spec); code != http.StatusConflict {
 		t.Fatalf("duplicate load: %d, want 409", code)
 	}
-	if code, _ := adminDo(t, admin, "POST", "/v1/admin/load", "", `{"spec":"x=snapshot=/nope","name":"x"}`); code != http.StatusBadRequest {
-		t.Fatalf("spec+fields load: %d, want 400", code)
+	// The spec is the only body: structured fields are unknown keys.
+	for _, body := range []string{
+		`{"spec":"x=snapshot=/nope","name":"x"}`,
+		fmt.Sprintf(`{"name":"x","snapshot":%q}`, p2),
+		`{}`,
+	} {
+		if code, _ := adminDo(t, admin, "POST", "/v1/admin/load", "", body); code != http.StatusBadRequest {
+			t.Fatalf("load %s: %d, want 400", body, code)
+		}
+	}
+	if _, ok := s.Registry().Get("x"); ok {
+		t.Fatal("a rejected load body registered a graph")
 	}
 
 	if code, _ := adminDo(t, admin, "DELETE", "/v1/admin/graphs/h", "", ""); code != http.StatusOK {

@@ -35,12 +35,19 @@ const (
 	GraphLoading = "loading"
 )
 
-// Typed Acquire failures. The serving layer maps them to status codes:
+// Typed registry failures. The serving layer maps them to status codes:
 // unknown → 404, loading/cold → 503 + Retry-After, failed → 503 with
-// the quarantine cause.
+// the quarantine cause, duplicate and not-reloadable → 409 on the admin
+// surface.
 var (
 	// ErrGraphUnknown: no graph with that name was ever registered.
 	ErrGraphUnknown = errors.New("server: unknown graph")
+	// ErrGraphDuplicate: Add or LoadConfig named a graph that is
+	// already registered.
+	ErrGraphDuplicate = errors.New("server: duplicate graph name")
+	// ErrGraphNotReloadable: Reload named a graph published through Add,
+	// which has no rebuild recipe.
+	ErrGraphNotReloadable = errors.New("server: graph cannot be reloaded")
 	// ErrGraphReloading: the graph was evicted to cold state and a
 	// background reload is (now) in flight; retry shortly.
 	ErrGraphReloading = errors.New("server: graph reloading")
@@ -175,7 +182,7 @@ func (r *Registry) Add(e *Entry) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.graphs[e.Name]; ok {
-		return fmt.Errorf("server: duplicate graph name %q", e.Name)
+		return fmt.Errorf("%w %q", ErrGraphDuplicate, e.Name)
 	}
 	if e.Epoch == 0 {
 		e.Epoch = r.nextEpoch()
@@ -293,7 +300,7 @@ func (r *Registry) LoadConfig(cfg GraphConfig) error {
 	r.mu.Lock()
 	if _, ok := r.graphs[cfg.Name]; ok {
 		r.mu.Unlock()
-		return fmt.Errorf("server: duplicate graph name %q", cfg.Name)
+		return fmt.Errorf("%w %q", ErrGraphDuplicate, cfg.Name)
 	}
 	r.graphs[cfg.Name] = gs
 	r.mu.Unlock()
@@ -363,7 +370,7 @@ func (r *Registry) Reload(name string) error {
 	gs.mu.Lock()
 	if !gs.reloadable {
 		gs.mu.Unlock()
-		return fmt.Errorf("server: graph %q was registered without a rebuild recipe and cannot be reloaded", name)
+		return fmt.Errorf("%w: %q was registered without a rebuild recipe", ErrGraphNotReloadable, name)
 	}
 	if ferr := fault.Check(context.TODO(), fault.SiteReload); ferr != nil {
 		r.loadFailures.Add(1)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -25,13 +24,18 @@ const (
 
 // GraphInfo is the registry metadata served by GET /v1/graphs.
 type GraphInfo struct {
-	Name             string  `json:"name"`
-	Vertices         int     `json:"vertices"`
-	Edges            int     `json:"edges"`
-	Rho              int     `json:"rho"`
-	K                int     `json:"k"`
-	Heuristic        string  `json:"heuristic"`
-	Engine           string  `json:"engine"`
+	Name      string `json:"name"`
+	Vertices  int    `json:"vertices"`
+	Edges     int    `json:"edges"`
+	Rho       int    `json:"rho"`
+	K         int    `json:"k"`
+	Heuristic string `json:"heuristic"`
+	Engine    string `json:"engine"`
+	// ShortcutsAdded is the number of distinct shortcut edges the served
+	// graph holds: its edge count minus the input graph's. Every source
+	// reports it, snapshots included. It is not Preprocessed.Added, the
+	// paper's per-source count that graphpack and sssp print, which
+	// counts a shortcut once from each endpoint whose ball emits it.
 	ShortcutsAdded   int64   `json:"shortcutsAdded"`
 	MaxWeight        float64 `json:"maxWeight"`
 	PreprocessMillis int64   `json:"preprocessMillis"`
@@ -138,7 +142,7 @@ func NewSolverEntry(name string, solver *rs.Solver, opt rs.Options, source strin
 			K:                opt.K,
 			Heuristic:        opt.Heuristic.String(),
 			Engine:           opt.Engine.String(),
-			ShortcutsAdded:   pre.Added,
+			ShortcutsAdded:   int64(pre.Graph.NumEdges() - g.NumEdges()),
 			MaxWeight:        g.MaxWeight(),
 			PreprocessMillis: prepTime.Milliseconds(),
 			Source:           source,
@@ -152,24 +156,25 @@ func NewSolverEntry(name string, solver *rs.Solver, opt rs.Options, source strin
 // generator family name), File (a graph file in any auto-detected
 // format), or Snapshot (a cmd/graphpack snapshot) must be set. The
 // remaining fields tune generation and preprocessing; they are rejected
-// for snapshots whose preprocessing is already persisted.
+// for snapshots whose preprocessing is already persisted. Its text form
+// is the ParseGraphSpec grammar, which the -graph flag and the admin
+// load body both use.
 type GraphConfig struct {
-	Name      string  `json:"name"`
-	Gen       string  `json:"gen,omitempty"`
-	File      string  `json:"file,omitempty"`
-	Snapshot  string  `json:"snapshot,omitempty"`
-	N         int     `json:"n,omitempty"`
-	Seed      uint64  `json:"seed,omitempty"`
-	Weights   int     `json:"weights,omitempty"`
-	Rho       int     `json:"rho,omitempty"`
-	K         int     `json:"k,omitempty"`
-	Heuristic string  `json:"heuristic,omitempty"`
-	Engine    string  `json:"engine,omitempty"`
-	Delta     float64 `json:"delta,omitempty"`
+	Name      string
+	Gen       string
+	File      string
+	Snapshot  string
+	N         int
+	Seed      uint64
+	Weights   int
+	Rho       int
+	K         int
+	Heuristic string
+	Engine    string
 	// Landmarks builds k ALT landmark vectors (farthest-point selection)
 	// at load time, enabling goal-directed route pruning. Rejected when
 	// the source is a snapshot that already carries persisted landmarks.
-	Landmarks int `json:"landmarks,omitempty"`
+	Landmarks int
 }
 
 // ParseGraphSpec parses the -graph flag form
@@ -214,8 +219,6 @@ func ParseGraphSpec(spec string) (GraphConfig, error) {
 			cfg.Heuristic = v
 		case "engine":
 			cfg.Engine = v
-		case "delta":
-			cfg.Delta, err = strconv.ParseFloat(v, 64)
 		case "landmarks":
 			cfg.Landmarks, err = strconv.Atoi(v)
 		default:
@@ -262,17 +265,11 @@ func buildEntry(cfg GraphConfig) (*Entry, error) {
 	if srcs != 1 {
 		return nil, fmt.Errorf("server: graph %q: exactly one of gen|file|snapshot required", cfg.Name)
 	}
-	// delta is a query-time knob, valid for every source — so a bad
-	// value must fail on every source too, not just the ones that run
-	// preprocessing (whose Options validation would catch it).
-	if cfg.Delta < 0 || math.IsNaN(cfg.Delta) {
-		return nil, fmt.Errorf("server: graph %q: delta %v must be >= 0 (0 derives a default)", cfg.Name, cfg.Delta)
-	}
 	if cfg.Landmarks < 0 || cfg.Landmarks > rs.MaxLandmarks {
 		return nil, fmt.Errorf("server: graph %q: landmarks %d out of range [0,%d]", cfg.Name, cfg.Landmarks, rs.MaxLandmarks)
 	}
 
-	opt := rs.Options{Rho: cfg.Rho, K: cfg.K, Delta: cfg.Delta}
+	opt := rs.Options{Rho: cfg.Rho, K: cfg.K}
 	if cfg.Heuristic != "" {
 		h, err := rs.ParseHeuristic(cfg.Heuristic)
 		if err != nil {
@@ -337,9 +334,6 @@ func buildEntry(cfg GraphConfig) (*Entry, error) {
 		solver, err := rs.SolverFromSnapshot(snap, opt.Engine)
 		if err != nil {
 			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
-		}
-		if cfg.Delta > 0 {
-			solver.SetDelta(cfg.Delta)
 		}
 		entry = NewSolverEntry(cfg.Name, solver, rs.Options{Engine: opt.Engine}, source, 0)
 		entry.Info.Rho, entry.Info.K, entry.Info.Heuristic = snap.Rho, snap.K, snap.Heuristic

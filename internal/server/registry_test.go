@@ -142,7 +142,8 @@ func TestRegistryServesK1Snapshot(t *testing.T) {
 }
 
 // A real packed snapshot (graphpack's output shape: augmented graph,
-// original graph, true radii) must serve correct first queries.
+// original graph, true radii) must serve correct first queries and
+// report the shortcuts it carries as an in-process entry does.
 func TestBuildEntrySnapshotServesPackedGraph(t *testing.T) {
 	g := testGraph()
 	opt := rs.Options{Rho: 16, K: 3, Heuristic: rs.HeuristicDP}
@@ -165,6 +166,15 @@ func TestBuildEntrySnapshotServesPackedGraph(t *testing.T) {
 	if entry.Info.Vertices != g.NumVertices() || entry.Info.Edges != g.NumEdges() {
 		t.Fatalf("entry reports n=%d m=%d, want original n=%d m=%d",
 			entry.Info.Vertices, entry.Info.Edges, g.NumVertices(), g.NumEdges())
+	}
+	solver, err := rs.NewSolverPre(pre, rs.EngineAuto)
+	if err != nil {
+		t.Fatalf("NewSolverPre: %v", err)
+	}
+	live := NewSolverEntry("live", solver, opt, "test", 0)
+	if got := entry.Info.ShortcutsAdded; got == 0 || got != live.Info.ShortcutsAdded {
+		t.Fatalf("shortcutsAdded: snapshot entry %d, in-process entry %d; want equal and nonzero",
+			got, live.Info.ShortcutsAdded)
 	}
 	assertMatchesDijkstra(t, entry, g, 17)
 	// Point-to-point routes must use real (original-graph) edges.

@@ -3,7 +3,6 @@ package radiusstep
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -99,8 +98,8 @@ const (
 	EngineFlat
 	// EngineDelta is Δ-stepping expressed in the unified framework:
 	// each step settles everything below the ceiling of the lowest
-	// occupied Δ-bucket. It ignores the radii (Options.Delta tunes the
-	// bucket width; 0 derives one from the graph).
+	// occupied Δ-bucket. It ignores the radii; the bucket width is
+	// derived from the graph (max weight over mean degree).
 	EngineDelta
 	// EngineRho is ρ-stepping: each step settles at least the ρ closest
 	// fringe vertices (Options.Rho doubles as the quota). It ignores
@@ -182,10 +181,6 @@ type Options struct {
 	Heuristic Heuristic
 	// Engine picks the query implementation (default EngineAuto).
 	Engine Engine
-	// Delta is the Δ-stepping bucket width used by EngineDelta
-	// (0 derives max-weight/mean-degree from the graph; other engines
-	// ignore it).
-	Delta float64
 }
 
 func (o *Options) setDefaults() {
@@ -209,9 +204,6 @@ func (o Options) validate() error {
 	}
 	if o.K < 0 {
 		return fmt.Errorf("radiusstep: K %d is negative (use 0 for the default, or >= 1)", o.K)
-	}
-	if o.Delta < 0 || math.IsNaN(o.Delta) {
-		return fmt.Errorf("radiusstep: Delta %v must be >= 0 (0 derives a default)", o.Delta)
 	}
 	if o.Engine < EngineAuto || o.Engine > EngineRho {
 		return fmt.Errorf("radiusstep: unknown engine %d", int(o.Engine))
@@ -253,7 +245,7 @@ type Preprocessed struct {
 // Preprocess converts g into a (k, ρ)-graph per opt and derives the
 // per-vertex radii. The input graph is not modified. Rho is clamped to
 // the vertex count (a ball cannot exceed the graph). Invalid options
-// (negative Rho, K or Delta, unknown engine or heuristic) are rejected
+// (negative Rho or K, unknown engine or heuristic) are rejected
 // with a clear error rather than silently defaulted.
 func Preprocess(g *Graph, opt Options) (*Preprocessed, error) {
 	if err := opt.validate(); err != nil {
@@ -323,7 +315,7 @@ func NewSolver(g *Graph, opt Options) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSolver(pre, opt.Engine, core.Params{Delta: opt.Delta, Rho: opt.Rho})
+	return newSolver(pre, opt.Engine, opt.Rho)
 }
 
 // NewSolverPre wraps an existing preprocessing result. Its radii must
@@ -335,35 +327,22 @@ func NewSolverPre(pre *Preprocessed, engine Engine) (*Solver, error) {
 	if engine < EngineAuto || engine > EngineRho {
 		return nil, fmt.Errorf("radiusstep: unknown engine %d", int(engine))
 	}
-	return newSolver(pre, engine, core.Params{})
+	return newSolver(pre, engine, 0)
 }
 
 // newSolver checks the radii once, so no solve scans them again, and
-// finalizes the strategy parameters: the Δ default is derived once here
-// (it scans the weights) so per-query engine overrides never pay for it
-// on the hot path.
-func newSolver(pre *Preprocessed, engine Engine, params core.Params) (*Solver, error) {
+// finalizes the strategy parameters: EngineDelta's bucket width is
+// derived from the graph once here (it scans the weights) so per-query
+// engine overrides never pay for it on the hot path. rho is
+// EngineRho's quota (0 selects the default).
+func newSolver(pre *Preprocessed, engine Engine, rho int) (*Solver, error) {
 	if err := graph.CheckRadii(pre.Radii); err != nil {
 		return nil, fmt.Errorf("radiusstep: %w", err)
 	}
-	if !(params.Delta > 0) {
-		params.Delta = core.DefaultDelta(pre.Graph)
-	}
+	params := core.Params{Delta: core.DefaultDelta(pre.Graph), Rho: rho}
 	s := &Solver{pre: pre, engine: engine, params: params}
 	s.ResetWorkspaces()
 	return s, nil
-}
-
-// SetDelta overrides the Δ-stepping bucket width EngineDelta uses
-// (<= 0 restores the derived default). It exists so deployments loading
-// persisted preprocessing (snapshots) can still tune the
-// query-time strategy; call it before serving queries — it is not
-// synchronized with in-flight solves.
-func (s *Solver) SetDelta(delta float64) {
-	if !(delta > 0) {
-		delta = core.DefaultDelta(s.pre.Graph)
-	}
-	s.params.Delta = delta
 }
 
 // getWS takes a workspace from the solver's pool (or makes one). Callers
@@ -447,7 +426,7 @@ func SolverFromSnapshot(s *Snapshot, engine Engine) (*Solver, error) {
 		Graph:    s.G,
 		Original: s.Original,
 		Radii:    s.Radii,
-	}, engine, core.Params{Rho: s.Rho})
+	}, engine, s.Rho)
 	if err != nil {
 		return nil, err
 	}

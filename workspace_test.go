@@ -224,8 +224,6 @@ func TestOptionsValidation(t *testing.T) {
 	bad := []rs.Options{
 		{Rho: -1},
 		{K: -3},
-		{Delta: -0.5},
-		{Delta: math.NaN()},
 		{Engine: rs.Engine(99)},
 		{Engine: rs.Engine(-2)},
 		{Heuristic: rs.Heuristic(17)},
