@@ -215,24 +215,6 @@ func BenchmarkRadiiOnlyRho64(b *testing.B) {
 	}
 }
 
-func BenchmarkDistancesBatch8(b *testing.B) {
-	f := solverFixture(b)
-	s, err := rs.NewSolverPre(f.pre, rs.EngineSequential)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sources := make([]rs.Vertex, 8)
-	for i := range sources {
-		sources[i] = rs.Vertex(i * 1000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.DistancesBatch(sources); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Locality ablation: vertex order matters for CSR traversals. Random-
 // geometric graphs come with effectively random ids; BFS reordering
 // places neighborhoods together.

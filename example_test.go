@@ -28,37 +28,18 @@ func ExampleNewSolver() {
 }
 
 // Point-to-point queries stop as soon as the destination settles.
-func ExampleSolver_Path() {
+func ExampleSolver_Route() {
 	g := rs.Grid2D(3, 3) // unit-weight 3x3 grid, vertex = row*3+col
 	solver, err := rs.NewSolver(g, rs.Options{Rho: 4})
 	if err != nil {
 		panic(err)
 	}
-	path, d, err := solver.Path(0, 8)
+	path, d, _, err := solver.Route(0, 8, rs.EngineAuto, true)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(len(path)-1, d)
 	// Output: 4 4
-}
-
-// Radius-stepping with r(v)=0 degenerates to Dijkstra with batched ties;
-// with r(v)=∞ it degenerates to Bellman–Ford. Custom radii are allowed —
-// correctness holds for any non-negative values (Theorem 3.1).
-func ExampleSolveWithRadii() {
-	b := rs.NewBuilder(3)
-	b.Add(0, 1, 5)
-	b.Add(1, 2, 5)
-	b.Add(0, 2, 20)
-	g := b.Build()
-
-	dist, stats, err := rs.SolveWithRadii(g, []float64{0, 0, 0}, 0, rs.EngineSequential)
-	if err != nil {
-		panic(err)
-	}
-	// Two steps: one per distinct distance class (5, then 10).
-	fmt.Println(dist, stats.Steps)
-	// Output: [0 5 10] 2
 }
 
 // Dijkstra is the sequential baseline; VerifyDistances is an

@@ -36,7 +36,7 @@ func AblationK(w io.Writer, sc Scale) error {
 			var meanSub float64
 			maxSub := 0
 			for _, src := range wl.Sources {
-				_, st, err := core.SolveRef(pre.G, pre.Radii, src)
+				_, st, err := core.SolveKind(pre.G, pre.Radii, src, core.KindSequential, core.Params{}, nil)
 				if err != nil {
 					return err
 				}
@@ -82,7 +82,7 @@ func AblationDelta(w io.Writer, sc Scale) error {
 		if err != nil {
 			return err
 		}
-		dist, st, err := core.SolveRef(pre.G, pre.Radii, src)
+		dist, st, err := core.SolveKind(pre.G, pre.Radii, src, core.KindSequential, core.Params{}, nil)
 		if err != nil {
 			return err
 		}
@@ -96,10 +96,11 @@ func AblationDelta(w io.Writer, sc Scale) error {
 	return nil
 }
 
-// AblationEngines cross-checks the three radius-stepping engines on one
-// workload: identical distances and identical step/substep counts, with
-// their work counters side by side. This is the design-validation run for
-// the engine equivalence the tests assert.
+// AblationEngines cross-checks the five engine kinds on one workload:
+// identical distances everywhere and identical step/substep counts on
+// the three radius-stepping kinds, with their work counters side by
+// side. This is the design-validation run for the engine equivalence
+// the tests assert.
 func AblationEngines(w io.Writer, sc Scale) error {
 	wl := Workloads(sc)[2] // a web graph: skewed degrees stress the engines
 	g := wl.Weighted
@@ -113,35 +114,35 @@ func AblationEngines(w io.Writer, sc Scale) error {
 		Caption: fmt.Sprintf("Ablation — engine cross-check on %s weighted (rho=%d)", wl.Name, rho),
 		Header:  []string{"engine", "steps", "substeps", "edges scanned", "relaxations", "frontier p/b/m/x/st/sel"},
 	}
-	type eng struct {
-		name string
-		fn   func() ([]float64, core.Stats, error)
-	}
-	engines := []eng{
-		{"ref (sequential)", func() ([]float64, core.Stats, error) { return core.SolveRef(pre.G, pre.Radii, src) }},
-		{"frontier (Algorithm 2)", func() ([]float64, core.Stats, error) { return core.Solve(pre.G, pre.Radii, src) }},
-		{"flat (sec. 3.4)", func() ([]float64, core.Stats, error) { return core.SolveFlat(pre.G, pre.Radii, src) }},
-		// The radius-free strategies match on distances only: their
-		// step rules are different algorithms, so step counts differ.
-		{"delta-stepping", func() ([]float64, core.Stats, error) { return core.SolveDelta(pre.G, src, 0, nil) }},
-		{"rho-stepping", func() ([]float64, core.Stats, error) { return core.SolveRho(pre.G, src, rho, nil) }},
+	labels := map[core.EngineKind]string{
+		core.KindSequential: "ref (sequential)",
+		core.KindParallel:   "frontier (Algorithm 2)",
+		core.KindFlat:       "flat (sec. 3.4)",
+		core.KindDelta:      "delta-stepping",
+		core.KindRho:        "rho-stepping",
 	}
 	var ref []float64
 	var refSteps int
-	for i, e := range engines {
-		dist, st, err := e.fn()
+	for kind := core.KindSequential; kind <= core.KindRho; kind++ {
+		// Δ-stepping derives its bucket width from the graph; ρ-stepping
+		// starts from the preprocessing ρ as its quota. Both ignore the
+		// radii.
+		dist, st, err := core.SolveKind(pre.G, pre.Radii, src, kind, core.Params{Rho: rho}, nil)
 		if err != nil {
 			return err
 		}
-		if i == 0 {
+		name := labels[kind]
+		if kind == core.KindSequential {
 			ref = dist
 			refSteps = st.Steps
 		} else {
 			if idx := check.SameDistances(ref, dist, 0); idx >= 0 {
-				return fmt.Errorf("engine %s distance mismatch at %d", e.name, idx)
+				return fmt.Errorf("engine %s distance mismatch at %d", name, idx)
 			}
-			if i < 3 && st.Steps != refSteps {
-				return fmt.Errorf("engine %s step mismatch: %d vs %d", e.name, st.Steps, refSteps)
+			// The radius-free strategies match on distances only: their
+			// step rules are different algorithms, so step counts differ.
+			if kind <= core.KindFlat && st.Steps != refSteps {
+				return fmt.Errorf("engine %s step mismatch: %d vs %d", name, st.Steps, refSteps)
 			}
 		}
 		// Frontier-substrate ops (pushes/batches/merges/extracted/stale/
@@ -153,7 +154,7 @@ func AblationEngines(w io.Writer, sc Scale) error {
 				st.Frontier.Pushes, st.Frontier.Batches, st.Frontier.Merges,
 				st.Frontier.Extracted, st.Frontier.Stale, st.Frontier.Selects)
 		}
-		t.Add(e.name, fi(int64(st.Steps)), fi(int64(st.Substeps)), fi(st.EdgesScanned), fi(st.Relaxations), frOps)
+		t.Add(name, fi(int64(st.Steps)), fi(int64(st.Substeps)), fi(st.EdgesScanned), fi(st.Relaxations), frOps)
 	}
 	t.Render(w)
 	return nil
@@ -199,7 +200,7 @@ func AblationModels(w io.Writer, sc Scale) error {
 					if !ok {
 						return
 					}
-					_, st, err := core.SolveRef(pre.G, pre.Radii, sources[i])
+					_, st, err := core.SolveKind(pre.G, pre.Radii, sources[i], core.KindSequential, core.Params{}, nil)
 					stats[i], errs[i] = st, err
 				}
 			})

@@ -64,7 +64,7 @@ func StepsFor(sc Scale, wl *Workload, weighted bool, rho int) (stepResult, error
 			if !ok {
 				return
 			}
-			_, st, err := core.SolveRef(pre.G, pre.Radii, wl.Sources[i])
+			_, st, err := core.SolveKind(pre.G, pre.Radii, wl.Sources[i], core.KindSequential, core.Params{}, nil)
 			stats[i], errs[i] = st, err
 		}
 	})
@@ -450,7 +450,7 @@ func Table1(w io.Writer, sc Scale) error {
 		if err != nil {
 			return err
 		}
-		_, st, err := core.SolveRef(pre.G, pre.Radii, src)
+		_, st, err := core.SolveKind(pre.G, pre.Radii, src, core.KindSequential, core.Params{}, nil)
 		if err != nil {
 			return err
 		}

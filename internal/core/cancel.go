@@ -73,7 +73,7 @@ func (p *Probe) Err() error {
 }
 
 // probeArcInterval is the scanned-arc granularity of mid-substep probe
-// polls in the scalar relax kernels (the parallel kernels poll at claim
+// polls in the scalar push kernel (the parallel kernels poll at claim
 // granularity instead, which is the same order of magnitude). Small
 // enough that a multi-million-arc substep on a huge graph notices a
 // cancel in well under a millisecond of extra work, large enough that

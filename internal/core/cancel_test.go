@@ -105,7 +105,7 @@ func cancelOnCall(n int64, fire func()) (func(graph.V) float64, *atomic.Int64) {
 // a target solve running longest.
 func farthest(t *testing.T, g *graph.CSR, radii []float64, src graph.V) graph.V {
 	t.Helper()
-	dist, _, err := SolveRef(g, radii, src)
+	dist, _, err := solveRef(g, radii, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestMidSolveCancelThenWorkspaceReuse(t *testing.T) {
 		ws := NewWorkspace()
 		p := new(Probe)
 		bound, calls := cancelOnCall(20, p.Cancel)
-		_, dist, _, err := SolveKindTarget(g, radii, 0, far, kind, Params{Probe: p, Bound: bound}, ws)
+		_, dist, _, err := solveTarget(g, radii, 0, far, kind, Params{Probe: p, Bound: bound}, ws)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", kind, err)
 		}
@@ -189,14 +189,14 @@ func TestWorkspaceReuseResetPaths(t *testing.T) {
 		ws := NewWorkspace()
 		target := func(step string, dst graph.V, prune, wantComplete bool) {
 			t.Helper()
-			d, got, _, err := SolveKindTarget(g, radii, src, dst, kind, params(dst, prune), ws)
+			d, got, _, err := solveTarget(g, radii, src, dst, kind, params(dst, prune), ws)
 			if err != nil {
 				t.Fatalf("%s %s: %v", kind, step, err)
 			}
 			if math.Float64bits(d) != math.Float64bits(want[dst]) {
 				t.Fatalf("%s %s: d = %v, want %v", kind, step, d, want[dst])
 			}
-			_, fresh, _, err := SolveKindTarget(g, radii, src, dst, kind, params(dst, prune), nil)
+			_, fresh, _, err := solveTarget(g, radii, src, dst, kind, params(dst, prune), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

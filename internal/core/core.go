@@ -2,28 +2,28 @@
 // the library: one driver (see solve in stepper.go) runs synchronous
 // Bellman–Ford substeps against a pluggable Stepper that owns the fringe
 // of reached-but-unsettled vertices and chooses each step's settling
-// threshold d_i. Five engines plug in, all computing identical
-// distances:
+// threshold d_i. SolveKind runs a full solve and SolveTarget a solve
+// that stops when its target settles; both take the engine kind. Five
+// kinds plug in, all computing identical distances:
 //
-//   - KindSequential (SolveRef): Radius-Stepping with lazy-deletion
-//     heaps and a sequential relax loop, faithful to Algorithm 1. It is
-//     the fastest single-thread variant and the one experiments use for
-//     step counting.
-//   - KindParallel (Solve): the paper's efficient parallel
-//     implementation (Algorithm 2) on the flat ordered-frontier
-//     substrate (internal/frontier): the priority set Q is a collection
-//     of lazy-batched distance-sorted runs updated with bulk split/
-//     union, the d_i = min δ(v)+r(v) query replaces the R set, and
-//     substeps relax edges concurrently with priority-writes.
-//   - KindFlat (SolveFlat): the §3.4 frontier engine that avoids ordered
-//     sets by scanning the (small) fringe to pick each round distance;
-//     on unweighted graphs this is the paper's parallel-BFS-style
-//     variant.
-//   - KindDelta (SolveDelta): Δ-stepping expressed as a step-target
-//     rule — d_i is the ceiling of the lowest occupied Δ-bucket — the
-//     fixed-width strategy Radius-Stepping refines.
-//   - KindRho (SolveRho): ρ-stepping — d_i is the ρ-th smallest fringe
-//     distance, so each step settles (at least) the ρ closest vertices.
+//   - KindSequential: Radius-Stepping with lazy-deletion heaps and a
+//     sequential relax loop, faithful to Algorithm 1. It is the fastest
+//     single-thread variant and the one experiments use for step
+//     counting.
+//   - KindParallel: the paper's efficient parallel implementation
+//     (Algorithm 2) on the flat ordered-frontier substrate
+//     (internal/frontier): the priority set Q is a collection of
+//     lazy-batched distance-sorted runs updated with bulk split/union,
+//     the d_i = min δ(v)+r(v) query replaces the R set, and substeps
+//     relax edges concurrently with priority-writes.
+//   - KindFlat: the §3.4 frontier engine that avoids ordered sets by
+//     scanning the (small) fringe to pick each round distance; on
+//     unweighted graphs this is the paper's parallel-BFS-style variant.
+//   - KindDelta: Δ-stepping expressed as a step-target rule — d_i is the
+//     ceiling of the lowest occupied Δ-bucket — the fixed-width strategy
+//     Radius-Stepping refines.
+//   - KindRho: ρ-stepping — d_i is the ρ-th smallest fringe distance, so
+//     each step settles (at least) the ρ closest vertices.
 //
 // The three radius engines take the per-vertex radii r(v) produced by
 // preprocessing and yield identical step/substep counts; correctness
@@ -113,23 +113,11 @@ func validateSrc(g *graph.CSR, src graph.V) error {
 }
 
 // validate checks the source and the radii's length. It does not scan
-// the radii's values: a Solver checks those once when it is built, and
-// the entry points that take caller radii check them on each call (see
-// solveCallerRadii).
+// the radii's values: the caller passes radii that meet
+// graph.CheckRadii, as a Solver checks its own once when it is built.
 func validate(g *graph.CSR, radii []float64, src graph.V) error {
 	if n := g.NumVertices(); len(radii) != n {
 		return fmt.Errorf("core: %d radii for %d vertices", len(radii), n)
 	}
 	return validateSrc(g, src)
-}
-
-// solveCallerRadii is a one-shot full solve on radii no Solver has
-// checked: it applies graph.CheckRadii first, so a negative, NaN or
-// infinite radius is an error instead of a solve that never ends or
-// returns wrong distances.
-func solveCallerRadii(g *graph.CSR, radii []float64, src graph.V, kind EngineKind) ([]float64, Stats, error) {
-	if err := graph.CheckRadii(radii); err != nil {
-		return nil, Stats{}, fmt.Errorf("core: %w", err)
-	}
-	return SolveKind(g, radii, src, kind, Params{}, nil)
 }

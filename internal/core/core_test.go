@@ -9,6 +9,7 @@ import (
 	"radiusstep/internal/check"
 	"radiusstep/internal/gen"
 	"radiusstep/internal/graph"
+	"radiusstep/internal/parallel"
 	"radiusstep/internal/preprocess"
 )
 
@@ -26,15 +27,25 @@ func UniformRadii(n int, r float64) []float64 {
 	return out
 }
 
-// SolveRefTarget is SolveRef with early termination: it stops as soon as
-// target is settled (its distance is then exact — by Theorem 3.1 the
-// settled set is always correct) and returns the target's distance plus
-// the partial distance vector. Distances of vertices not yet settled are
-// tentative upper bounds or +Inf. Point-to-point queries on large graphs
-// typically settle the target after exploring only the ball of radius
-// d(src, target).
-func SolveRefTarget(g *graph.CSR, radii []float64, src, target graph.V) (float64, []float64, Stats, error) {
-	return SolveKindTarget(g, radii, src, target, KindSequential, Params{}, nil)
+// solveRef is a one-shot full solve on the sequential kind, the
+// reference the other kinds are checked against.
+func solveRef(g *graph.CSR, radii []float64, src graph.V) ([]float64, Stats, error) {
+	return SolveKind(g, radii, src, KindSequential, Params{}, nil)
+}
+
+// solveTarget runs SolveTarget on ws (a fresh workspace when nil) and
+// returns the target's distance with a copy of the partial distance
+// vector: settled vertices are exact, the rest tentative upper bounds
+// or +Inf.
+func solveTarget(g *graph.CSR, radii []float64, src, target graph.V, kind EngineKind, p Params, ws *Workspace) (float64, []float64, Stats, error) {
+	if ws == nil {
+		ws = NewWorkspace()
+	}
+	d, st, err := SolveTarget(g, radii, src, target, kind, p, ws)
+	if err != nil {
+		return 0, nil, Stats{}, err
+	}
+	return d, parallel.BitsToFloats(ws.bits), st, nil
 }
 
 type solver struct {
@@ -42,12 +53,16 @@ type solver struct {
 	fn   func(*graph.CSR, []float64, graph.V) ([]float64, Stats, error)
 }
 
+// solvers returns a one-shot full solve on each of the three radius
+// kinds, which must agree on distances, steps and substeps.
 func solvers() []solver {
-	return []solver{
-		{"ref", SolveRef},
-		{"engine", Solve},
-		{"flat", SolveFlat},
+	var out []solver
+	for _, kind := range []EngineKind{KindSequential, KindParallel, KindFlat} {
+		out = append(out, solver{kind.String(), func(g *graph.CSR, radii []float64, src graph.V) ([]float64, Stats, error) {
+			return SolveKind(g, radii, src, kind, Params{}, nil)
+		}})
 	}
+	return out
 }
 
 func testGraphs() map[string]*graph.CSR {
@@ -110,9 +125,9 @@ func TestEnginesAgreeOnStepCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stRef, _ := SolveRef(g, radii, 0)
-		_, stEng, _ := Solve(g, radii, 0)
-		_, stFlat, _ := SolveFlat(g, radii, 0)
+		_, stRef, _ := SolveKind(g, radii, 0, KindSequential, Params{}, nil)
+		_, stEng, _ := SolveKind(g, radii, 0, KindParallel, Params{}, nil)
+		_, stFlat, _ := SolveKind(g, radii, 0, KindFlat, Params{}, nil)
 		if stRef.Steps != stEng.Steps || stRef.Steps != stFlat.Steps {
 			t.Fatalf("%s: steps ref=%d engine=%d flat=%d", name, stRef.Steps, stEng.Steps, stFlat.Steps)
 		}
@@ -125,7 +140,7 @@ func TestEnginesAgreeOnStepCounts(t *testing.T) {
 func TestBellmanFordDegenerate(t *testing.T) {
 	// An unbounded radius must give a single step (the Bellman–Ford
 	// degenerate case). The largest radius the radii rule admits stands
-	// in for r = ∞, which TestValidation shows is rejected.
+	// in for r = ∞, which graph.CheckRadii rejects.
 	g := gen.WithUniformIntWeights(gen.Grid2D(10, 10), 1, 20, 5)
 	radii := UniformRadii(g.NumVertices(), math.MaxFloat64)
 	want := baseline.Dijkstra(g, 0)
@@ -170,7 +185,7 @@ func TestDijkstraDegenerate(t *testing.T) {
 	// (vertices with equal distance settle together).
 	g := gen.WithUniformIntWeights(gen.Grid2D(10, 10), 1, 1000, 6)
 	want, steps := baseline.DijkstraSteps(g, 0)
-	got, st, err := SolveRef(g, ZeroRadii(g.NumVertices()), 0)
+	got, st, err := solveRef(g, ZeroRadii(g.NumVertices()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +202,7 @@ func TestUnweightedRhoOneEqualsBFSLevels(t *testing.T) {
 	// each step settles one distance class = one BFS level.
 	for _, g := range []*graph.CSR{gen.Grid2D(12, 12), gen.ScaleFree(300, 3, 7), gen.Chain(40)} {
 		_, levels := baseline.BFS(g, 0)
-		_, st, err := SolveRef(g, ZeroRadii(g.NumVertices()), 0)
+		_, st, err := solveRef(g, ZeroRadii(g.NumVertices()), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +227,7 @@ func TestSubstepBoundOnPreprocessedGraph(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, src := range []graph.V{0, 7, 19} {
-					_, st, err := SolveRef(res.G, res.Radii, src)
+					_, st, err := solveRef(res.G, res.Radii, src)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -238,7 +253,7 @@ func TestStepBoundTheorem33(t *testing.T) {
 		}
 		L := res.G.MaxWeight()
 		bound := int(math.Ceil(float64(n)/float64(rho))) * (1 + int(math.Ceil(math.Log2(float64(rho)*L))))
-		_, st, err := SolveRef(res.G, res.Radii, 0)
+		_, st, err := solveRef(res.G, res.Radii, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +273,7 @@ func TestStepsDecreaseWithRho(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := SolveRef(res.G, res.Radii, 0)
+		_, st, err := solveRef(res.G, res.Radii, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,35 +311,16 @@ func TestTraceObserver(t *testing.T) {
 	}
 }
 
+// TestValidation: a solve checks the radii's length and the source.
+// Radius values are checked where radii enter a Solver (graph.CheckRadii
+// in newSolver and the snapshot reader), not on every solve.
 func TestValidation(t *testing.T) {
 	g := gen.Chain(5)
-	if _, _, err := SolveRef(g, make([]float64, 3), 0); err == nil {
+	if _, _, err := SolveKind(g, make([]float64, 3), 0, KindSequential, Params{}, nil); err == nil {
 		t.Fatal("short radii accepted")
 	}
-	if _, _, err := SolveRef(g, make([]float64, 5), 9); err == nil {
+	if _, _, err := SolveKind(g, make([]float64, 5), 9, KindSequential, Params{}, nil); err == nil {
 		t.Fatal("bad source accepted")
-	}
-	bad := make([]float64, 5)
-	bad[2] = -1
-	if _, _, err := SolveRef(g, bad, 0); err == nil {
-		t.Fatal("negative radius accepted")
-	}
-	if _, _, err := Solve(g, bad, 0); err == nil {
-		t.Fatal("engine: negative radius accepted")
-	}
-	if _, _, err := SolveFlat(g, bad, 0); err == nil {
-		t.Fatal("flat: negative radius accepted")
-	}
-	// NaN and +Inf radii fail the same rule. Unchecked, all-NaN radii
-	// made SolveFlat loop forever and all-+Inf ones made it return wrong
-	// distances.
-	for _, r := range []float64{math.NaN(), math.Inf(1)} {
-		odd := UniformRadii(5, r)
-		for _, s := range solvers() {
-			if _, _, err := s.fn(g, odd, 0); err == nil {
-				t.Fatalf("%s: radius %v accepted", s.name, r)
-			}
-		}
 	}
 }
 
@@ -391,9 +387,9 @@ func TestQuickEnginesAgree(t *testing.T) {
 			radii[i] = float64((uint64(i)*seed)%uint64(1+radScale%16)) / 2
 		}
 		want := baseline.Dijkstra(g, src)
-		d1, s1, err1 := SolveRef(g, radii, src)
-		d2, s2, err2 := Solve(g, radii, src)
-		d3, s3, err3 := SolveFlat(g, radii, src)
+		d1, s1, err1 := SolveKind(g, radii, src, KindSequential, Params{}, nil)
+		d2, s2, err2 := SolveKind(g, radii, src, KindParallel, Params{}, nil)
+		d3, s3, err3 := SolveKind(g, radii, src, KindFlat, Params{}, nil)
 		if err1 != nil || err2 != nil || err3 != nil {
 			return false
 		}

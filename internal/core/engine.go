@@ -21,10 +21,14 @@ type frontierBacked interface {
 // (Algorithm 2) on the flat arena-backed frontier substrate: the
 // priority set Q (keyed by δ(v)) is a lazy-batched run collection
 // instead of the paper's join-based ordered sets (§3.2). push and
-// settle stage their work as O(1) epoch-stamped records; commit seals
-// each substep's batch into a sorted run and merges runs lazily (the
-// bulk union), and collect is a binary-searched prefix extraction (the
-// split). The paper's second set R (keyed by δ(v)+r(v)) is not
+// settle stage their work as O(1) epoch-stamped records; the frontier
+// commits itself at its next query (target or collect), sealing the
+// staged batch into a sorted run and merging runs lazily (the bulk
+// union), and collect is a binary-searched prefix extraction (the
+// split). Because nothing commits between substeps, a step's substeps
+// pool their pushes into one batch: a vertex improved in several
+// substeps is sorted once, at its final key, instead of once per
+// substep. The paper's second set R (keyed by δ(v)+r(v)) is not
 // materialized: its only role in Algorithm 2 is the d_i = min δ(v)+r(v)
 // query, which the substrate answers with one shifted min-reduction
 // over Q's runs — maintaining R's order cost as much as Q's and bought
@@ -72,26 +76,10 @@ func (p *frontierStepper) settle(v graph.V) {
 	p.q.Drop(v)
 }
 
-// commit is a no-op: the frontier self-commits at the next query
-// (target or collect), so a step's substeps pool their pushes into ONE
-// batch — a vertex improved in several substeps is sorted once, at its
-// final key, instead of once per substep.
-func (p *frontierStepper) commit() {}
-
 func (p *frontierStepper) fringe() int { return p.q.Len() }
 
 func (p *frontierStepper) setTiming(on bool) { p.q.SetTiming(on) }
 
 func (p *frontierStepper) frontierOps() frontier.Ops {
 	return p.q.Ops()
-}
-
-// Solve computes shortest-path distances from src with the parallel
-// Radius-Stepping engine of Algorithm 2. The priority sets Q and R are
-// flat arena-backed frontiers updated with bulk split/union (lazy
-// batched runs), and each Bellman–Ford substep relaxes the frontier's
-// arcs concurrently using priority-writes. Steps, substeps and
-// distances are identical to SolveRef.
-func Solve(g *graph.CSR, radii []float64, src graph.V) ([]float64, Stats, error) {
-	return solveCallerRadii(g, radii, src, KindParallel)
 }

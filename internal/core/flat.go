@@ -113,40 +113,6 @@ func (f *flatStepper) push(v graph.V, _ float64) {
 // skipped later via the done check.
 func (f *flatStepper) settle(graph.V) {}
 
-func (f *flatStepper) commit() {}
-
 // fringe reports the fringe array length — an overcount when stale
 // (settled) entries remain; trace annotation only.
 func (f *flatStepper) fringe() int { return len(f.pending) }
-
-// SolveFlat computes shortest-path distances from src with the frontier
-// ("flat") Radius-Stepping engine of §3.4: instead of ordered sets it
-// keeps the fringe in a plain array, picks each round distance with a
-// parallel min-reduction over the fringe, and runs the same parallel
-// Bellman–Ford substeps. On unweighted graphs this is the paper's
-// parallel-BFS-style variant (each step costs work proportional to the
-// fringe, with no log-factor from trees); it is correct for arbitrary
-// weights and produces step/substep counts identical to SolveRef and
-// Solve.
-func SolveFlat(g *graph.CSR, radii []float64, src graph.V) ([]float64, Stats, error) {
-	return solveCallerRadii(g, radii, src, KindFlat)
-}
-
-// SolveDelta computes shortest-path distances from src with the
-// Δ-stepping strategy in the unified framework: each step settles every
-// fringe vertex below the ceiling of the lowest occupied Δ-bucket, with
-// the same synchronous Bellman–Ford substeps as the radius engines.
-// delta <= 0 derives DefaultDelta. Δ-stepping is the fixed-step-width
-// algorithm Radius-Stepping refines; it needs no radii and therefore no
-// preprocessing.
-func SolveDelta(g *graph.CSR, src graph.V, delta float64, ws *Workspace) ([]float64, Stats, error) {
-	return SolveKind(g, nil, src, KindDelta, Params{Delta: delta}, ws)
-}
-
-// SolveRho computes shortest-path distances from src with the
-// ρ-stepping strategy (Dong et al.): each step settles at least the rho
-// closest fringe vertices by taking d_i as the ρ-th smallest tentative
-// distance. rho <= 0 selects 32. Like Δ-stepping it needs no radii.
-func SolveRho(g *graph.CSR, src graph.V, rho int, ws *Workspace) ([]float64, Stats, error) {
-	return SolveKind(g, nil, src, KindRho, Params{Rho: rho}, ws)
-}

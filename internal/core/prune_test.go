@@ -59,7 +59,7 @@ func TestFiveEnginesTargetPruneByteIdentical(t *testing.T) {
 		}
 		for _, kind := range allKinds() {
 			for _, dst := range targets {
-				d, _, st, err := SolveKindTarget(g, radii, src, dst, kind, Params{}, ws)
+				d, _, st, err := solveTarget(g, radii, src, dst, kind, Params{}, ws)
 				if err != nil {
 					t.Fatalf("graph %d %s target %d: %v", gi, kind, dst, err)
 				}
@@ -72,7 +72,7 @@ func TestFiveEnginesTargetPruneByteIdentical(t *testing.T) {
 				}
 				hook, _, est := set.BoundTo(src, dst)
 				p := Params{Bound: hook, UpperBound: est}
-				dp, distp, stp, err := SolveKindTarget(g, radii, src, dst, kind, p, ws)
+				dp, distp, stp, err := solveTarget(g, radii, src, dst, kind, p, ws)
 				if err != nil {
 					t.Fatalf("graph %d %s target %d pruned: %v", gi, kind, dst, err)
 				}
@@ -210,7 +210,7 @@ func FuzzLandmarkBound(f *testing.F) {
 		}
 		p := Params{Bound: hook, UpperBound: est}
 		for _, kind := range allKinds() {
-			d, _, _, err := SolveKindTarget(g, radii, src, dst, kind, p, nil)
+			d, _, _, err := solveTarget(g, radii, src, dst, kind, p, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}

@@ -117,17 +117,9 @@ func (h *heapStepper) push(v graph.V, d float64) {
 // dropped below their keys) and lazy deletion skips them.
 func (h *heapStepper) settle(graph.V) {}
 
-func (h *heapStepper) commit() {}
-
 // fringe reports the Q heap length — an overcount when lazy-deleted
 // entries remain; trace annotation only.
 func (h *heapStepper) fringe() int { return len(h.q) }
-
-// SolveRef computes shortest-path distances from src with the reference
-// (sequential) Radius-Stepping. It returns +Inf for unreachable vertices.
-func SolveRef(g *graph.CSR, radii []float64, src graph.V) ([]float64, Stats, error) {
-	return solveCallerRadii(g, radii, src, KindSequential)
-}
 
 // BellmanFord computes shortest-path distances from src with synchronous
 // relaxation rounds. It is the r(v) = ∞ degenerate case of

@@ -20,7 +20,9 @@ const rhoStepTarget = 128
 // d_i is the ρ-th smallest live key — instead of a full fringe scan.
 // Extraction, like the parallel engine's, is a binary-searched prefix
 // split of the sorted runs, so a step touches the ρ-ish vertices it
-// settles rather than the whole fringe.
+// settles rather than the whole fringe, and the frontier likewise
+// commits itself at its next query, so a step's substeps pool their
+// pushes into one sort (see frontierStepper).
 //
 // Unless Params.RhoFixed pins it, the quota is adaptive in the spirit
 // of Dong et al.'s ρ tuning: a step that settles fewer vertices than
@@ -105,10 +107,6 @@ func (s *rhoStepper) settle(v graph.V) {
 	s.stepSettled++
 	s.f.Drop(v)
 }
-
-// commit defers to the next query's self-commit, pooling a step's
-// substep batches into one sort (see frontierStepper.commit).
-func (s *rhoStepper) commit() {}
 
 func (s *rhoStepper) fringe() int { return s.f.Len() }
 

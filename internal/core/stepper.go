@@ -78,17 +78,16 @@ type Params struct {
 	// Relax selects the substep traversal: RelaxAdaptive (default)
 	// runs a substep too small to share on the scalar push kernel and
 	// switches between parallel push and pull on larger ones;
-	// RelaxPush/RelaxPull force one direction and, when GOMAXPROCS > 1,
-	// always take its parallel kernel (distances are identical either
-	// way — the force knobs exist for benchmarking and the cross-mode
-	// property tests).
+	// RelaxPush/RelaxPull force one direction on its parallel kernel
+	// (see RelaxMode; distances are identical either way — the force
+	// knobs exist for benchmarking and the cross-mode property tests).
 	Relax RelaxMode
 	// Recorder, when non-nil, receives a per-step/per-substep timeline
 	// of the solve (see internal/trace). nil — the default and the hot
 	// path — adds a single pointer comparison per instrumentation site
 	// and zero allocations; the CI alloc gates depend on that.
 	Recorder *trace.Recorder
-	// Bound, when non-nil on a target-mode solve (SolveKindTarget), is
+	// Bound, when non-nil on a target-mode solve (SolveTarget), is
 	// an admissible lower bound on the remaining distance from v to the
 	// solve's target: Bound(v) <= true d(v, target) for every v, with 0
 	// meaning "unknown" and +Inf asserting the target is unreachable
@@ -192,9 +191,6 @@ type stepper interface {
 	// settle removes v from the fringe if present: a substep improved v
 	// to δ(v) <= d_i, so it joins the active set instead.
 	settle(v graph.V)
-	// commit flushes buffered fringe updates at the end of a substep
-	// (bulk-update structures batch their push/settle work).
-	commit()
 	// fringe reports the fringe population for the step trace. May
 	// overcount structures that keep stale entries (the lazy heaps and
 	// the flat array); exactness is not required — the value only
@@ -257,10 +253,9 @@ func (k EngineKind) usesRadii() bool {
 // SolveKind computes shortest-path distances from src with the given
 // engine kind, reusing ws when non-nil (pass nil for a one-shot solve).
 // For the radius-free kinds (KindDelta, KindRho) radii may be nil.
-// SolveKind and the target variants check the radii's length but not
-// their values: the caller passes radii that meet graph.CheckRadii, as
-// a Solver's are checked when it is built. SolveRef, Solve and
-// SolveFlat check caller radii on every call.
+// SolveKind and SolveTarget check the radii's length but not their
+// values: the caller passes radii that meet graph.CheckRadii, as a
+// Solver's are checked when it is built.
 func SolveKind(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params, ws *Workspace) ([]float64, Stats, error) {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -272,26 +267,12 @@ func SolveKind(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Pa
 	return parallel.BitsToFloats(ws.bits), st, nil
 }
 
-// SolveKindTarget is SolveKind with early termination: the solve stops
-// as soon as target is settled (its distance is then exact — the settled
+// SolveTarget is SolveKind with early termination: the solve stops as
+// soon as target is settled (its distance is then exact — the settled
 // set is always correct, Theorem 3.1, and the same invariant holds for
-// every stepping strategy). Remaining distances are tentative upper
-// bounds or +Inf. The partial vector is a copy, an O(n) cost the
-// solve itself does not pay; SolveTarget leaves it in the workspace.
-func SolveKindTarget(g *graph.CSR, radii []float64, src, target graph.V, kind EngineKind, p Params, ws *Workspace) (float64, []float64, Stats, error) {
-	if ws == nil {
-		ws = NewWorkspace()
-	}
-	d, st, err := SolveTarget(g, radii, src, target, kind, p, ws)
-	if err != nil {
-		return 0, nil, Stats{}, err
-	}
-	return d, parallel.BitsToFloats(ws.bits), st, nil
-}
-
-// SolveTarget is SolveKindTarget without the copy: the partial distance
-// vector stays in ws (which must be non-nil), readable through ws.Dist
-// until ws's next solve.
+// every stepping strategy). The partial distance vector stays in ws
+// (which must be non-nil), readable through ws.Dist until ws's next
+// solve: remaining distances are tentative upper bounds or +Inf.
 func SolveTarget(g *graph.CSR, radii []float64, src, target graph.V, kind EngineKind, p Params, ws *Workspace) (float64, Stats, error) {
 	if target < 0 || int(target) >= g.NumVertices() {
 		return 0, Stats{}, fmt.Errorf("core: target %d out of range [0,%d)", target, g.NumVertices())
@@ -497,7 +478,6 @@ steps:
 					sp.push(v, nd)
 				}
 			}
-			sp.commit()
 			frontier, next = next, frontier
 		}
 

@@ -124,7 +124,7 @@ func TestSolveKindTargetEveryEngine(t *testing.T) {
 	want := baseline.Dijkstra(g, 0)
 	for _, kind := range allKinds() {
 		for _, dst := range []graph.V{1, 40, 143} {
-			d, _, _, err := SolveKindTarget(g, radii, 0, dst, kind, Params{}, nil)
+			d, _, err := SolveTarget(g, radii, 0, dst, kind, Params{}, NewWorkspace())
 			if err != nil {
 				t.Fatalf("%s target %d: %v", kind, dst, err)
 			}
@@ -133,7 +133,71 @@ func TestSolveKindTargetEveryEngine(t *testing.T) {
 			}
 		}
 	}
-	if _, _, _, err := SolveKindTarget(g, radii, 0, 9999, KindSequential, Params{}, nil); err == nil {
+	if _, _, err := SolveTarget(g, radii, 0, 9999, KindSequential, Params{}, NewWorkspace()); err == nil {
+		t.Fatal("out-of-range target accepted")
+	}
+}
+
+func TestSolveRefTargetExactAndEarly(t *testing.T) {
+	g := gen.WithUniformIntWeights(gen.Grid2D(40, 40), 1, 100, 4)
+	radii, err := preprocess.RadiiOnly(g, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := baseline.Dijkstra(g, 0)
+	_, stFull, _ := solveRef(g, radii, 0)
+	for _, target := range []graph.V{1, 41, 800, 1599} {
+		d, dist, st, err := solveTarget(g, radii, 0, target, KindSequential, Params{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != full[target] {
+			t.Fatalf("target %d: %v, want %v", target, d, full[target])
+		}
+		if dist[target] != d {
+			t.Fatal("partial vector inconsistent at target")
+		}
+		if st.Steps > stFull.Steps {
+			t.Fatalf("target solve took more steps than full: %d > %d", st.Steps, stFull.Steps)
+		}
+		// Settled prefix exactness: every vertex with final distance
+		// strictly below the target's must be exact in the partial
+		// vector (it settled in an earlier or equal annulus).
+		for v, want := range full {
+			if want < d && dist[v] != want {
+				t.Fatalf("target %d: settled prefix wrong at %d", target, v)
+			}
+		}
+	}
+	// Near target needs fewer steps than far target.
+	_, _, stNear, _ := solveTarget(g, radii, 0, 1, KindSequential, Params{}, nil)
+	_, _, stFar, _ := solveTarget(g, radii, 0, 1599, KindSequential, Params{}, nil)
+	if stNear.Steps >= stFar.Steps {
+		t.Fatalf("near %d vs far %d steps", stNear.Steps, stFar.Steps)
+	}
+}
+
+func TestSolveRefTargetSelf(t *testing.T) {
+	g := gen.Chain(10)
+	radii := ZeroRadii(10)
+	d, _, _, err := solveTarget(g, radii, 3, 3, KindSequential, Params{}, nil)
+	if err != nil || d != 0 {
+		t.Fatalf("self target: %v, %v", d, err)
+	}
+}
+
+func TestSolveRefTargetUnreachable(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.Add(0, 1, 1)
+	g := b.Build()
+	d, _, _, err := solveTarget(g, ZeroRadii(4), 0, 3, KindSequential, Params{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(d, 1) {
+		t.Fatalf("unreachable target = %v", d)
+	}
+	if _, _, _, err := solveTarget(g, ZeroRadii(4), 0, 9, KindSequential, Params{}, nil); err == nil {
 		t.Fatal("out-of-range target accepted")
 	}
 }
@@ -144,11 +208,11 @@ func TestSolveKindTargetEveryEngine(t *testing.T) {
 func TestDeltaRhoStepStructure(t *testing.T) {
 	g := gen.WithUniformIntWeights(gen.Grid2D(20, 20), 1, 100, 11)
 	n := g.NumVertices()
-	_, stNarrow, err := SolveDelta(g, 0, 10, nil)
+	_, stNarrow, err := SolveKind(g, nil, 0, KindDelta, Params{Delta: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stWide, err := SolveDelta(g, 0, 1e6, nil)
+	_, stWide, err := SolveKind(g, nil, 0, KindDelta, Params{Delta: 1e6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +222,11 @@ func TestDeltaRhoStepStructure(t *testing.T) {
 	if stNarrow.Steps < stWide.Steps {
 		t.Fatalf("narrow Δ produced fewer steps (%d) than wide Δ (%d)", stNarrow.Steps, stWide.Steps)
 	}
-	_, stSmall, err := SolveRho(g, 0, 1, nil)
+	_, stSmall, err := SolveKind(g, nil, 0, KindRho, Params{Rho: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stBig, err := SolveRho(g, 0, n, nil)
+	_, stBig, err := SolveKind(g, nil, 0, KindRho, Params{Rho: n}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,14 @@ const (
 	// proportional to the unsettled remainder).
 	RelaxAdaptive RelaxMode = iota
 	// RelaxPush forces push-style relaxation (scatter with atomic
-	// priority-writes). With GOMAXPROCS > 1 every substep takes the
-	// parallel kernel, however small.
+	// priority-writes). With GOMAXPROCS > 1 every substep of a parallel
+	// kind takes the parallel kernel, however small; the sequential kind
+	// keeps the scalar push.
 	RelaxPush
 	// RelaxPull forces pull-style relaxation (each unsettled vertex
 	// gathers over its incident arcs; one plain write per improvement).
-	// With GOMAXPROCS > 1 every substep takes the parallel kernel,
-	// however small.
+	// Every substep of every kind, however small, runs the parallel pull
+	// kernel, which runs on the caller alone at GOMAXPROCS=1.
 	RelaxPull
 )
 
@@ -166,8 +167,8 @@ type Workspace struct {
 	// probe is the current solve's cooperative-cancellation probe
 	// (Params.Probe), reset by the driver on every solve; nil on the
 	// hot path. The relax kernels poll it mid-substep — every
-	// ~probeArcInterval scanned arcs in the scalar paths, once per
-	// claim chunk in the parallel paths — and bail out of the substep
+	// ~probeArcInterval scanned arcs in the scalar push, once per
+	// claim chunk in the parallel kernels — and bail out of the substep
 	// early when it has fired; the driver then unwinds the solve. A
 	// bailed substep may leave the frontier bookkeeping short, which is
 	// fine: the partial state is never read again (the driver returns
@@ -360,8 +361,11 @@ func (ws *Workspace) mergeParts(parts []workerBuf) []graph.V {
 // mode picks the traversal: RelaxAdaptive runs a substep below forkArcs
 // frontier arcs on the scalar push and otherwise compares the frontier's
 // outgoing arcs against the unsettled remainder; seq (the sequential
-// engine) always takes the scalar paths. On GOMAXPROCS=1 the scalar
-// paths also serve the parallel engines — same distances, no atomics.
+// engine) pushes on the scalar kernel. On GOMAXPROCS=1 the scalar push
+// also serves the parallel engines — same distances, no atomics. Pull
+// has only the parallel kernel: the adaptive rule picks it only on the
+// parallel path, and a forced RelaxPull runs it for every kind (on the
+// caller alone when there is one participant).
 func (ws *Workspace) relax(frontier []graph.V, st *Stats, seq bool, mode RelaxMode) []graph.V {
 	if ws.bound != nil {
 		// One upper-bound snapshot per substep: the best known distance
@@ -402,10 +406,7 @@ func (ws *Workspace) relax(frontier []graph.V, st *Stats, seq bool, mode RelaxMo
 	}
 	if pull {
 		st.PullSubsteps++
-		if par {
-			return ws.pullPar(frontier, st)
-		}
-		return ws.pullSeq(frontier, st)
+		return ws.pullPar(frontier, st)
 	}
 	st.PushSubsteps++
 	if par {
@@ -545,7 +546,7 @@ func (ws *Workspace) pushPar(frontier []graph.V, totalArcs int64, st *Stats) []g
 				break
 			}
 			// Per-chunk cancellation poll: chunks are 512–8192 arcs, the
-			// same order as the scalar kernels' probeArcInterval. Workers
+			// same order as the scalar push's probeArcInterval. Workers
 			// stop claiming and drain through the join barrier, so the
 			// fork-join discipline (and the race-free merge) is intact.
 			if ws.probe.Fired() {
@@ -609,84 +610,30 @@ func (ws *Workspace) pushPar(frontier []graph.V, totalArcs int64, st *Stats) []g
 }
 
 // markFrontier stamps the frontier's membership and snapshots its
-// distances by vertex id, the lookup structure pull sweeps read.
-func (ws *Workspace) markFrontier(frontier []graph.V, par bool) []float64 {
+// distances by vertex id, the lookup structure the pull sweep reads.
+func (ws *Workspace) markFrontier(frontier []graph.V) []float64 {
 	subID := ws.subID
 	fs := sized(ws.pullSnap, len(ws.bits))
 	ws.pullSnap = fs
-	if par {
-		bits := ws.bits
-		parallel.For(len(frontier), func(i int) {
-			u := frontier[i]
-			ws.infr[u] = subID
-			fs[u] = parallel.FromBits(atomic.LoadUint64(&bits[u]))
-		})
-		return fs
-	}
-	for _, u := range frontier {
+	bits := ws.bits
+	parallel.For(len(frontier), func(i int) {
+		u := frontier[i]
 		ws.infr[u] = subID
-		fs[u] = parallel.FromBits(ws.bits[u])
-	}
+		fs[u] = parallel.FromBits(atomic.LoadUint64(&bits[u]))
+	})
 	return fs
 }
 
-// pullSeq is the scalar pull substep: every unsettled vertex gathers
-// over its incident arcs (the graph is undirected, so out-arcs are
-// in-arcs) taking the min over frontier neighbors' snapshot distances.
-// Exactly one writer per vertex, so no claim stamps are needed — an
-// improved vertex is reported by its owner.
-func (ws *Workspace) pullSeq(frontier []graph.V, st *Stats) []graph.V {
-	subID := ws.subID
-	fs := ws.markFrontier(frontier, false)
-	bnd, ub := ws.bound, ws.ub
-	out := ws.updated[:0]
-	n := len(ws.bits)
-	var sinceProbe int
-	for v := 0; v < n; v++ {
-		if ws.done[v] {
-			continue
-		}
-		adj, wts := ws.g.Neighbors(graph.V(v))
-		if sinceProbe += len(adj); sinceProbe >= probeArcInterval {
-			sinceProbe = 0
-			if ws.probe.Fired() {
-				break
-			}
-		}
-		st.EdgesScanned += int64(len(adj))
-		dv := parallel.FromBits(ws.bits[v])
-		nd := dv
-		for j, u := range adj {
-			if ws.infr[u] == subID {
-				if c := fs[u] + wts[j]; c < nd {
-					nd = c
-				}
-			}
-		}
-		if nd < dv {
-			// Pull gathers the min first, so the prune test runs once
-			// per improved vertex, not per arc: if the min candidate
-			// cannot beat the target bound, no candidate can.
-			if bnd != nil && nd+bnd(graph.V(v)) > ub {
-				st.Pruned++
-				continue
-			}
-			ws.bits[v] = parallel.ToBits(nd)
-			st.Relaxations++
-			out = append(out, graph.V(v))
-		}
-	}
-	ws.updated = out
-	return out
-}
-
-// pullPar is the parallel pull substep: vertex-partitioned, so each
-// vertex has exactly one writer and the sweep needs no atomics at all —
-// the read side touches only the immutable frontier snapshot and the
-// worker's own distance cells.
+// pullPar is the pull substep: every unsettled vertex gathers over its
+// incident arcs (the graph is undirected, so out-arcs are in-arcs)
+// taking the min over frontier neighbors' snapshot distances. The sweep
+// is vertex-partitioned, so each vertex has exactly one writer and
+// needs no atomics or claim stamps at all — the read side touches only
+// the immutable frontier snapshot and the worker's own distance cells,
+// and an improved vertex is reported by its owner.
 func (ws *Workspace) pullPar(frontier []graph.V, st *Stats) []graph.V {
 	subID := ws.subID
-	fs := ws.markFrontier(frontier, true)
+	fs := ws.markFrontier(frontier)
 	parts := ws.growParts(parallel.Procs())
 	bits := ws.bits
 	infr := ws.infr

@@ -61,7 +61,7 @@ func TestZeroWeightCluster(t *testing.T) {
 	}
 	b.Add(3, 4, 7)
 	g := b.Build()
-	dist, st, err := SolveRef(g, ZeroRadii(5), 0)
+	dist, st, err := solveRef(g, ZeroRadii(5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,22 +11,36 @@ import (
 // model is the differential oracle: the frontier's semantics stated as
 // plainly as possible. It holds one live key per member vertex and
 // answers every query by a scan or a sort, so each answer can be read
-// off the definition. Min and MinShifted break key ties toward the
-// smaller vertex, as F does.
+// off the definition. MinShifted breaks key ties toward the smaller
+// vertex, as F does.
 type model map[int32]float64
 
 func (m model) push(v int32, key float64) { m[v] = key }
 
 func (m model) drop(v int32) { delete(m, v) }
 
-func (m model) min() (key float64, v int32, ok bool) {
-	v = -1
-	for u, k := range m {
-		if v < 0 || k < key || (k == key && u < v) {
-			key, v = k, u
+func (m model) min() (key float64, ok bool) {
+	for _, k := range m {
+		if !ok || k < key {
+			key, ok = k, true
 		}
 	}
-	return key, v, v >= 0
+	return key, ok
+}
+
+// checkHead compares F.Head with the model: the head's key must be the
+// model's minimum, and its witness must be live in the model at that
+// key (Head breaks key ties arbitrarily).
+func checkHead(t *testing.T, f *F, o model) {
+	t.Helper()
+	gh, hok := f.Head()
+	wk, wok := o.min()
+	if hok != wok || (hok && gh.Key != wk) {
+		t.Fatalf("Head: (%v,%v) vs oracle min key (%v,%v)", gh.Key, hok, wk, wok)
+	}
+	if k, live := o[gh.V]; hok && (!live || k != gh.Key) {
+		t.Fatalf("Head witness (%v,%v) is not live in the model at that key", gh.Key, gh.V)
+	}
 }
 
 // extractBelow removes and returns, in ascending vertex order, every
@@ -82,21 +96,8 @@ func checkStep(t *testing.T, rng *rand.Rand, f *F, o model, n int, shift []float
 		if want := o.extractBelow(d); !slices.Equal(got, want) {
 			t.Fatalf("ExtractBelow(%v): %v vs oracle %v", d, got, want)
 		}
-	case op == 8: // min (exact) + head (key-witness only)
-		gm, gok := f.Min()
-		wk, wv, wok := o.min()
-		if gok != wok || (gok && (gm.Key != wk || gm.V != wv)) {
-			t.Fatalf("Min: (%v,%v,%v) vs oracle (%v,%v,%v)", gm.Key, gm.V, gok, wk, wv, wok)
-		}
-		gh, hok := f.Head()
-		if hok != wok || (hok && gh.Key != wk) {
-			t.Fatalf("Head: (%v,%v) vs oracle min key (%v,%v)", gh.Key, hok, wk, wok)
-		}
-		if hok {
-			if k, live := f.Key(gh.V); !live || k != gh.Key {
-				t.Fatalf("Head witness (%v,%v) is not a live entry", gh.Key, gh.V)
-			}
-		}
+	case op == 8: // head (minimum key and a live witness)
+		checkHead(t, f, o)
 	case op == 9: // rank query
 		if f.Len() == 0 {
 			return
@@ -183,12 +184,8 @@ func FuzzFrontierVsModel(f *testing.F) {
 				if want := o.extractBelow(d); !slices.Equal(got, want) {
 					t.Fatalf("op %d ExtractBelow(%v): %v vs %v", i, d, got, want)
 				}
-			default: // min + shifted min + rank query
-				gm, gok := fr.Min()
-				wk, wv, wok := o.min()
-				if gok != wok || (gok && (gm.Key != wk || gm.V != wv)) {
-					t.Fatalf("op %d Min mismatch", i)
-				}
+			default: // head + shifted min + rank query
+				checkHead(t, fr, o)
 				gv, gd, gsok := fr.MinShifted(shift)
 				wv, wd, wsok := o.minShifted(shift)
 				if gsok != wsok || gv != wv || (gsok && gd != wd) {

@@ -5,9 +5,8 @@ import "slices"
 // Runs are sorted by Key ONLY: every consumer of run order
 // (ExtractBelow's binary search, run merging, the rank-query gather) is
 // set-semantic under key ties, so paying comparisons for a vertex-id
-// tiebreak in the hottest loop would buy nothing. Min, the one query
-// that must break ties lexicographically, scans the equal-key head
-// prefix instead (see F.Min).
+// tiebreak in the hottest loop would buy nothing. MinShifted, the one
+// query that breaks ties by vertex id, scans every live entry anyway.
 
 // lessKey orders entries by Key alone — the run order.
 func lessKey(a, b Entry) bool { return a.Key < b.Key }

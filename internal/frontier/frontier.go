@@ -19,7 +19,10 @@
 //   - ExtractBelow(d) removes and returns every live vertex with
 //     key <= d — Algorithm 2's split — touching only a binary search
 //     plus the extracted prefix of each run.
-//   - Min returns the smallest live (key, vertex), skipping dead run
+//   - MinShifted answers the radius-stepping target d_i = min δ(v)+r(v)
+//     with one stale-skipping scan of the runs, in place of the paper's
+//     second ordered set R.
+//   - Head returns a live entry with the minimum key, skipping dead run
 //     heads permanently (lazy deletion, amortized O(1) per entry).
 //   - SelectKth answers the ρ-th-smallest rank query of ρ-stepping
 //     directly from the runs, replacing the ordered-set rank search.
@@ -52,13 +55,6 @@ type Entry struct {
 	Key float64
 	V   int32
 	E   uint32
-}
-
-// lessEntry orders entries lexicographically by (Key, V). It is the
-// tie-breaking order of Min; run STORAGE order is by Key alone (see
-// entrysort.go).
-func lessEntry(a, b Entry) bool {
-	return a.Key < b.Key || (a.Key == b.Key && a.V < b.V)
 }
 
 // Ops counts substrate operations for one solve — the observability
@@ -198,18 +194,6 @@ func (f *F) addElapsed(dst *int64, t0 time.Time) {
 	}
 }
 
-// Contains reports whether v is live in the frontier.
-func (f *F) Contains(v int32) bool { return f.mark[v] == f.stamp }
-
-// Key returns v's current key; ok is false when v is not in the
-// frontier.
-func (f *F) Key(v int32) (key float64, ok bool) {
-	if f.mark[v] != f.stamp {
-		return 0, false
-	}
-	return f.cur[v], true
-}
-
 // Push inserts v with the given key, or moves it there if already
 // present (both decrease- and increase-key are supported; the engines
 // only ever decrease). The update is lazy: one staged entry plus an
@@ -247,8 +231,8 @@ func (f *F) live(e Entry) bool {
 // Commit seals the staging batch into a sorted run and restores the
 // size-tier invariant (each run at least twice the size of the next
 // newer one) by merging the topmost runs — the lazy bulk union. A
-// no-op when nothing is staged. Queries (Min, ExtractBelow, SelectKth)
-// self-commit, so calling Commit is an optimization, not a correctness
+// no-op when nothing is staged. Queries (Head, MinShifted, ExtractBelow,
+// SelectKth) self-commit, so calling Commit is an optimization, not a correctness
 // requirement.
 func (f *F) Commit() {
 	if len(f.stage) == 0 {
@@ -433,47 +417,12 @@ func mergeEntries(a, b, out []Entry) {
 	copy(out[k+len(a)-i:], b[j:])
 }
 
-// Min returns the smallest live (key, vertex) under (Key, V) order; ok
-// is false when the frontier is empty. Stale run heads are skipped and
-// permanently consumed, so finding each run's minimum KEY is O(runs)
-// amortized; because runs are Key-sorted only, the vertex tiebreak
-// scans the live head's equal-key prefix (typically a handful of
-// entries — all keys equal, as on unweighted graphs, degrades this to a
-// run scan, the same class as the rank query that accompanies it).
-func (f *F) Min() (e Entry, ok bool) {
-	f.Commit()
-	if f.liveN == 0 {
-		return Entry{}, false
-	}
-	best := Entry{Key: math.Inf(1), V: -1}
-	for i := range f.runs {
-		r := &f.runs[i]
-		for r.start < len(r.ents) && !f.live(r.ents[r.start]) {
-			r.start++
-			f.ops.Stale++
-		}
-		if r.start == len(r.ents) {
-			continue
-		}
-		h := r.ents[r.start]
-		for j := r.start + 1; j < len(r.ents) && r.ents[j].Key == h.Key; j++ {
-			if c := r.ents[j]; c.V < h.V && f.live(c) {
-				h = c
-			}
-		}
-		if lessEntry(h, best) || best.V < 0 {
-			best = h
-		}
-	}
-	return best, best.V >= 0
-}
-
 // Head returns a live entry with the minimum key, ties broken
 // arbitrarily (whichever run head wins); ok is false when the frontier
-// is empty. Unlike Min it never scans an equal-key prefix for the
-// vertex tiebreak, so it is O(runs) amortized even when every key is
-// equal — use it when any minimum-key witness will do (the ρ-stepping
-// lead vertex).
+// is empty. Runs are sorted by Key alone, so Head never scans an
+// equal-key prefix for a vertex tiebreak and is O(runs) amortized even
+// when every key is equal — the ρ-stepping lead vertex needs only a
+// minimum-key witness.
 func (f *F) Head() (e Entry, ok bool) {
 	f.Commit()
 	if f.liveN == 0 {
@@ -502,7 +451,7 @@ func (f *F) Head() (e Entry, ok bool) {
 // d_i = min δ(v)+r(v) answered directly from the runs: Algorithm 2's R
 // set exists only to serve this query, so the flat substrate replaces
 // the second ordered set with one stale-skipping reduction over Q.
-// Unlike Min, the scan cannot exploit run order (the shift reorders
+// Unlike Head, the scan cannot exploit run order (the shift reorders
 // entries), so it touches every entry; radius-stepping keeps steps few
 // precisely so this per-step cost stays small.
 func (f *F) MinShifted(shift []float64) (v int32, val float64, ok bool) {

@@ -10,8 +10,8 @@ import (
 func TestPushMinExtractBasics(t *testing.T) {
 	f := New()
 	f.Reset(10)
-	if _, ok := f.Min(); ok {
-		t.Fatal("Min on empty frontier reported ok")
+	if _, ok := f.Head(); ok {
+		t.Fatal("Head on empty frontier reported ok")
 	}
 	f.Push(3, 5)
 	f.Push(7, 2)
@@ -19,13 +19,13 @@ func TestPushMinExtractBasics(t *testing.T) {
 	if f.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", f.Len())
 	}
-	if mn, ok := f.Min(); !ok || mn.V != 7 || mn.Key != 2 {
-		t.Fatalf("Min = %+v ok=%v, want (2, 7)", mn, ok)
+	if mn, ok := f.Head(); !ok || mn.V != 7 || mn.Key != 2 {
+		t.Fatalf("Head = %+v ok=%v, want (2, 7)", mn, ok)
 	}
 	// Decrease-key: vertex 1 moves to the front.
 	f.Push(1, 1)
-	if mn, ok := f.Min(); !ok || mn.V != 1 || mn.Key != 1 {
-		t.Fatalf("Min after decrease = %+v ok=%v, want (1, 1)", mn, ok)
+	if mn, ok := f.Head(); !ok || mn.V != 1 || mn.Key != 1 {
+		t.Fatalf("Head after decrease = %+v ok=%v, want (1, 1)", mn, ok)
 	}
 	got := f.ExtractBelow(2, nil)
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
@@ -35,15 +35,15 @@ func TestPushMinExtractBasics(t *testing.T) {
 	if f.Len() != 1 {
 		t.Fatalf("Len after extract = %d, want 1", f.Len())
 	}
-	if k, ok := f.Key(3); !ok || k != 5 {
-		t.Fatalf("Key(3) = %v ok=%v, want 5", k, ok)
+	if mn, ok := f.Head(); !ok || mn.V != 3 || mn.Key != 5 {
+		t.Fatalf("Head after extract = %+v ok=%v, want (5, 3)", mn, ok)
 	}
 	f.Drop(3)
-	if f.Len() != 0 || f.Contains(3) {
+	if f.Len() != 0 {
 		t.Fatal("Drop(3) left the frontier non-empty")
 	}
-	if _, ok := f.Min(); ok {
-		t.Fatal("Min after final drop reported ok")
+	if _, ok := f.Head(); ok {
+		t.Fatal("Head after final drop reported ok")
 	}
 }
 
@@ -92,8 +92,8 @@ func TestResetIsolatesSolves(t *testing.T) {
 	if f.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", f.Len())
 	}
-	if _, ok := f.Min(); ok {
-		t.Fatal("Min after Reset reported ok")
+	if _, ok := f.Head(); ok {
+		t.Fatal("Head after Reset reported ok")
 	}
 	f.Push(2, 1)
 	if got := f.ExtractBelow(100, nil); len(got) != 1 || got[0] != 2 {
@@ -166,7 +166,7 @@ func TestSortEnts(t *testing.T) {
 
 // TestSteadyStateZeroAllocs is the substrate's own allocation contract:
 // after a warm-up solve has grown every buffer, a full
-// push/commit/min/extract/select cycle allocates nothing.
+// push/commit/head/extract/select cycle allocates nothing.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	const n = 512
 	f := New()
@@ -183,8 +183,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				k = 32
 			}
 			d := f.SelectKth(k)
-			if mn, ok := f.Min(); !ok || mn.Key > d {
-				t.Fatalf("Min %v inconsistent with SelectKth %v", mn, d)
+			if mn, ok := f.Head(); !ok || mn.Key > d {
+				t.Fatalf("Head %v inconsistent with SelectKth %v", mn, d)
 			}
 			buf = f.ExtractBelow(d, buf[:0])
 			// Push a shrinking tail back above the threshold to exercise

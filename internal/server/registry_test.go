@@ -178,9 +178,9 @@ func TestBuildEntrySnapshotServesPackedGraph(t *testing.T) {
 	}
 	assertMatchesDijkstra(t, entry, g, 17)
 	// Point-to-point routes must use real (original-graph) edges.
-	pathVs, d, err := entry.Solver.Path(0, rs.Vertex(g.NumVertices()-1))
+	pathVs, d, _, err := entry.Solver.Route(0, rs.Vertex(g.NumVertices()-1), rs.EngineAuto, true)
 	if err != nil {
-		t.Fatalf("Path: %v", err)
+		t.Fatalf("Route: %v", err)
 	}
 	if got, err := rs.PathLength(g, pathVs); err != nil || got != d {
 		t.Fatalf("route not realizable on original graph: len=%v d=%v err=%v", got, d, err)

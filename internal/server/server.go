@@ -378,26 +378,10 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 		if v, ok := s.cache.Peek(key); ok {
 			return v.dist, nil
 		}
-		if err := s.pool.acquire(solveCtx); err != nil {
-			return nil, err
-		}
-		defer s.pool.release()
-		pc0 := s.metrics.poolBefore()
-		t0 := time.Now()
-		var r rs.Result
-		err := s.guardSolve(solveCtx, e, src, func() (err error) {
-			if r, err = e.Solver.Solve(solveCtx, rs.Query{Source: e.storedID(src), Engine: engine}); err == nil {
-				r.Dist = e.clientDistances(r.Dist)
-			}
-			return err
-		})
+		r, err := s.solveFull(solveCtx, e, src, engine, false)
 		if err != nil {
 			return nil, err
 		}
-		dur := time.Since(t0)
-		s.metrics.observePool(pc0)
-		s.metrics.observeSolve(e.Name, r.Stats, dur)
-		s.logSolve(e.Name, src, r.Stats, dur)
 		s.fillCache(solveCtx, e, key, src, r.Dist)
 		return r.Dist, nil
 	})
@@ -420,6 +404,35 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 		return v, false, nil
 	}
 	return vector{dist: d, reached: countReached(d)}, false, nil
+}
+
+// solveFull runs one full solve from src under a pool slot and the
+// solve guard, maps the distance vector to client ids, and records the
+// solve in the pool and solve metrics and the solve log. The flight
+// leader in distances and the traced path in answerTraced both run
+// their solves here; trace attaches the solve's Timeline.
+func (s *Server) solveFull(ctx context.Context, e *Entry, src rs.Vertex, engine rs.Engine, trace bool) (rs.Result, error) {
+	if err := s.pool.acquire(ctx); err != nil {
+		return rs.Result{}, err
+	}
+	defer s.pool.release()
+	pc0 := s.metrics.poolBefore()
+	t0 := time.Now()
+	var r rs.Result
+	err := s.guardSolve(ctx, e, src, func() (err error) {
+		if r, err = e.Solver.Solve(ctx, rs.Query{Source: e.storedID(src), Engine: engine, Trace: trace}); err == nil {
+			r.Dist = e.clientDistances(r.Dist)
+		}
+		return err
+	})
+	if err != nil {
+		return rs.Result{}, err
+	}
+	dur := time.Since(t0)
+	s.metrics.observePool(pc0)
+	s.metrics.observeSolve(e.Name, r.Stats, dur)
+	s.logSolve(e.Name, src, r.Stats, dur)
+	return r, nil
 }
 
 // guardSolve runs one solve behind the solve fault seam with panic
@@ -695,30 +708,12 @@ func traceParam(r *http.Request) bool {
 // cache path timings. The pool still bounds it like any other solve.
 func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK int, targets []int64, engine rs.Engine) (distancesResponse, int) {
 	resp := distancesResponse{Graph: e.Name, Source: int64(src), Epoch: e.Epoch}
-	if err := s.pool.acquire(ctx); err != nil {
-		s.recordSolveError(err)
-		resp.Error = err.Error()
-		return resp, solveStatus(err)
-	}
-	defer s.pool.release()
-	pc0 := s.metrics.poolBefore()
-	t0 := time.Now()
-	var r rs.Result
-	err := s.guardSolve(ctx, e, src, func() (err error) {
-		if r, err = e.Solver.Solve(ctx, rs.Query{Source: e.storedID(src), Engine: engine, Trace: true}); err == nil {
-			r.Dist = e.clientDistances(r.Dist)
-		}
-		return err
-	})
+	r, err := s.solveFull(ctx, e, src, engine, true)
 	if err != nil {
 		s.recordSolveError(err)
 		resp.Error = err.Error()
 		return resp, solveStatus(err)
 	}
-	dur := time.Since(t0)
-	s.metrics.observePool(pc0)
-	s.metrics.observeSolve(e.Name, r.Stats, dur)
-	s.logSolve(e.Name, src, r.Stats, dur)
 	resp.Trace = r.Timeline
 	shapeDistances(&resp, vector{dist: r.Dist, reached: countReached(r.Dist)}, topK, targets)
 	return resp, http.StatusOK

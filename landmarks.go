@@ -87,10 +87,6 @@ func (s *Solver) AdoptLandmark(src Vertex, dist []float64) (bool, error) {
 // queries.
 func (s *Solver) Landmarks() int { return s.lm.Load().K() }
 
-// LandmarkVertices returns the landmark vertex ids in insertion order
-// (nil when no landmarks exist).
-func (s *Solver) LandmarkVertices() []Vertex { return s.lm.Load().Vertices() }
-
 // LandmarkData exports the landmark set for persistence: the vertex
 // ids and a landmark-major matrix (rows[i*n : (i+1)*n] is landmark i's
 // full distance vector), the layout Snapshot carries. Both are nil
@@ -118,20 +114,15 @@ func (s *Solver) SetLandmarkData(verts []Vertex, rows []float64) error {
 	return nil
 }
 
-// LandmarkBound returns an admissible lower bound on d(v, t) from the
-// landmark set (0 without landmarks or information; +Inf when a
-// landmark certifies different components).
-func (s *Solver) LandmarkBound(v, t Vertex) float64 {
-	return s.lm.Load().LowerBound(v, t)
-}
-
 // Route answers a point-to-point query: the shortest path src..dst as
-// a vertex sequence over real (non-shortcut) edges, its length, and
-// the solve's round statistics. It returns (nil, +Inf) when dst is
-// unreachable. engine overrides the solve engine per query (EngineAuto
-// resolves as for a full solve, matching Path), and prune makes the
-// solve goal-directed when the solver has landmarks (see Query.Prune;
-// without landmarks it is a no-op).
+// a vertex sequence, its length, and the solve's round statistics. It
+// returns (nil, +Inf) when dst is unreachable. The solve stops as soon
+// as dst settles, and the path walks real (non-shortcut) edges when
+// the preprocessing result retains the original graph (see walkBack).
+// engine overrides the solve engine per query (EngineAuto resolves as
+// for a full solve), and prune makes the solve goal-directed when the
+// solver has landmarks (see Query.Prune; without landmarks it is a
+// no-op).
 func (s *Solver) Route(src, dst Vertex, engine Engine, prune bool) ([]Vertex, float64, Stats, error) {
 	r, err := s.Solve(context.TODO(), Query{Source: src, Target: dst, HasTarget: true, Engine: engine, Prune: prune})
 	return r.Path, r.Distance, r.Stats, err

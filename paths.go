@@ -4,35 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"radiusstep/internal/core"
 	"radiusstep/internal/graph"
 )
-
-// Tree computes the shortest-path distances from src together with a
-// deterministic shortest-path tree (parent[src] == src, -1 for
-// unreachable vertices). The tree derivation is one parallel pass over
-// the arcs and is identical for every engine.
-func (s *Solver) Tree(src Vertex) (dist []float64, parent []Vertex, stats Stats, err error) {
-	dist, stats, err = s.Distances(src)
-	if err != nil {
-		return nil, nil, Stats{}, err
-	}
-	parent = core.ShortestPathTree(s.pre.Graph, src, dist)
-	return dist, parent, stats, nil
-}
-
-// Path returns the shortest path src..dst as a vertex sequence and its
-// length, or (nil, +Inf) when unreachable. It runs an early-terminated
-// solve on the EngineAuto choice and walks tight edges back from dst.
-// When the preprocessing result retains the original graph the walk uses
-// only real (non-shortcut) edges, so the route is directly usable;
-// otherwise shortcut edges (whose weights equal exact distances) may
-// appear. When the solver has landmarks the solve is goal-directed;
-// Route takes a per-query engine and the pruning opt-out.
-func (s *Solver) Path(src, dst Vertex) ([]Vertex, float64, error) {
-	path, d, _, err := s.Route(src, dst, EngineAuto, true)
-	return path, d, err
-}
 
 // walkBack reconstructs the path src..dst by walking tight edges of a
 // distance function backward from dst. All vertices on a shortest path
@@ -76,12 +49,6 @@ func (s *Solver) walkBack(dist func(Vertex) float64, src, dst Vertex) ([]Vertex,
 		path[i], path[j] = path[j], path[i]
 	}
 	return path, nil
-}
-
-// PathTo reconstructs the vertex sequence from a Tree parent array.
-// It returns nil when dst is unreachable.
-func PathTo(parent []Vertex, dst Vertex) []Vertex {
-	return core.PathTo(parent, dst)
 }
 
 // PathLength sums the weights along a vertex path in g, returning an

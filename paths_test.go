@@ -19,86 +19,6 @@ func solverOn(t *testing.T, g *rs.Graph, rho int) *rs.Solver {
 	return s
 }
 
-func TestTreeParentsAreTight(t *testing.T) {
-	g := rs.WithUniformIntWeights(rs.Grid2D(20, 20), 1, 100, 1)
-	s := solverOn(t, g, 8)
-	dist, parent, _, err := s.Tree(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parent[0] != 0 {
-		t.Fatal("source parent must be itself")
-	}
-	aug := s.Preprocessed().Graph
-	for v := 1; v < g.NumVertices(); v++ {
-		p := parent[v]
-		if p < 0 {
-			t.Fatalf("vertex %d unreachable in connected graph", v)
-		}
-		// Parent edges live in the augmented graph (shortcuts allowed)
-		// and must be tight.
-		w, err := rs.PathLength(aug, []rs.Vertex{p, rs.Vertex(v)})
-		if err != nil {
-			t.Fatalf("parent edge missing: %v", err)
-		}
-		if dist[p]+w != dist[v] {
-			t.Fatalf("parent edge not tight at %d", v)
-		}
-	}
-}
-
-func TestTreeDeterministicAcrossEngines(t *testing.T) {
-	g := rs.WithUniformIntWeights(rs.ScaleFree(600, 4, 2), 1, 1000, 3)
-	pre, err := rs.Preprocess(g, rs.Options{Rho: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref []rs.Vertex
-	for _, e := range []rs.Engine{rs.EngineSequential, rs.EngineParallel, rs.EngineFlat} {
-		s, err := rs.NewSolverPre(pre, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, parent, _, err := s.Tree(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = parent
-			continue
-		}
-		for v := range parent {
-			if parent[v] != ref[v] {
-				t.Fatalf("%v: parent[%d] = %d, ref %d", e, v, parent[v], ref[v])
-			}
-		}
-	}
-}
-
-func TestPathToWalksTree(t *testing.T) {
-	g := rs.WithUniformIntWeights(rs.Grid2D(10, 10), 1, 50, 4)
-	s := solverOn(t, g, 6)
-	dist, parent, _, err := s.Tree(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := rs.PathTo(parent, 99)
-	if len(path) < 2 || path[0] != 0 || path[len(path)-1] != 99 {
-		t.Fatalf("path endpoints wrong: %v", path)
-	}
-	// Its length in the augmented graph must equal the distance.
-	length, err := rs.PathLength(s.Preprocessed().Graph, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if length != dist[99] {
-		t.Fatalf("path length %v != dist %v", length, dist[99])
-	}
-	if rs.PathTo(parent, -1) != nil {
-		t.Fatal("negative dst should give nil")
-	}
-}
-
 // solveTo runs a point-to-point Solve from src to dst.
 func solveTo(s *rs.Solver, src, dst rs.Vertex) (rs.Result, error) {
 	return s.Solve(context.Background(), rs.Query{Source: src, Target: dst, HasTarget: true})
@@ -159,7 +79,7 @@ func TestPathMatchesDijkstra(t *testing.T) {
 	full := rs.Dijkstra(g, 5)
 	targets := []rs.Vertex{0, 42, 123, 299}
 	for _, dst := range targets {
-		path, d, err := s.Path(5, dst)
+		path, d, _, err := s.Route(5, dst, rs.EngineAuto, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +109,7 @@ func TestPathMatchesDijkstra(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dst := range targets {
-		wantPath, _, err := s.Path(5, dst)
+		wantPath, _, _, err := s.Route(5, dst, rs.EngineAuto, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +139,7 @@ func TestPathUnreachable(t *testing.T) {
 	b.Add(0, 1, 1)
 	g := b.Build()
 	s := solverOn(t, g, 2)
-	path, d, err := s.Path(0, 2)
+	path, d, _, err := s.Route(0, 2, rs.EngineAuto, true)
 	if err != nil {
 		t.Fatal(err)
 	}

