@@ -2,12 +2,14 @@
 // cmd/graphpack, or external tools. Output formats: the native text
 // format (default), DIMACS ".gr", or a headerless edge list. For a
 // binary file, pack the graph with cmd/graphpack (-raw for a
-// graph-only snapshot).
+// graph-only snapshot). The -graph flag names the graph in the spec
+// grammar of the other tools (radiusstep.ParseGraphSpec), restricted to
+// gen=FAMILY and its n, seed and weights.
 //
 // Examples:
 //
-//	graphgen -kind road -n 100000 -weights 10000 -o road.txt
-//	graphgen -kind road -n 100000 -format dimacs -o road.gr
+//	graphgen -graph gen=road,n=100000,weights=10000 -o road.txt
+//	graphgen -graph gen=road,n=100000 -format dimacs -o road.gr
 package main
 
 import (
@@ -19,14 +21,9 @@ import (
 )
 
 func main() {
-	kind := flag.String("kind", "grid2d", "grid2d|grid3d|road|web|er|rmat|smallworld|comb")
-	n := flag.Int("n", 10000, "approximate vertex count")
-	m := flag.Int("m", 0, "edge count (er only; default 4n)")
-	weights := flag.Int("weights", 0, "uniform integer weights in [1, W] (0 = unit/native)")
-	seed := flag.Uint64("seed", 42, "generator seed")
+	graphSpec := flag.String("graph", "", "graph spec: gen=FAMILY[,n=N][,seed=S][,weights=W]; FAMILY is grid2d|grid3d|road|web|er|rmat|smallworld|comb")
 	out := flag.String("o", "-", "output file (- for stdout)")
 	format := flag.String("format", "text", "output format: text|dimacs|edgelist")
-	connected := flag.Bool("connected", true, "keep only the largest component")
 	flag.Parse()
 	// Validate before generating so a typo fails in microseconds, not
 	// after minutes of generation (and never truncates the output file).
@@ -36,23 +33,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -format %q (want text|dimacs|edgelist)\n", *format)
 		os.Exit(2)
 	}
-
-	var g *rs.Graph
-	if *kind == "er" && *m > 0 {
-		g = rs.ErdosRenyi(*n, *m, *seed)
-	} else {
-		var err error
-		g, err = rs.GenerateByName(*kind, *n, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	spec, err := rs.ParseGraphSpec(*graphSpec, "gen", "n", "seed", "weights")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	if *connected {
-		g, _ = rs.LargestComponent(g)
-	}
-	if *weights > 0 {
-		g = rs.WithUniformIntWeights(g, 1, *weights, *seed+1)
+	g, _, err := spec.Load()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	w := os.Stdout
@@ -65,7 +54,6 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	var err error
 	switch *format {
 	case "text":
 		err = rs.WriteGraph(w, g)
@@ -78,5 +66,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s: n=%d m=%d format=%s\n", *kind, g.NumVertices(), g.NumEdges(), *format)
+	fmt.Fprintf(os.Stderr, "wrote %s: n=%d m=%d format=%s\n", spec.Gen, g.NumVertices(), g.NumEdges(), *format)
 }

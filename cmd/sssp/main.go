@@ -1,12 +1,18 @@
 // Command sssp runs one shortest-path computation on a generated or
-// loaded graph and reports timings and round statistics.
+// loaded graph and reports timings and round statistics. The -graph
+// flag names the graph in the spec grammar ssspd's -graph flag takes
+// after its "name=" (radiusstep.ParseGraphSpec): one of gen=FAMILY,
+// file=PATH or snapshot=PATH, then n, seed and weights, and for
+// -algo radius also rho, k, heuristic and engine, plus landmarks with
+// -target. A snapshot is read as its input graph and preprocessed
+// again.
 //
 // Examples:
 //
-//	sssp -gen grid2d -n 250000 -weights 10000 -algo radius -rho 64 -src 0
-//	sssp -gen web -n 100000 -algo delta -delta 5000
-//	sssp -in graph.txt -algo dijkstra -src 17
-//	sssp -gen rmat -n 50000 -weights 10000 -src 0 -target 4999 -landmarks 8
+//	sssp -graph gen=grid2d,n=250000,weights=10000,rho=64 -src 0
+//	sssp -graph gen=web,n=100000 -algo delta -delta 5000
+//	sssp -graph file=graph.txt -algo dijkstra -src 17
+//	sssp -graph gen=rmat,n=50000,weights=10000,landmarks=8 -src 0 -target 4999
 package main
 
 import (
@@ -40,35 +46,24 @@ func writeTimeline(path string, tl *rs.Timeline) error {
 	return os.WriteFile(path, out, 0o644)
 }
 
-func buildGraph(kind string, n int, seed uint64) *rs.Graph {
-	g, err := rs.GenerateByName(kind, n, seed)
-	if err != nil {
-		fail("%v (families: grid2d|grid3d|road|web|er|rmat|smallworld|comb)", err)
-	}
-	return g
-}
-
-// routeMode answers one point-to-point query with an early-terminated,
-// optionally goal-directed solve and reports the route plus the solve's
-// work counters (pruned= shows the relaxations landmark pruning saved).
-func routeMode(g *rs.Graph, solver *rs.Solver, src, dst rs.Vertex, engine rs.Engine, landmarks int, strategy string, prune, verify bool) {
+// routeMode answers one point-to-point query with an early-terminated
+// solve, goal-directed when landmarks > 0, and reports the route plus
+// the solve's work counters (pruned= shows the relaxations landmark
+// pruning saved).
+func routeMode(g *rs.Graph, solver *rs.Solver, src, dst rs.Vertex, engine rs.Engine, landmarks int, verify bool) {
 	if int(dst) >= g.NumVertices() {
 		fail("target %d out of range", dst)
 	}
 	if landmarks > 0 {
-		strat, err := rs.ParseLandmarkStrategy(strategy)
-		if err != nil {
-			fail("%v", err)
-		}
 		t0 := time.Now()
-		built, err := solver.BuildLandmarks(landmarks, strat)
+		built, err := solver.BuildLandmarks(landmarks, rs.LandmarksFarthest)
 		if err != nil {
 			fail("landmarks: %v", err)
 		}
-		fmt.Printf("landmarks: built %d (%s) in %v\n", built, strat, time.Since(t0).Round(time.Microsecond))
+		fmt.Printf("landmarks: built %d (farthest) in %v\n", built, time.Since(t0).Round(time.Microsecond))
 	}
 	t0 := time.Now()
-	path, d, st, err := solver.Route(src, dst, engine, prune)
+	path, d, st, err := solver.Route(src, dst, engine, true)
 	if err != nil {
 		fail("route: %v", err)
 	}
@@ -96,48 +91,46 @@ func routeMode(g *rs.Graph, solver *rs.Solver, src, dst rs.Vertex, engine rs.Eng
 }
 
 func main() {
-	genKind := flag.String("gen", "", "generate a graph: grid2d|grid3d|road|web|er|rmat|smallworld|comb")
-	n := flag.Int("n", 100000, "approximate vertex count for -gen")
-	in := flag.String("in", "", "read a graph file instead of generating (format auto-detected)")
-	weights := flag.Int("weights", 0, "assign uniform integer weights in [1, W] (0 = keep)")
-	seed := flag.Uint64("seed", 42, "generator seed")
+	graphSpec := flag.String("graph", "", "input graph spec: gen=FAMILY|file=PATH|snapshot=PATH[,n=N][,seed=S][,weights=W], plus rho, k, heuristic, engine and (with -target) landmarks for -algo radius")
 	src := flag.Int("src", 0, "source vertex")
 	algo := flag.String("algo", "radius", "radius|dijkstra|delta|bellmanford|bfs")
-	rho := flag.Int("rho", 32, "radius-stepping ball size")
-	k := flag.Int("k", 0, "radius-stepping hop budget (0 = library default: 4, or 1 with -heuristic direct)")
-	heuristic := flag.String("heuristic", "dp", "shortcut heuristic for k>1: direct|greedy|dp")
-	engine := flag.String("engine", "auto", "stepping engine: auto|seq|par|flat|delta|rho")
-	delta := flag.Float64("delta", 1000, "delta-stepping bucket width (-algo delta only; -engine delta derives its width from the graph)")
+	delta := flag.Float64("delta", 1000, "delta-stepping bucket width (-algo delta only; engine=delta derives its width from the graph)")
 	verify := flag.Bool("verify", false, "verify the result certificate")
 	traceOut := flag.String("trace", "", "write the solve timeline (steps, substeps, pool and frontier timings) as JSON to this file (-algo radius only; - for stdout)")
 	target := flag.Int("target", -1, "route mode: answer a point-to-point query src..target with an early-terminated solve (-algo radius only)")
-	landmarks := flag.Int("landmarks", 0, "route mode: build K ALT landmark vectors for goal-directed pruning (0 = none)")
-	lmStrategy := flag.String("landmark-strategy", "farthest", "landmark selection: farthest|degree")
-	prune := flag.Bool("prune", true, "route mode: apply goal-directed landmark pruning (needs -landmarks)")
 	flag.Parse()
+	radius := *algo == "radius"
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "delta" && *algo != "delta" {
+		switch {
+		case f.Name == "delta" && *algo != "delta":
 			fail("-delta applies to -algo delta only, not -algo %s", *algo)
+		case (f.Name == "trace" || f.Name == "target") && !radius:
+			fail("-%s applies to -algo radius only, not -algo %s", f.Name, *algo)
 		}
 	})
 
-	var g *rs.Graph
-	switch {
-	case *in != "":
-		g2, format, err := rs.LoadGraphFile(*in)
-		if err != nil {
-			fail("parse: %v", err)
+	keys := []string{"gen", "file", "snapshot", "n", "seed", "weights"}
+	if radius {
+		keys = append(keys, "rho", "k", "heuristic", "engine")
+		if *target >= 0 {
+			keys = append(keys, "landmarks")
 		}
-		fmt.Printf("loaded %s (%s)\n", *in, format)
-		g = g2
-	case *genKind != "":
-		g = buildGraph(*genKind, *n, *seed)
-	default:
-		fail("need -gen or -in")
 	}
-	if *weights > 0 {
-		g = rs.WithUniformIntWeights(g, 1, *weights, *seed+1)
+	spec, err := rs.ParseGraphSpec(*graphSpec, keys...)
+	if err != nil {
+		fail("sssp -algo %s: %v", *algo, err)
 	}
+	var opt rs.Options
+	if radius {
+		if opt, err = spec.Options(); err != nil {
+			fail("%v", err)
+		}
+	}
+	g, format, err := spec.Load()
+	if err != nil {
+		fail("load: %v", err)
+	}
+	fmt.Printf("loaded %s (%s)\n", spec.Source(), format)
 	fmt.Printf("graph: n=%d m=%d L=%g\n", g.NumVertices(), g.NumEdges(), g.MaxWeight())
 	if *src < 0 || *src >= g.NumVertices() {
 		fail("source %d out of range", *src)
@@ -147,19 +140,8 @@ func main() {
 	var dist []float64
 	switch *algo {
 	case "radius":
-		h, err := rs.ParseHeuristic(*heuristic)
-		if err != nil {
-			fail("%v", err)
-		}
-		if h == rs.HeuristicDirect && *k == 0 {
-			*k = 1 // direct is the (1,ρ) construction
-		}
-		e, err := rs.ParseEngine(*engine)
-		if err != nil {
-			fail("%v", err)
-		}
 		t0 := time.Now()
-		solver, err := rs.NewSolver(g, rs.Options{Rho: *rho, K: *k, Heuristic: h, Engine: e})
+		solver, err := rs.NewSolver(g, opt)
 		if err != nil {
 			fail("preprocess: %v", err)
 		}
@@ -167,7 +149,7 @@ func main() {
 		fmt.Printf("preprocess: %v (added %d shortcuts, visited %d, scanned %d)\n",
 			time.Since(t0).Round(time.Microsecond), pre.Added, pre.Visited, pre.EdgesScanned)
 		if *target >= 0 {
-			routeMode(g, solver, source, rs.Vertex(*target), e, *landmarks, *lmStrategy, *prune, *verify)
+			routeMode(g, solver, source, rs.Vertex(*target), opt.Engine, spec.Landmarks, *verify)
 			return
 		}
 		t1 := time.Now()

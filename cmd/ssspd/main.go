@@ -59,8 +59,10 @@
 // solves before aborting the stragglers.
 //
 // Configuration: daemon settings come from flags alone, and every graph
-// from a -graph spec (server.ParseGraphSpec), the same grammar POST
-// /v1/admin/load takes as {"spec": "..."}.
+// from a -graph spec: a name, "=", and the radiusstep.ParseGraphSpec
+// grammar that sssp, graphpack and graphgen take too
+// (server.ParseGraphSpec). POST /v1/admin/load takes the same form as
+// {"spec": "..."}.
 //
 // Examples:
 //

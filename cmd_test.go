@@ -133,16 +133,8 @@ func TestCLIBenchRecordRoundTrip(t *testing.T) {
 	}
 	// The flag set is exactly these; any other flag, such as the removed
 	// route, trace and gate-threshold flags, fails to parse.
-	_, usage, err := run("-h")
-	if err != nil {
-		t.Fatalf("-h: %v\n%s", err, usage)
-	}
-	var flags []string
-	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage, -1) {
-		flags = append(flags, m[1])
-	}
 	want := "compare engines exp gen list min-speedup n procs rho scale scaling-baseline seed trials weights"
-	if got := strings.Join(flags, " "); got != want {
+	if got := flagNames(t, dir, "radius-bench"); got != want {
 		t.Fatalf("flags %q, want %q", got, want)
 	}
 	for _, args := range [][]string{{"-routes"}, {"-trace", "x"}} {
@@ -151,9 +143,66 @@ func TestCLIBenchRecordRoundTrip(t *testing.T) {
 		}
 	}
 	// -procs rejects trailing input.
-	out, err := runCLI(t, dir, "radius-bench", "-engines", "seq", "-procs", "1,2x", "-gen", "grid2d", "-n", "100")
+	wantExit2(t, dir, "radius-bench", "-engines", "seq", "-procs", "1,2x", "-gen", "grid2d", "-n", "100")
+}
+
+// flagNames returns the flags a tool's -h lists, in its order.
+func flagNames(t *testing.T, dir, tool string) string {
+	t.Helper()
+	usage, err := runCLI(t, dir, tool, "-h")
+	if err != nil {
+		t.Fatalf("%s -h: %v\n%s", tool, err, usage)
+	}
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage, -1) {
+		flags = append(flags, m[1])
+	}
+	return strings.Join(flags, " ")
+}
+
+// wantExit2 runs a tool and fails unless it exits with status 2.
+func wantExit2(t *testing.T, dir, tool string, args ...string) string {
+	t.Helper()
+	out, err := runCLI(t, dir, tool, args...)
 	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
-		t.Fatalf("-procs 1,2x: %v, want exit status 2:\n%s", err, out)
+		t.Fatalf("%s %v: %v, want exit status 2:\n%s", tool, args, err, out)
+	}
+	return out
+}
+
+// TestCLIFlagSets pins each graph tool's flags: one -graph spec names
+// the input, and the per-tool graph flags are gone.
+func TestCLIFlagSets(t *testing.T) {
+	dir := buildCLIs(t)
+	for tool, want := range map[string]string{
+		"graphgen":  "format graph o",
+		"graphpack": "graph o order raw",
+		"sssp":      "algo delta graph src target trace verify",
+	} {
+		if got := flagNames(t, dir, tool); got != want {
+			t.Fatalf("%s flags %q, want %q", tool, got, want)
+		}
+	}
+	for _, args := range [][]string{{"-gen", "grid2d"}, {"-in", "g.txt"}, {"-landmark-strategy", "farthest"}} {
+		wantExit2(t, dir, "sssp", args...)
+		wantExit2(t, dir, "graphpack", append(args, "-o", filepath.Join(dir, "x.snap"))...)
+	}
+	wantExit2(t, dir, "graphgen", "-kind", "grid2d")
+	// A key that does not apply to the tool or its -algo is an error.
+	for _, tc := range []struct {
+		tool string
+		args []string
+	}{
+		{"sssp", []string{"-graph", "gen=grid2d,n=100,rho=8", "-algo", "dijkstra"}},
+		{"sssp", []string{"-graph", "gen=grid2d,n=100,landmarks=2"}},
+		{"graphpack", []string{"-graph", "gen=grid2d,n=100,engine=flat", "-o", filepath.Join(dir, "x.snap")}},
+		{"graphpack", []string{"-graph", "gen=grid2d,n=100,rho=8", "-raw", "-o", filepath.Join(dir, "x.snap")}},
+		{"graphgen", []string{"-graph", "gen=grid2d,n=100,rho=8"}},
+		{"graphgen", []string{"-graph", "file=g.txt"}},
+	} {
+		if out := wantExit2(t, dir, tc.tool, tc.args...); !strings.Contains(out, "does not apply") {
+			t.Fatalf("%s %v: want a key that does not apply:\n%s", tc.tool, tc.args, out)
+		}
 	}
 }
 
@@ -161,7 +210,7 @@ func TestCLISsspAlgorithms(t *testing.T) {
 	dir := buildCLIs(t)
 	for _, algo := range []string{"radius", "dijkstra", "delta", "bellmanford", "bfs"} {
 		out, err := runCLI(t, dir, "sssp",
-			"-gen", "grid2d", "-n", "400", "-weights", "100", "-algo", algo, "-verify")
+			"-graph", "gen=grid2d,n=400,weights=100", "-algo", algo, "-verify")
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", algo, err, out)
 		}
@@ -172,26 +221,85 @@ func TestCLISsspAlgorithms(t *testing.T) {
 			t.Fatalf("%s: missing summary:\n%s", algo, out)
 		}
 	}
-	if _, err := runCLI(t, dir, "sssp", "-gen", "bogus"); err == nil {
+	if _, err := runCLI(t, dir, "sssp", "-graph", "gen=bogus"); err == nil {
 		t.Fatal("bogus generator accepted")
 	}
 	if _, err := runCLI(t, dir, "sssp"); err == nil {
-		t.Fatal("missing -gen/-in accepted")
+		t.Fatal("missing -graph accepted")
 	}
 	// Unknown heuristic/engine names must fail loudly, not silently map
 	// to the zero value.
-	if _, err := runCLI(t, dir, "sssp", "-gen", "grid2d", "-n", "100", "-heuristic", "typo"); err == nil {
-		t.Fatal("bogus -heuristic accepted")
+	if _, err := runCLI(t, dir, "sssp", "-graph", "gen=grid2d,n=100,heuristic=typo"); err == nil {
+		t.Fatal("bogus heuristic accepted")
 	}
-	if _, err := runCLI(t, dir, "sssp", "-gen", "grid2d", "-n", "100", "-engine", "typo"); err == nil {
-		t.Fatal("bogus -engine accepted")
+	if _, err := runCLI(t, dir, "sssp", "-graph", "gen=grid2d,n=100,engine=typo"); err == nil {
+		t.Fatal("bogus engine accepted")
 	}
-	// -delta feeds -algo delta alone; -engine delta derives its width.
-	if out, err := runCLI(t, dir, "sssp", "-gen", "grid2d", "-n", "100", "-algo", "radius", "-delta", "5"); err == nil {
+	// -delta feeds -algo delta alone; engine=delta derives its width.
+	if out, err := runCLI(t, dir, "sssp", "-graph", "gen=grid2d,n=100", "-algo", "radius", "-delta", "5"); err == nil {
 		t.Fatalf("-delta with -algo radius accepted:\n%s", out)
 	}
-	if out, err := runCLI(t, dir, "sssp", "-gen", "grid2d", "-n", "100", "-algo", "delta", "-delta", "5", "-verify"); err != nil {
+	if out, err := runCLI(t, dir, "sssp", "-graph", "gen=grid2d,n=100", "-algo", "delta", "-delta", "5", "-verify"); err != nil {
 		t.Fatalf("-algo delta -delta 5: %v\n%s", err, out)
+	}
+}
+
+// TestCLISsspRouteAndTrace runs sssp's route mode with landmarks and its
+// trace output, on integer weights.
+func TestCLISsspRouteAndTrace(t *testing.T) {
+	dir := buildCLIs(t)
+	out, err := runCLI(t, dir, "sssp", "-graph", "gen=road,n=2000,weights=1000,rho=16,landmarks=4",
+		"-src", "7", "-target", "1234", "-verify")
+	if err != nil {
+		t.Fatalf("route: %v\n%s", err, out)
+	}
+	for _, want := range []string{"landmarks: built 4 (farthest)", "route: ", "pruned=", "verify: route OK"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in route output:\n%s", want, out)
+		}
+	}
+	var stdout, stderr strings.Builder
+	cmd := exec.Command(filepath.Join(dir, "sssp"), "-graph", "gen=grid2d,n=400,weights=100", "-src", "3", "-trace", "-")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("-trace -: %v\n%s", err, stderr.String())
+	}
+	// The timeline JSON sits between the graph lines and the summary.
+	text := stdout.String()
+	start, end := strings.Index(text, "\n{"), strings.LastIndex(text, "\n}")
+	if start < 0 || end < start {
+		t.Fatalf("no timeline JSON in:\n%s", text)
+	}
+	var tl struct {
+		Steps    int               `json:"steps"`
+		StepList []json.RawMessage `json:"stepList"`
+	}
+	if err := json.Unmarshal([]byte(text[start+1:end+2]), &tl); err != nil {
+		t.Fatalf("timeline: %v\n%s", err, text)
+	}
+	if tl.Steps == 0 || tl.Steps != len(tl.StepList) {
+		t.Fatalf("timeline steps = %d, stepList has %d records", tl.Steps, len(tl.StepList))
+	}
+}
+
+// TestCLIRejectsOversizedInputs: a header declaring 2^62 vertices and a
+// negative generator size end in errors with exit status 2, not panics.
+func TestCLIRejectsOversizedInputs(t *testing.T) {
+	dir := buildCLIs(t)
+	huge := filepath.Join(dir, "huge.gr")
+	if err := os.WriteFile(huge, []byte("p sp 4611686018427387904 0"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"file=" + huge, "gen=er,n=-5"} {
+		for _, tool := range []string{"sssp", "graphpack"} {
+			args := []string{"-graph", spec}
+			if tool == "graphpack" {
+				args = append(args, "-o", filepath.Join(dir, "huge.snap"))
+			}
+			if out := wantExit2(t, dir, tool, args...); strings.Contains(out, "panic") {
+				t.Fatalf("%s %v panicked:\n%s", tool, args, out)
+			}
+		}
 	}
 }
 
@@ -215,23 +323,22 @@ func TestCLISsspdSelftest(t *testing.T) {
 		t.Fatal("serving with no graphs accepted")
 	}
 	// Flags and -graph specs are the only configuration.
-	out, err = runCLI(t, dir, "ssspd", "-config", "x.json")
-	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 || !strings.Contains(out, "flag provided but not defined: -config") {
-		t.Fatalf("-config: %v, want exit status 2 as an unknown flag:\n%s", err, out)
+	if out := wantExit2(t, dir, "ssspd", "-config", "x.json"); !strings.Contains(out, "flag provided but not defined: -config") {
+		t.Fatalf("-config: want an unknown flag:\n%s", out)
 	}
 }
 
 func TestCLIGraphgenAndSsspFile(t *testing.T) {
 	dir := buildCLIs(t)
 	gpath := filepath.Join(dir, "g.txt")
-	out, err := runCLI(t, dir, "graphgen", "-kind", "web", "-n", "500", "-weights", "50", "-o", gpath)
+	out, err := runCLI(t, dir, "graphgen", "-graph", "gen=web,n=500,weights=50", "-o", gpath)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
 	if !strings.Contains(out, "wrote web") {
 		t.Fatalf("graphgen summary missing:\n%s", out)
 	}
-	out, err = runCLI(t, dir, "sssp", "-in", gpath, "-algo", "radius", "-rho", "8", "-verify")
+	out, err = runCLI(t, dir, "sssp", "-graph", "file="+gpath+",rho=8", "-verify")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -241,16 +348,16 @@ func TestCLIGraphgenAndSsspFile(t *testing.T) {
 	// The snapshot is the only binary format: a graph-only snapshot
 	// (graphpack -raw) feeds sssp, and graphgen writes no binary CSR.
 	snap := filepath.Join(dir, "g.snap")
-	out, err = runCLI(t, dir, "graphpack", "-gen", "grid2d", "-n", "100", "-raw", "-o", snap)
+	out, err = runCLI(t, dir, "graphpack", "-graph", "gen=grid2d,n=100", "-raw", "-o", snap)
 	if err != nil {
 		t.Fatalf("graphpack -raw: %v\n%s", err, out)
 	}
-	out, err = runCLI(t, dir, "sssp", "-in", snap, "-algo", "radius", "-rho", "8", "-verify")
+	out, err = runCLI(t, dir, "sssp", "-graph", "snapshot="+snap+",rho=8", "-verify")
 	if err != nil || !strings.Contains(out, "certificate OK") {
 		t.Fatalf("sssp on a raw snapshot: %v\n%s", err, out)
 	}
 	for _, args := range [][]string{{"-format", "binary"}, {"-binary"}} {
-		args = append(args, "-kind", "grid2d", "-n", "100", "-o", filepath.Join(dir, "g.bin"))
+		args = append(args, "-graph", "gen=grid2d,n=100", "-o", filepath.Join(dir, "g.bin"))
 		if out, err := runCLI(t, dir, "graphgen", args...); err == nil {
 			t.Fatalf("graphgen %v accepted:\n%s", args, out)
 		}
@@ -263,12 +370,12 @@ func TestCLIGraphgenAndSsspFile(t *testing.T) {
 func TestCLIGraphpackSnapshotColdStart(t *testing.T) {
 	dir := buildCLIs(t)
 	gr := filepath.Join(dir, "pack.gr")
-	out, err := runCLI(t, dir, "graphgen", "-kind", "grid2d", "-n", "900", "-weights", "100", "-format", "dimacs", "-o", gr)
+	out, err := runCLI(t, dir, "graphgen", "-graph", "gen=grid2d,n=900,weights=100", "-format", "dimacs", "-o", gr)
 	if err != nil {
 		t.Fatalf("graphgen: %v\n%s", err, out)
 	}
 	snap := filepath.Join(dir, "pack.snap")
-	out, err = runCLI(t, dir, "graphpack", "-in", gr, "-rho", "8", "-o", snap)
+	out, err = runCLI(t, dir, "graphpack", "-graph", "file="+gr+",rho=8", "-o", snap)
 	if err != nil {
 		t.Fatalf("graphpack: %v\n%s", err, out)
 	}
@@ -288,13 +395,13 @@ func TestCLIGraphpackSnapshotColdStart(t *testing.T) {
 		}
 	}
 	// sssp also ingests the snapshot (and the DIMACS file) directly.
-	out, err = runCLI(t, dir, "sssp", "-in", snap, "-algo", "radius", "-rho", "8", "-verify")
+	out, err = runCLI(t, dir, "sssp", "-graph", "snapshot="+snap+",rho=8", "-verify")
 	if err != nil || !strings.Contains(out, "certificate OK") {
 		t.Fatalf("sssp on snapshot: %v\n%s", err, out)
 	}
 	// Re-packing a snapshot with new parameters recovers the true
 	// original graph (not the augmented one) before preprocessing again.
-	out, err = runCLI(t, dir, "graphpack", "-in", snap, "-rho", "4", "-o", filepath.Join(dir, "repack.snap"))
+	out, err = runCLI(t, dir, "graphpack", "-graph", "file="+snap+",rho=4", "-o", filepath.Join(dir, "repack.snap"))
 	if err != nil || !strings.Contains(out, "(snapshot)") {
 		t.Fatalf("re-pack failed: %v\n%s", err, out)
 	}
@@ -308,10 +415,21 @@ func TestCLIGraphpackSnapshotColdStart(t *testing.T) {
 		t.Fatal("baked-in rho override accepted")
 	}
 	// graphpack refuses ambiguous or incomplete invocations.
-	if _, err := runCLI(t, dir, "graphpack", "-in", gr); err == nil {
+	if _, err := runCLI(t, dir, "graphpack", "-graph", "file="+gr); err == nil {
 		t.Fatal("missing -o accepted")
 	}
-	if _, err := runCLI(t, dir, "graphpack", "-in", gr, "-gen", "road", "-o", snap); err == nil {
-		t.Fatal("both -in and -gen accepted")
+	if _, err := runCLI(t, dir, "graphpack", "-graph", "file="+gr+",gen=road", "-o", snap); err == nil {
+		t.Fatal("both file= and gen= accepted")
+	}
+	// Landmarks packed into the snapshot serve goal-directed routes.
+	lm := filepath.Join(dir, "lm.snap")
+	out, err = runCLI(t, dir, "graphpack", "-graph", "file="+gr+",rho=8,landmarks=4", "-order", "bfs", "-o", lm)
+	if err != nil || !strings.Contains(out, "landmarks=4") {
+		t.Fatalf("graphpack landmarks=4: %v\n%s", err, out)
+	}
+	out, err = runCLI(t, dir, "ssspd", "-graph", "lm=snapshot="+lm,
+		"-selftest", "-selftest-queries", "40", "-selftest-clients", "4")
+	if err != nil || !strings.Contains(out, "failures=0") {
+		t.Fatalf("ssspd on a landmark snapshot: %v\n%s", err, out)
 	}
 }

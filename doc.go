@@ -42,7 +42,9 @@
 // together with the preprocessing outputs (radii, augmented and
 // original graphs, and the ρ/k/heuristic they were derived with).
 // cmd/graphpack builds snapshots offline so the preprocessing phase is
-// paid once per graph rather than once per process start.
+// paid once per graph rather than once per process start. A GraphSpec
+// (ParseGraphSpec) names any of these sources, with the preprocessing
+// options, in the one text form every command's -graph flag takes.
 //
 // For online serving, cmd/ssspd wraps this library in an HTTP/JSON
 // daemon (internal/server): named preprocessed graphs in a registry, a

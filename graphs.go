@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"radiusstep/internal/baseline"
 	"radiusstep/internal/check"
@@ -231,38 +232,65 @@ func SmallWorld(n, k int, beta float64, seed uint64) *Graph {
 	return gen.SmallWorld(n, k, beta, seed)
 }
 
-// GenerateByName builds a graph from a family name, the dispatcher the
-// CLI tools use: grid2d, grid3d, road, web, er, rmat, smallworld, comb.
-// n is interpreted per family (side² for grid2d, comb takes d = n).
-func GenerateByName(kind string, n int, seed uint64) (*Graph, error) {
-	switch kind {
-	case "grid2d":
+// maxGenerated bounds GenerateByName's n: vertex ids are 32-bit, and
+// rmat's scale stops at 2^30.
+const maxGenerated = 1 << 30
+
+// families are GenerateByName's graph families, each with the smallest
+// n it builds and its builder.
+var families = []struct {
+	name  string
+	min   int
+	build func(n int, seed uint64) *Graph
+}{
+	{"grid2d", 2, func(n int, _ uint64) *Graph {
 		side := intSqrt(n)
-		return gen.Grid2D(side, side), nil
-	case "grid3d":
+		return gen.Grid2D(side, side)
+	}},
+	{"grid3d", 2, func(n int, _ uint64) *Graph {
 		side := intCbrt(n)
-		return gen.Grid3D(side, side, side), nil
-	case "road":
+		return gen.Grid3D(side, side, side)
+	}},
+	{"road", 2, func(n int, seed uint64) *Graph {
 		g, _ := graph.LargestComponent(gen.RoadNet(n, 6, seed))
-		return g, nil
-	case "web":
-		return gen.ScaleFree(n, 7, seed), nil
-	case "er":
-		return gen.ErdosRenyi(n, 4*n, seed), nil
-	case "rmat":
+		return g
+	}},
+	{"web", 2, func(n int, seed uint64) *Graph { return gen.ScaleFree(n, 7, seed) }},
+	{"er", 2, func(n int, seed uint64) *Graph { return gen.ErdosRenyi(n, 4*n, seed) }},
+	{"rmat", 2, func(n int, seed uint64) *Graph {
 		scale := 1
-		for 1<<scale < n && scale < 30 {
+		for 1<<scale < n {
 			scale++
 		}
 		g, _ := graph.LargestComponent(gen.RMATDefault(scale, 8*n, seed))
-		return g, nil
-	case "smallworld":
-		return gen.SmallWorld(max(n, 4), 4, 0.05, seed), nil
-	case "comb":
-		return gen.Comb(max(n, 2)), nil
-	default:
-		return nil, fmt.Errorf("radiusstep: unknown graph family %q", kind)
+		return g
+	}},
+	// A ring lattice of degree 4 needs 5 vertices.
+	{"smallworld", 5, func(n int, seed uint64) *Graph { return gen.SmallWorld(n, 4, 0.05, seed) }},
+	// Comb(d) has d + 2d² vertices, and d >= 2.
+	{"comb", 8, func(n int, _ uint64) *Graph { return gen.Comb(intSqrt(n / 2)) }},
+}
+
+// GenerateByName builds a graph of about n vertices from a family
+// name, the dispatcher the CLI tools use: grid2d, grid3d, road, web,
+// er, rmat, smallworld, comb. road and rmat keep their largest
+// component. An unknown family, or an n the family cannot build, is an
+// error.
+func GenerateByName(kind string, n int, seed uint64) (*Graph, error) {
+	for _, f := range families {
+		if f.name != kind {
+			continue
+		}
+		if n < f.min || n > maxGenerated {
+			return nil, fmt.Errorf("radiusstep: %s needs n in [%d, %d], got %d", kind, f.min, maxGenerated, n)
+		}
+		return f.build(n, seed), nil
 	}
+	names := make([]string, len(families))
+	for i, f := range families {
+		names[i] = f.name
+	}
+	return nil, fmt.Errorf("radiusstep: unknown graph family %q (want %s)", kind, strings.Join(names, "|"))
 }
 
 func intSqrt(n int) int {

@@ -75,11 +75,10 @@ type Stats struct {
 	EdgesScanned int64
 	// MaxStep is the largest number of vertices settled in one step.
 	MaxStep int
-	// QuotaAdjustments counts adaptive-ρ quota growth events (KindRho
-	// without Params.RhoFixed): each is one doubling of the extraction
-	// quota toward the ~n/steps settling goal. Zero for every other
-	// engine and for fixed-ρ solves, so the step-count reduction the
-	// adaptive rule buys is auditable per solve.
+	// QuotaAdjustments counts adaptive-ρ quota growth events (KindRho):
+	// each is one doubling of the extraction quota toward the ~n/steps
+	// settling goal. Zero for every other engine, so the step-count
+	// reduction the adaptive rule buys is auditable per solve.
 	QuotaAdjustments int
 	// Frontier reports the ordered-frontier substrate's operation
 	// counters for the engines built on internal/frontier (parallel,

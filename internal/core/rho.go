@@ -24,19 +24,17 @@ const rhoStepTarget = 128
 // commits itself at its next query, so a step's substeps pool their
 // pushes into one sort (see frontierStepper).
 //
-// Unless Params.RhoFixed pins it, the quota is adaptive in the spirit
-// of Dong et al.'s ρ tuning: a step that settles fewer vertices than
-// the ~n/rhoStepTarget goal doubles the quota (capped at the goal) for
-// the next step. The rule is a pure function of the solve's own step
+// The quota is adaptive in the spirit of Dong et al.'s ρ tuning: a step
+// that settles fewer vertices than the ~n/rhoStepTarget goal doubles the
+// quota (capped at the goal) for the next step. The rule is a pure function of the solve's own step
 // history, so repeated solves of the same query remain deterministic —
 // identical step counts and byte-identical distances — and the settled
 // set stays exact for any quota (distance exactness never depends on ρ).
 type rhoStepper struct {
 	ws     *Workspace
 	f      *frontier.F
-	quota  int  // current quota; grows per the adaptive rule
-	quota0 int  // configured quota (Params.Rho), restored each solve
-	fixed  bool // Params.RhoFixed: never grow
+	quota  int // current quota; grows per the adaptive rule
+	quota0 int // configured quota (Params.Rho), restored each solve
 
 	stepSettled int // vertices settled by the step in progress (-1: none yet)
 	adjusts     int // quota growth events this solve (Stats.QuotaAdjustments)
@@ -64,7 +62,7 @@ func (s *rhoStepper) target() (float64, graph.V, bool) {
 	if m == 0 {
 		return 0, -1, false
 	}
-	if !s.fixed && s.stepSettled >= 0 {
+	if s.stepSettled >= 0 {
 		// Step economics: aim for ~n/rhoStepTarget settled per step.
 		// A step that fell short doubles the quota toward that goal, so
 		// a solve stuck settling ρ-sized crumbs converges to the goal in

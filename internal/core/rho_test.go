@@ -5,47 +5,40 @@ import (
 	"testing"
 	"unsafe"
 
+	"radiusstep/internal/baseline"
 	"radiusstep/internal/gen"
 	"radiusstep/internal/graph"
 )
 
 // TestAdaptiveRhoReducesSteps pins the adaptive quota's step economics:
-// on a graph large enough that a fixed small ρ pathologically crumbles
-// the solve into hundreds of steps, the adaptive rule must (1) cut the
-// step count by at least 2x, (2) report its growth events in
-// Stats.QuotaAdjustments, and (3) keep the distance vector byte-identical
-// to the fixed-ρ solve — exactness never depends on the quota.
+// on a graph large enough that a fixed ρ = 32 would crumble the solve
+// into at least n/32 steps, the adaptive rule must (1) finish in at most
+// n/(2ρ) steps, (2) report its growth events in Stats.QuotaAdjustments,
+// and (3) keep the distance vector byte-identical to Dijkstra's —
+// exactness never depends on the quota.
 func TestAdaptiveRhoReducesSteps(t *testing.T) {
 	g := gen.WithUniformIntWeights(gen.Grid2D(120, 120), 1, 100, 5)
 	src := graph.V(0)
+	const rho = 32
 
-	fixed, stFixed, err := SolveKind(g, nil, src, KindRho, Params{Rho: 32, RhoFixed: true}, nil)
+	adaptive, st, err := SolveKind(g, nil, src, KindRho, Params{Rho: rho}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stFixed.QuotaAdjustments != 0 {
-		t.Fatalf("fixed-ρ solve reported %d quota adjustments, want 0", stFixed.QuotaAdjustments)
-	}
-
-	adaptive, stAdaptive, err := SolveKind(g, nil, src, KindRho, Params{Rho: 32}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stAdaptive.QuotaAdjustments == 0 {
+	if st.QuotaAdjustments == 0 {
 		t.Fatal("adaptive-ρ solve reported 0 quota adjustments; the rule never fired")
 	}
-	if stAdaptive.Steps*2 > stFixed.Steps {
-		t.Fatalf("adaptive ρ took %d steps vs fixed %d, want at least a 2x cut",
-			stAdaptive.Steps, stFixed.Steps)
+	if limit := g.NumVertices() / (2 * rho); st.Steps > limit {
+		t.Fatalf("adaptive ρ took %d steps, want at most n/(2ρ) = %d", st.Steps, limit)
 	}
+	want := baseline.Dijkstra(g, src)
 	for v := range adaptive {
-		if math.Float64bits(adaptive[v]) != math.Float64bits(fixed[v]) {
-			t.Fatalf("dist[%d] = %v adaptive vs %v fixed; adaptation changed distances",
-				v, adaptive[v], fixed[v])
+		if math.Float64bits(adaptive[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("dist[%d] = %v adaptive vs %v dijkstra; adaptation changed distances",
+				v, adaptive[v], want[v])
 		}
 	}
-	t.Logf("fixed ρ=32: %d steps; adaptive: %d steps, %d quota adjustments",
-		stFixed.Steps, stAdaptive.Steps, stAdaptive.QuotaAdjustments)
+	t.Logf("adaptive ρ=32: %d steps, %d quota adjustments", st.Steps, st.QuotaAdjustments)
 }
 
 // TestAdaptiveRhoDeterministic: the adaptive rule is a pure function of

@@ -62,19 +62,12 @@ func (k EngineKind) String() string {
 // Params tunes the radius-free stepping strategies and the relaxation
 // substrate. The zero value selects sensible defaults for everything.
 type Params struct {
-	// Delta is the Δ-stepping bucket width (KindDelta). <= 0 derives
-	// DefaultDelta from the graph.
-	Delta float64
 	// Rho is the ρ-stepping extraction quota (KindRho): each step
 	// settles (at least) the ρ closest fringe vertices. <= 0 selects 32.
-	// By default Rho is only the STARTING quota: an adaptive rule grows
-	// it when steps settle too few vertices (see rhoStepper), cutting
-	// step counts on large fringes while keeping distances exact.
+	// Rho is only the STARTING quota: an adaptive rule grows it when
+	// steps settle too few vertices (see rhoStepper), cutting step
+	// counts on large fringes while keeping distances exact.
 	Rho int
-	// RhoFixed pins the ρ quota to Rho for the whole solve, disabling
-	// the adaptive growth rule. Step/substep counts then match the
-	// classic fixed-ρ strategy; distances are byte-identical either way.
-	RhoFixed bool
 	// Relax selects the substep traversal: RelaxAdaptive (default)
 	// runs a substep too small to share on the scalar push kernel and
 	// switches between parallel push and pull on larger ones;
@@ -146,11 +139,11 @@ func NewTraceRecorder() *trace.Recorder {
 // settle about as many vertices as one ball holds.
 const defaultRhoQuota = 32
 
-// DefaultDelta derives a Δ-stepping bucket width when none is given:
-// L/d̄ (the largest edge weight over the mean degree), the Meyer–Sanders
-// guidance of Δ = Θ(1/d) for weights normalized to [0, L]. Degenerate
-// graphs (no edges, all-zero weights) get Δ = 1; any positive width is
-// correct there.
+// DefaultDelta derives KindDelta's Δ-stepping bucket width from the
+// graph: L/d̄ (the largest edge weight over the mean degree), the
+// Meyer–Sanders guidance of Δ = Θ(1/d) for weights normalized to
+// [0, L]. Degenerate graphs (no edges, all-zero weights) get Δ = 1; any
+// positive width is correct there.
 func DefaultDelta(g *graph.CSR) float64 {
 	n := g.NumVertices()
 	if n == 0 {
@@ -228,7 +221,6 @@ func (ws *Workspace) stepperFor(kind EngineKind, p Params) stepper {
 		if r.quota0 <= 0 {
 			r.quota0 = defaultRhoQuota
 		}
-		r.fixed = p.RhoFixed
 		return r
 	default: // the flat-fringe family: flat, delta
 		if ws.fl == nil {
@@ -236,8 +228,7 @@ func (ws *Workspace) stepperFor(kind EngineKind, p Params) stepper {
 		}
 		f := ws.fl
 		f.kind = kind
-		f.delta = p.Delta
-		if kind == KindDelta && !(f.delta > 0) {
+		if kind == KindDelta {
 			f.delta = DefaultDelta(ws.g)
 		}
 		return f

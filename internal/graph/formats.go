@@ -147,7 +147,7 @@ func checkWeight(w float64, line int) error {
 func ReadDIMACS(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var n, m int
+	var n, m, headerLine int
 	var edges []Edge
 	seenHeader := false
 	arcs := 0
@@ -178,6 +178,7 @@ func ReadDIMACS(r io.Reader) (*CSR, error) {
 				return nil, fmt.Errorf("graph: negative sizes at line %d: %q", line, text)
 			}
 			seenHeader = true
+			headerLine = line
 			edges = edgesFor(m)
 		case "a":
 			if !seenHeader {
@@ -219,6 +220,9 @@ func ReadDIMACS(r io.Reader) (*CSR, error) {
 	if arcs != m {
 		return nil, fmt.Errorf("graph: problem line declares %d arcs, found %d (last line %d)", m, arcs, line)
 	}
+	if err := checkVertices(n, arcs, headerLine); err != nil {
+		return nil, err
+	}
 	return FromEdges(n, edges), nil
 }
 
@@ -247,7 +251,7 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []Edge
 	maxID := int64(-1)
-	line := 0
+	line, maxLine := 0, 0
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -278,11 +282,8 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 				return nil, err
 			}
 		}
-		if u > maxID {
-			maxID = u
-		}
-		if v > maxID {
-			maxID = v
+		if hi := max(u, v); hi > maxID {
+			maxID, maxLine = hi, line
 		}
 		edges = append(edges, Edge{V(u), V(v), w})
 	}
@@ -291,6 +292,9 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 	}
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("graph: empty edge list")
+	}
+	if err := checkVertices(int(maxID)+1, len(edges), maxLine); err != nil {
+		return nil, err
 	}
 	return FromEdges(int(maxID)+1, edges), nil
 }

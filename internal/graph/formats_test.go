@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"strings"
@@ -110,17 +112,27 @@ func TestReadDIMACSErrors(t *testing.T) {
 	}
 }
 
-// TestHeaderArcCountNotPreallocated: a header's arc count is not
-// trusted before the input bears it out, so a header declaring 2e9 arcs
-// with none following is rejected without allocating for them.
+// TestHeaderArcCountNotPreallocated: a header's sizes are not trusted
+// before the input bears them out, so a header declaring 2e9 arcs with
+// none following is rejected without allocating for them, and a vertex
+// count over 2^20 plus two per edge read (maxVertices) is rejected with
+// its line before any CSR array is sized, in every text reader.
 func TestHeaderArcCountNotPreallocated(t *testing.T) {
+	read := func(f func(io.Reader) (*CSR, error), in string) func() error {
+		return func() error { _, err := f(strings.NewReader(in)); return err }
+	}
+	auto := func(r io.Reader) (*CSR, error) { g, _, err := ReadAuto(r); return g, err }
 	for _, tc := range []struct {
 		name string
 		read func() error
 		want string
 	}{
-		{"text", func() error { _, err := ReadText(strings.NewReader("p sssp 1 2000000000\n")); return err }, "declares 2000000000 edges, found 0"},
-		{"dimacs", func() error { _, err := ReadDIMACS(strings.NewReader("p sp 1 2000000000\n")); return err }, "declares 2000000000 arcs, found 0"},
+		{"text", read(ReadText, "p sssp 1 2000000000\n"), "declares 2000000000 edges, found 0"},
+		{"dimacs", read(ReadDIMACS, "p sp 1 2000000000\n"), "declares 2000000000 arcs, found 0"},
+		{"dimacs 2^62 vertices", read(auto, "p sp 4611686018427387904 0"), "4611686018427387904 vertices at line 1"},
+		{"dimacs 2^31 vertices", read(ReadDIMACS, "c big\np sp 2147483647 0\n"), "2147483647 vertices at line 2"},
+		{"text 2^31 vertices", read(ReadText, "p sssp 2147483647 1\n0 1 1\n"), "2147483647 vertices at line 1"},
+		{"edgelist 2^31 vertices", read(ReadEdgeList, "0 1\n0 2147483647\n1 2\n"), "2147483648 vertices at line 2"},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -133,6 +145,51 @@ func TestHeaderArcCountNotPreallocated(t *testing.T) {
 			t.Errorf("%s: rejecting the header allocated %d bytes, want < %d", tc.name, alloc, 4<<20)
 		}
 	}
+	// The limit itself: 2^20 + 2 vertices for one edge loads.
+	if g, err := ReadText(strings.NewReader(fmt.Sprintf("p sssp %d 1\n0 1 1\n", maxVertices(1)))); err != nil || g.NumVertices() != 1<<20+2 {
+		t.Fatalf("vertex count at the limit: err = %v", err)
+	}
+}
+
+// FuzzReadAuto: any input to the text, DIMACS and edge-list readers
+// gives an error or a graph that passes Validate and stays within the
+// vertex limit of its line count, whether ReadAuto detects the format
+// or a reader is called directly.
+func FuzzReadAuto(f *testing.F) {
+	g := randomCSR(12, 20, 3)
+	for _, write := range []func(io.Writer, *CSR) error{WriteText, WriteDIMACS, WriteEdgeList} {
+		var buf bytes.Buffer
+		if err := write(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, in := range []string{
+		"c tiny road fragment\np sp 4 5\na 1 2 3\na 2 1 3\nc interleaved comment\na 2 3 5\na 3 2 4\na 1 4 2.5\n",
+		"# comment\n% another\n0\t3\t2.5\n1 2\n3 1 4\n",
+		"p sssp 3 2\n0 1 1.5\n1 2 NaN\n",
+		"p sp 4611686018427387904 0",
+		"p sp 2147483647 0\n",
+		"0 2147483647\n",
+	} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		limit := maxVertices(bytes.Count(in, []byte("\n")) + 1)
+		auto := func(r io.Reader) (*CSR, error) { g, _, err := ReadAuto(r); return g, err }
+		for _, read := range []func(io.Reader) (*CSR, error){auto, ReadText, ReadDIMACS, ReadEdgeList} {
+			g, err := read(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			if verr := Validate(g); verr != nil {
+				t.Fatalf("accepted graph fails Validate: %v", verr)
+			}
+			if g.NumVertices() > limit {
+				t.Fatalf("%d vertices from %d bytes, over the limit %d", g.NumVertices(), len(in), limit)
+			}
+		}
+	})
 }
 
 func TestReadEdgeListFixture(t *testing.T) {

@@ -37,11 +37,28 @@ func edgesFor(m int) []Edge {
 	return make([]Edge, 0, min(max(m, 0), maxPreallocEdges))
 }
 
+// maxVertices is the size policy of the text, DIMACS and edge-list
+// readers: an input holding edges edge lines may declare at most 2^20
+// vertices plus two per edge. Each edge adds at most two non-isolated
+// vertices, so only isolated vertices can exceed the limit, and the
+// CSR arrays a declared count sizes stay proportional to the input's
+// length.
+func maxVertices(edges int) int { return 1<<20 + 2*edges }
+
+// checkVertices rejects a vertex count n over maxVertices(edges),
+// citing the line that declared it.
+func checkVertices(n, edges, line int) error {
+	if limit := maxVertices(edges); n > limit {
+		return fmt.Errorf("graph: %d vertices at line %d exceed the limit of %d for %d edges (2^20 plus two per edge)", n, line, limit, edges)
+	}
+	return nil
+}
+
 // ReadText parses the text edge-list format.
 func ReadText(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var n, m int
+	var n, m, headerLine int
 	var edges []Edge
 	seenHeader := false
 	line := 0
@@ -63,6 +80,7 @@ func ReadText(r io.Reader) (*CSR, error) {
 				return nil, fmt.Errorf("graph: negative sizes at line %d: %q", line, text)
 			}
 			seenHeader = true
+			headerLine = line
 			edges = edgesFor(m)
 			continue
 		}
@@ -98,6 +116,9 @@ func ReadText(r io.Reader) (*CSR, error) {
 	}
 	if len(edges) != m {
 		return nil, fmt.Errorf("graph: header declares %d edges, found %d (last line %d)", m, len(edges), line)
+	}
+	if err := checkVertices(n, len(edges), headerLine); err != nil {
+		return nil, err
 	}
 	return FromEdges(n, edges), nil
 }

@@ -336,23 +336,6 @@ func TestBuildFarthestCoversComponents(t *testing.T) {
 	}
 }
 
-func TestBuildDegree(t *testing.T) {
-	// A star: the hub has degree 5, every leaf degree 1.
-	b := graph.NewBuilder(6)
-	for v := 1; v < 6; v++ {
-		b.Add(0, graph.V(v), float64(v))
-	}
-	g := b.Build()
-	s, err := Build(g, 2, Degree, oracle(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	verts := s.Vertices()
-	if len(verts) != 2 || verts[0] != 0 || verts[1] != 1 {
-		t.Fatalf("degree selection picked %v, want [0 1]", verts)
-	}
-}
-
 func TestBuildEdgeCases(t *testing.T) {
 	g := line(4)
 	if _, err := Build(g, -1, Farthest, oracle(g)); err == nil {
@@ -368,7 +351,7 @@ func TestBuildEdgeCases(t *testing.T) {
 		t.Fatalf("k=0: %v, K=%d", err, s.K())
 	}
 	// k > n clamps to one landmark per vertex.
-	if s, err := Build(g, 50, Degree, oracle(g)); err != nil || s.K() != 4 {
+	if s, err := Build(g, 50, Farthest, oracle(g)); err != nil || s.K() != 4 {
 		t.Fatalf("k>n: %v, K=%d", err, s.K())
 	}
 	// Solver errors surface with the landmark id attached.
@@ -385,18 +368,3 @@ type fakeErr struct{}
 func (fakeErr) Error() string { return "fake solve failure" }
 
 var errFake = fakeErr{}
-
-func TestStrategyNames(t *testing.T) {
-	for _, strat := range []Strategy{Farthest, Degree} {
-		got, err := ParseStrategy(strat.String())
-		if err != nil || got != strat {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", strat.String(), got, err)
-		}
-	}
-	if _, err := ParseStrategy("nope"); err == nil {
-		t.Fatal("unknown name accepted")
-	}
-	if s := Strategy(42).String(); !strings.Contains(s, "42") {
-		t.Fatalf("Strategy(42).String() = %q", s)
-	}
-}

@@ -10,64 +10,30 @@ import (
 // Strategy names a landmark-selection policy.
 type Strategy int
 
-const (
-	// Farthest is farthest-point selection: start from the
-	// highest-degree vertex, then repeatedly add the vertex maximizing
-	// the distance to its nearest chosen landmark. Unreached vertices
-	// (other components) count as infinitely far, so disconnected
-	// graphs get one landmark per reached component before any
-	// intra-component spreading. The classic ALT default: landmarks
-	// end up on the periphery, where triangle bounds are tight.
-	Farthest Strategy = iota
-	// Degree is degree-weighted selection: the k highest-degree
-	// vertices. Cheaper to select (no intermediate solves guide the
-	// choice) and well-suited to scale-free graphs, where hubs lie on
-	// many shortest paths.
-	Degree
-)
-
-// String names the strategy as ParseStrategy accepts it.
-func (s Strategy) String() string {
-	switch s {
-	case Farthest:
-		return "farthest"
-	case Degree:
-		return "degree"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// ParseStrategy maps a strategy name to its Strategy value.
-func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "farthest":
-		return Farthest, nil
-	case "degree":
-		return Degree, nil
-	default:
-		return 0, fmt.Errorf("landmark: unknown strategy %q (want farthest|degree)", name)
-	}
-}
+// Farthest is farthest-point selection: start from the highest-degree
+// vertex, then repeatedly add the vertex maximizing the distance to its
+// nearest chosen landmark. Unreached vertices (other components) count
+// as infinitely far, so disconnected graphs get one landmark per
+// reached component before any intra-component spreading. The classic
+// ALT default: landmarks end up on the periphery, where triangle bounds
+// are tight.
+const Farthest Strategy = 0
 
 // SolveFunc computes a full single-source distance vector; Build uses
 // it to solve from each chosen landmark. Callers pass a closure over
 // their configured solver so this package needs no engine dependency.
 type SolveFunc func(src graph.V) ([]float64, error)
 
-// maxDegreeVertex returns the highest-degree vertex not already
-// chosen, preferring lower ids on ties; ok=false when all are chosen.
-func maxDegreeVertex(g *graph.CSR, chosen map[graph.V]bool) (graph.V, bool) {
-	best, bestDeg, ok := graph.V(0), -1, false
+// maxDegreeVertex returns the highest-degree vertex of a graph with at
+// least one vertex, preferring lower ids on ties.
+func maxDegreeVertex(g *graph.CSR) graph.V {
+	best, bestDeg := graph.V(0), -1
 	for v := 0; v < g.NumVertices(); v++ {
-		if chosen[graph.V(v)] {
-			continue
-		}
 		if d := g.Degree(graph.V(v)); d > bestDeg {
-			best, bestDeg, ok = graph.V(v), d, true
+			best, bestDeg = graph.V(v), d
 		}
 	}
-	return best, ok
+	return best
 }
 
 // Build selects up to k landmarks from g with the given strategy,
@@ -82,6 +48,9 @@ func Build(g *graph.CSR, k int, strat Strategy, solve SolveFunc) (*Set, error) {
 	}
 	if k > MaxLandmarks {
 		return nil, fmt.Errorf("landmark: %d landmarks exceeds the maximum %d", k, MaxLandmarks)
+	}
+	if strat != Farthest {
+		return nil, fmt.Errorf("landmark: unknown strategy %d", int(strat))
 	}
 	if k > n {
 		k = n
@@ -107,62 +76,33 @@ func Build(g *graph.CSR, k int, strat Strategy, solve SolveFunc) (*Set, error) {
 		return nil
 	}
 
-	switch strat {
-	case Degree:
-		for len(chosen) < k {
-			v, ok := maxDegreeVertex(g, chosen)
-			if !ok {
-				break
-			}
-			if err := add(v); err != nil {
-				return nil, err
-			}
-		}
-	case Farthest:
-		// minDist[v] = distance from v to its nearest chosen landmark,
-		// folded in as each landmark's vector arrives.
-		minDist := make([]float64, n)
-		for i := range minDist {
-			minDist[i] = math.Inf(1)
-		}
-		fold := func() {
-			for v, d := range set.vecs[len(set.vecs)-1] {
-				if d < minDist[v] {
-					minDist[v] = d
-				}
-			}
-		}
-		seedV, ok := maxDegreeVertex(g, chosen)
-		if !ok {
-			break
-		}
-		if err := add(seedV); err != nil {
+	// minDist[v] = distance from v to its nearest chosen landmark,
+	// folded in as each landmark's vector arrives.
+	minDist := make([]float64, n)
+	for i := range minDist {
+		minDist[i] = math.Inf(1)
+	}
+	for next := maxDegreeVertex(g); ; {
+		if err := add(next); err != nil {
 			return nil, err
 		}
-		fold()
-		for len(chosen) < k {
-			// Farthest vertex from the chosen set; +Inf (an unreached
-			// component) always wins, breaking component ties — and all
-			// ties — toward the lower id.
-			next, best, ok := graph.V(0), -1.0, false
-			for v := 0; v < n; v++ {
-				if chosen[graph.V(v)] {
-					continue
-				}
-				if d := minDist[v]; !ok || d > best {
-					next, best, ok = graph.V(v), d, true
-				}
+		for v, d := range set.vecs[len(set.vecs)-1] {
+			if d < minDist[v] {
+				minDist[v] = d
 			}
-			if !ok {
-				break
-			}
-			if err := add(next); err != nil {
-				return nil, err
-			}
-			fold()
 		}
-	default:
-		return nil, fmt.Errorf("landmark: unknown strategy %d", int(strat))
+		if len(chosen) == k {
+			break
+		}
+		// Farthest vertex from the chosen set; +Inf (an unreached
+		// component) always wins, breaking component ties — and all
+		// ties — toward the lower id.
+		best := -1.0
+		for v := 0; v < n; v++ {
+			if d := minDist[v]; !chosen[graph.V(v)] && d > best {
+				next, best = graph.V(v), d
+			}
+		}
 	}
 	return set, nil
 }

@@ -133,19 +133,3 @@ func WorkersGrain(n, grain int, fn func(worker int, claim func() (lo, hi int, ok
 	fork(workers, func(id int) { fn(id, claim) })
 	return workers
 }
-
-// Do runs the given functions concurrently (pool workers plus the
-// caller) and waits for all of them. It is the fork-join "parallel
-// composition" primitive. The functions must be independent: when the
-// pool is saturated or GOMAXPROCS is 1, some or all of them run
-// sequentially on the caller.
-func Do(fns ...func()) {
-	switch len(fns) {
-	case 0:
-		return
-	case 1:
-		fns[0]()
-		return
-	}
-	fork(len(fns), func(id int) { fns[id]() })
-}

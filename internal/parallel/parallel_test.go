@@ -96,24 +96,6 @@ func TestWorkersDistinctIDs(t *testing.T) {
 	}
 }
 
-func TestDo(t *testing.T) {
-	var a, b, c atomic.Bool
-	Do(
-		func() { a.Store(true) },
-		func() { b.Store(true) },
-		func() { c.Store(true) },
-	)
-	if !a.Load() || !b.Load() || !c.Load() {
-		t.Fatal("not all funcs ran")
-	}
-	Do() // no-op
-	ran := false
-	Do(func() { ran = true })
-	if !ran {
-		t.Fatal("single func not run")
-	}
-}
-
 func TestReduceSum(t *testing.T) {
 	for _, n := range []int{0, 1, 100, DefaultGrain * 7} {
 		got := Reduce(n, 0, func(i int) int { return i }, func(a, b int) int { return a + b })

@@ -76,7 +76,7 @@ func mergeSortInto[T any](src, buf []T, less func(a, b T) bool, inPlace bool) {
 		return
 	}
 	mid := n / 2
-	Do(
+	both(
 		func() { mergeSortInto(src[:mid], buf[:mid], less, !inPlace) },
 		func() { mergeSortInto(src[mid:], buf[mid:], less, !inPlace) },
 	)
@@ -101,10 +101,23 @@ func mergeInto[T any](a, b, out []T, less func(x, y T) bool) {
 	// point in the smaller run.
 	am := len(a) / 2
 	bm := lowerBound(b, a[am], less)
-	Do(
+	both(
 		func() { mergeInto(a[:am], b[:bm], out[:am+bm], less) },
 		func() { mergeInto(a[am:], b[bm:], out[am+bm:], less) },
 	)
+}
+
+// both runs the independent halves x and y of a divide step (a pool
+// worker plus the caller) and waits for both; a saturated pool runs
+// them one after the other on the caller.
+func both(x, y func()) {
+	fork(2, func(id int) {
+		if id == 0 {
+			x()
+		} else {
+			y()
+		}
+	})
 }
 
 func mergeSeq[T any](a, b, out []T, less func(x, y T) bool) {

@@ -94,12 +94,12 @@ type graphState struct {
 
 // sourcePath returns the on-disk file behind a reloadable config, or ""
 // for generated graphs (which the watcher has nothing to watch).
-func (g *GraphConfig) sourcePath() string {
+func sourcePath(cfg GraphConfig) string {
 	switch {
-	case g.Snapshot != "":
-		return g.Snapshot
-	case g.File != "":
-		return g.File
+	case cfg.Snapshot != "":
+		return cfg.Snapshot
+	case cfg.File != "":
+		return cfg.File
 	}
 	return ""
 }
@@ -331,7 +331,7 @@ func (r *Registry) buildLocked(gs *graphState) error {
 		return err
 	}
 	e.Epoch = r.nextEpoch()
-	if p := gs.cfg.sourcePath(); p != "" {
+	if p := sourcePath(gs.cfg); p != "" {
 		if st, serr := os.Stat(p); serr == nil {
 			gs.srcMtime = st.ModTime()
 		}
@@ -679,7 +679,7 @@ func (r *Registry) probeDue(gs *graphState, now time.Time, interval time.Duratio
 		gs.nextProbe = now.Add(time.Duration(factor) * interval)
 		return gs.name, true
 	}
-	p := gs.cfg.sourcePath()
+	p := sourcePath(gs.cfg)
 	if p == "" {
 		return "", false // generated graphs have no file to watch
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -152,83 +151,26 @@ func NewSolverEntry(name string, solver *rs.Solver, opt rs.Options, source strin
 	}
 }
 
-// GraphConfig describes one graph to load: exactly one of Gen (a
-// generator family name), File (a graph file in any auto-detected
-// format), or Snapshot (a cmd/graphpack snapshot) must be set. The
-// remaining fields tune generation and preprocessing; they are rejected
-// for snapshots whose preprocessing is already persisted. Its text form
-// is the ParseGraphSpec grammar, which the -graph flag and the admin
-// load body both use.
-type GraphConfig struct {
-	Name      string
-	Gen       string
-	File      string
-	Snapshot  string
-	N         int
-	Seed      uint64
-	Weights   int
-	Rho       int
-	K         int
-	Heuristic string
-	Engine    string
-	// Landmarks builds k ALT landmark vectors (farthest-point selection)
-	// at load time, enabling goal-directed route pruning. Rejected when
-	// the source is a snapshot that already carries persisted landmarks.
-	Landmarks int
-}
+// GraphConfig describes one graph to load: its Name and the graph spec
+// the registry builds it from (rs.GraphSpec). Rho, K, Heuristic and
+// Weights are rejected for a snapshot whose preprocessing is persisted,
+// and Landmarks for one that carries landmarks.
+type GraphConfig = rs.GraphSpec
 
-// ParseGraphSpec parses the -graph flag form
+// ParseGraphSpec parses the -graph flag form, a name, "=", and a graph
+// spec in the rs.ParseGraphSpec grammar:
 //
 //	name=gen=road,n=50000,weights=10000,rho=64
 //	name=file=/data/g.gr,rho=32
 //	name=snapshot=/data/g.snap
-//
-// into a GraphConfig. Unknown keys are an error, matching the
-// fail-loudly contract of ParseHeuristic/ParseEngine.
 func ParseGraphSpec(spec string) (GraphConfig, error) {
-	cfg := GraphConfig{Seed: 42}
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || rest == "" {
-		return cfg, fmt.Errorf("server: graph spec %q: want name=key=val,...", spec)
+		return GraphConfig{}, fmt.Errorf("server: graph spec %q: want name=key=val,...", spec)
 	}
+	cfg, err := rs.ParseGraphSpec(rest)
 	cfg.Name = name
-	for _, field := range strings.Split(rest, ",") {
-		k, v, ok := strings.Cut(field, "=")
-		if !ok || v == "" {
-			return cfg, fmt.Errorf("server: graph spec %q: bad field %q", spec, field)
-		}
-		var err error
-		switch k {
-		case "gen":
-			cfg.Gen = v
-		case "file":
-			cfg.File = v
-		case "snapshot":
-			cfg.Snapshot = v
-		case "n":
-			cfg.N, err = strconv.Atoi(v)
-		case "seed":
-			cfg.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "weights":
-			cfg.Weights, err = strconv.Atoi(v)
-		case "rho":
-			cfg.Rho, err = strconv.Atoi(v)
-		case "k":
-			cfg.K, err = strconv.Atoi(v)
-		case "heuristic":
-			cfg.Heuristic = v
-		case "engine":
-			cfg.Engine = v
-		case "landmarks":
-			cfg.Landmarks, err = strconv.Atoi(v)
-		default:
-			return cfg, fmt.Errorf("server: graph spec %q: unknown key %q", spec, k)
-		}
-		if err != nil {
-			return cfg, fmt.Errorf("server: graph spec %q: field %q: %v", spec, field, err)
-		}
-	}
-	return cfg, nil
+	return cfg, err
 }
 
 // BuildEntry loads or generates the graph described by cfg and returns a
@@ -256,36 +198,9 @@ func buildEntry(cfg GraphConfig) (*Entry, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("server: graph config needs a name")
 	}
-	srcs := 0
-	for _, s := range []string{cfg.Gen, cfg.File, cfg.Snapshot} {
-		if s != "" {
-			srcs++
-		}
-	}
-	if srcs != 1 {
-		return nil, fmt.Errorf("server: graph %q: exactly one of gen|file|snapshot required", cfg.Name)
-	}
-	if cfg.Landmarks < 0 || cfg.Landmarks > rs.MaxLandmarks {
-		return nil, fmt.Errorf("server: graph %q: landmarks %d out of range [0,%d]", cfg.Name, cfg.Landmarks, rs.MaxLandmarks)
-	}
-
-	opt := rs.Options{Rho: cfg.Rho, K: cfg.K}
-	if cfg.Heuristic != "" {
-		h, err := rs.ParseHeuristic(cfg.Heuristic)
-		if err != nil {
-			return nil, err
-		}
-		opt.Heuristic = h
-		if h == rs.HeuristicDirect && opt.K == 0 {
-			opt.K = 1 // direct is the (1,ρ) construction
-		}
-	}
-	if cfg.Engine != "" {
-		e, err := rs.ParseEngine(cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
-		opt.Engine = e
+	opt, err := cfg.Options()
+	if err != nil {
+		return nil, fmt.Errorf("server: graph %q: %w", cfg.Name, err)
 	}
 
 	start := time.Now()
@@ -293,30 +208,17 @@ func buildEntry(cfg GraphConfig) (*Entry, error) {
 		g      *rs.Graph
 		snap   *rs.Snapshot
 		size   int64
-		err    error
-		source = "file:" + cfg.File
 		format = "snapshot"
 	)
 	switch {
 	case cfg.Snapshot != "":
-		source = "snapshot:" + cfg.Snapshot
 		snap, size, err = rs.ReadSnapshotFile(cfg.Snapshot)
 	case cfg.File != "" && isSnapshotFile(cfg.File):
 		// A file= holding a snapshot gets the full snapshot treatment
 		// (persisted radii and all), not a silent graph-only load.
 		snap, size, err = rs.ReadSnapshotFile(cfg.File)
-	case cfg.File != "":
-		var f rs.GraphFormat
-		g, f, err = rs.LoadGraphFile(cfg.File)
-		format = f.String()
 	default:
-		n := cfg.N
-		if n == 0 {
-			n = 100000
-		}
-		source = fmt.Sprintf("gen:%s,n=%d,seed=%d", cfg.Gen, n, cfg.Seed)
-		format = "gen"
-		g, err = rs.GenerateByName(cfg.Gen, n, cfg.Seed)
+		g, format, err = cfg.Load()
 	}
 	if err != nil {
 		// %w: a snapshot's truncated/corrupt classification must
@@ -335,22 +237,21 @@ func buildEntry(cfg GraphConfig) (*Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
 		}
-		entry = NewSolverEntry(cfg.Name, solver, rs.Options{Engine: opt.Engine}, source, 0)
+		entry = NewSolverEntry(cfg.Name, solver, rs.Options{Engine: opt.Engine}, cfg.Source(), 0)
 		entry.Info.Rho, entry.Info.K, entry.Info.Heuristic = snap.Rho, snap.K, snap.Heuristic
 		entry.Info.RadiiSource = RadiiFromSnapshot
 	} else {
 		if snap != nil {
-			g = snap.G
-		}
-		if cfg.Weights > 0 {
-			g = rs.WithUniformIntWeights(g, 1, cfg.Weights, cfg.Seed+1)
+			// A graph-only snapshot serves in its stored ids, so a
+			// reordered one keeps its cache-locality relabeling.
+			g = cfg.Reweight(snap.G)
 		}
 		prep := time.Now()
 		solver, err := rs.NewSolver(g, opt)
 		if err != nil {
 			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
 		}
-		entry = NewSolverEntry(cfg.Name, solver, opt.WithDefaults(), source, time.Since(prep))
+		entry = NewSolverEntry(cfg.Name, solver, opt.WithDefaults(), cfg.Source(), time.Since(prep))
 	}
 	entry.Info.Format = format
 	if snap != nil {

@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -335,6 +337,16 @@ func TestBuildEntryFromGen(t *testing.T) {
 	}
 	if _, err := BuildEntry(GraphConfig{Name: "g", Gen: "nope", N: 100}); err == nil {
 		t.Fatal("unknown generator should fail")
+	}
+	// Sizes no graph can have are load errors, not recovered panics.
+	huge := filepath.Join(t.TempDir(), "huge.gr")
+	if err := os.WriteFile(huge, []byte("p sp 4611686018427387904 0"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []GraphConfig{{Name: "g", Gen: "er", N: -5}, {Name: "g", File: huge}} {
+		if _, err := BuildEntry(cfg); err == nil || strings.Contains(err.Error(), "panic") {
+			t.Fatalf("%+v: err = %v, want a load error", cfg, err)
+		}
 	}
 	if _, err := BuildEntry(GraphConfig{Name: "g", Gen: "grid2d", N: 100, Heuristic: "typo"}); err == nil {
 		t.Fatal("unknown heuristic should fail")

@@ -11,26 +11,15 @@ import (
 // LandmarkStrategy selects how BuildLandmarks picks landmark vertices.
 type LandmarkStrategy = landmark.Strategy
 
-const (
-	// LandmarksFarthest is farthest-point selection: each landmark
-	// maximizes the distance to its nearest predecessor, spreading the
-	// set to the periphery (and across components). The ALT default.
-	LandmarksFarthest = landmark.Farthest
-	// LandmarksDegree picks the k highest-degree vertices — hubs that
-	// lie on many shortest paths of scale-free graphs.
-	LandmarksDegree = landmark.Degree
-)
+// LandmarksFarthest is farthest-point selection, the only strategy:
+// each landmark maximizes the distance to its nearest predecessor,
+// spreading the set to the periphery (and across components).
+const LandmarksFarthest = landmark.Farthest
 
 // MaxLandmarks caps a solver's landmark set. A pruned query picks its
 // two active landmarks in one O(k) pass at query start; the bound it
 // prunes with reads only those two, whatever k is.
 const MaxLandmarks = landmark.MaxLandmarks
-
-// ParseLandmarkStrategy maps a strategy name (farthest, degree) to its
-// value; typos fail loudly.
-func ParseLandmarkStrategy(name string) (LandmarkStrategy, error) {
-	return landmark.ParseStrategy(name)
-}
 
 // BuildLandmarks selects k landmarks with the given strategy and
 // solves a full distance vector from each, replacing any existing set.

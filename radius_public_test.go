@@ -273,17 +273,23 @@ func TestUnreachablePublic(t *testing.T) {
 	}
 }
 
+// TestGenerateByName: n is every family's approximate vertex count, and
+// an n the family cannot build is an error, not a panic.
 func TestGenerateByName(t *testing.T) {
+	const n = 400
 	for _, kind := range []string{"grid2d", "grid3d", "road", "web", "er", "rmat", "smallworld", "comb"} {
-		g, err := rs.GenerateByName(kind, 400, 5)
+		g, err := rs.GenerateByName(kind, n, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if g.NumVertices() < 4 || g.NumEdges() < 3 {
-			t.Fatalf("%s: degenerate graph n=%d m=%d", kind, g.NumVertices(), g.NumEdges())
+		if v := g.NumVertices(); v < n/2 || v > 2*n || g.NumEdges() < 3 {
+			t.Fatalf("%s: n=%d m=%d, want between %d and %d vertices", kind, v, g.NumEdges(), n/2, 2*n)
 		}
 		if err := rs.Validate(g); err != nil {
 			t.Fatalf("%s: %v", kind, err)
+		}
+		if _, err := rs.GenerateByName(kind, -5, 5); err == nil {
+			t.Fatalf("%s: n = -5 accepted", kind)
 		}
 	}
 	if _, err := rs.GenerateByName("nope", 10, 1); err == nil {
