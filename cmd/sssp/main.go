@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -30,6 +31,10 @@ func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(2)
 }
+
+// report receives the text report. -trace - moves it to stderr, so
+// stdout carries the timeline JSON alone.
+var report io.Writer = os.Stdout
 
 // writeTimeline dumps one solve timeline as indented JSON; "-" writes
 // to stdout.
@@ -60,7 +65,7 @@ func routeMode(g *rs.Graph, solver *rs.Solver, src, dst rs.Vertex, engine rs.Eng
 		if err != nil {
 			fail("landmarks: %v", err)
 		}
-		fmt.Printf("landmarks: built %d (farthest) in %v\n", built, time.Since(t0).Round(time.Microsecond))
+		fmt.Fprintf(report, "landmarks: built %d (farthest) in %v\n", built, time.Since(t0).Round(time.Microsecond))
 	}
 	t0 := time.Now()
 	path, d, st, err := solver.Route(src, dst, engine, true)
@@ -69,10 +74,10 @@ func routeMode(g *rs.Graph, solver *rs.Solver, src, dst rs.Vertex, engine rs.Eng
 	}
 	elapsed := time.Since(t0)
 	if math.IsInf(d, 1) {
-		fmt.Printf("route: %v  %d..%d unreachable  %s\n", elapsed.Round(time.Microsecond), src, dst, st)
+		fmt.Fprintf(report, "route: %v  %d..%d unreachable  %s\n", elapsed.Round(time.Microsecond), src, dst, st)
 		return
 	}
-	fmt.Printf("route: %v  dist=%g hops=%d  %s\n", elapsed.Round(time.Microsecond), d, len(path)-1, st)
+	fmt.Fprintf(report, "route: %v  dist=%g hops=%d  %s\n", elapsed.Round(time.Microsecond), d, len(path)-1, st)
 	if verify {
 		// The route must realize its claimed length edge by edge, and the
 		// length must match an independent sequential oracle.
@@ -86,7 +91,7 @@ func routeMode(g *rs.Graph, solver *rs.Solver, src, dst rs.Vertex, engine rs.Eng
 		if exact := rs.Dijkstra(g, src)[dst]; exact != d {
 			fail("VERIFY FAILED: dijkstra says %g, route reported %g", exact, d)
 		}
-		fmt.Println("verify: route OK (path tight, distance matches dijkstra)")
+		fmt.Fprintln(report, "verify: route OK (path tight, distance matches dijkstra)")
 	}
 }
 
@@ -96,9 +101,12 @@ func main() {
 	algo := flag.String("algo", "radius", "radius|dijkstra|delta|bellmanford|bfs")
 	delta := flag.Float64("delta", 1000, "delta-stepping bucket width (-algo delta only; engine=delta derives its width from the graph)")
 	verify := flag.Bool("verify", false, "verify the result certificate")
-	traceOut := flag.String("trace", "", "write the solve timeline (steps, substeps, pool and frontier timings) as JSON to this file (-algo radius only; - for stdout)")
+	traceOut := flag.String("trace", "", "write the solve timeline (steps, substeps, pool and frontier timings) as JSON to this file (-algo radius only; - for stdout, which moves the report to stderr)")
 	target := flag.Int("target", -1, "route mode: answer a point-to-point query src..target with an early-terminated solve (-algo radius only)")
 	flag.Parse()
+	if *traceOut == "-" {
+		report = os.Stderr
+	}
 	radius := *algo == "radius"
 	flag.Visit(func(f *flag.Flag) {
 		switch {
@@ -130,8 +138,8 @@ func main() {
 	if err != nil {
 		fail("load: %v", err)
 	}
-	fmt.Printf("loaded %s (%s)\n", spec.Source(), format)
-	fmt.Printf("graph: n=%d m=%d L=%g\n", g.NumVertices(), g.NumEdges(), g.MaxWeight())
+	fmt.Fprintf(report, "loaded %s (%s)\n", spec.Source(), format)
+	fmt.Fprintf(report, "graph: n=%d m=%d L=%g\n", g.NumVertices(), g.NumEdges(), g.MaxWeight())
 	if *src < 0 || *src >= g.NumVertices() {
 		fail("source %d out of range", *src)
 	}
@@ -146,7 +154,7 @@ func main() {
 			fail("preprocess: %v", err)
 		}
 		pre := solver.Preprocessed()
-		fmt.Printf("preprocess: %v (added %d shortcuts, visited %d, scanned %d)\n",
+		fmt.Fprintf(report, "preprocess: %v (added %d shortcuts, visited %d, scanned %d)\n",
 			time.Since(t0).Round(time.Microsecond), pre.Added, pre.Visited, pre.EdgesScanned)
 		if *target >= 0 {
 			routeMode(g, solver, source, rs.Vertex(*target), opt.Engine, spec.Landmarks, *verify)
@@ -164,7 +172,7 @@ func main() {
 			if werr := writeTimeline(*traceOut, tl); werr != nil {
 				fail("trace: %v", werr)
 			}
-			fmt.Printf("trace: engine=%s steps=%d substeps=%d written to %s\n",
+			fmt.Fprintf(report, "trace: engine=%s steps=%d substeps=%d written to %s\n",
 				tl.Engine, len(tl.StepList), len(tl.SubstepList), *traceOut)
 		} else {
 			d, st, err = solver.Distances(source)
@@ -172,34 +180,34 @@ func main() {
 				fail("solve: %v", err)
 			}
 		}
-		fmt.Printf("radius-stepping: %v  %s\n", time.Since(t1).Round(time.Microsecond), st)
+		fmt.Fprintf(report, "radius-stepping: %v  %s\n", time.Since(t1).Round(time.Microsecond), st)
 		dist = d
 	case "dijkstra":
 		t0 := time.Now()
 		dist = rs.Dijkstra(g, source)
-		fmt.Printf("dijkstra: %v\n", time.Since(t0).Round(time.Microsecond))
+		fmt.Fprintf(report, "dijkstra: %v\n", time.Since(t0).Round(time.Microsecond))
 	case "delta":
 		t0 := time.Now()
 		d, st := rs.DeltaStepping(g, source, *delta)
-		fmt.Printf("delta-stepping: %v  steps=%d substeps=%d scanned=%d\n",
+		fmt.Fprintf(report, "delta-stepping: %v  steps=%d substeps=%d scanned=%d\n",
 			time.Since(t0).Round(time.Microsecond), st.Steps, st.Substeps, st.EdgesScanned)
 		dist = d
 	case "bellmanford":
 		t0 := time.Now()
 		d, rounds := rs.BellmanFord(g, source)
-		fmt.Printf("bellman-ford: %v  rounds=%d\n", time.Since(t0).Round(time.Microsecond), rounds)
+		fmt.Fprintf(report, "bellman-ford: %v  rounds=%d\n", time.Since(t0).Round(time.Microsecond), rounds)
 		dist = d
 	case "bfs":
 		t0 := time.Now()
 		hops, levels := rs.BFSParallel(g, source)
-		fmt.Printf("parallel bfs: %v  levels=%d\n", time.Since(t0).Round(time.Microsecond), levels)
+		fmt.Fprintf(report, "parallel bfs: %v  levels=%d\n", time.Since(t0).Round(time.Microsecond), levels)
 		reached := 0
 		for _, h := range hops {
 			if h >= 0 {
 				reached++
 			}
 		}
-		fmt.Printf("reached %d/%d vertices\n", reached, g.NumVertices())
+		fmt.Fprintf(report, "reached %d/%d vertices\n", reached, g.NumVertices())
 		return
 	default:
 		fail("unknown -algo %q", *algo)
@@ -214,11 +222,11 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("reached %d/%d vertices, max distance %g\n", reached, g.NumVertices(), maxD)
+	fmt.Fprintf(report, "reached %d/%d vertices, max distance %g\n", reached, g.NumVertices(), maxD)
 	if *verify {
 		if err := rs.VerifyDistances(g, source, dist); err != nil {
 			fail("VERIFY FAILED: %v", err)
 		}
-		fmt.Println("verify: certificate OK")
+		fmt.Fprintln(report, "verify: certificate OK")
 	}
 }

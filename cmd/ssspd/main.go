@@ -17,9 +17,9 @@
 //
 // Goal-directed routing: the landmarks=K spec key builds K ALT landmark
 // vectors at load time, making /v1/route solves goal-directed (pruned);
-// ?prune=0 opts a request out for A/B measurement. -auto-landmarks
-// additionally promotes cached distance vectors into each graph's
-// landmark set, so hot sources sharpen later routes for free.
+// ?prune=0 opts a request out for A/B measurement. A served graph's
+// landmark set is the one its spec built (or its snapshot carried) and
+// never changes while that epoch serves.
 //
 // Observability: GET /metrics serves Prometheus text (per-engine solve
 // latency histograms, per-endpoint request/error counters, cache, pool
@@ -40,12 +40,12 @@
 // one, and a failed reload quarantines while the old epoch keeps
 // serving. The admin surface (reload, load, DELETE) listens on
 // -admin-addr (private, unauthenticated) and/or mounts on the query
-// port guarded by -admin-token. -watch polls file-backed sources and
-// reloads on mtime change, re-probing quarantined graphs with
-// exponential backoff. -graph-budget-mb caps resident graph bytes,
-// evicting least-recently-queried graphs to cold state; the next query
-// triggers a transparent background reload (503 + Retry-After until it
-// lands).
+// port guarded by -admin-token. A spec loaded through the admin API
+// that fails to build answers 422 and leaves nothing registered.
+// -watch polls file-backed sources and reloads on mtime change,
+// re-probing quarantined graphs with exponential backoff. A graph is
+// always ready, quarantined or failed: the only way one enters is its
+// spec, and the only way its epoch changes is a rebuild of that spec.
 //
 // Request lifecycle: every solve-backed request runs under the
 // -solve-timeout deadline (clients may shorten it per request with
@@ -112,13 +112,11 @@ func main() {
 	selftestClients := flag.Int("selftest-clients", 16, "concurrent clients used by -selftest")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	logRequests := flag.Bool("log-requests", false, "emit a structured log line per request and per solve")
-	autoLandmarks := flag.Bool("auto-landmarks", false, "promote cached distance vectors into each graph's ALT landmark set (goal-directed route pruning)")
 	solveTimeout := flag.Duration("solve-timeout", server.DefaultSolveTimeout, "per-request solve deadline; ?timeout_ms= may shorten it per request, never extend (0 disables)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "how long shutdown waits for in-flight solves before aborting them")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for a solve slot before shedding with 503 (0 = 8 per worker)")
 	adminAddr := flag.String("admin-addr", "", "serve the unauthenticated admin API (reload/load/remove) on this private address; empty disables")
 	adminToken := flag.String("admin-token", "", "mount the admin API on the query port, guarded by this bearer token; empty keeps it off")
-	graphBudgetMB := flag.Int64("graph-budget-mb", 0, "resident graph-memory budget in MiB; least-recently-queried graphs are evicted to cold state and reload on demand (0 = unlimited)")
 	watch := flag.Duration("watch", 0, "poll file-backed graph sources at this interval and hot-reload on change; quarantined graphs re-probe with backoff (0 disables)")
 	requireAllGraphs := flag.Bool("require-all-graphs", false, "exit at startup if ANY graph fails to load (default: come up degraded if at least one serves)")
 	flag.Parse()
@@ -140,9 +138,6 @@ func main() {
 	}
 
 	reg := server.NewRegistry()
-	if *graphBudgetMB > 0 {
-		reg.SetBudget(*graphBudgetMB << 20)
-	}
 	// Graphs load concurrently and independently: one broken spec
 	// quarantines (visible in /readyz and /v1/graphs) while the others
 	// come up. Duplicate names are caught by LoadConfig's registration,
@@ -160,18 +155,15 @@ func main() {
 					log.Printf("graph %q failed to load (quarantined): %v", cfg.Name, err)
 					return
 				}
-				entry, _ := reg.Get(cfg.Name)
-				if entry == nil {
-					// Loaded and already budget-evicted; still a success.
-					log.Printf("graph %q loaded and immediately evicted under -graph-budget-mb", cfg.Name)
-					ok.Add(1)
-					return
-				}
-				log.Printf("graph %q ready: n=%d m=%d rho=%d k=%d +%d shortcuts radii=%s source=%s (%v)",
-					entry.Name, entry.Info.Vertices, entry.Info.Edges, entry.Info.Rho,
-					entry.Info.K, entry.Info.ShortcutsAdded, entry.Info.RadiiSource,
-					entry.Info.Source, time.Since(t0).Round(time.Millisecond))
 				ok.Add(1)
+				// The admin listener is already up: a DELETE may have
+				// removed the graph since it loaded.
+				if entry, found := reg.Get(cfg.Name); found {
+					log.Printf("graph %q ready: n=%d m=%d rho=%d k=%d +%d shortcuts radii=%s source=%s (%v)",
+						entry.Name, entry.Info.Vertices, entry.Info.Edges, entry.Info.Rho,
+						entry.Info.K, entry.Info.ShortcutsAdded, entry.Info.RadiiSource,
+						entry.Info.Source, time.Since(t0).Round(time.Millisecond))
+				}
 			}(cfg)
 		}
 		wg.Wait()
@@ -187,13 +179,12 @@ func main() {
 		effTimeout = -1 // Config: < 0 disables the deadline
 	}
 	srv := server.New(reg, server.Config{
-		Workers:       *workers,
-		CacheBytes:    *cacheMB << 20,
-		Logger:        reqLogger,
-		AutoLandmarks: *autoLandmarks,
-		SolveTimeout:  effTimeout,
-		QueueDepth:    *maxQueue,
-		AdminToken:    *adminToken,
+		Workers:      *workers,
+		CacheBytes:   *cacheMB << 20,
+		Logger:       reqLogger,
+		SolveTimeout: effTimeout,
+		QueueDepth:   *maxQueue,
+		AdminToken:   *adminToken,
 	})
 
 	if *selftest {

@@ -264,21 +264,21 @@ func TestCLISsspRouteAndTrace(t *testing.T) {
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("-trace -: %v\n%s", err, stderr.String())
 	}
-	// The timeline JSON sits between the graph lines and the summary.
-	text := stdout.String()
-	start, end := strings.Index(text, "\n{"), strings.LastIndex(text, "\n}")
-	if start < 0 || end < start {
-		t.Fatalf("no timeline JSON in:\n%s", text)
-	}
+	// stdout is the timeline JSON alone; the report goes to stderr.
 	var tl struct {
 		Steps    int               `json:"steps"`
 		StepList []json.RawMessage `json:"stepList"`
 	}
-	if err := json.Unmarshal([]byte(text[start+1:end+2]), &tl); err != nil {
-		t.Fatalf("timeline: %v\n%s", err, text)
+	if err := json.Unmarshal([]byte(stdout.String()), &tl); err != nil {
+		t.Fatalf("timeline: %v\n%s", err, stdout.String())
 	}
 	if tl.Steps == 0 || tl.Steps != len(tl.StepList) {
 		t.Fatalf("timeline steps = %d, stepList has %d records", tl.Steps, len(tl.StepList))
+	}
+	for _, want := range []string{"loaded ", "graph: ", "preprocess: ", "trace: ", "radius-stepping: ", "reached "} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Fatalf("missing %q in the -trace - report on stderr:\n%s", want, stderr.String())
+		}
 	}
 }
 
@@ -322,9 +322,13 @@ func TestCLISsspdSelftest(t *testing.T) {
 	if _, err := runCLI(t, dir, "ssspd"); err == nil {
 		t.Fatal("serving with no graphs accepted")
 	}
-	// Flags and -graph specs are the only configuration.
-	if out := wantExit2(t, dir, "ssspd", "-config", "x.json"); !strings.Contains(out, "flag provided but not defined: -config") {
-		t.Fatalf("-config: want an unknown flag:\n%s", out)
+	// Flags and -graph specs are the only configuration, and a served
+	// graph is what its spec built: no graph memory budget, no landmark
+	// adoption.
+	for _, args := range [][]string{{"-config", "x.json"}, {"-graph-budget-mb", "1"}, {"-auto-landmarks"}} {
+		if out := wantExit2(t, dir, "ssspd", args...); !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Fatalf("%s: want an unknown flag:\n%s", args[0], out)
+		}
 	}
 }
 

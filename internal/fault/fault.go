@@ -28,17 +28,16 @@ const (
 	// the same panic guard as the engine itself.
 	SiteSolve = "solve"
 	// SiteCacheFill fires after a successful solve, before the result is
-	// written to the distance cache (and adopted as a landmark). An
-	// injected error or panic skips the fill; the response is still
-	// correct.
+	// written to the distance cache. An injected error or panic skips
+	// the fill; the response is still correct.
 	SiteCacheFill = "cache-fill"
 	// SiteSnapshotLoad fires at the top of registry entry construction
 	// (BuildEntry), before any file is opened or graph generated.
 	SiteSnapshotLoad = "snapshot-load"
 	// SiteReload fires at the top of a registry hot reload (admin
-	// endpoint, watcher, or cold-state reload), before the rebuild
-	// starts — the seam the chaos suite uses to fail a reload while the
-	// old epoch must keep serving.
+	// endpoint or watcher), before the rebuild starts — the seam the
+	// chaos suite uses to fail a reload while the old epoch must keep
+	// serving.
 	SiteReload = "reload"
 )
 

@@ -104,8 +104,6 @@ func (s *Server) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 	case errors.Is(err, ErrGraphUnknown):
 		s.fail(w, http.StatusNotFound, "unknown graph %q", req.Graph)
-	case errors.Is(err, ErrGraphNotReloadable):
-		s.fail(w, http.StatusConflict, "%v", err)
 	default:
 		// Build/validation failure: the old epoch (if any) keeps
 		// serving; the health record carries the quarantine details.
@@ -121,10 +119,10 @@ type adminLoadRequest struct {
 	Spec string `json:"spec"`
 }
 
-// handleAdminLoad registers and loads a new graph at runtime. A build
-// failure still registers the graph — failed, visible in health,
-// re-probed by the watcher — and answers 422; DELETE removes it if the
-// registration was a mistake.
+// handleAdminLoad registers and loads a new graph at runtime. A spec
+// that fails to build answers 422 with the error and leaves nothing
+// registered: readiness and health are unchanged, the watcher has
+// nothing to re-probe, and a corrected load may reuse the name.
 func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 	var req adminLoadRequest
 	if !decodeBody(w, r, &req) {
@@ -135,18 +133,16 @@ func (s *Server) handleAdminLoad(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	err = s.registry.LoadConfig(cfg)
-	resp := adminGraphResponse{Graph: cfg.Name, Health: s.healthFor(cfg.Name)}
-	switch {
+	switch err = s.registry.load(cfg, false); {
 	case err == nil:
+		resp := adminGraphResponse{Graph: cfg.Name, Health: s.healthFor(cfg.Name)}
 		s.logAdmin("load", cfg.Name, resp.Health.Epoch, nil)
 		writeJSON(w, http.StatusOK, resp)
 	case errors.Is(err, ErrGraphDuplicate):
 		s.fail(w, http.StatusConflict, "%v", err)
 	default:
-		resp.Error = err.Error()
 		s.logAdmin("load", cfg.Name, 0, err)
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
+		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 var chaosEngines = []string{"sequential", "parallel", "flat", "delta", "rho"}
 
 // newChaosServer builds an HTTP server over a real generated graph via
-// BuildEntry — the same construction path cmd/ssspd uses, so the
+// LoadConfig — the same construction path cmd/ssspd uses, so the
 // snapshot-load fault seam is exercised by the loader tests below. The
 // cache is disabled so every request runs the full flight → pool →
 // engine pipeline.
@@ -30,19 +30,8 @@ func newChaosServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	fault.Clear()
 	t.Cleanup(fault.Clear)
-	entry, err := BuildEntry(GraphConfig{
-		Name: "chaos", Gen: "grid2d", N: 400, Seed: 9, Weights: 100, Rho: 8,
-	})
-	if err != nil {
-		t.Fatalf("BuildEntry: %v", err)
-	}
-	reg := NewRegistry()
-	if err := reg.Add(entry); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	s := New(reg, Config{Workers: 2, QueueDepth: 64, CacheBytes: 0, SolveTimeout: 30 * time.Second})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	s, ts, _ := serveGraph(t, Config{Workers: 2, QueueDepth: 64, CacheBytes: 0, SolveTimeout: 30 * time.Second},
+		GraphConfig{Name: "chaos", Gen: "grid2d", N: 400, Seed: 9, Weights: 100, Rho: 8})
 	return s, ts
 }
 

@@ -236,23 +236,11 @@ func TestCacheHitBytesConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	g, err := rs.GenerateByName("rmat", 20000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g = rs.WithUniformIntWeights(g, 1, 1000, 2)
-	solver, err := rs.NewSolver(g, rs.Options{Rho: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	if err := reg.Add(NewSolverEntry("rmat", solver, rs.Options{Rho: 8}, "test", 0)); err != nil {
-		t.Fatal(err)
-	}
-	s := New(reg, Config{CacheBytes: 64 << 20})
+	s, _, e := serveGraph(t, Config{CacheBytes: 64 << 20},
+		GraphConfig{Name: "rmat", Gen: "rmat", N: 20000, Seed: 1, Weights: 1000, Rho: 8})
 	h := s.Handler()
 	const requests = 200
-	body := fmt.Sprintf(`{"graph":"rmat","source":%d}`, g.NumVertices()/2)
+	body := fmt.Sprintf(`{"graph":"rmat","source":%d}`, e.Info.Vertices/2)
 	reqs := make([]*http.Request, requests+2)
 	for i := range reqs {
 		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/distances", strings.NewReader(body))
@@ -283,7 +271,7 @@ func TestCacheHitBytesConstant(t *testing.T) {
 		t.Fatalf("cache hits %d, want %d", hits, requests+1)
 	}
 	perHit := (after.TotalAlloc - before.TotalAlloc) / requests
-	t.Logf("%d vertices, %d-byte bodies: %d bytes allocated per hit", g.NumVertices(), bodyLen, perHit)
+	t.Logf("%d vertices, %d-byte bodies: %d bytes allocated per hit", e.Info.Vertices, bodyLen, perHit)
 	if perHit >= 16<<10 {
 		t.Fatalf("a warm full-vector hit allocates %d bytes, want < %d", perHit, 16<<10)
 	}

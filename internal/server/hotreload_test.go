@@ -289,59 +289,6 @@ func TestReadyzAllFailed(t *testing.T) {
 	}
 }
 
-// TestBudgetEvictionAndColdReload: exceeding the registry budget evicts
-// the least-recently-queried graph to cold state; the next Acquire
-// answers ErrGraphReloading while a single background rebuild runs, and
-// the graph returns transparently.
-func TestBudgetEvictionAndColdReload(t *testing.T) {
-	dir := t.TempDir()
-	pa, pb := filepath.Join(dir, "a.snap"), filepath.Join(dir, "b.snap")
-	packWeighted(t, pa, 100)
-	packWeighted(t, pb, 100)
-
-	reg := NewRegistry()
-	if err := reg.LoadConfig(GraphConfig{Name: "a", Snapshot: pa}); err != nil {
-		t.Fatalf("load a: %v", err)
-	}
-	ea, _ := reg.Get("a")
-	// Budget fits one graph, not two: loading b must evict a (the LRU).
-	reg.SetBudget(estimateEntryBytes(ea) + estimateEntryBytes(ea)/2)
-	if err := reg.LoadConfig(GraphConfig{Name: "b", Snapshot: pb}); err != nil {
-		t.Fatalf("load b: %v", err)
-	}
-	if _, ok := reg.Get("a"); ok {
-		t.Fatal("a still serving; budget eviction did not fire")
-	}
-	if _, ok := reg.Get("b"); !ok {
-		t.Fatal("b (just loaded) was evicted — keep protection failed")
-	}
-	if c := reg.Counters(); c.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", c.Evictions)
-	}
-
-	// Cold acquire: 503-class error now, transparent reload shortly. The
-	// reload will evict b in turn (the budget still only fits one).
-	if _, err := reg.Acquire("a"); !errors.Is(err, ErrGraphReloading) {
-		t.Fatalf("cold acquire: %v, want ErrGraphReloading", err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := reg.Acquire("a"); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cold reload never completed")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if c := reg.Counters(); c.ColdReloads != 1 {
-		t.Fatalf("coldReloads = %d, want 1", c.ColdReloads)
-	}
-	if c := reg.Counters(); c.LoadFailures != 0 {
-		t.Fatalf("loadFailures = %d, want 0 — eviction is not failure", c.LoadFailures)
-	}
-}
-
 // TestWatcherReloadsOnMtimeAndBacksOffOnFailure drives probeAll ticks
 // synchronously: a fresher source mtime triggers a reload; a breaking
 // file quarantines; subsequent ticks within the backoff window skip the
@@ -468,8 +415,8 @@ func TestAdminTokenGate(t *testing.T) {
 }
 
 // TestAdminHandlerLifecycle exercises the private-listener surface end
-// to end: reload (200 / 404 / 409 / 422-quarantine), load (200 / 409 /
-// 400), and remove (200 / 404).
+// to end: reload (200 / 404 / 422-quarantine), load (200 / 409 / 400 /
+// 422 leaving nothing registered), and remove (200 / 404).
 func TestAdminHandlerLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.snap")
@@ -483,17 +430,6 @@ func TestAdminHandlerLifecycle(t *testing.T) {
 	}
 	if code, _ := adminDo(t, admin, "POST", "/v1/admin/reload", "", `{"graph":"nope"}`); code != http.StatusNotFound {
 		t.Fatalf("reload unknown: %d, want 404", code)
-	}
-	// A graph published through Add has no rebuild recipe.
-	solver, err := rs.NewSolver(rs.Grid2D(4, 4), rs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Registry().Add(NewSolverEntry("fixed", solver, rs.Options{}, "test", 0)); err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := adminDo(t, admin, "POST", "/v1/admin/reload", "", `{"graph":"fixed"}`); code != http.StatusConflict {
-		t.Fatalf("reload without a recipe: %d, want 409", code)
 	}
 
 	// A reload failure answers 422 and reports the quarantine.
@@ -533,6 +469,23 @@ func TestAdminHandlerLifecycle(t *testing.T) {
 	if _, ok := s.Registry().Get("x"); ok {
 		t.Fatal("a rejected load body registered a graph")
 	}
+	// A spec that fails to build answers 422 with the error and registers
+	// nothing: readiness and health read as before, and a corrected load
+	// may take the name.
+	_, ready := adminDo(t, admin, "GET", "/readyz", "", "")
+	_, graphs := adminDo(t, admin, "GET", "/v1/graphs", "", "")
+	if code, body := adminDo(t, admin, "POST", "/v1/admin/load", "", `{"spec":"x=gen=er,n=-5"}`); code != http.StatusUnprocessableEntity || !strings.Contains(body, "needs n in") {
+		t.Fatalf("load of a spec that fails to build: %d (%s), want 422 with the error", code, body)
+	}
+	if _, after := adminDo(t, admin, "GET", "/readyz", "", ""); after != ready {
+		t.Fatalf("readyz after a failed load: %s, want %s", after, ready)
+	}
+	if _, after := adminDo(t, admin, "GET", "/v1/graphs", "", ""); after != graphs {
+		t.Fatalf("graphs after a failed load: %s, want %s", after, graphs)
+	}
+	if code, body := adminDo(t, admin, "POST", "/v1/admin/load", "", fmt.Sprintf(`{"spec":"x=snapshot=%s"}`, p2)); code != http.StatusOK {
+		t.Fatalf("corrected load under the failed name: %d (%s), want 200", code, body)
+	}
 
 	if code, _ := adminDo(t, admin, "DELETE", "/v1/admin/graphs/h", "", ""); code != http.StatusOK {
 		t.Fatalf("remove: %d", code)
@@ -542,6 +495,39 @@ func TestAdminHandlerLifecycle(t *testing.T) {
 	}
 	if code, _ := adminDo(t, admin, "DELETE", "/v1/admin/graphs/h", "", ""); code != http.StatusNotFound {
 		t.Fatalf("double remove: %d, want 404", code)
+	}
+}
+
+// TestAdminLoadRejectedConcurrently races admin loads of one name whose
+// spec cannot build against queries and health reads of that name:
+// every load fails, with the build error or as a duplicate, nothing
+// stays registered, and the name is then free.
+func TestAdminLoadRejectedConcurrently(t *testing.T) {
+	reg := NewRegistry()
+	bad := GraphConfig{Name: "x", Gen: "er", N: -5}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := reg.load(bad, false); err == nil {
+				t.Error("a spec that cannot build loaded")
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if _, err := reg.Acquire("x"); err == nil {
+				t.Error("acquired a graph that never built")
+			}
+			reg.Health()
+		}()
+	}
+	wg.Wait()
+	if _, total := reg.ReadyCount(); total != 0 {
+		t.Fatalf("%d graphs registered after rejected loads, want 0", total)
+	}
+	if err := reg.load(GraphConfig{Name: "x", Gen: "grid2d", N: 100}, false); err != nil {
+		t.Fatalf("load after the rejected ones: %v", err)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 // Graph lifecycle states, as reported by Registry.Health and
 // GET /v1/graphs. A graph's state is derived, not stored: it falls out
-// of which of the graphState fields are set.
+// of whether an epoch is published and whether the last build failed.
 const (
 	// GraphReady: a published epoch is serving and the last load worked.
 	GraphReady = "ready"
@@ -28,29 +28,17 @@ const (
 	// GraphFailed: no epoch has ever loaded (degraded startup); queries
 	// get 503 until a re-probe or admin reload succeeds.
 	GraphFailed = "failed"
-	// GraphCold: the epoch was evicted under the memory budget; the next
-	// query triggers a transparent background reload.
-	GraphCold = "cold"
-	// GraphLoading: a cold/background reload is in flight.
-	GraphLoading = "loading"
 )
 
 // Typed registry failures. The serving layer maps them to status codes:
-// unknown → 404, loading/cold → 503 + Retry-After, failed → 503 with
-// the quarantine cause, duplicate and not-reloadable → 409 on the admin
-// surface.
+// unknown → 404, failed → 503 with the quarantine cause, duplicate →
+// 409 on the admin surface.
 var (
 	// ErrGraphUnknown: no graph with that name was ever registered.
 	ErrGraphUnknown = errors.New("server: unknown graph")
-	// ErrGraphDuplicate: Add or LoadConfig named a graph that is
-	// already registered.
+	// ErrGraphDuplicate: LoadConfig named a graph that is already
+	// registered.
 	ErrGraphDuplicate = errors.New("server: duplicate graph name")
-	// ErrGraphNotReloadable: Reload named a graph published through Add,
-	// which has no rebuild recipe.
-	ErrGraphNotReloadable = errors.New("server: graph cannot be reloaded")
-	// ErrGraphReloading: the graph was evicted to cold state and a
-	// background reload is (now) in flight; retry shortly.
-	ErrGraphReloading = errors.New("server: graph reloading")
 	// ErrGraphFailed: the graph has never produced a servable epoch; its
 	// health entry carries the load error.
 	ErrGraphFailed = errors.New("server: graph unavailable")
@@ -58,25 +46,16 @@ var (
 
 // graphState is the registry's mutable lifecycle record for one named
 // graph. The published epoch lives in cur — an atomic pointer readers
-// pin without locks — and everything else (reload config, quarantine
-// bookkeeping, eviction state) sits behind the per-graph mutex so a
-// slow rebuild of one graph never blocks another graph's reload, and
-// never blocks any reader at all.
+// pin without locks — and everything else (the spec, quarantine
+// bookkeeping) sits behind the per-graph mutex so a slow rebuild of one
+// graph never blocks another graph's reload, and never blocks any
+// reader at all.
 type graphState struct {
 	name string
-	cur  atomic.Pointer[Entry] // nil while failed or cold
+	cur  atomic.Pointer[Entry] // nil until a build succeeds
 
-	// lastUsed is the registry LRU clock value at the most recent
-	// Acquire — the eviction order under a memory budget.
-	lastUsed atomic.Int64
-	// bytes is the resident-size estimate of the published epoch,
-	// counted against the registry budget (0 while cold/failed).
-	bytes atomic.Int64
-
-	mu         sync.Mutex
-	cfg        GraphConfig // rebuild recipe; meaningful iff reloadable
-	reloadable bool        // false for entries published via Add (no recipe)
-	loading    bool        // a background (cold) reload is in flight
+	mu  sync.Mutex
+	cfg GraphConfig // the spec every rebuild starts from
 
 	// Quarantine bookkeeping: consecutive build failures, the latest
 	// error, and the watcher's next re-probe time (exponential backoff).
@@ -87,13 +66,10 @@ type graphState struct {
 	// srcMtime is the last observed modification time of a file-backed
 	// source, so the watcher reloads exactly when the file changes.
 	srcMtime time.Time
-	// evicted marks a budget eviction (cold state): cur is nil but the
-	// graph is healthy and reloads on demand.
-	evicted bool
 }
 
-// sourcePath returns the on-disk file behind a reloadable config, or ""
-// for generated graphs (which the watcher has nothing to watch).
+// sourcePath returns the on-disk file behind a spec, or "" for
+// generated graphs (which the watcher has nothing to watch).
 func sourcePath(cfg GraphConfig) string {
 	switch {
 	case cfg.Snapshot != "":
@@ -106,10 +82,12 @@ func sourcePath(cfg GraphConfig) string {
 
 // Registry maps graph names to epoch-versioned solvers so multiple
 // graph deployments coexist in one daemon and any of them can be
-// reloaded, quarantined, evicted, or removed at runtime without
-// touching the others. Readers never lock beyond the name lookup: they
-// pin the current epoch with one atomic load and keep computing on it
-// even while a swap publishes the next one.
+// reloaded, quarantined, or removed at runtime without touching the
+// others. A graph enters only through LoadConfig, and its published
+// epoch changes only when a rebuild from the same spec (Reload, Watch)
+// succeeds. Readers never lock beyond the name lookup: they pin the
+// current epoch with one atomic load and keep computing on it even
+// while a swap publishes the next one.
 type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*graphState
@@ -118,41 +96,23 @@ type Registry struct {
 	// published Entry gets the next value, across all graphs, so "newer
 	// epoch" is meaningful even between different graphs' reloads.
 	epoch atomic.Uint64
-	// useSeq is the LRU clock: each Acquire stamps the graph with the
-	// next tick, and budget eviction picks the smallest stamp.
-	useSeq atomic.Int64
-	// budget caps the summed resident-size estimates (0 = unlimited).
-	budget atomic.Int64
 
 	// onSwap, when set (by Server), is called with the graph name after
-	// every swap, eviction, or removal — the epoch-scoped cache
-	// invalidation hook. It must be cheap and must not call back into
-	// the registry.
+	// every swap or removal — the epoch-scoped cache invalidation hook.
+	// It must be cheap and must not call back into the registry.
 	onSwap atomic.Pointer[func(string)]
 
 	// Lifecycle counters, read at scrape time by serverMetrics.
-	loadFailures atomic.Int64 // builds that failed (startup, reload, re-probe)
+	loadFailures atomic.Int64 // builds that failed (startup, load, reload, re-probe)
 	reloads      atomic.Int64 // successful epoch swaps after the first load
-	evictions    atomic.Int64 // budget evictions to cold state
-	coldReloads  atomic.Int64 // successful reloads out of cold state
 }
 
 func NewRegistry() *Registry {
 	return &Registry{graphs: make(map[string]*graphState)}
 }
 
-// SetBudget caps the summed resident-size estimate of all published
-// epochs; exceeding it evicts least-recently-queried reloadable graphs
-// to cold state. Zero (the default) disables eviction.
-func (r *Registry) SetBudget(bytes int64) {
-	r.budget.Store(bytes)
-	if bytes > 0 {
-		r.enforceBudget("")
-	}
-}
-
 // OnSwap installs the cache-invalidation hook called (with the graph
-// name) after every epoch swap, eviction, and removal.
+// name) after every epoch swap and removal.
 func (r *Registry) OnSwap(fn func(string)) { r.onSwap.Store(&fn) }
 
 func (r *Registry) notifySwap(name string) {
@@ -171,32 +131,8 @@ func (r *Registry) state(name string) (*graphState, bool) {
 	return gs, ok
 }
 
-// Add publishes e as a new graph, rejecting duplicate names. Entries
-// added this way have no rebuild recipe: they cannot be reloaded or
-// budget-evicted (there is nothing to reload them from), which suits
-// entries built in process from an *rs.Solver (NewSolverEntry).
-func (r *Registry) Add(e *Entry) error {
-	if e == nil || e.Name == "" || e.Solver == nil {
-		return fmt.Errorf("server: invalid registry entry")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.graphs[e.Name]; ok {
-		return fmt.Errorf("%w %q", ErrGraphDuplicate, e.Name)
-	}
-	if e.Epoch == 0 {
-		e.Epoch = r.nextEpoch()
-	}
-	gs := &graphState{name: e.Name}
-	gs.cur.Store(e)
-	gs.bytes.Store(estimateEntryBytes(e))
-	r.graphs[e.Name] = gs
-	return nil
-}
-
 // Get returns the current epoch of a serving graph. It reports false
-// for unknown, failed, and cold graphs alike — callers that need to
-// distinguish (and trigger cold reloads) use Acquire.
+// for unknown and failed graphs alike; Acquire tells them apart.
 func (r *Registry) Get(name string) (*Entry, bool) {
 	gs, ok := r.state(name)
 	if !ok {
@@ -207,58 +143,34 @@ func (r *Registry) Get(name string) (*Entry, bool) {
 }
 
 // Acquire pins the current epoch of name for one query: the returned
-// Entry is immutable and stays valid however many swaps follow. A cold
-// graph kicks off a single background reload and returns
-// ErrGraphReloading (the serving layer answers 503 + Retry-After — the
-// caller is never blocked on a multi-second rebuild); a graph that has
-// never loaded returns ErrGraphFailed wrapping the load error.
+// Entry is immutable and stays valid however many swaps follow. A
+// graph that has never loaded returns ErrGraphFailed wrapping the load
+// error.
 func (r *Registry) Acquire(name string) (*Entry, error) {
 	gs, ok := r.state(name)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrGraphUnknown, name)
 	}
 	if e := gs.cur.Load(); e != nil {
-		gs.lastUsed.Store(r.useSeq.Add(1))
 		return e, nil
 	}
+	// Re-check under the lock: a first build holds it, and may have
+	// published while this call waited.
 	gs.mu.Lock()
-	// Re-check under the lock: a reload may have published between the
-	// pointer load and here.
-	if e := gs.cur.Load(); e != nil {
-		gs.mu.Unlock()
-		gs.lastUsed.Store(r.useSeq.Add(1))
+	e, err := gs.cur.Load(), gs.lastErr
+	gs.mu.Unlock()
+	if e != nil {
 		return e, nil
 	}
-	switch {
-	case gs.loading:
-		gs.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrGraphReloading, name)
-	case gs.evicted:
-		if time.Now().Before(gs.nextProbe) {
-			// A cold reload just failed; hold the backoff gate instead
-			// of rebuilding once per request.
-			gs.mu.Unlock()
-			return nil, fmt.Errorf("%w: %q", ErrGraphReloading, name)
-		}
-		// First query against a cold graph: start the transparent
-		// background reload (single-flight — loading gates duplicates).
-		gs.loading = true
-		gs.mu.Unlock()
-		go r.reloadCold(gs)
-		return nil, fmt.Errorf("%w: %q", ErrGraphReloading, name)
-	default:
-		err := gs.lastErr
-		gs.mu.Unlock()
-		if err == nil {
-			err = errors.New("not loaded")
-		}
-		return nil, fmt.Errorf("%w: %q: %v", ErrGraphFailed, name, err)
+	if err == nil {
+		err = errors.New("not loaded")
 	}
+	return nil, fmt.Errorf("%w: %q: %v", ErrGraphFailed, name, err)
 }
 
 // List returns the current epoch of every serving graph, sorted by
-// name. Failed and cold graphs are omitted — they have no epoch to
-// serve — and show up in Health instead.
+// name. Failed graphs are omitted — they have no epoch to serve — and
+// show up in Health instead.
 func (r *Registry) List() []*Entry {
 	r.mu.RLock()
 	out := make([]*Entry, 0, len(r.graphs))
@@ -285,18 +197,25 @@ func (r *Registry) Len() int {
 	return n
 }
 
-// LoadConfig builds cfg's graph and publishes its first epoch. On
-// failure the graph is still registered — failed, with the error in
-// its health record and the watcher re-probing with backoff — so a
-// daemon starting with one bad spec comes up degraded instead of dying
-// (the caller decides whether a total failure is fatal). The graph is
-// reloadable afterward: Reload, the watcher, and budget eviction all
-// apply.
-func (r *Registry) LoadConfig(cfg GraphConfig) error {
+// LoadConfig registers cfg's graph and builds its first epoch; it is
+// the only way a graph enters the registry. On failure the graph stays
+// registered — failed, with the error in its health record and the
+// watcher re-probing with backoff — so a daemon starting with one bad
+// spec comes up degraded instead of dying (the caller decides whether
+// a total failure is fatal).
+func (r *Registry) LoadConfig(cfg GraphConfig) error { return r.load(cfg, true) }
+
+// load registers cfg's graph under its name, which must be new, and
+// builds its first epoch. The name is taken before the build, so of
+// two concurrent loads of one name exactly one builds. keepFailed
+// decides what a failed build leaves behind: a failed graph
+// (LoadConfig) or nothing (an admin load, whose caller hears the error
+// in the response).
+func (r *Registry) load(cfg GraphConfig, keepFailed bool) error {
 	if cfg.Name == "" {
 		return fmt.Errorf("server: graph config needs a name")
 	}
-	gs := &graphState{name: cfg.Name, cfg: cfg, reloadable: true}
+	gs := &graphState{name: cfg.Name, cfg: cfg}
 	r.mu.Lock()
 	if _, ok := r.graphs[cfg.Name]; ok {
 		r.mu.Unlock()
@@ -306,29 +225,27 @@ func (r *Registry) LoadConfig(cfg GraphConfig) error {
 	r.mu.Unlock()
 
 	gs.mu.Lock()
+	defer gs.mu.Unlock()
 	err := r.buildLocked(gs)
-	gs.mu.Unlock()
-	if err == nil {
-		r.enforceBudget(cfg.Name)
+	if err != nil && !keepFailed {
+		r.mu.Lock()
+		if r.graphs[cfg.Name] == gs { // not removed and re-registered meanwhile
+			delete(r.graphs, cfg.Name)
+		}
+		r.mu.Unlock()
 	}
 	return err
 }
 
-// buildLocked rebuilds gs from its config and publishes the new epoch,
-// or records the failure for quarantine. Caller holds gs.mu (and must
-// run enforceBudget after releasing it — never under it, or two
-// concurrent reloads could deadlock evicting each other); the registry
-// map lock is NOT held, so concurrent loads of different graphs
-// proceed in parallel and readers of this graph keep serving the old
-// epoch throughout.
+// buildLocked rebuilds gs from its spec and publishes the new epoch,
+// or records the failure for quarantine. Caller holds gs.mu; the
+// registry map lock is NOT held, so concurrent loads of different
+// graphs proceed in parallel and readers of this graph keep serving the
+// old epoch throughout.
 func (r *Registry) buildLocked(gs *graphState) error {
 	e, err := BuildEntry(gs.cfg)
 	if err != nil {
-		r.loadFailures.Add(1)
-		gs.failures++
-		gs.lastErr = err
-		gs.lastErrAt = time.Now()
-		return err
+		return r.failLocked(gs, err)
 	}
 	e.Epoch = r.nextEpoch()
 	if p := sourcePath(gs.cfg); p != "" {
@@ -336,97 +253,49 @@ func (r *Registry) buildLocked(gs *graphState) error {
 			gs.srcMtime = st.ModTime()
 		}
 	}
-	hadOld := gs.cur.Load() != nil
-	gs.cur.Store(e)
-	gs.bytes.Store(estimateEntryBytes(e))
+	old := gs.cur.Swap(e)
 	gs.failures = 0
 	gs.lastErr = nil
 	gs.nextProbe = time.Time{}
-	wasEvicted := gs.evicted
-	gs.evicted = false
-	if hadOld {
+	if old != nil {
 		r.reloads.Add(1)
 		// Old-epoch cache vectors are unreachable (the key embeds the
 		// epoch) but still resident; drop them now rather than waiting
 		// for LRU churn.
 		r.notifySwap(gs.name)
-	} else if wasEvicted {
-		r.coldReloads.Add(1)
 	}
 	return nil
 }
 
-// Reload re-reads a graph's source and swaps in a new epoch. In-flight
-// queries on the old epoch finish untouched; new queries see the new
-// epoch the instant the pointer swaps. On any build or validation
-// failure the old epoch keeps serving and the graph is quarantined:
-// failures count up, health carries the error, and the watcher's
-// re-probe backs off exponentially.
+// failLocked records a failed build of gs — the count, error and time
+// that health reports and the watcher's backoff reads — and returns
+// err. Caller holds gs.mu.
+func (r *Registry) failLocked(gs *graphState, err error) error {
+	r.loadFailures.Add(1)
+	gs.failures++
+	gs.lastErr = err
+	gs.lastErrAt = time.Now()
+	return err
+}
+
+// Reload rebuilds a graph from its spec and swaps in a new epoch.
+// In-flight queries on the old epoch finish untouched; new queries see
+// the new epoch the instant the pointer swaps. On any build or
+// validation failure the old epoch keeps serving and the graph is
+// quarantined: failures count up, health carries the error, and the
+// watcher's re-probe backs off exponentially.
 func (r *Registry) Reload(name string) error {
 	gs, ok := r.state(name)
 	if !ok {
 		return fmt.Errorf("%w %q", ErrGraphUnknown, name)
 	}
 	gs.mu.Lock()
-	if !gs.reloadable {
-		gs.mu.Unlock()
-		return fmt.Errorf("%w: %q was registered without a rebuild recipe", ErrGraphNotReloadable, name)
-	}
+	defer gs.mu.Unlock()
 	if ferr := fault.Check(context.TODO(), fault.SiteReload); ferr != nil {
-		r.loadFailures.Add(1)
-		gs.failures++
-		gs.lastErr = ferr
-		gs.lastErrAt = time.Now()
-		gs.mu.Unlock()
-		return fmt.Errorf("server: graph %q: %w", name, ferr)
+		return r.failLocked(gs, fmt.Errorf("server: graph %q: %w", name, ferr))
 	}
-	err := r.buildLocked(gs)
-	gs.mu.Unlock()
-	if err == nil {
-		r.enforceBudget(name)
-	}
-	return err
+	return r.buildLocked(gs)
 }
-
-// reloadCold is the background half of a cold-graph Acquire. It runs
-// without the caller waiting; queries keep getting 503 + Retry-After
-// until the epoch publishes. A failed cold reload sets a backoff gate
-// (nextProbe) so a query storm against a graph whose file broke while
-// cold costs one rebuild attempt per backoff window, not one per
-// request.
-func (r *Registry) reloadCold(gs *graphState) {
-	gs.mu.Lock()
-	var err error
-	if gs.cur.Load() == nil { // else someone already published
-		if ferr := fault.Check(context.TODO(), fault.SiteReload); ferr != nil {
-			r.loadFailures.Add(1)
-			gs.failures++
-			gs.lastErr = ferr
-			gs.lastErrAt = time.Now()
-			err = ferr
-		} else {
-			err = r.buildLocked(gs)
-		}
-		if err != nil {
-			factor := time.Duration(1)
-			for i := 1; i < gs.failures && factor < maxBackoffFactor; i++ {
-				factor <<= 1
-			}
-			gs.nextProbe = time.Now().Add(factor * coldRetryBase)
-			log.Printf("graph %q: cold reload failed (next attempt in %v): %v",
-				gs.name, factor*coldRetryBase, err)
-		}
-	}
-	gs.loading = false
-	gs.mu.Unlock()
-	if err == nil {
-		r.enforceBudget(gs.name)
-	}
-}
-
-// coldRetryBase is the base backoff between failed cold-reload
-// attempts (doubling per consecutive failure up to maxBackoffFactor).
-const coldRetryBase = time.Second
 
 // Remove unregisters a graph. In-flight queries holding its last epoch
 // finish normally; the name 404s immediately afterward.
@@ -439,82 +308,6 @@ func (r *Registry) Remove(name string) bool {
 		r.notifySwap(name)
 	}
 	return ok
-}
-
-// enforceBudget evicts least-recently-queried reloadable graphs to
-// cold state until the summed resident estimate fits the budget. The
-// graph named keep (the one just loaded) is never evicted — loading a
-// graph must not immediately un-load it, even if it alone exceeds the
-// budget (operators set budgets; they also get to overrule them one
-// graph at a time). Non-reloadable entries are skipped: with no
-// recipe, eviction would be deletion.
-func (r *Registry) enforceBudget(keep string) {
-	budget := r.budget.Load()
-	if budget <= 0 {
-		return
-	}
-	type candidate struct {
-		gs       *graphState
-		lastUsed int64
-		bytes    int64
-	}
-	for {
-		r.mu.RLock()
-		var total int64
-		var cands []candidate
-		for _, gs := range r.graphs {
-			b := gs.bytes.Load()
-			total += b
-			// reloadable is immutable after publication, so reading it
-			// without gs.mu is safe here.
-			if gs.name != keep && b > 0 && gs.reloadable && gs.cur.Load() != nil {
-				cands = append(cands, candidate{gs, gs.lastUsed.Load(), b})
-			}
-		}
-		r.mu.RUnlock()
-		if total <= budget || len(cands) == 0 {
-			return
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].lastUsed < cands[j].lastUsed })
-		victim := cands[0].gs
-		victim.mu.Lock()
-		if victim.cur.Load() == nil {
-			// Raced with a concurrent eviction or removal; re-collect —
-			// the victim no longer carries bytes, so the loop makes
-			// progress either way.
-			victim.mu.Unlock()
-			continue
-		}
-		victim.cur.Store(nil)
-		victim.bytes.Store(0)
-		victim.evicted = true
-		victim.nextProbe = time.Time{} // evicted ≠ failed: reload immediately on demand
-		victim.mu.Unlock()
-		r.evictions.Add(1)
-		log.Printf("graph %q: evicted under memory budget (%d bytes over)", victim.name, total-budget)
-		r.notifySwap(victim.name)
-	}
-}
-
-// estimateEntryBytes approximates the resident size of one epoch for
-// budget accounting: the snapshot size when the graph came from one
-// (the arrays mmap-free load roughly 1:1), else a CSR-shaped estimate
-// from the metadata. Precision is not the point — relative order and
-// magnitude are, so eviction picks sensibly.
-func estimateEntryBytes(e *Entry) int64 {
-	n := int64(e.Info.Vertices)
-	arcs := 2 * int64(e.Info.Edges)
-	est := (n+1)*8 + arcs*12 + n*8 // Off + (Adj,W) + radii
-	if lm := int64(e.Info.Landmarks); lm > 0 {
-		est += lm * n * 8
-	}
-	if e.Info.SnapshotBytes > est {
-		est = e.Info.SnapshotBytes
-	}
-	if est <= 0 {
-		est = 1 // a zero-cost entry could never be evicted nor counted
-	}
-	return est
 }
 
 // GraphHealth is the per-graph lifecycle record served by /v1/graphs
@@ -534,11 +327,6 @@ type GraphHealth struct {
 	ErrorClass string    `json:"errorClass,omitempty"`
 	ErrorAt    time.Time `json:"errorAt,omitzero"`
 	NextProbe  time.Time `json:"nextProbe,omitzero"`
-	// Bytes is the resident-size estimate counted against -graph-budget.
-	Bytes int64 `json:"bytes,omitempty"`
-	// Reloadable reports whether the graph has a rebuild recipe (admin
-	// reload, watcher, and budget eviction all require one).
-	Reloadable bool `json:"reloadable"`
 }
 
 // Health reports the lifecycle state of every registered graph,
@@ -562,10 +350,8 @@ func (r *Registry) healthOf(gs *graphState) GraphHealth {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
 	h := GraphHealth{
-		Name:       gs.name,
-		Failures:   gs.failures,
-		Bytes:      gs.bytes.Load(),
-		Reloadable: gs.reloadable,
+		Name:     gs.name,
+		Failures: gs.failures,
 	}
 	if gs.lastErr != nil {
 		h.Error = gs.lastErr.Error()
@@ -586,10 +372,6 @@ func (r *Registry) healthOf(gs *graphState) GraphHealth {
 	case e != nil:
 		h.State = GraphQuarantined
 		h.Epoch = e.Epoch
-	case gs.loading:
-		h.State = GraphLoading
-	case gs.evicted:
-		h.State = GraphCold
 	default:
 		h.State = GraphFailed
 	}
@@ -662,11 +444,7 @@ func (r *Registry) probeAll(interval time.Duration) {
 func (r *Registry) probeDue(gs *graphState, now time.Time, interval time.Duration) (string, bool) {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	if !gs.reloadable || gs.loading || gs.evicted {
-		return "", false
-	}
-	unhealthy := gs.lastErr != nil
-	if unhealthy {
+	if gs.lastErr != nil {
 		if now.Before(gs.nextProbe) {
 			return "", false
 		}
@@ -704,8 +482,6 @@ func (r *Registry) probeDue(gs *graphState, now time.Time, interval time.Duratio
 type LifecycleCounters struct {
 	LoadFailures int64 `json:"loadFailures"`
 	Reloads      int64 `json:"reloads"`
-	Evictions    int64 `json:"evictions"`
-	ColdReloads  int64 `json:"coldReloads"`
 }
 
 // Counters returns the lifecycle counter snapshot.
@@ -713,8 +489,6 @@ func (r *Registry) Counters() LifecycleCounters {
 	return LifecycleCounters{
 		LoadFailures: r.loadFailures.Load(),
 		Reloads:      r.reloads.Load(),
-		Evictions:    r.evictions.Load(),
-		ColdReloads:  r.coldReloads.Load(),
 	}
 }
 

@@ -48,23 +48,22 @@ type serverMetrics struct {
 	reqDur     *metrics.HistogramVec // endpoint
 	httpErrors *metrics.CounterVec   // endpoint, class
 
-	solves           *metrics.Counter
-	solveDur         *metrics.HistogramVec // engine
-	routeSolveDur    *metrics.HistogramVec // engine
-	engineSolves     *metrics.CounterVec   // engine
-	graphSolves      *metrics.CounterVec   // graph
-	routeSolves      *metrics.Counter
-	routeCacheHits   *metrics.Counter
-	routePruned      *metrics.Counter
-	landmarksAdopted *metrics.Counter
-	coalesced        *metrics.Counter
-	batchSources     *metrics.Counter
-	solveTimeouts    *metrics.Counter
-	solvesCanceled   *metrics.Counter
-	solvePanics      *metrics.Counter
-	frontierOps      *metrics.CounterVec // op
-	solveBarrier     *metrics.Histogram  // per-solve join-barrier nanos
-	poolWake         *metrics.Histogram  // per-solve worker-wake nanos
+	solves         *metrics.Counter
+	solveDur       *metrics.HistogramVec // engine
+	routeSolveDur  *metrics.HistogramVec // engine
+	engineSolves   *metrics.CounterVec   // engine
+	graphSolves    *metrics.CounterVec   // graph
+	routeSolves    *metrics.Counter
+	routeCacheHits *metrics.Counter
+	routePruned    *metrics.Counter
+	coalesced      *metrics.Counter
+	batchSources   *metrics.Counter
+	solveTimeouts  *metrics.Counter
+	solvesCanceled *metrics.Counter
+	solvePanics    *metrics.Counter
+	frontierOps    *metrics.CounterVec // op
+	solveBarrier   *metrics.Histogram  // per-solve join-barrier nanos
+	poolWake       *metrics.Histogram  // per-solve worker-wake nanos
 
 	// Memoized children for hot paths and for snapshot enumeration
 	// (CounterVec does not expose its label sets).
@@ -109,8 +108,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Route queries answered from a cached distance vector (no solve).")
 	m.routePruned = r.NewCounter("sssp_route_pruned_relaxations_total",
 		"Relaxation candidates skipped by goal-directed landmark pruning.")
-	m.landmarksAdopted = r.NewCounter("sssp_landmarks_adopted_total",
-		"Cached distance vectors promoted into ALT landmark sets.")
 	r.NewGaugeFunc("sssp_landmarks", "ALT landmark vectors serving route pruning, across graphs.",
 		func() float64 {
 			var total int
@@ -152,12 +149,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewCounterFunc("sssp_graph_reloads_total",
 		"Successful hot reloads: a new graph epoch atomically replaced a serving one.",
 		func() float64 { return float64(s.registry.Counters().Reloads) })
-	r.NewCounterFunc("sssp_graph_evictions_total",
-		"Graph epochs evicted to cold state by the memory budget.",
-		func() float64 { return float64(s.registry.Counters().Evictions) })
-	r.NewCounterFunc("sssp_graph_cold_reloads_total",
-		"Budget-evicted graphs reloaded on demand by a query.",
-		func() float64 { return float64(s.registry.Counters().ColdReloads) })
 	r.NewGaugeFunc("sssp_graphs_quarantined",
 		"Graphs whose most recent load attempt failed (serving a stale epoch or nothing).",
 		func() float64 { return float64(s.registry.QuarantinedCount()) })

@@ -4,6 +4,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -184,19 +186,18 @@ func TestRouteSolveDuration(t *testing.T) {
 	for _, e := range rs.Edges(grid) {
 		edges = append(edges, rs.Edge{U: e.U + 25, V: e.V + 25, W: e.W})
 	}
-	solver, err := rs.NewSolver(rs.FromEdges(50, edges), rs.Options{Rho: 8})
+	path := filepath.Join(t.TempDir(), "split.txt")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := solver.BuildLandmarks(2, rs.LandmarksFarthest); err != nil {
+	if err := rs.WriteGraph(f, rs.FromEdges(50, edges)); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry()
-	if err := reg.Add(NewSolverEntry("split", solver, rs.Options{Rho: 8}, "test", 0)); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(New(reg, Config{}).Handler())
-	defer ts2.Close()
+	_, ts2, _ := serveGraph(t, Config{}, GraphConfig{Name: "split", File: path, Rho: 8, Landmarks: 2})
 	for _, c := range []struct {
 		target  int64
 		reached bool

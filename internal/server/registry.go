@@ -56,18 +56,18 @@ type GraphInfo struct {
 	// preprocessing — from BuildEntry start to a query-ready solver.
 	ColdStartMillis int64 `json:"coldStartMillis"`
 	// Landmarks is the number of ALT landmark vectors serving
-	// goal-directed route pruning. handleGraphs refreshes it live from
-	// the solver (cache adoption grows the set after load).
+	// goal-directed route pruning, fixed when the entry is built.
 	Landmarks int `json:"landmarks,omitempty"`
 }
 
 // Entry binds a name to a query solver and its metadata. An Entry is
-// one immutable epoch of a graph: the registry publishes it through an
-// atomic pointer and never mutates it afterward, so a query that
-// pinned an Entry computes against a consistent snapshot no matter how
-// many reloads happen mid-solve. Epoch is the registry-assigned,
-// process-wide monotonic version (zero only for entries never
-// published through a registry).
+// one immutable epoch of a graph, built from its spec by BuildEntry:
+// the registry publishes it through an atomic pointer and never
+// mutates it afterward — its solver, landmark set and Info included —
+// so a query that pinned an Entry computes against a consistent
+// snapshot no matter how many reloads happen mid-solve. Epoch is the
+// registry-assigned, process-wide monotonic version (zero only for
+// entries never published through a registry).
 type Entry struct {
 	Name   string
 	Solver *rs.Solver
@@ -122,9 +122,9 @@ func (e *Entry) clientPath(p []rs.Vertex) []rs.Vertex {
 	return p
 }
 
-// NewSolverEntry wraps a preprocessed solver as a registry entry,
-// deriving the metadata from the solver's preprocessing result.
-func NewSolverEntry(name string, solver *rs.Solver, opt rs.Options, source string, prepTime time.Duration) *Entry {
+// newSolverEntry wraps a preprocessed solver as a registry entry,
+// deriving the metadata from the solver's preprocessing result and opt.
+func newSolverEntry(name string, solver *rs.Solver, opt rs.Options, source string, prepTime time.Duration) *Entry {
 	pre := solver.Preprocessed()
 	g := pre.Original
 	if g == nil {
@@ -237,7 +237,7 @@ func buildEntry(cfg GraphConfig) (*Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
 		}
-		entry = NewSolverEntry(cfg.Name, solver, rs.Options{Engine: opt.Engine}, cfg.Source(), 0)
+		entry = newSolverEntry(cfg.Name, solver, rs.Options{Engine: opt.Engine}, cfg.Source(), 0)
 		entry.Info.Rho, entry.Info.K, entry.Info.Heuristic = snap.Rho, snap.K, snap.Heuristic
 		entry.Info.RadiiSource = RadiiFromSnapshot
 	} else {
@@ -251,7 +251,7 @@ func buildEntry(cfg GraphConfig) (*Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: graph %q: %v", cfg.Name, err)
 		}
-		entry = NewSolverEntry(cfg.Name, solver, opt.WithDefaults(), cfg.Source(), time.Since(prep))
+		entry = newSolverEntry(cfg.Name, solver, opt.WithDefaults(), cfg.Source(), time.Since(prep))
 	}
 	entry.Info.Format = format
 	if snap != nil {

@@ -171,7 +171,7 @@ func TestBuildEntrySnapshotServesPackedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSolverPre: %v", err)
 	}
-	live := NewSolverEntry("live", solver, opt, "test", 0)
+	live := newSolverEntry("live", solver, opt, "test", 0)
 	if got := entry.Info.ShortcutsAdded; got == 0 || got != live.Info.ShortcutsAdded {
 		t.Fatalf("shortcutsAdded: snapshot entry %d, in-process entry %d; want equal and nonzero",
 			got, live.Info.ShortcutsAdded)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -155,25 +154,16 @@ func TestLoadGraphFileUndoesReordering(t *testing.T) {
 // TestReorderedServingContract pins the serving contract of a
 // BFS-reordered snapshot that carries landmarks, over HTTP: clients
 // speak original ids, and every answer — full, top-k and target
-// distances, batches, solved routes with and without pruning,
-// cache-first routes, traced solves, and pruned routes after landmark
-// adoption — is bit-identical to Dijkstra on the unreordered graph.
-// Out-of-range sources and targets get 400.
+// distances, batches, solved routes with and without pruning over the
+// packed landmarks, cache-first routes, and traced solves — is
+// bit-identical to Dijkstra on the unreordered graph. Out-of-range
+// sources and targets get 400.
 func TestReorderedServingContract(t *testing.T) {
 	g := rs.WithUniformIntWeights(rs.Grid2D(14, 14), 1, 40, 9)
 	n := int64(g.NumVertices())
 	path := filepath.Join(t.TempDir(), "lm.snap")
 	packReorderedLandmarks(t, g, 3, path)
-	entry, err := BuildEntry(GraphConfig{Name: "g", Snapshot: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	if err := reg.Add(entry); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(reg, Config{CacheBytes: 1 << 20, AutoLandmarks: true}).Handler())
-	t.Cleanup(ts.Close)
+	_, ts, _ := serveGraph(t, Config{CacheBytes: 1 << 20}, GraphConfig{Name: "g", Snapshot: path})
 
 	sameBits := func(what string, got, want float64) {
 		t.Helper()
@@ -248,7 +238,7 @@ func TestReorderedServingContract(t *testing.T) {
 	}
 
 	// A traced solve bypasses the cache, so the full solve after it is a
-	// miss that fills the cache and is adopted as a landmark.
+	// miss that fills the cache.
 	traced := distances("?trace=1", distancesRequest{Source: 3})
 	if traced.Trace == nil || traced.Cached {
 		t.Fatalf("traced: trace=%v cached=%v", traced.Trace != nil, traced.Cached)
@@ -315,15 +305,8 @@ func TestReorderedServingContract(t *testing.T) {
 		checkVector(fmt.Sprintf("batch[%d]", i), res.Source, res.Distances)
 	}
 
-	// Every full solve (sources 3, 77, 5, 120) was adopted; pruned routes
-	// over the grown landmark set stay exact.
-	snap := fetchStats(t, ts)
-	if snap.LandmarksAdopted != 4 {
-		t.Fatalf("landmarksAdopted = %d, want 4", snap.LandmarksAdopted)
-	}
-	if info := graphInfo(); info.Landmarks != 7 {
-		t.Fatalf("live landmarks = %d, want 7", info.Landmarks)
-	}
+	// Pruned routes over the packed landmarks stay exact after the full
+	// solves above (sources 3, 77, 5, 120).
 	if r := route("?prune=1", 31, 180); r.Cached {
 		t.Fatal("route from an uncached source reported cached")
 	}

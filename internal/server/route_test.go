@@ -13,27 +13,18 @@ import (
 	rs "radiusstep"
 )
 
-// newLandmarkServer is newTestServer with ALT landmarks baked into the
-// solver, so route queries exercise the goal-directed pruning path.
+// newLandmarkServer is newTestServer with k ALT landmarks built at
+// load (the landmarks= spec key), so route queries exercise the
+// goal-directed pruning path.
 func newLandmarkServer(t *testing.T, cfg Config, k int) (*httptest.Server, *rs.Graph) {
 	t.Helper()
-	g := rs.WithUniformIntWeights(rs.Grid2D(20, 20), 1, 100, 7)
-	solver, err := rs.NewSolver(g, rs.Options{Rho: 8})
-	if err != nil {
-		t.Fatalf("NewSolver: %v", err)
+	spec := testGrid
+	spec.Landmarks = k
+	_, ts, e := serveGraph(t, cfg, spec)
+	if got := e.Solver.Landmarks(); got != k {
+		t.Fatalf("built %d landmarks, want %d", got, k)
 	}
-	if k > 0 {
-		if built, err := solver.BuildLandmarks(k, rs.LandmarksFarthest); err != nil || built != k {
-			t.Fatalf("BuildLandmarks: built %d, err %v", built, err)
-		}
-	}
-	reg := NewRegistry()
-	if err := reg.Add(NewSolverEntry("grid", solver, rs.Options{Rho: 8, K: 1}, "test", 0)); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	ts := httptest.NewServer(New(reg, cfg).Handler())
-	t.Cleanup(ts.Close)
-	return ts, g
+	return ts, e.Solver.Preprocessed().Original
 }
 
 // TestRouteCacheFirst: a route whose source already has a cached full
@@ -190,40 +181,6 @@ func TestGraphSpecLandmarks(t *testing.T) {
 		if _, err := BuildEntry(bad); err == nil {
 			t.Fatalf("landmarks=%d accepted", k)
 		}
-	}
-}
-
-// TestAutoLandmarkAdoption: with -auto-landmarks, every full solve's
-// distance vector is recycled into a free landmark, visible in
-// /v1/stats and /v1/graphs, and later routes still answer exactly.
-func TestAutoLandmarkAdoption(t *testing.T) {
-	_, ts, g := newTestServer(t, Config{CacheBytes: 1 << 20, AutoLandmarks: true})
-	for i, src := range []int64{5, 111} {
-		if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: src}, nil); code != http.StatusOK {
-			t.Fatalf("distances %d: status %d", src, code)
-		}
-		if snap := fetchStats(t, ts); snap.LandmarksAdopted != int64(i+1) {
-			t.Fatalf("after %d solves: landmarksAdopted = %d", i+1, snap.LandmarksAdopted)
-		}
-	}
-	var graphs struct {
-		Graphs []GraphInfo `json:"graphs"`
-	}
-	if code := getJSON(t, ts, "/v1/graphs", &graphs); code != http.StatusOK {
-		t.Fatalf("graphs: status %d", code)
-	}
-	if graphs.Graphs[0].Landmarks != 2 {
-		t.Fatalf("live landmark count = %d, want 2", graphs.Graphs[0].Landmarks)
-	}
-
-	// Routes through the adopted landmarks stay exact.
-	want := rs.Dijkstra(g, 40)
-	var resp routeResponse
-	if code := postJSON(t, ts, "/v1/route", routeRequest{Graph: "grid", Source: 40, Target: 399}, &resp); code != http.StatusOK {
-		t.Fatalf("route: status %d", code)
-	}
-	if math.Float64bits(resp.Distance) != math.Float64bits(want[399]) {
-		t.Fatalf("post-adoption route distance %v, want %v", resp.Distance, want[399])
 	}
 }
 

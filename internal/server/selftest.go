@@ -15,14 +15,20 @@ import (
 
 // SmokeConfig tunes LoadSmoke.
 type SmokeConfig struct {
-	Graph       string // graph to query (default: first registered)
-	Queries     int    // total requests (default 2000)
-	Clients     int    // concurrent clients (default 16)
-	HotSources  int    // size of the repeated-source pool (default 8)
-	ColdPercent int    // % of queries drawn from fresh sources (default 30, -1 = none)
-	TopK        int    // shape of each query (default 8, keeps responses small)
-	Seed        int64  // workload seed (default 1)
+	Queries int // total requests (default 2000)
+	Clients int // concurrent clients (default 16)
 }
+
+// The LoadSmoke workload: every query asks the first registered graph
+// for its smokeTopK nearest vertices (small responses), smokeColdPercent
+// of them from a fresh random source and the rest from a pool of
+// smokeHotSources repeated ones, drawn with seed smokeSeed.
+const (
+	smokeHotSources  = 8
+	smokeColdPercent = 30
+	smokeTopK        = 8
+	smokeSeed        = 1
+)
 
 // SmokeReport summarizes one LoadSmoke run.
 type SmokeReport struct {
@@ -60,54 +66,31 @@ func (r SmokeReport) String() string {
 // sources repeat (exercising the cache and coalescing paths); cold
 // sources are fresh (exercising the solve pool).
 func LoadSmoke(s *Server, cfg SmokeConfig) (SmokeReport, error) {
-	if cfg.Graph == "" {
-		entries := s.registry.List()
-		if len(entries) == 0 {
-			return SmokeReport{}, fmt.Errorf("server: selftest needs at least one graph")
-		}
-		cfg.Graph = entries[0].Name
+	entries := s.registry.List()
+	if len(entries) == 0 {
+		return SmokeReport{}, fmt.Errorf("server: selftest needs at least one graph")
 	}
-	e, ok := s.registry.Get(cfg.Graph)
-	if !ok {
-		return SmokeReport{}, fmt.Errorf("server: selftest: unknown graph %q", cfg.Graph)
-	}
+	e := entries[0]
 	if cfg.Queries <= 0 {
 		cfg.Queries = 2000
 	}
 	if cfg.Clients <= 0 {
 		cfg.Clients = 16
 	}
-	if cfg.HotSources <= 0 {
-		cfg.HotSources = 8
-	}
-	switch {
-	case cfg.ColdPercent == 0:
-		cfg.ColdPercent = 30 // mixed workload by default; -1 forces all-hot
-	case cfg.ColdPercent < 0:
-		cfg.ColdPercent = 0
-	case cfg.ColdPercent > 100:
-		cfg.ColdPercent = 100
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 8
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	n := e.numVertices()
 	if n == 0 {
-		return SmokeReport{}, fmt.Errorf("server: selftest: graph %q is empty", cfg.Graph)
+		return SmokeReport{}, fmt.Errorf("server: selftest: graph %q is empty", e.Name)
 	}
 
 	// Pre-plan the workload so worker goroutines share no RNG.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	hot := make([]int64, cfg.HotSources)
+	rng := rand.New(rand.NewSource(smokeSeed))
+	hot := make([]int64, smokeHotSources)
 	for i := range hot {
 		hot[i] = int64(rng.Intn(n))
 	}
 	sources := make([]int64, cfg.Queries)
 	for i := range sources {
-		if rng.Intn(100) < cfg.ColdPercent {
+		if rng.Intn(100) < smokeColdPercent {
 			sources[i] = int64(rng.Intn(n))
 		} else {
 			sources[i] = hot[rng.Intn(len(hot))]
@@ -144,7 +127,7 @@ func LoadSmoke(s *Server, cfg SmokeConfig) (SmokeReport, error) {
 				if !ok {
 					return
 				}
-				body, _ := json.Marshal(distancesRequest{Graph: cfg.Graph, Source: sources[i], TopK: cfg.TopK})
+				body, _ := json.Marshal(distancesRequest{Graph: e.Name, Source: sources[i], TopK: smokeTopK})
 				t0 := time.Now()
 				resp, err := client.Post(ts.URL+"/v1/distances", "application/json", bytes.NewReader(body))
 				latencies[i] = time.Since(t0)
@@ -176,7 +159,7 @@ func LoadSmoke(s *Server, cfg SmokeConfig) (SmokeReport, error) {
 		}
 	}
 	report := SmokeReport{
-		Graph:    cfg.Graph,
+		Graph:    e.Name,
 		Queries:  cfg.Queries,
 		Clients:  cfg.Clients,
 		Failures: nfail,

@@ -59,11 +59,6 @@ type Config struct {
 	// per request with endpoint, status and latency) and per-solve logs
 	// (engine, step counts, duration).
 	Logger *slog.Logger
-	// AutoLandmarks promotes freshly cached distance vectors into each
-	// graph's ALT landmark set (until it is full), so the serving cache
-	// doubles as a goal-direction index: hot sources sharpen every later
-	// route query's pruning for free.
-	AutoLandmarks bool
 	// SolveTimeout is the per-request deadline for solve-backed
 	// endpoints (default DefaultSolveTimeout; < 0 disables). Requests
 	// may shorten it per call with ?timeout_ms=; they can never extend
@@ -84,16 +79,15 @@ type Config struct {
 // Server serves shortest-path queries over a Registry. Create with New,
 // mount via Handler.
 type Server struct {
-	registry      *Registry
-	cache         *distCache
-	flight        *flightGroup
-	pool          *solvePool
-	metrics       *serverMetrics
-	logger        *slog.Logger
-	autoLandmarks bool
-	solveTimeout  time.Duration
-	adminToken    string
-	start         time.Time
+	registry     *Registry
+	cache        *distCache
+	flight       *flightGroup
+	pool         *solvePool
+	metrics      *serverMetrics
+	logger       *slog.Logger
+	solveTimeout time.Duration
+	adminToken   string
+	start        time.Time
 
 	// Lifecycle: ready gates /readyz (New starts ready; the daemon
 	// flips it around graph loading), draining marks shutdown, and
@@ -118,22 +112,21 @@ func New(reg *Registry, cfg Config) *Server {
 		timeout = 0 // disabled
 	}
 	s := &Server{
-		registry:      reg,
-		cache:         newDistCache(cfg.CacheBytes),
-		flight:        newFlightGroup(),
-		pool:          newSolvePool(workers, cfg.QueueDepth),
-		logger:        cfg.Logger,
-		autoLandmarks: cfg.AutoLandmarks,
-		solveTimeout:  timeout,
-		adminToken:    cfg.AdminToken,
-		start:         time.Now(),
+		registry:     reg,
+		cache:        newDistCache(cfg.CacheBytes),
+		flight:       newFlightGroup(),
+		pool:         newSolvePool(workers, cfg.QueueDepth),
+		logger:       cfg.Logger,
+		solveTimeout: timeout,
+		adminToken:   cfg.AdminToken,
+		start:        time.Now(),
 	}
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
 	s.ready.Store(true)
 	s.metrics = newServerMetrics(s)
-	// Epoch-scoped cache invalidation: a swap, eviction, or removal
-	// drops only that graph's vectors (every epoch — the dead one is
-	// unreachable anyway, this reclaims its memory).
+	// Epoch-scoped cache invalidation: a swap or removal drops only
+	// that graph's vectors (every epoch — the dead one is unreachable
+	// anyway, this reclaims its memory).
 	reg.OnSwap(s.cache.InvalidateGraph)
 	return s
 }
@@ -457,11 +450,10 @@ func (s *Server) guardSolve(ctx context.Context, e *Entry, src rs.Vertex, solve 
 	return solve()
 }
 
-// fillCache publishes a solved vector to the distance cache and the
-// landmark-adoption path. The fill is best-effort: an injected (or
-// real) failure here must never fail the response — the solve already
-// produced a correct answer — so errors skip the fill and panics are
-// contained to a counter.
+// fillCache publishes a solved vector to the distance cache. The fill
+// is best-effort: an injected (or real) failure here must never fail
+// the response — the solve already produced a correct answer — so
+// errors skip the fill and panics are contained to a counter.
 func (s *Server) fillCache(ctx context.Context, e *Entry, key cacheKey, src rs.Vertex, d []float64) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -475,29 +467,6 @@ func (s *Server) fillCache(ctx context.Context, e *Entry, key cacheKey, src rs.V
 		return
 	}
 	s.cache.Add(key, d)
-	s.maybeAdoptLandmark(e, src, d)
-}
-
-// maybeAdoptLandmark promotes a freshly solved distance vector into the
-// graph's ALT landmark set when Config.AutoLandmarks is on — the cache
-// write doubling as goal-direction index maintenance. Adoption copies
-// the vector, so sharing d with the cache and waiters stays safe.
-// Skipped silently when the set is full (checked first, so the steady
-// state skips the O(n) id mapping) or src is already a landmark.
-func (s *Server) maybeAdoptLandmark(e *Entry, src rs.Vertex, dist []float64) {
-	if !s.autoLandmarks || e.Solver.Landmarks() >= rs.MaxLandmarks {
-		return
-	}
-	adopted, err := e.Solver.AdoptLandmark(e.storedID(src), e.storedDistances(dist))
-	if err != nil {
-		if s.logger != nil {
-			s.logger.Warn("landmark adoption failed", "graph", e.Name, "source", int64(src), "err", err.Error())
-		}
-		return
-	}
-	if adopted {
-		s.metrics.landmarksAdopted.Inc()
-	}
 }
 
 // logSolve emits one structured log line per executed solve (cache hits
@@ -603,10 +572,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleReadyz is the routing gate, now per-graph: 503 while the
 // daemon is still loading or draining, 503 when graphs are registered
 // but ZERO are serving, 200 "ready" when every graph serves, and 200
-// "degraded" when at least one serves while others are quarantined,
-// failed, or cold — a degraded daemon is still worth routing to. The
-// body carries per-graph states so an operator sees which graph is the
-// problem from the probe alone.
+// "degraded" when at least one serves while others have failed — a
+// degraded daemon is still worth routing to. The body carries
+// per-graph states so an operator sees which graph is the problem from
+// the probe alone.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case s.draining.Load():
@@ -642,12 +611,9 @@ func (s *Server) handleGraphs(w http.ResponseWriter, _ *http.Request) {
 	infos := make([]GraphInfo, len(entries))
 	for i, e := range entries {
 		infos[i] = e.Info
-		// Landmark sets grow after load (cache adoption); report the
-		// live count, not the snapshot taken at build time.
-		infos[i].Landmarks = e.Solver.Landmarks()
 	}
-	// health covers every registered graph — including failed and cold
-	// ones that have no serving entry above — with epoch, quarantine
+	// health covers every registered graph — including failed ones that
+	// have no serving entry above — with epoch, quarantine
 	// error (classed truncated vs corrupt), and re-probe schedule.
 	writeJSON(w, http.StatusOK, map[string]any{
 		"graphs": infos,
@@ -978,10 +944,7 @@ func (s *Server) resolve(w http.ResponseWriter, graph string, source int64) (*En
 }
 
 // acquireEntry maps the registry's typed lifecycle errors onto HTTP:
-// unknown → 404; cold/reloading → 503 + Retry-After (the reload runs
-// in the background — the client retries instead of blocking a
-// connection on a multi-second rebuild); never-loaded → 503 with the
-// quarantine cause.
+// unknown → 404; never-loaded → 503 with the quarantine cause.
 func (s *Server) acquireEntry(w http.ResponseWriter, graph string) (*Entry, bool) {
 	e, err := s.registry.Acquire(graph)
 	if err == nil {
@@ -990,9 +953,6 @@ func (s *Server) acquireEntry(w http.ResponseWriter, graph string) (*Entry, bool
 	switch {
 	case errors.Is(err, ErrGraphUnknown):
 		s.fail(w, http.StatusNotFound, "unknown graph %q", graph)
-	case errors.Is(err, ErrGraphReloading):
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusServiceUnavailable, "graph %q is reloading, retry shortly", graph)
 	default:
 		s.fail(w, http.StatusServiceUnavailable, "%v", err)
 	}

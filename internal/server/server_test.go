@@ -15,23 +15,28 @@ import (
 	rs "radiusstep"
 )
 
-// newTestServer builds a server over one small real graph and returns it
-// with its HTTP instance and the reference distance oracle.
+// testGrid is the graph newTestServer serves: a 20x20 grid with
+// integer weights in [1, 100], preprocessed at ρ = 8.
+var testGrid = GraphConfig{Name: "grid", Gen: "grid2d", N: 400, Seed: 6, Weights: 100, Rho: 8}
+
+// serveGraph loads spec through LoadConfig, the path every served graph
+// takes, fails the test unless it builds, and serves it over HTTP.
+func serveGraph(t *testing.T, cfg Config, spec GraphConfig) (*Server, *httptest.Server, *Entry) {
+	t.Helper()
+	s, ts := newLifecycleServer(t, cfg, spec)
+	e, ok := s.Registry().Get(spec.Name)
+	if !ok {
+		t.Fatalf("graph %q did not load: %+v", spec.Name, s.Registry().Health())
+	}
+	return s, ts, e
+}
+
+// newTestServer serves testGrid and returns the server with its HTTP
+// instance and the reference distance oracle, the served graph's input.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *rs.Graph) {
 	t.Helper()
-	g := rs.WithUniformIntWeights(rs.Grid2D(20, 20), 1, 100, 7)
-	solver, err := rs.NewSolver(g, rs.Options{Rho: 8})
-	if err != nil {
-		t.Fatalf("NewSolver: %v", err)
-	}
-	reg := NewRegistry()
-	if err := reg.Add(NewSolverEntry("grid", solver, rs.Options{Rho: 8, K: 1}, "test", 0)); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	s := New(reg, cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts, g
+	s, ts, e := serveGraph(t, cfg, testGrid)
+	return s, ts, e.Solver.Preprocessed().Original
 }
 
 func postJSON(t *testing.T, ts *httptest.Server, path string, req any, resp any) int {
@@ -114,7 +119,7 @@ func TestGraphsEndpoint(t *testing.T) {
 	if info.Name != "grid" || info.Vertices != g.NumVertices() || info.Edges != g.NumEdges() {
 		t.Fatalf("bad metadata: %+v", info)
 	}
-	if info.Rho != 8 || info.K != 1 {
+	if info.Rho != 8 || info.K != 4 || info.Heuristic != "dp" {
 		t.Fatalf("bad options metadata: %+v", info)
 	}
 }
@@ -396,7 +401,7 @@ func TestLoadSmoke(t *testing.T) {
 		t.Skip("load smoke fires hundreds of requests")
 	}
 	s, _, _ := newTestServer(t, Config{CacheBytes: 1 << 20})
-	report, err := LoadSmoke(s, SmokeConfig{Queries: 200, Clients: 8, HotSources: 4})
+	report, err := LoadSmoke(s, SmokeConfig{Queries: 200, Clients: 8})
 	if err != nil {
 		t.Fatalf("LoadSmoke: %v", err)
 	}

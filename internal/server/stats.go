@@ -29,13 +29,11 @@ type GraphLoadStats struct {
 }
 
 // LifecycleStats is the /v1/stats graph-lifecycle section: registry-wide
-// load failures, hot-reload epoch swaps, budget evictions, on-demand
-// cold reloads, and how many graphs are quarantined right now.
+// load failures, hot-reload epoch swaps, and how many graphs are
+// quarantined right now.
 type LifecycleStats struct {
 	LoadFailures int64 `json:"loadFailures"`
 	Reloads      int64 `json:"reloads"`
-	Evictions    int64 `json:"evictions"`
-	ColdReloads  int64 `json:"coldReloads"`
 	Quarantined  int   `json:"quarantined"`
 }
 
@@ -54,13 +52,10 @@ type StatsSnapshot struct {
 	RouteCacheHits int64 `json:"routeCacheHits"`
 	// RoutePruned totals relaxation candidates skipped by goal-directed
 	// landmark pruning across route solves.
-	RoutePruned int64 `json:"routePruned"`
-	// LandmarksAdopted counts cached distance vectors promoted into ALT
-	// landmark sets (Config.AutoLandmarks).
-	LandmarksAdopted int64 `json:"landmarksAdopted"`
-	Coalesced        int64 `json:"coalesced"`
-	BatchSources     int64 `json:"batchSources"`
-	Errors           int64 `json:"errors"`
+	RoutePruned  int64 `json:"routePruned"`
+	Coalesced    int64 `json:"coalesced"`
+	BatchSources int64 `json:"batchSources"`
+	Errors       int64 `json:"errors"`
 	// SolveTimeouts counts solve-backed requests that hit their deadline
 	// (504 class); SolvesCanceled counts client-departure aborts (499);
 	// SolvePanics counts engine panics contained into 500s; Shed counts
@@ -81,7 +76,7 @@ type StatsSnapshot struct {
 	// counters over every full solve on the frontier-backed engines.
 	Frontier   FrontierStats             `json:"frontier"`
 	GraphLoads map[string]GraphLoadStats `json:"graphLoads"`
-	// Lifecycle totals the registry's load/reload/eviction events; the
+	// Lifecycle totals the registry's load and reload events; the
 	// per-graph detail (state, epoch, quarantine error) lives on
 	// /v1/graphs under "health".
 	Lifecycle LifecycleStats `json:"lifecycle"`
@@ -93,19 +88,18 @@ type StatsSnapshot struct {
 func (s *Server) statsSnapshot() StatsSnapshot {
 	m := s.metrics
 	snap := StatsSnapshot{
-		Requests:         make(map[string]int64, len(endpointNames)),
-		Solves:           m.solves.Value(),
-		RouteSolves:      m.routeSolves.Value(),
-		RouteCacheHits:   m.routeCacheHits.Value(),
-		RoutePruned:      m.routePruned.Value(),
-		LandmarksAdopted: m.landmarksAdopted.Value(),
-		Coalesced:        m.coalesced.Value(),
-		BatchSources:     m.batchSources.Value(),
-		Errors:           m.errorsTotal(),
-		SolveTimeouts:    m.solveTimeouts.Value(),
-		SolvesCanceled:   m.solvesCanceled.Value(),
-		SolvePanics:      m.solvePanics.Value(),
-		Shed:             s.pool.Stats().Shed,
+		Requests:       make(map[string]int64, len(endpointNames)),
+		Solves:         m.solves.Value(),
+		RouteSolves:    m.routeSolves.Value(),
+		RouteCacheHits: m.routeCacheHits.Value(),
+		RoutePruned:    m.routePruned.Value(),
+		Coalesced:      m.coalesced.Value(),
+		BatchSources:   m.batchSources.Value(),
+		Errors:         m.errorsTotal(),
+		SolveTimeouts:  m.solveTimeouts.Value(),
+		SolvesCanceled: m.solvesCanceled.Value(),
+		SolvePanics:    m.solvePanics.Value(),
+		Shed:           s.pool.Stats().Shed,
 		Frontier: FrontierStats{
 			Pushes:    m.frontierOps.With("pushes").Value(),
 			Batches:   m.frontierOps.With("batches").Value(),
@@ -145,8 +139,6 @@ func (s *Server) statsSnapshot() StatsSnapshot {
 	snap.Lifecycle = LifecycleStats{
 		LoadFailures: lc.LoadFailures,
 		Reloads:      lc.Reloads,
-		Evictions:    lc.Evictions,
-		ColdReloads:  lc.ColdReloads,
 		Quarantined:  s.registry.QuarantinedCount(),
 	}
 	return snap

@@ -42,36 +42,6 @@ func (s *Solver) BuildLandmarks(k int, strat LandmarkStrategy) (int, error) {
 	return set.K(), nil
 }
 
-// AdoptLandmark promotes an already-computed full distance vector —
-// typically a serving cache entry — into the landmark set, making the
-// cache double as an ALT index for free. dist must be src's exact full
-// distance vector on this solver's metric (dist[src] == 0, no negative
-// or NaN entries; +Inf marks unreachable vertices). It reports whether
-// the vector was adopted: false with a nil error when src is already a
-// landmark or the set is full (both expected in steady state), an
-// error only for an invalid vector. The vector is copied; the caller's
-// slice is not retained.
-func (s *Solver) AdoptLandmark(src Vertex, dist []float64) (bool, error) {
-	s.lmMu.Lock()
-	defer s.lmMu.Unlock()
-	set := s.lm.Load()
-	if set == nil {
-		var err error
-		if set, err = landmark.New(s.pre.Graph.NumVertices()); err != nil {
-			return false, err
-		}
-	}
-	if set.K() >= MaxLandmarks || set.Has(src) {
-		return false, nil
-	}
-	next, err := set.With(src, dist)
-	if err != nil {
-		return false, err
-	}
-	s.lm.Store(next)
-	return true, nil
-}
-
 // Landmarks reports the number of landmarks currently serving Route
 // queries.
 func (s *Solver) Landmarks() int { return s.lm.Load().K() }

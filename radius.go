@@ -292,9 +292,9 @@ type Solver struct {
 	wsPool atomic.Pointer[sync.Pool]
 
 	// lm is the ALT landmark set serving goal-directed Route queries;
-	// nil until landmarks are built (BuildLandmarks), adopted
-	// (AdoptLandmark) or restored from a snapshot. Published by atomic
-	// pointer: readers Load once per query, writers copy-on-write under
+	// nil until landmarks are built (BuildLandmarks) or restored from a
+	// snapshot (SetLandmarkData). Published by atomic pointer: readers
+	// Load once per query, and each writer replaces the whole set under
 	// lmMu (see landmarks.go).
 	lm   atomic.Pointer[landmark.Set]
 	lmMu sync.Mutex
