@@ -16,10 +16,10 @@
 // reports solve counts per engine.
 //
 // Goal-directed routing: the landmarks=K spec key builds K ALT landmark
-// vectors at load time, making /v1/route solves goal-directed (pruned);
-// ?prune=0 opts a request out for A/B measurement. A served graph's
-// landmark set is the one its spec built (or its snapshot carried) and
-// never changes while that epoch serves.
+// vectors at load time, and every /v1/route solve on that graph is
+// goal-directed (pruned) by them. A served graph's landmark set is the
+// one its spec built (or its snapshot carried) and never changes while
+// that epoch serves.
 //
 // Observability: GET /metrics serves Prometheus text (per-engine solve
 // latency histograms, per-endpoint request/error counters, cache, pool
@@ -32,13 +32,14 @@
 // independently — a spec that fails validation (torn snapshot, bad
 // checksum, build error) is quarantined and logged while the rest come
 // up, so one broken file degrades the daemon instead of killing it
-// (-require-all-graphs restores strict startup; the process still
-// exits nonzero if ALL graphs fail). /readyz reports "degraded" with
-// per-graph states while any graph is down. At runtime, POST
-// /v1/admin/reload atomically swaps a graph to a freshly built epoch —
-// in-flight queries finish on the old epoch, new queries see the new
-// one, and a failed reload quarantines while the old epoch keeps
-// serving. The admin surface (reload, load, DELETE) listens on
+// (the process exits nonzero only if ALL graphs fail). /readyz reports
+// "degraded" with per-graph states while any graph is down. At
+// runtime, POST /v1/admin/reload atomically swaps a graph to a freshly
+// built epoch — in-flight queries finish on the old epoch, new queries
+// see the new one, and a failed reload quarantines while the old epoch
+// keeps serving. /readyz, /v1/graphs, /v1/stats and /metrics answer
+// while a graph builds; a graph appears in them once its first build
+// ends. The admin surface (reload, load, DELETE) listens on
 // -admin-addr (private, unauthenticated) and/or mounts on the query
 // port guarded by -admin-token. A spec loaded through the admin API
 // that fails to build answers 422 and leaves nothing registered.
@@ -118,7 +119,6 @@ func main() {
 	adminAddr := flag.String("admin-addr", "", "serve the unauthenticated admin API (reload/load/remove) on this private address; empty disables")
 	adminToken := flag.String("admin-token", "", "mount the admin API on the query port, guarded by this bearer token; empty keeps it off")
 	watch := flag.Duration("watch", 0, "poll file-backed graph sources at this interval and hot-reload on change; quarantined graphs re-probe with backoff (0 disables)")
-	requireAllGraphs := flag.Bool("require-all-graphs", false, "exit at startup if ANY graph fails to load (default: come up degraded if at least one serves)")
 	flag.Parse()
 
 	if len(graphSpecs) == 0 {
@@ -158,7 +158,7 @@ func main() {
 				ok.Add(1)
 				// The admin listener is already up: a DELETE may have
 				// removed the graph since it loaded.
-				if entry, found := reg.Get(cfg.Name); found {
+				if entry, err := reg.Acquire(cfg.Name); err == nil {
 					log.Printf("graph %q ready: n=%d m=%d rho=%d k=%d +%d shortcuts radii=%s source=%s (%v)",
 						entry.Name, entry.Info.Vertices, entry.Info.Edges, entry.Info.Rho,
 						entry.Info.K, entry.Info.ShortcutsAdded, entry.Info.RadiiSource,
@@ -267,14 +267,12 @@ func main() {
 		// Nothing can serve: dying loudly beats squatting on the port
 		// answering 503s until someone notices.
 		fail("all %d graphs failed to load", len(cfgs))
-	case loaded < len(cfgs) && *requireAllGraphs:
-		fail("%d of %d graphs failed to load (-require-all-graphs)", len(cfgs)-loaded, len(cfgs))
 	case loaded < len(cfgs):
 		log.Printf("degraded: %d of %d graphs failed to load; serving the rest (see /readyz and /v1/graphs)",
 			len(cfgs)-loaded, len(cfgs))
 	}
 	srv.SetReady(true)
-	log.Printf("ready: %d graphs serving", reg.Len())
+	log.Printf("ready: %d graphs serving", len(reg.List()))
 
 	watchCtx, watchCancel := context.WithCancel(context.Background())
 	defer watchCancel()

@@ -324,8 +324,8 @@ func TestCLISsspdSelftest(t *testing.T) {
 	}
 	// Flags and -graph specs are the only configuration, and a served
 	// graph is what its spec built: no graph memory budget, no landmark
-	// adoption.
-	for _, args := range [][]string{{"-config", "x.json"}, {"-graph-budget-mb", "1"}, {"-auto-landmarks"}} {
+	// adoption. Startup is degraded, never all-or-nothing.
+	for _, args := range [][]string{{"-config", "x.json"}, {"-graph-budget-mb", "1"}, {"-auto-landmarks"}, {"-require-all-graphs"}} {
 		if out := wantExit2(t, dir, "ssspd", args...); !strings.Contains(out, "flag provided but not defined: "+args[0]) {
 			t.Fatalf("%s: want an unknown flag:\n%s", args[0], out)
 		}

@@ -217,8 +217,8 @@ func TestQuarantineKeepsOldEpochServing(t *testing.T) {
 	if c := s.Registry().Counters(); c.LoadFailures != 1 {
 		t.Fatalf("loadFailures = %d, want 1", c.LoadFailures)
 	}
-	if got := s.Registry().QuarantinedCount(); got != 1 {
-		t.Fatalf("QuarantinedCount = %d, want 1", got)
+	if got := s.Registry().Counters().Quarantined; got != 1 {
+		t.Fatalf("quarantined = %d, want 1", got)
 	}
 
 	// Fix the file; the next reload recovers and clears quarantine.
@@ -230,8 +230,8 @@ func TestQuarantineKeepsOldEpochServing(t *testing.T) {
 	if code != http.StatusOK || epoch3 <= epoch1 || d1 != 300 {
 		t.Fatalf("after recovery: code=%d epoch=%d d1=%v, want 200/>%d/300", code, epoch3, d1, epoch1)
 	}
-	if got := s.Registry().QuarantinedCount(); got != 0 {
-		t.Fatalf("QuarantinedCount after recovery = %d, want 0", got)
+	if got := s.Registry().Counters().Quarantined; got != 0 {
+		t.Fatalf("quarantined after recovery = %d, want 0", got)
 	}
 }
 
@@ -289,6 +289,145 @@ func TestReadyzAllFailed(t *testing.T) {
 	}
 }
 
+// TestReadyzDuringBuild: readers never wait on a build. While a reload
+// of a serving graph and an admin load of a new one are both held at
+// the snapshot-load seam, /readyz, /v1/graphs, /v1/stats and /metrics
+// each send their whole body within a second, the reloading graph reads
+// ready at its old epoch, and the graph still building is absent and
+// answers 404 at once. Releasing the builds publishes the next epoch
+// and the new graph.
+func TestReadyzDuringBuild(t *testing.T) {
+	dir := t.TempDir()
+	path, path2 := filepath.Join(dir, "g.snap"), filepath.Join(dir, "h.snap")
+	packWeighted(t, path, 100)
+	packWeighted(t, path2, 100)
+	s, ts := newLifecycleServer(t, Config{}, GraphConfig{Name: "g", Snapshot: path})
+	admin := httptest.NewServer(s.AdminHandler())
+	t.Cleanup(admin.Close)
+	_, epoch1, _, _ := queryTargets(t, ts, "g")
+
+	gate := make(chan struct{})
+	fault.Inject(fault.SiteSnapshotLoad, fault.Plan{Gate: gate})
+	t.Cleanup(fault.Clear)
+	// Cleanups run last-in first-out: the gate opens before the servers
+	// close, which waits for the held requests.
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	held := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for fault.Fired(fault.SiteSnapshotLoad) < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("build %d never reached the snapshot-load seam", n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	reloaded := make(chan error, 1)
+	go func() { reloaded <- s.Registry().Reload("g") }()
+	held(1)
+
+	// The client's timeout covers reading the body, so a handler that
+	// sends its headers and then blocks fails here too.
+	client := &http.Client{Timeout: time.Second}
+	get := func(path string) (string, bool) {
+		t.Helper()
+		r, err := client.Get(ts.URL + path)
+		if err != nil {
+			t.Errorf("GET %s while a build is held: no response: %v", path, err)
+			return "", false
+		}
+		defer r.Body.Close()
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("GET %s while a build is held: body stalled: %v", path, err)
+			return "", false
+		}
+		if r.StatusCode != http.StatusOK {
+			t.Errorf("GET %s while a build is held: status %d: %s", path, r.StatusCode, body)
+			return "", false
+		}
+		return string(body), true
+	}
+	health := func() map[string]GraphHealth {
+		t.Helper()
+		body, ok := get("/v1/graphs")
+		if !ok {
+			return nil
+		}
+		var resp struct {
+			Health []GraphHealth `json:"health"`
+		}
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatalf("graphs body %q: %v", body, err)
+		}
+		out := make(map[string]GraphHealth)
+		for _, h := range resp.Health {
+			out[h.Name] = h
+		}
+		return out
+	}
+
+	ready, ok := get("/readyz")
+	if ok && !strings.Contains(ready, `"status":"ready"`) {
+		t.Errorf("readyz during a reload: %s, want ready", ready)
+	}
+	if h := health(); h != nil && (h["g"].State != GraphReady || h["g"].Epoch != epoch1) {
+		t.Errorf("graphs during a reload: g = %+v, want ready at epoch %d", h["g"], epoch1)
+	}
+	get("/v1/stats")
+	if body, ok := get("/metrics"); ok && !strings.Contains(body, "\nsssp_graphs_serving 1\n") {
+		t.Errorf("metrics during a reload lack sssp_graphs_serving 1")
+	}
+
+	loaded := make(chan error, 1)
+	go func() {
+		r, err := admin.Client().Post(admin.URL+"/v1/admin/load", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"spec":"h=snapshot=%s"}`, path2)))
+		if err == nil {
+			r.Body.Close()
+			if r.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", r.StatusCode)
+			}
+		}
+		loaded <- err
+	}()
+	held(2)
+	if h := health(); h != nil {
+		if _, ok := h["h"]; ok {
+			t.Errorf("graphs list h while its first build is held: %+v", h["h"])
+		}
+	}
+	r, err := client.Post(ts.URL+"/v1/distances", "application/json", strings.NewReader(`{"graph":"h","source":0}`))
+	if err != nil {
+		t.Errorf("query for a graph still building: no response: %v", err)
+	} else {
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("query for a graph still building: status %d, want 404", r.StatusCode)
+		}
+	}
+	if after, ok := get("/readyz"); ok && after != ready {
+		t.Errorf("readyz while a new graph builds: %s, want %s", after, ready)
+	}
+
+	release()
+	if err := <-reloaded; err != nil {
+		t.Fatalf("held reload: %v", err)
+	}
+	if err := <-loaded; err != nil {
+		t.Fatalf("held admin load: %v", err)
+	}
+	if code, epoch2, d1, _ := queryTargets(t, ts, "g"); code != http.StatusOK || epoch2 <= epoch1 || d1 != 100 {
+		t.Fatalf("after the reload: code=%d epoch=%d d1=%v, want 200/>%d/100", code, epoch2, d1, epoch1)
+	}
+	if code, _, d1, _ := queryTargets(t, ts, "h"); code != http.StatusOK || d1 != 100 {
+		t.Fatalf("loaded graph: code=%d d1=%v, want 200/100", code, d1)
+	}
+}
+
 // TestWatcherReloadsOnMtimeAndBacksOffOnFailure drives probeAll ticks
 // synchronously: a fresher source mtime triggers a reload; a breaking
 // file quarantines; subsequent ticks within the backoff window skip the
@@ -340,8 +479,8 @@ func TestWatcherReloadsOnMtimeAndBacksOffOnFailure(t *testing.T) {
 		t.Fatalf("backoff did not hold: loadFailures = %d, want still 1", c.LoadFailures)
 	}
 	// The old epoch still serves throughout quarantine.
-	if _, ok := reg.Get("g"); !ok {
-		t.Fatal("quarantined graph stopped serving its old epoch")
+	if _, err := reg.Acquire("g"); err != nil {
+		t.Fatalf("quarantined graph stopped serving its old epoch: %v", err)
 	}
 
 	// Fix the file and wait out the backoff (1 interval after 1 failure):
@@ -359,8 +498,8 @@ func TestWatcherReloadsOnMtimeAndBacksOffOnFailure(t *testing.T) {
 		reg.probeAll(interval)
 		time.Sleep(interval / 2)
 	}
-	if got := reg.QuarantinedCount(); got != 0 {
-		t.Fatalf("QuarantinedCount after recovery = %d, want 0", got)
+	if got := reg.Counters().Quarantined; got != 0 {
+		t.Fatalf("quarantined after recovery = %d, want 0", got)
 	}
 }
 
@@ -450,8 +589,8 @@ func TestAdminHandlerLifecycle(t *testing.T) {
 	if code, body := adminDo(t, admin, "POST", "/v1/admin/load", "", spec); code != http.StatusOK {
 		t.Fatalf("load: %d (%s)", code, body)
 	}
-	if _, ok := s.Registry().Get("h"); !ok {
-		t.Fatal("loaded graph not serving")
+	if _, err := s.Registry().Acquire("h"); err != nil {
+		t.Fatalf("loaded graph not serving: %v", err)
 	}
 	if code, _ := adminDo(t, admin, "POST", "/v1/admin/load", "", spec); code != http.StatusConflict {
 		t.Fatalf("duplicate load: %d, want 409", code)
@@ -466,8 +605,8 @@ func TestAdminHandlerLifecycle(t *testing.T) {
 			t.Fatalf("load %s: %d, want 400", body, code)
 		}
 	}
-	if _, ok := s.Registry().Get("x"); ok {
-		t.Fatal("a rejected load body registered a graph")
+	if _, err := s.Registry().Acquire("x"); !errors.Is(err, ErrGraphUnknown) {
+		t.Fatalf("a rejected load body registered a graph: %v", err)
 	}
 	// A spec that fails to build answers 422 with the error and registers
 	// nothing: readiness and health read as before, and a corrected load
@@ -490,8 +629,8 @@ func TestAdminHandlerLifecycle(t *testing.T) {
 	if code, _ := adminDo(t, admin, "DELETE", "/v1/admin/graphs/h", "", ""); code != http.StatusOK {
 		t.Fatalf("remove: %d", code)
 	}
-	if _, ok := s.Registry().Get("h"); ok {
-		t.Fatal("removed graph still serving")
+	if _, err := s.Registry().Acquire("h"); !errors.Is(err, ErrGraphUnknown) {
+		t.Fatalf("removed graph still serving: %v", err)
 	}
 	if code, _ := adminDo(t, admin, "DELETE", "/v1/admin/graphs/h", "", ""); code != http.StatusNotFound {
 		t.Fatalf("double remove: %d, want 404", code)
@@ -523,8 +662,8 @@ func TestAdminLoadRejectedConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, total := reg.ReadyCount(); total != 0 {
-		t.Fatalf("%d graphs registered after rejected loads, want 0", total)
+	if h := reg.Health(); len(h) != 0 {
+		t.Fatalf("%d graphs registered after rejected loads, want 0", len(h))
 	}
 	if err := reg.load(GraphConfig{Name: "x", Gen: "grid2d", N: 100}, false); err != nil {
 		t.Fatalf("load after the rejected ones: %v", err)
@@ -620,8 +759,8 @@ func TestChaosReloadUnderLoad(t *testing.T) {
 	if c := s.Registry().Counters(); c.Reloads < 1 {
 		t.Fatalf("reloads = %d, want >= 1 after the fault limit", c.Reloads)
 	}
-	if got := s.Registry().QuarantinedCount(); got != 0 {
-		t.Fatalf("QuarantinedCount = %d, want 0 after recovery", got)
+	if got := s.Registry().Counters().Quarantined; got != 0 {
+		t.Fatalf("quarantined = %d, want 0 after recovery", got)
 	}
 
 	ts.Client().CloseIdleConnections()

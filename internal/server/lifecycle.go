@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,18 +46,26 @@ var (
 	ErrGraphFailed = errors.New("server: graph unavailable")
 )
 
-// graphState is the registry's mutable lifecycle record for one named
-// graph. The published epoch lives in cur — an atomic pointer readers
-// pin without locks — and everything else (the spec, quarantine
-// bookkeeping) sits behind the per-graph mutex so a slow rebuild of one
-// graph never blocks another graph's reload, and never blocks any
-// reader at all.
+// graphState is the registry's lifecycle slot for one named graph.
+// Everything readers see sits in one immutable graphRecord behind rec:
+// a writer (a build ending in load or Reload, the watcher scheduling a
+// probe) holds mu, copies the record, and publishes the copy with one
+// Store. Readers load rec and never take mu, so a slow rebuild blocks
+// no reader, and never another graph's rebuild.
 type graphState struct {
 	name string
-	cur  atomic.Pointer[Entry] // nil until a build succeeds
+	cfg  GraphConfig // the spec every rebuild starts from
 
-	mu  sync.Mutex
-	cfg GraphConfig // the spec every rebuild starts from
+	mu  sync.Mutex                  // orders writers; no reader takes it
+	rec atomic.Pointer[graphRecord] // nil until the first build ends
+}
+
+// graphRecord is one published lifecycle state of a graph: the serving
+// epoch and the quarantine bookkeeping that health reports and the
+// watcher's backoff reads. Nothing changes a published record.
+type graphRecord struct {
+	name  string
+	entry *Entry // nil until a build succeeds
 
 	// Quarantine bookkeeping: consecutive build failures, the latest
 	// error, and the watcher's next re-probe time (exponential backoff).
@@ -85,9 +95,10 @@ func sourcePath(cfg GraphConfig) string {
 // reloaded, quarantined, or removed at runtime without touching the
 // others. A graph enters only through LoadConfig, and its published
 // epoch changes only when a rebuild from the same spec (Reload, Watch)
-// succeeds. Readers never lock beyond the name lookup: they pin the
-// current epoch with one atomic load and keep computing on it even
-// while a swap publishes the next one.
+// succeeds. Readers (Acquire, List, Health, Counters) take no
+// per-graph lock: they load published records, so none waits on a
+// build, and a query keeps computing on the epoch it pinned while a
+// swap publishes the next one.
 type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*graphState
@@ -121,9 +132,7 @@ func (r *Registry) notifySwap(name string) {
 	}
 }
 
-func (r *Registry) nextEpoch() uint64 { return r.epoch.Add(1) }
-
-// state looks up the lifecycle record for name.
+// state looks up the lifecycle slot for name.
 func (r *Registry) state(name string) (*graphState, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -131,70 +140,51 @@ func (r *Registry) state(name string) (*graphState, bool) {
 	return gs, ok
 }
 
-// Get returns the current epoch of a serving graph. It reports false
-// for unknown and failed graphs alike; Acquire tells them apart.
-func (r *Registry) Get(name string) (*Entry, bool) {
-	gs, ok := r.state(name)
-	if !ok {
-		return nil, false
+// records returns the published record of every registered graph,
+// sorted by name. A graph whose first build is still running has no
+// record yet and is left out.
+func (r *Registry) records() []*graphRecord {
+	r.mu.RLock()
+	out := make([]*graphRecord, 0, len(r.graphs))
+	for _, gs := range r.graphs {
+		if rec := gs.rec.Load(); rec != nil {
+			out = append(out, rec)
+		}
 	}
-	e := gs.cur.Load()
-	return e, e != nil
+	r.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
 // Acquire pins the current epoch of name for one query: the returned
 // Entry is immutable and stays valid however many swaps follow. A
 // graph that has never loaded returns ErrGraphFailed wrapping the load
-// error.
+// error; one whose first build is still running is unknown.
 func (r *Registry) Acquire(name string) (*Entry, error) {
-	gs, ok := r.state(name)
-	if !ok {
+	var rec *graphRecord
+	if gs, ok := r.state(name); ok {
+		rec = gs.rec.Load()
+	}
+	switch {
+	case rec == nil:
 		return nil, fmt.Errorf("%w %q", ErrGraphUnknown, name)
+	case rec.entry == nil:
+		return nil, fmt.Errorf("%w: %q: %v", ErrGraphFailed, name, rec.lastErr)
 	}
-	if e := gs.cur.Load(); e != nil {
-		return e, nil
-	}
-	// Re-check under the lock: a first build holds it, and may have
-	// published while this call waited.
-	gs.mu.Lock()
-	e, err := gs.cur.Load(), gs.lastErr
-	gs.mu.Unlock()
-	if e != nil {
-		return e, nil
-	}
-	if err == nil {
-		err = errors.New("not loaded")
-	}
-	return nil, fmt.Errorf("%w: %q: %v", ErrGraphFailed, name, err)
+	return rec.entry, nil
 }
 
 // List returns the current epoch of every serving graph, sorted by
 // name. Failed graphs are omitted — they have no epoch to serve — and
 // show up in Health instead.
 func (r *Registry) List() []*Entry {
-	r.mu.RLock()
-	out := make([]*Entry, 0, len(r.graphs))
-	for _, gs := range r.graphs {
-		if e := gs.cur.Load(); e != nil {
-			out = append(out, e)
+	var out []*Entry
+	for _, rec := range r.records() {
+		if rec.entry != nil {
+			out = append(out, rec.entry)
 		}
 	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Len returns the number of graphs currently serving an epoch.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, gs := range r.graphs {
-		if gs.cur.Load() != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // LoadConfig registers cfg's graph and builds its first epoch; it is
@@ -207,10 +197,11 @@ func (r *Registry) LoadConfig(cfg GraphConfig) error { return r.load(cfg, true) 
 
 // load registers cfg's graph under its name, which must be new, and
 // builds its first epoch. The name is taken before the build, so of
-// two concurrent loads of one name exactly one builds. keepFailed
-// decides what a failed build leaves behind: a failed graph
-// (LoadConfig) or nothing (an admin load, whose caller hears the error
-// in the response).
+// two concurrent loads of one name exactly one builds, but readers
+// see the graph only once the build publishes its first record.
+// keepFailed decides what a failed build leaves behind: a failed
+// record (LoadConfig) or nothing at all (an admin load, whose caller
+// hears the error in the response).
 func (r *Registry) load(cfg GraphConfig, keepFailed bool) error {
 	if cfg.Name == "" {
 		return fmt.Errorf("server: graph config needs a name")
@@ -226,38 +217,46 @@ func (r *Registry) load(cfg GraphConfig, keepFailed bool) error {
 
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	err := r.buildLocked(gs)
+	e, err := BuildEntry(cfg)
 	if err != nil && !keepFailed {
+		r.loadFailures.Add(1)
 		r.mu.Lock()
 		if r.graphs[cfg.Name] == gs { // not removed and re-registered meanwhile
 			delete(r.graphs, cfg.Name)
 		}
 		r.mu.Unlock()
+		return err
 	}
-	return err
+	return r.publish(gs, e, err)
 }
 
-// buildLocked rebuilds gs from its spec and publishes the new epoch,
-// or records the failure for quarantine. Caller holds gs.mu; the
-// registry map lock is NOT held, so concurrent loads of different
-// graphs proceed in parallel and readers of this graph keep serving the
-// old epoch throughout.
-func (r *Registry) buildLocked(gs *graphState) error {
-	e, err := BuildEntry(gs.cfg)
-	if err != nil {
-		return r.failLocked(gs, err)
+// publish ends a build of gs by storing the record that follows the
+// current one: epoch e, or err counted as one more consecutive failure
+// while any previous epoch keeps serving. It returns err. Caller holds
+// gs.mu; the registry map lock is NOT held, so builds of different
+// graphs proceed in parallel.
+func (r *Registry) publish(gs *graphState, e *Entry, err error) error {
+	old := gs.rec.Load()
+	next := graphRecord{name: gs.name}
+	if old != nil {
+		next = *old
 	}
-	e.Epoch = r.nextEpoch()
+	if err != nil {
+		r.loadFailures.Add(1)
+		next.failures++
+		next.lastErr, next.lastErrAt = err, time.Now()
+		gs.rec.Store(&next)
+		return err
+	}
+	e.Epoch = r.epoch.Add(1)
+	next.entry, next.failures, next.lastErr, next.nextProbe = e, 0, nil, time.Time{}
 	if p := sourcePath(gs.cfg); p != "" {
 		if st, serr := os.Stat(p); serr == nil {
-			gs.srcMtime = st.ModTime()
+			next.srcMtime = st.ModTime()
 		}
 	}
-	old := gs.cur.Swap(e)
-	gs.failures = 0
-	gs.lastErr = nil
-	gs.nextProbe = time.Time{}
-	if old != nil {
+	gs.rec.Store(&next)
+	if old != nil && old.entry != nil {
 		r.reloads.Add(1)
 		// Old-epoch cache vectors are unreachable (the key embeds the
 		// epoch) but still resident; drop them now rather than waiting
@@ -267,20 +266,9 @@ func (r *Registry) buildLocked(gs *graphState) error {
 	return nil
 }
 
-// failLocked records a failed build of gs — the count, error and time
-// that health reports and the watcher's backoff reads — and returns
-// err. Caller holds gs.mu.
-func (r *Registry) failLocked(gs *graphState, err error) error {
-	r.loadFailures.Add(1)
-	gs.failures++
-	gs.lastErr = err
-	gs.lastErrAt = time.Now()
-	return err
-}
-
 // Reload rebuilds a graph from its spec and swaps in a new epoch.
 // In-flight queries on the old epoch finish untouched; new queries see
-// the new epoch the instant the pointer swaps. On any build or
+// the new epoch the instant the record is published. On any build or
 // validation failure the old epoch keeps serving and the graph is
 // quarantined: failures count up, health carries the error, and the
 // watcher's re-probe backs off exponentially.
@@ -291,10 +279,14 @@ func (r *Registry) Reload(name string) error {
 	}
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	if ferr := fault.Check(context.TODO(), fault.SiteReload); ferr != nil {
-		return r.failLocked(gs, fmt.Errorf("server: graph %q: %w", name, ferr))
+	if gs.rec.Load() == nil { // its first build failed and unregistered it
+		return fmt.Errorf("%w %q", ErrGraphUnknown, name)
 	}
-	return r.buildLocked(gs)
+	if err := fault.Check(context.TODO(), fault.SiteReload); err != nil {
+		return r.publish(gs, nil, fmt.Errorf("server: graph %q: %w", name, err))
+	}
+	e, err := BuildEntry(gs.cfg)
+	return r.publish(gs, e, err)
 }
 
 // Remove unregisters a graph. In-flight queries holding its last epoch
@@ -329,66 +321,37 @@ type GraphHealth struct {
 	NextProbe  time.Time `json:"nextProbe,omitzero"`
 }
 
-// Health reports the lifecycle state of every registered graph,
-// serving or not, sorted by name.
+// Health reports the lifecycle state of every graph with a published
+// record, serving or not, sorted by name.
 func (r *Registry) Health() []GraphHealth {
-	r.mu.RLock()
-	states := make([]*graphState, 0, len(r.graphs))
-	for _, gs := range r.graphs {
-		states = append(states, gs)
+	recs := r.records()
+	out := make([]GraphHealth, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.health()
 	}
-	r.mu.RUnlock()
-	out := make([]GraphHealth, 0, len(states))
-	for _, gs := range states {
-		out = append(out, r.healthOf(gs))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-func (r *Registry) healthOf(gs *graphState) GraphHealth {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	h := GraphHealth{
-		Name:     gs.name,
-		Failures: gs.failures,
-	}
-	if gs.lastErr != nil {
-		h.Error = gs.lastErr.Error()
-		h.ErrorAt = gs.lastErrAt
-		h.NextProbe = gs.nextProbe
+func (rec *graphRecord) health() GraphHealth {
+	h := GraphHealth{Name: rec.name, Failures: rec.failures}
+	if rec.lastErr != nil {
+		h.Error, h.ErrorAt, h.NextProbe = rec.lastErr.Error(), rec.lastErrAt, rec.nextProbe
 		switch {
-		case errors.Is(gs.lastErr, rs.ErrSnapshotTruncated):
+		case errors.Is(rec.lastErr, rs.ErrSnapshotTruncated):
 			h.ErrorClass = "truncated"
-		case errors.Is(gs.lastErr, rs.ErrSnapshotCorrupt):
+		case errors.Is(rec.lastErr, rs.ErrSnapshotCorrupt):
 			h.ErrorClass = "corrupt"
 		}
 	}
-	e := gs.cur.Load()
 	switch {
-	case e != nil && gs.lastErr == nil:
-		h.State = GraphReady
-		h.Epoch = e.Epoch
-	case e != nil:
-		h.State = GraphQuarantined
-		h.Epoch = e.Epoch
-	default:
+	case rec.entry == nil:
 		h.State = GraphFailed
+	case rec.lastErr != nil:
+		h.State, h.Epoch = GraphQuarantined, rec.entry.Epoch
+	default:
+		h.State, h.Epoch = GraphReady, rec.entry.Epoch
 	}
 	return h
-}
-
-// ReadyCount reports how many graphs are serving an epoch and how many
-// are registered in total — the /readyz degraded-mode inputs.
-func (r *Registry) ReadyCount() (serving, total int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, gs := range r.graphs {
-		if gs.cur.Load() != nil {
-			serving++
-		}
-	}
-	return serving, len(r.graphs)
 }
 
 // Watch polls file-backed graphs every interval until ctx ends: a
@@ -421,93 +384,80 @@ const maxBackoffFactor = 16
 // ticks synchronously.
 func (r *Registry) probeAll(interval time.Duration) {
 	r.mu.RLock()
-	states := make([]*graphState, 0, len(r.graphs))
-	for _, gs := range r.graphs {
-		states = append(states, gs)
-	}
+	states := slices.Collect(maps.Values(r.graphs))
 	r.mu.RUnlock()
 	now := time.Now()
 	for _, gs := range states {
-		if name, due := r.probeDue(gs, now, interval); due {
-			if err := r.Reload(name); err != nil {
-				log.Printf("graph %q: watch reload failed (retry per backoff): %v", name, err)
+		if r.probeDue(gs, now, interval) {
+			if err := r.Reload(gs.name); err != nil {
+				log.Printf("graph %q: watch reload failed (retry per backoff): %v", gs.name, err)
 			} else {
-				log.Printf("graph %q: watch reload swapped in a new epoch", name)
+				log.Printf("graph %q: watch reload swapped in a new epoch", gs.name)
 			}
 		}
 	}
 }
 
 // probeDue decides, under gs.mu, whether the watcher should rebuild gs
-// this tick, and schedules the next backoff probe when it fires for an
-// unhealthy graph.
-func (r *Registry) probeDue(gs *graphState, now time.Time, interval time.Duration) (string, bool) {
+// this tick, and when it should, publishes the time of the probe after
+// it: the backoff for an unhealthy graph, one interval for a changed
+// file.
+func (r *Registry) probeDue(gs *graphState, now time.Time, interval time.Duration) bool {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	if gs.lastErr != nil {
-		if now.Before(gs.nextProbe) {
-			return "", false
+	rec := gs.rec.Load()
+	if rec == nil {
+		return false // a failed admin load, unregistered
+	}
+	next := *rec
+	if rec.lastErr != nil {
+		if now.Before(rec.nextProbe) {
+			return false
 		}
 		// Schedule the next probe before attempting this one, doubling
 		// per consecutive failure: a success resets nextProbe anyway.
 		factor := int64(1)
-		for i := 0; i < gs.failures && factor < maxBackoffFactor; i++ {
+		for i := 0; i < rec.failures && factor < maxBackoffFactor; i++ {
 			factor <<= 1
 		}
-		gs.nextProbe = now.Add(time.Duration(factor) * interval)
-		return gs.name, true
+		next.nextProbe = now.Add(time.Duration(factor) * interval)
+	} else {
+		p := sourcePath(gs.cfg)
+		if p == "" {
+			return false // generated graphs have no file to watch
+		}
+		// A vanished file keeps serving the loaded epoch, and says
+		// nothing; a later replacement shows up as a fresh mtime.
+		if st, err := os.Stat(p); err != nil || !st.ModTime().After(rec.srcMtime) {
+			return false
+		}
+		// Gate the next tick before attempting: if this reload fails, the
+		// graph enters quarantine and must wait out one interval rather
+		// than being rebuilt again on the very next tick.
+		next.nextProbe = now.Add(interval)
 	}
-	p := sourcePath(gs.cfg)
-	if p == "" {
-		return "", false // generated graphs have no file to watch
-	}
-	st, err := os.Stat(p)
-	if err != nil {
-		// The file vanished: keep serving the loaded epoch, say nothing.
-		// A later replacement shows up as a fresh mtime.
-		return "", false
-	}
-	if !st.ModTime().After(gs.srcMtime) {
-		return "", false
-	}
-	// Gate the next tick before attempting: if this reload fails, the
-	// graph enters quarantine and must wait out one interval rather
-	// than being rebuilt again on the very next tick.
-	gs.nextProbe = now.Add(interval)
-	return gs.name, true
+	gs.rec.Store(&next)
+	return true
 }
 
-// LifecycleCounters is the registry's monotonic lifecycle counter
-// snapshot, exposed as Prometheus families and in /v1/stats.
+// LifecycleCounters is the registry's lifecycle snapshot: the
+// /v1/stats lifecycle section, and the values the lifecycle metric
+// families sample at scrape time.
 type LifecycleCounters struct {
 	LoadFailures int64 `json:"loadFailures"`
 	Reloads      int64 `json:"reloads"`
+	// Quarantined counts graphs whose last build failed, serving a
+	// stale epoch or none.
+	Quarantined int `json:"quarantined"`
 }
 
-// Counters returns the lifecycle counter snapshot.
+// Counters returns the lifecycle snapshot.
 func (r *Registry) Counters() LifecycleCounters {
-	return LifecycleCounters{
-		LoadFailures: r.loadFailures.Load(),
-		Reloads:      r.reloads.Load(),
-	}
-}
-
-// QuarantinedCount reports how many graphs currently carry a load
-// error (quarantined or failed) — the sssp_graphs_quarantined gauge.
-func (r *Registry) QuarantinedCount() int {
-	r.mu.RLock()
-	states := make([]*graphState, 0, len(r.graphs))
-	for _, gs := range r.graphs {
-		states = append(states, gs)
-	}
-	r.mu.RUnlock()
-	n := 0
-	for _, gs := range states {
-		gs.mu.Lock()
-		if gs.lastErr != nil {
-			n++
+	c := LifecycleCounters{LoadFailures: r.loadFailures.Load(), Reloads: r.reloads.Load()}
+	for _, rec := range r.records() {
+		if rec.lastErr != nil {
+			c.Quarantined++
 		}
-		gs.mu.Unlock()
 	}
-	return n
+	return c
 }

@@ -151,10 +151,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.registry.Counters().Reloads) })
 	r.NewGaugeFunc("sssp_graphs_quarantined",
 		"Graphs whose most recent load attempt failed (serving a stale epoch or nothing).",
-		func() float64 { return float64(s.registry.QuarantinedCount()) })
+		func() float64 { return float64(s.registry.Counters().Quarantined) })
 	r.NewGaugeFunc("sssp_graphs_serving",
 		"Graphs with a live epoch answering queries right now.",
-		func() float64 { serving, _ := s.registry.ReadyCount(); return float64(serving) })
+		func() float64 { return float64(len(s.registry.List())) })
 	m.frontierOps = r.NewCounterVec("sssp_frontier_ops_total",
 		"Ordered-frontier substrate operations across frontier-backed solves, by op.", "op")
 

@@ -129,9 +129,9 @@ func TestRegistryServesK1Snapshot(t *testing.T) {
 	if err := reg.LoadConfig(GraphConfig{Name: "k1", Snapshot: path}); err != nil {
 		t.Fatalf("LoadConfig: %v", err)
 	}
-	entry, ok := reg.Get("k1")
-	if !ok {
-		t.Fatal("k1 not serving")
+	entry, err := reg.Acquire("k1")
+	if err != nil {
+		t.Fatalf("k1 not serving: %v", err)
 	}
 	if entry.Info.K != 1 || entry.Info.Heuristic != "direct" {
 		t.Fatalf("k=%d heuristic=%q, want 1/direct", entry.Info.K, entry.Info.Heuristic)

@@ -229,11 +229,8 @@ func TestReorderedServingContract(t *testing.T) {
 		t.Fatalf("graph info: reordered=%v landmarks=%d", info.Reordered, info.Landmarks)
 	}
 
-	// Routes solved with and without landmark pruning.
-	if r := route("?prune=0", 3, 190); r.Cached {
-		t.Fatal("unpruned route reported cached")
-	}
-	if r := route("?prune=1", 3, 190); r.Cached {
+	// A route solved with landmark pruning.
+	if r := route("", 3, 190); r.Cached {
 		t.Fatal("solved route reported cached")
 	}
 
@@ -307,12 +304,12 @@ func TestReorderedServingContract(t *testing.T) {
 
 	// Pruned routes over the packed landmarks stay exact after the full
 	// solves above (sources 3, 77, 5, 120).
-	if r := route("?prune=1", 31, 180); r.Cached {
+	if r := route("", 31, 180); r.Cached {
 		t.Fatal("route from an uncached source reported cached")
 	}
 	route("", 190, 3)
-	if snap := fetchStats(t, ts); snap.RouteSolves != 4 || snap.RouteCacheHits != 1 {
-		t.Fatalf("routeSolves=%d routeCacheHits=%d, want 4 and 1", snap.RouteSolves, snap.RouteCacheHits)
+	if snap := fetchStats(t, ts); snap.RouteSolves != 3 || snap.RouteCacheHits != 1 {
+		t.Fatalf("routeSolves=%d routeCacheHits=%d, want 3 and 1", snap.RouteSolves, snap.RouteCacheHits)
 	}
 
 	// Out-of-range ids are client errors, never a panic or a remapped id.

@@ -81,10 +81,10 @@ func TestRouteCacheFirst(t *testing.T) {
 	}
 }
 
-// TestRoutePruning: with landmarks on the solver, routes prune by
-// default, ?prune=0 opts out, both answers are byte-identical to the
-// oracle, and the pruned candidates reach /v1/stats (not the route
-// body, whose bytes must not depend on the engine).
+// TestRoutePruning: with landmarks on the solver, routes prune, the
+// answer is bit-identical to the oracle, and the pruned candidates
+// reach /v1/stats (not the route body, whose bytes must not depend on
+// the engine).
 func TestRoutePruning(t *testing.T) {
 	ts, g := newLandmarkServer(t, Config{}, 4)
 	src, dst := rs.Vertex(0), rs.Vertex(21)
@@ -97,25 +97,12 @@ func TestRoutePruning(t *testing.T) {
 	if math.Float64bits(pruned.Distance) != math.Float64bits(want) {
 		t.Fatalf("pruned distance %v, want %v", pruned.Distance, want)
 	}
-	afterPruned := fetchStats(t, ts).RoutePruned
-	if afterPruned <= 0 {
-		t.Fatalf("stats routePruned %d after a pruned route; landmarks never fired", afterPruned)
-	}
-
-	var plain routeResponse
-	if code := postJSON(t, ts, "/v1/route?prune=0", routeRequest{Graph: "grid", Source: int64(src), Target: int64(dst)}, &plain); code != http.StatusOK {
-		t.Fatalf("unpruned route: status %d", code)
-	}
-	if math.Float64bits(plain.Distance) != math.Float64bits(want) {
-		t.Fatalf("unpruned distance %v, want %v", plain.Distance, want)
-	}
-
 	snap := fetchStats(t, ts)
-	if snap.RoutePruned != afterPruned {
-		t.Fatalf("?prune=0 moved stats routePruned from %d to %d", afterPruned, snap.RoutePruned)
+	if snap.RoutePruned <= 0 {
+		t.Fatalf("stats routePruned %d after a pruned route; landmarks never fired", snap.RoutePruned)
 	}
-	if snap.RouteSolves != 2 {
-		t.Fatalf("routeSolves: got %d, want 2", snap.RouteSolves)
+	if snap.RouteSolves != 1 {
+		t.Fatalf("routeSolves: got %d, want 1", snap.RouteSolves)
 	}
 
 	// The sequential and flat kernels meet candidates in different
@@ -145,10 +132,6 @@ func TestRoutePruning(t *testing.T) {
 		t.Fatalf("pruned route bodies differ between engines:\n%s\n%s", seq, flat)
 	}
 
-	var bad routeResponse
-	if code := postJSON(t, ts, "/v1/route?prune=banana", routeRequest{Graph: "grid", Source: 0, Target: 1}, &bad); code != http.StatusBadRequest {
-		t.Fatalf("?prune=banana: status %d, want 400", code)
-	}
 }
 
 // TestGraphSpecLandmarks: the landmarks= spec key builds the set at

@@ -564,7 +564,7 @@ type batchResponse struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":        "ok",
-		"graphs":        s.registry.Len(),
+		"graphs":        len(s.registry.List()),
 		"uptimeSeconds": int64(time.Since(s.start).Seconds()),
 	})
 }
@@ -585,10 +585,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "loading"})
 		return
 	}
-	serving, total := s.registry.ReadyCount()
-	states := make(map[string]string, total)
-	for _, h := range s.registry.Health() {
+	// One scan, so the counts and the per-graph states agree.
+	health := s.registry.Health()
+	states := make(map[string]string, len(health))
+	serving, total := 0, len(health)
+	for _, h := range health {
 		states[h.Name] = h.State
+		if h.State != GraphFailed {
+			serving++
+		}
 	}
 	body := map[string]any{"graphs": serving, "registered": total}
 	switch {
@@ -741,27 +746,12 @@ func shapeDistances(resp *distancesResponse, v vector, topK int, targets []int64
 	}
 }
 
-// pruneParam parses the optional ?prune= opt-out for /v1/route.
-// Goal-directed landmark pruning defaults to on (it never changes the
-// answer, only the work); "0" or "false" disables it for A/B
-// measurement. Anything else is a client error.
-func pruneParam(r *http.Request) (bool, error) {
-	switch r.URL.Query().Get("prune") {
-	case "", "1", "true":
-		return true, nil
-	case "0", "false":
-		return false, nil
-	default:
-		return false, fmt.Errorf("bad prune parameter %q (want 0, 1, true, false)", r.URL.Query().Get("prune"))
-	}
-}
-
 // handleRoute answers a point-to-point query, cheapest strategy first:
 //
 //  1. A cached full distance vector for the source answers the route by
 //     tight-edge reconstruction alone — no solve, no solve slot.
-//  2. Otherwise an early-terminated solve runs under the pool, with
-//     goal-directed landmark pruning unless ?prune=0 opts out.
+//  2. Otherwise an early-terminated solve runs under the pool, pruned
+//     by the graph's landmarks when it has any.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var req routeRequest
 	if !decodeBody(w, r, &req) {
@@ -776,11 +766,6 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	eng, perr := engineParam(r)
-	if perr != nil {
-		s.fail(w, http.StatusBadRequest, "%v", perr)
-		return
-	}
-	prune, perr := pruneParam(r)
 	if perr != nil {
 		s.fail(w, http.StatusBadRequest, "%v", perr)
 		return
@@ -809,7 +794,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	path, d, err := s.solveRoute(ctx, e, src, dst, eng, prune)
+	path, d, err := s.solveRoute(ctx, e, src, dst, eng)
 	if err != nil {
 		s.recordSolveError(err)
 		s.failSolve(w, err, "route: %v", err)
@@ -820,11 +805,12 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 // solveRoute runs one route solve under a pool slot and the solve
-// guard, and maps the path back to client ids. The candidates pruning
+// guard, and maps the path back to client ids. The solve prunes with
+// the graph's landmarks, if it has any. The candidates pruning
 // skipped go to the routePruned counter, not into the response: the
 // count depends on the order a kernel meets candidates, so it differs
 // between engines while the route does not.
-func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, eng rs.Engine, prune bool) ([]rs.Vertex, float64, error) {
+func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, eng rs.Engine) ([]rs.Vertex, float64, error) {
 	if err := s.pool.acquire(ctx); err != nil {
 		return nil, 0, err
 	}
@@ -833,7 +819,7 @@ func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, e
 	var r rs.Result
 	err := s.guardSolve(ctx, e, src, func() (err error) {
 		r, err = e.Solver.Solve(ctx, rs.Query{
-			Source: e.storedID(src), Target: e.storedID(dst), HasTarget: true, Engine: eng, Prune: prune,
+			Source: e.storedID(src), Target: e.storedID(dst), HasTarget: true, Engine: eng, Prune: true,
 		})
 		return err
 	})

@@ -24,9 +24,9 @@ var testGrid = GraphConfig{Name: "grid", Gen: "grid2d", N: 400, Seed: 6, Weights
 func serveGraph(t *testing.T, cfg Config, spec GraphConfig) (*Server, *httptest.Server, *Entry) {
 	t.Helper()
 	s, ts := newLifecycleServer(t, cfg, spec)
-	e, ok := s.Registry().Get(spec.Name)
-	if !ok {
-		t.Fatalf("graph %q did not load: %+v", spec.Name, s.Registry().Health())
+	e, err := s.Registry().Acquire(spec.Name)
+	if err != nil {
+		t.Fatalf("graph %q did not load: %v", spec.Name, err)
 	}
 	return s, ts, e
 }

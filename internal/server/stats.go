@@ -16,27 +16,6 @@ type FrontierStats struct {
 	Selects   int64 `json:"selects"`
 }
 
-// GraphLoadStats reports, per graph, how it reached serving state: the
-// configured source, the on-disk format, whether the radii were loaded
-// from persistence or computed at startup, the snapshot size, and the
-// cold-start time.
-type GraphLoadStats struct {
-	Source          string `json:"source"`
-	Format          string `json:"format,omitempty"`
-	RadiiSource     string `json:"radiiSource,omitempty"`
-	SnapshotBytes   int64  `json:"snapshotBytes,omitempty"`
-	ColdStartMillis int64  `json:"coldStartMillis"`
-}
-
-// LifecycleStats is the /v1/stats graph-lifecycle section: registry-wide
-// load failures, hot-reload epoch swaps, and how many graphs are
-// quarantined right now.
-type LifecycleStats struct {
-	LoadFailures int64 `json:"loadFailures"`
-	Reloads      int64 `json:"reloads"`
-	Quarantined  int   `json:"quarantined"`
-}
-
 // StatsSnapshot is the JSON body served by GET /v1/stats. The solve and
 // cache counters are the observable contract the tests rely on: N
 // concurrent identical queries must show solves == 1, and a repeated
@@ -74,17 +53,16 @@ type StatsSnapshot struct {
 	SolvesByEngine map[string]int64 `json:"solvesByEngine"`
 	// Frontier totals the ordered-frontier substrate's operation
 	// counters over every full solve on the frontier-backed engines.
-	Frontier   FrontierStats             `json:"frontier"`
-	GraphLoads map[string]GraphLoadStats `json:"graphLoads"`
-	// Lifecycle totals the registry's load and reload events; the
-	// per-graph detail (state, epoch, quarantine error) lives on
-	// /v1/graphs under "health".
-	Lifecycle LifecycleStats `json:"lifecycle"`
+	Frontier FrontierStats `json:"frontier"`
+	// Lifecycle totals the registry's load and reload events and counts
+	// the quarantined graphs; the per-graph detail (state, epoch,
+	// quarantine error) lives on /v1/graphs under "health".
+	Lifecycle LifecycleCounters `json:"lifecycle"`
 }
 
-// statsSnapshot assembles the full stats body — registry counters plus
-// cache, pool, flight, per-graph solve, and load sections — for
-// /v1/stats and the selftest report alike.
+// statsSnapshot assembles the full stats body — request and solve
+// counters plus cache, pool, flight, per-graph solve, and lifecycle
+// sections — for /v1/stats and the selftest report alike.
 func (s *Server) statsSnapshot() StatsSnapshot {
 	m := s.metrics
 	snap := StatsSnapshot{
@@ -108,6 +86,7 @@ func (s *Server) statsSnapshot() StatsSnapshot {
 			Stale:     m.frontierOps.With("stale").Value(),
 			Selects:   m.frontierOps.With("selects").Value(),
 		},
+		Lifecycle: s.registry.Counters(),
 	}
 	for short, ep := range endpointNames {
 		snap.Requests[short] = m.requests.With(ep).Value()
@@ -125,21 +104,5 @@ func (s *Server) statsSnapshot() StatsSnapshot {
 		snap.SolvesByEngine[k.(string)] = v.(*metrics.Counter).Value()
 		return true
 	})
-	snap.GraphLoads = make(map[string]GraphLoadStats)
-	for _, e := range s.registry.List() {
-		snap.GraphLoads[e.Name] = GraphLoadStats{
-			Source:          e.Info.Source,
-			Format:          e.Info.Format,
-			RadiiSource:     e.Info.RadiiSource,
-			SnapshotBytes:   e.Info.SnapshotBytes,
-			ColdStartMillis: e.Info.ColdStartMillis,
-		}
-	}
-	lc := s.registry.Counters()
-	snap.Lifecycle = LifecycleStats{
-		LoadFailures: lc.LoadFailures,
-		Reloads:      lc.Reloads,
-		Quarantined:  s.registry.QuarantinedCount(),
-	}
 	return snap
 }
