@@ -9,11 +9,10 @@
 // persisted radii skip preprocessing entirely — the fast cold-start
 // path for production restarts.
 //
-// Each graph's default stepping engine comes from the engine= spec key
-// (auto|seq|par|flat|delta|rho; delta derives its Δ bucket width from
-// the graph), and clients may override it per request with the ?engine=
-// query parameter on /v1/distances, /v1/route and /v1/batch; /v1/stats
-// reports solve counts per engine.
+// Each graph's stepping engine comes from its engine= spec key
+// (auto|seq|par|flat|delta|rho, default auto; delta derives its Δ
+// bucket width from the graph), and every query on the graph runs on
+// it; /v1/stats reports solve counts per engine.
 //
 // Goal-directed routing: the landmarks=K spec key builds K ALT landmark
 // vectors at load time, and every /v1/route solve on that graph is

@@ -103,9 +103,10 @@ func AllEngineNames() []string {
 }
 
 // Measure builds one preprocessed solver and times every engine of cfg
-// at every procs value of cfg through the per-query override path — the
-// path the daemon's ?engine= parameter takes. The solver is shared by
-// all cells, so they differ only in engine and available parallelism.
+// at every procs value of cfg through the per-query override path
+// (DistancesWith), which runs the same solve as a graph the daemon
+// serves under that engine= spec key. The solver is shared by all
+// cells, so they differ only in engine and available parallelism.
 // The workspace pool is not: its buffers are grow-only and the
 // per-worker relax buffers are sized by the worker count, so each procs
 // value starts from a fresh pool, re-warmed by one untimed solve per

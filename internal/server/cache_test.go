@@ -190,8 +190,8 @@ func TestDistCacheBodies(t *testing.T) {
 
 // TestCachedBodyServesIdenticalBytes: full-vector responses send what
 // encoding/json writes, whether they solved, joined the solve as one of
-// eight concurrent first requests, hit the cached body, or sat in a
-// batch. A source asked only for its top k never gets a body.
+// eight concurrent first requests, or hit the cached body. A source
+// asked only for its top k never gets a body.
 func TestCachedBodyServesIdenticalBytes(t *testing.T) {
 	const clients = 8
 	s, ts, g := newTestServer(t, Config{Workers: 4, CacheBytes: 1 << 20})
@@ -265,16 +265,12 @@ func TestCachedBodyServesIdenticalBytes(t *testing.T) {
 	if b, err := post("/v1/distances", full); err != nil || !bytes.Equal(b, hit) {
 		t.Fatalf("hit: err %v, body differs from encoding/json at byte %d", err, firstDiff(b, hit))
 	}
-	batch := encodeReference(t, batchResponse{Graph: "grid", Results: []distancesResponse{want(7, true), want(7, true)}})
-	if b, err := post("/v1/batch", `{"graph":"grid","sources":[7,7]}`); err != nil || !bytes.Equal(b, batch) {
-		t.Fatalf("batch hit: err %v, body differs from encoding/json at byte %d", err, firstDiff(b, batch))
-	}
 
 	if v, _ := s.cache.Peek(cacheKey{graph: "grid", epoch: e.Epoch, src: 5}); v.body != nil {
 		t.Fatal("a source asked only for its top k has a body")
 	}
-	if st := s.cache.Stats(); st.BodyBytes != int64(len(wantBody)) || st.Hits != 4 {
-		t.Fatalf("final stats %+v, want %d body bytes and 4 hits (top k, full, two in the batch)", st, len(wantBody))
+	if st := s.cache.Stats(); st.BodyBytes != int64(len(wantBody)) || st.Hits != 2 {
+		t.Fatalf("final stats %+v, want %d body bytes and 2 hits (top k, full)", st, len(wantBody))
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,23 +14,18 @@ import (
 	"radiusstep/internal/fault"
 )
 
-// chaosEngines are the engine overrides the chaos suite rotates
-// through: every query path must stay correct under injected faults on
-// every engine, and the survivors' distance vectors must be
-// byte-identical across all of them.
-var chaosEngines = []string{"sequential", "parallel", "flat", "delta", "rho"}
-
-// newChaosServer builds an HTTP server over a real generated graph via
-// LoadConfig — the same construction path cmd/ssspd uses, so the
-// snapshot-load fault seam is exercised by the loader tests below. The
-// cache is disabled so every request runs the full flight → pool →
-// engine pipeline.
+// newChaosServer serves a real generated graph once per engine in
+// testEngines, through LoadConfig like cmd/ssspd: every query path must
+// stay correct under injected faults on every engine, and the
+// survivors' bodies must be byte-identical across all of them apart
+// from the graph's name and epoch. The cache is disabled so every
+// request runs the full flight → pool → engine pipeline.
 func newChaosServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	fault.Clear()
 	t.Cleanup(fault.Clear)
-	s, ts, _ := serveGraph(t, Config{Workers: 2, QueueDepth: 64, CacheBytes: 0, SolveTimeout: 30 * time.Second},
-		GraphConfig{Name: "chaos", Gen: "grid2d", N: 400, Seed: 9, Weights: 100, Rho: 8})
+	s, ts, _ := serveEngines(t, Config{Workers: 2, QueueDepth: 64, CacheBytes: 0, SolveTimeout: 30 * time.Second},
+		GraphConfig{Gen: "grid2d", N: 400, Seed: 9, Weights: 100, Rho: 8})
 	return s, ts
 }
 
@@ -45,24 +39,17 @@ type chaosQuery struct {
 // chaosTarget is the route target of every /v1/route chaos query.
 const chaosTarget = 210
 
-// chaosGet runs q with an engine override and returns the raw response
-// body — survivors are compared byte for byte.
+// chaosGet runs q on the graph served under engine and returns the
+// status and the body without its graph name and epoch, which
+// survivors must match byte for byte.
 func chaosGet(t *testing.T, ts *httptest.Server, q chaosQuery, engine string) (int, string) {
 	t.Helper()
-	body := fmt.Sprintf(`{"graph":"chaos","source":%d}`, q.src)
+	body := fmt.Sprintf(`{"graph":%q,"source":%d}`, engine, q.src)
 	if q.endpoint == "/v1/route" {
-		body = fmt.Sprintf(`{"graph":"chaos","source":%d,"target":%d}`, q.src, chaosTarget)
+		body = fmt.Sprintf(`{"graph":%q,"source":%d,"target":%d}`, engine, q.src, chaosTarget)
 	}
-	r, err := ts.Client().Post(ts.URL+q.endpoint+"?engine="+engine, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer r.Body.Close()
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	return r.StatusCode, string(raw)
+	code, raw := postRaw(t, ts, q.endpoint, body)
+	return code, namelessBody.ReplaceAllString(raw, "")
 }
 
 // TestChaosLoadFaults drives the snapshot-load seam: an injected error
@@ -109,14 +96,14 @@ func TestChaosSuite(t *testing.T) {
 	for _, ep := range endpoints {
 		for _, src := range sources {
 			q := chaosQuery{ep, src}
-			code, body := chaosGet(t, ts, q, "sequential")
+			code, body := chaosGet(t, ts, q, testEngines[0])
 			if code != http.StatusOK {
 				t.Fatalf("baseline %s src=%d: status %d", ep, src, code)
 			}
 			baseline[q] = body
 		}
 		q := chaosQuery{ep, sources[0]}
-		for _, eng := range chaosEngines[1:] {
+		for _, eng := range testEngines[1:] {
 			code, body := chaosGet(t, ts, q, eng)
 			if code != http.StatusOK || body != baseline[q] {
 				t.Fatalf("engine %s %s baseline: status %d, body match=%v", eng, ep, code, body == baseline[q])
@@ -156,7 +143,7 @@ func TestChaosSuite(t *testing.T) {
 					defer wg.Done()
 					for qi := 0; qi < 4; qi++ {
 						q := chaosQuery{ph.endpoint, sources[(ci+qi)%len(sources)]}
-						eng := chaosEngines[(ci+qi)%len(chaosEngines)]
+						eng := testEngines[(ci+qi)%len(testEngines)]
 						code, body := chaosGet(t, ts, q, eng)
 						mu.Lock()
 						if code == http.StatusOK {
@@ -200,7 +187,7 @@ func TestChaosSuite(t *testing.T) {
 	// Post-chaos sanity: all engines still serve the baseline bytes.
 	for _, ep := range endpoints {
 		q := chaosQuery{ep, sources[1]}
-		for _, eng := range chaosEngines {
+		for _, eng := range testEngines {
 			code, body := chaosGet(t, ts, q, eng)
 			if code != http.StatusOK || body != baseline[q] {
 				t.Fatalf("post-chaos engine %s %s: status %d, body match=%v", eng, ep, code, body == baseline[q])

@@ -9,8 +9,8 @@ import (
 	"sync"
 )
 
-// The bodies that carry distances — /v1/distances, traced or not, and
-// /v1/batch — are written by hand rather than through encoding/json.
+// The bodies that carry distances — /v1/distances, traced or not — are
+// written by hand rather than through encoding/json.
 // The fields around a distance vector are formatted into a pooled buffer
 // and streamed to the ResponseWriter. A full vector whose JSON array the
 // cache holds (its body, built once by appendDistances) is written as
@@ -52,25 +52,6 @@ func writeDistances(w http.ResponseWriter, status int, resp *distancesResponse) 
 	}
 	bw := startBody(w, status)
 	bw.response(resp)
-	bw.finish()
-}
-
-// writeBatch sends one /v1/batch response.
-func writeBatch(w http.ResponseWriter, resp *batchResponse) {
-	bw := startBody(w, http.StatusOK)
-	bw.buf = append(bw.buf, `{"graph":`...)
-	bw.marshal(resp.Graph)
-	bw.buf = append(bw.buf, `,"results":[`...)
-	for i := range resp.Results {
-		if i > 0 {
-			bw.buf = append(bw.buf, ',')
-		}
-		bw.response(&resp.Results[i])
-		if bw.err != nil {
-			break
-		}
-	}
-	bw.buf = append(bw.buf, "]}"...)
 	bw.finish()
 }
 

@@ -87,8 +87,8 @@ func distanceVectors(t *testing.T) map[string][]float64 {
 // kind of value, must produce exactly what json.NewEncoder(w).Encode
 // writes for the same response with +Inf mapped to -1. The graph name
 // and error text carry characters the encoder HTML-escapes, and the
-// timeline is longer than the writer's buffer. The full-body shape, alone
-// and in the batch, sends the body a cache entry keeps for the vector.
+// timeline is longer than the writer's buffer. The full-body shape sends
+// the body a cache entry keeps for the vector.
 func TestDistanceBodiesMatchEncodingJSON(t *testing.T) {
 	const graph = `g<>&"1`
 	grid, err := rs.NewSolver(rs.WithUniformIntWeights(rs.Grid2D(30, 30), 1, 100, 3), rs.Options{Rho: 1})
@@ -127,8 +127,6 @@ func TestDistanceBodiesMatchEncodingJSON(t *testing.T) {
 			"error":     {Graph: graph, Source: 5, Epoch: 2, Error: `solve <failed> & "stopped"`},
 			"trace":     trace,
 		}
-		var batch batchResponse
-		batch.Graph = graph
 		for shapeName, resp := range shapes {
 			status := http.StatusOK
 			if resp.Error != "" {
@@ -145,16 +143,6 @@ func TestDistanceBodiesMatchEncodingJSON(t *testing.T) {
 			if rec.Code != status || rec.Header().Get("Content-Type") != "application/json" {
 				t.Errorf("%s/%s: status %d, Content-Type %q", name, shapeName, rec.Code, rec.Header().Get("Content-Type"))
 			}
-			batch.Results = append(batch.Results, resp)
-		}
-		rec := httptest.NewRecorder()
-		writeBatch(rec, &batch)
-		safe := batchResponse{Graph: batch.Graph}
-		for _, r := range batch.Results {
-			safe.Results = append(safe.Results, jsonSafe(r))
-		}
-		if got, want := rec.Body.Bytes(), encodeReference(t, safe); !bytes.Equal(got, want) {
-			t.Errorf("%s/batch: writer and encoding/json differ at byte %d", name, firstDiff(got, want))
 		}
 	}
 }

@@ -1,135 +1,162 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
 	rs "radiusstep"
 )
 
-// TestEngineOverride drives /v1/distances with every ?engine= override
-// against the Dijkstra oracle and checks the per-engine solve counters
-// in /v1/stats — the observable contract that the override actually
-// selected a different engine rather than being dropped on the floor.
-func TestEngineOverride(t *testing.T) {
-	_, ts, g := newTestServer(t, Config{}) // no cache: every request solves
-	want := rs.Dijkstra(g, 3)
-	engines := []string{"sequential", "parallel", "flat", "delta", "rho"}
-	for _, eng := range engines {
-		var resp distancesResponse
-		code := postJSON(t, ts, "/v1/distances?engine="+eng, distancesRequest{Graph: "grid", Source: 3}, &resp)
-		if code != http.StatusOK {
-			t.Fatalf("engine=%s: status %d (%s)", eng, code, resp.Error)
+// testEngines are the engine= values the cross-engine tests serve one
+// graph spec under, one graph per engine, named after its engine.
+var testEngines = []string{"seq", "par", "flat", "delta", "rho"}
+
+// serveEngines serves spec once per engine in testEngines, each copy
+// named after its engine, and returns the server with its HTTP instance
+// and the Dijkstra oracle, the served graph's input.
+func serveEngines(t testing.TB, cfg Config, spec GraphConfig) (*Server, *httptest.Server, *rs.Graph) {
+	t.Helper()
+	specs := make([]GraphConfig, len(testEngines))
+	for i, eng := range testEngines {
+		specs[i] = spec
+		specs[i].Name, specs[i].Engine = eng, eng
+	}
+	s, ts := newLifecycleServer(t, cfg, specs...)
+	var g *rs.Graph
+	for _, eng := range testEngines {
+		e, err := s.Registry().Acquire(eng)
+		if err != nil {
+			t.Fatalf("graph %q did not load: %v", eng, err)
 		}
-		for v, d := range resp.Distances {
-			wd := want[v]
+		g = e.Solver.Preprocessed().Original
+	}
+	return s, ts, g
+}
+
+// namelessBody cuts the "graph" and "epoch" fields out of a distances
+// or route body. Copies of one spec under different engines answer with
+// the same bytes apart from their names and epochs (the registry
+// numbers epochs across graphs).
+var namelessBody = regexp.MustCompile(`^\{"graph":"[^"]*"|,"epoch":[0-9]+`)
+
+// postRaw sends body to path and returns the status and the raw body.
+func postRaw(t testing.TB, ts *httptest.Server, path, body string) (int, string) {
+	t.Helper()
+	r, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer r.Body.Close()
+	raw, err := io.ReadAll(r.Body)
+	if err != nil {
+		t.Fatalf("read body: %v", err)
+	}
+	return r.StatusCode, string(raw)
+}
+
+// TestEngineOverride serves the test grid under every engine= value
+// and sends each copy one distances query: every answer matches
+// Dijkstra, the bodies are identical across engines apart from the
+// graph's name and epoch, and /v1/stats counts one solve under each
+// engine's name, so each graph's spec picked the engine that ran. A
+// leftover ?engine= is ignored like any unknown parameter.
+func TestEngineOverride(t *testing.T) {
+	_, ts, g := serveEngines(t, Config{}, testGrid) // no cache: every request solves
+	const src = 3
+	want := rs.Dijkstra(g, src)
+	var distBody string
+	for _, eng := range testEngines {
+		code, body := postRaw(t, ts, "/v1/distances", fmt.Sprintf(`{"graph":%q,"source":%d}`, eng, src))
+		var resp distancesResponse
+		if err := json.Unmarshal([]byte(body), &resp); err != nil || code != http.StatusOK {
+			t.Fatalf("%s distances: status %d, err %v: %s", eng, code, err, body)
+		}
+		if len(resp.Distances) != len(want) {
+			t.Fatalf("%s: %d distances, want %d", eng, len(resp.Distances), len(want))
+		}
+		for v, wd := range want {
 			if math.IsInf(wd, 1) {
 				wd = -1
 			}
-			if d != wd {
-				t.Fatalf("engine=%s: dist[%d] = %v, want %v", eng, v, d, wd)
+			if resp.Distances[v] != wd {
+				t.Fatalf("%s: dist[%d] = %v, want %v", eng, v, resp.Distances[v], wd)
 			}
 		}
-	}
-	snap := fetchStats(t, ts)
-	for _, eng := range engines {
-		if snap.SolvesByEngine[eng] != 1 {
-			t.Fatalf("solvesByEngine[%s] = %d, want 1 (full map: %v)", eng, snap.SolvesByEngine[eng], snap.SolvesByEngine)
+		body = namelessBody.ReplaceAllString(body, "")
+		if eng == testEngines[0] {
+			distBody = body
+		} else if body != distBody {
+			t.Fatalf("%s: distances body differs from %s's apart from graph and epoch", eng, testEngines[0])
 		}
 	}
-	if snap.Solves != int64(len(engines)) {
-		t.Fatalf("solves = %d, want %d", snap.Solves, len(engines))
-	}
-	// The parallel and rho solves above ran on the ordered-frontier
-	// substrate, so its operation totals must be visible — the
-	// serving-side signal that replaces a bench run for regression
-	// triage. Selects come from the rho solve's rank queries.
-	if snap.Frontier.Pushes == 0 || snap.Frontier.Batches == 0 ||
-		snap.Frontier.Extracted == 0 || snap.Frontier.Selects == 0 {
-		t.Fatalf("frontier substrate counters empty after frontier-engine solves: %+v", snap.Frontier)
-	}
-}
-
-func TestEngineOverrideUnknownRejected(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	for _, path := range []string{"/v1/distances?engine=bogus", "/v1/batch?engine=bogus"} {
-		var resp map[string]any
-		code := postJSON(t, ts, path, map[string]any{"graph": "grid", "source": 0, "sources": []int64{0}}, &resp)
-		if code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", path, code)
-		}
-	}
-	code := postJSON(t, ts, "/v1/route?engine=bogus", routeRequest{Graph: "grid", Source: 0, Target: 1}, nil)
-	if code != http.StatusBadRequest {
-		t.Fatalf("route: status %d, want 400", code)
-	}
-}
-
-// TestEngineOverrideCacheShared: distances are engine-independent, so a
-// vector solved under one engine serves later requests for any engine
-// from the cache without a second solve.
-func TestEngineOverrideCacheShared(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{CacheBytes: 1 << 20})
-	var first distancesResponse
-	if code := postJSON(t, ts, "/v1/distances?engine=delta", distancesRequest{Graph: "grid", Source: 9}, &first); code != http.StatusOK {
-		t.Fatalf("first: status %d", code)
-	}
-	var second distancesResponse
-	if code := postJSON(t, ts, "/v1/distances?engine=rho", distancesRequest{Graph: "grid", Source: 9}, &second); code != http.StatusOK {
-		t.Fatalf("second: status %d", code)
-	}
-	if !second.Cached {
-		t.Fatal("second request with a different engine missed the shared cache")
+	if code, body := postRaw(t, ts, "/v1/distances?engine=bogus", `{"graph":"seq","source":3}`); code != http.StatusOK ||
+		namelessBody.ReplaceAllString(body, "") != distBody {
+		t.Fatalf("?engine=bogus: status %d: %s", code, body)
 	}
 	snap := fetchStats(t, ts)
-	if snap.SolvesByEngine["delta"] != 1 || snap.SolvesByEngine["rho"] != 0 {
-		t.Fatalf("per-engine counts after cache hit: %v", snap.SolvesByEngine)
+	if got := snap.SolvesByEngine["sequential"]; got != 2 {
+		t.Fatalf("solvesByEngine[sequential] = %d after ?engine=bogus on the seq graph, want 2", got)
 	}
-}
-
-// TestBatchEngineOverride runs a batch under ?engine=rho and checks the
-// solves were counted against that engine.
-func TestBatchEngineOverride(t *testing.T) {
-	_, ts, g := newTestServer(t, Config{})
-	var resp batchResponse
-	code := postJSON(t, ts, "/v1/batch?engine=rho",
-		batchRequest{Graph: "grid", Sources: []int64{1, 2}, Targets: []int64{5}}, &resp)
-	if code != http.StatusOK {
-		t.Fatalf("batch: status %d", code)
-	}
-	if len(resp.Results) != 2 {
-		t.Fatalf("results: %d", len(resp.Results))
-	}
-	for i, src := range []rs.Vertex{1, 2} {
-		want := rs.Dijkstra(g, src)[5]
-		if got := resp.Results[i].Targets[0].Distance; got != want {
-			t.Fatalf("batch source %d: target distance %v, want %v", src, got, want)
+	for _, eng := range testEngines[1:] {
+		e, err := rs.ParseEngine(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.SolvesByEngine[e.String()] != 1 {
+			t.Fatalf("solvesByEngine[%s] = %d, want 1 (full map: %v)", e, snap.SolvesByEngine[e.String()], snap.SolvesByEngine)
 		}
 	}
-	snap := fetchStats(t, ts)
-	if snap.SolvesByEngine["rho"] != 2 {
-		t.Fatalf("solvesByEngine[rho] = %d, want 2", snap.SolvesByEngine["rho"])
+	if snap.Solves != int64(len(testEngines))+1 {
+		t.Fatalf("solves = %d, want %d", snap.Solves, len(testEngines)+1)
 	}
 }
 
-// TestRouteEngineOverride: the route endpoint honors the override and
-// returns the same distance as the default engine.
+// TestRouteEngineOverride serves the test grid under every engine=
+// value and sends each copy one route query: every route is a real
+// path of Dijkstra's length, and the bodies are identical across
+// engines apart from the graph's name and epoch. A leftover ?engine=
+// on /v1/route is ignored: the seq graph answers it with the same body.
 func TestRouteEngineOverride(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	var def, par routeResponse
-	if code := postJSON(t, ts, "/v1/route", routeRequest{Graph: "grid", Source: 0, Target: 399}, &def); code != http.StatusOK {
-		t.Fatalf("default route: status %d", code)
+	_, ts, g := serveEngines(t, Config{}, testGrid) // no cache: every request solves
+	const src, dst = 3, 396
+	want := rs.Dijkstra(g, src)[dst]
+	var routeBody string
+	for _, eng := range testEngines {
+		code, body := postRaw(t, ts, "/v1/route", fmt.Sprintf(`{"graph":%q,"source":%d,"target":%d}`, eng, src, dst))
+		var route routeResponse
+		if err := json.Unmarshal([]byte(body), &route); err != nil || code != http.StatusOK {
+			t.Fatalf("%s route: status %d, err %v: %s", eng, code, err, body)
+		}
+		if route.Hops == 0 {
+			t.Fatalf("%s: degenerate route: %+v", eng, route)
+		}
+		verts := make([]rs.Vertex, len(route.Path))
+		for i, v := range route.Path {
+			verts[i] = rs.Vertex(v)
+		}
+		if length, err := rs.PathLength(g, verts); err != nil || route.Distance != want || length != want {
+			t.Fatalf("%s route: distance %v, path length %v (err %v), want %v", eng, route.Distance, length, err, want)
+		}
+		body = namelessBody.ReplaceAllString(body, "")
+		if eng == testEngines[0] {
+			routeBody = body
+		} else if body != routeBody {
+			t.Fatalf("%s: route body differs from %s's apart from graph and epoch", eng, testEngines[0])
+		}
 	}
-	if code := postJSON(t, ts, "/v1/route?engine=parallel", routeRequest{Graph: "grid", Source: 0, Target: 399}, &par); code != http.StatusOK {
-		t.Fatalf("parallel route: status %d", code)
+	if code, body := postRaw(t, ts, "/v1/route?engine=parallel", fmt.Sprintf(`{"graph":"seq","source":%d,"target":%d}`, src, dst)); code != http.StatusOK ||
+		namelessBody.ReplaceAllString(body, "") != routeBody {
+		t.Fatalf("?engine=parallel: status %d: %s", code, body)
 	}
-	if def.Distance != par.Distance {
-		t.Fatalf("route distance differs by engine: %v vs %v", def.Distance, par.Distance)
-	}
-	if def.Hops == 0 || par.Hops == 0 {
-		t.Fatalf("degenerate route: %+v %+v", def, par)
+	if snap := fetchStats(t, ts); snap.RouteSolves != int64(len(testEngines))+1 {
+		t.Fatalf("routeSolves = %d, want %d", snap.RouteSolves, len(testEngines)+1)
 	}
 }
 

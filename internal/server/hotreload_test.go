@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,7 +43,7 @@ func packWeighted(t *testing.T, path string, w int) {
 // newLifecycleServer loads the given specs through the epoch-versioned
 // registry (the daemon's path, including degraded registration of
 // failing specs) and serves them over HTTP.
-func newLifecycleServer(t *testing.T, cfg Config, specs ...GraphConfig) (*Server, *httptest.Server) {
+func newLifecycleServer(t testing.TB, cfg Config, specs ...GraphConfig) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := NewRegistry()
 	for _, gc := range specs {
@@ -443,7 +444,7 @@ func TestWatcherReloadsOnMtimeAndBacksOffOnFailure(t *testing.T) {
 	const interval = 50 * time.Millisecond
 
 	// Unchanged mtime: a tick must not reload.
-	reg.probeAll(interval)
+	reg.probeAll(interval).Wait()
 	if c := reg.Counters(); c.Reloads != 0 {
 		t.Fatalf("tick with unchanged mtime reloaded (%d)", c.Reloads)
 	}
@@ -454,7 +455,7 @@ func TestWatcherReloadsOnMtimeAndBacksOffOnFailure(t *testing.T) {
 	if err := os.Chtimes(path, future, future); err != nil {
 		t.Fatalf("chtimes: %v", err)
 	}
-	reg.probeAll(interval)
+	reg.probeAll(interval).Wait()
 	if c := reg.Counters(); c.Reloads != 1 {
 		t.Fatalf("reloads after mtime bump = %d, want 1", c.Reloads)
 	}
@@ -468,13 +469,13 @@ func TestWatcherReloadsOnMtimeAndBacksOffOnFailure(t *testing.T) {
 	if err := os.Chtimes(path, future, future); err != nil {
 		t.Fatalf("chtimes: %v", err)
 	}
-	reg.probeAll(interval)
+	reg.probeAll(interval).Wait()
 	if c := reg.Counters(); c.LoadFailures != 1 {
 		t.Fatalf("loadFailures after broken tick = %d, want 1", c.LoadFailures)
 	}
 	// ...and an immediate second tick is inside the backoff window: no
 	// second rebuild attempt.
-	reg.probeAll(interval)
+	reg.probeAll(interval).Wait()
 	if c := reg.Counters(); c.LoadFailures != 1 {
 		t.Fatalf("backoff did not hold: loadFailures = %d, want still 1", c.LoadFailures)
 	}
@@ -495,11 +496,94 @@ func TestWatcherReloadsOnMtimeAndBacksOffOnFailure(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("watcher never recovered the fixed file")
 		}
-		reg.probeAll(interval)
+		reg.probeAll(interval).Wait()
 		time.Sleep(interval / 2)
 	}
 	if got := reg.Counters().Quarantined; got != 0 {
 		t.Fatalf("quarantined after recovery = %d, want 0", got)
+	}
+}
+
+// TestWatcherSkipsAHeldBuild: while one graph's build holds its lock,
+// the watcher still reloads another graph whose file changed, whether
+// the held build is the watcher's own reload or an admin reload.
+func TestWatcherSkipsAHeldBuild(t *testing.T) {
+	for _, leg := range []string{"watcher", "admin"} {
+		t.Run(leg, func(t *testing.T) {
+			dir := t.TempDir()
+			paths := map[string]string{"a": filepath.Join(dir, "a.snap"), "b": filepath.Join(dir, "b.snap")}
+			reg := NewRegistry()
+			for name, path := range paths {
+				packWeighted(t, path, 100)
+				if err := reg.LoadConfig(GraphConfig{Name: name, Snapshot: path}); err != nil {
+					t.Fatalf("load %s: %v", name, err)
+				}
+			}
+			touch := func(name string) {
+				t.Helper()
+				future := time.Now().Add(time.Hour)
+				if err := os.Chtimes(paths[name], future, future); err != nil {
+					t.Fatalf("chtimes: %v", err)
+				}
+			}
+			epoch := func(name string) uint64 {
+				t.Helper()
+				e, err := reg.Acquire(name)
+				if err != nil {
+					t.Fatalf("acquire %s: %v", name, err)
+				}
+				return e.Epoch
+			}
+
+			// The first reload to check the seam, a's, holds a's lock
+			// until the gate opens.
+			fault.Clear()
+			t.Cleanup(fault.Clear)
+			gate := make(chan struct{})
+			fault.Inject(fault.SiteReload, fault.Plan{Gate: gate, Limit: 1})
+			epochA := epoch("a")
+			adminDone := make(chan error, 1)
+			if leg == "admin" {
+				go func() { adminDone <- reg.Reload("a") }()
+			} else {
+				touch("a")
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			watchDone := make(chan struct{})
+			go func() {
+				defer close(watchDone)
+				reg.Watch(ctx, 20*time.Millisecond)
+			}()
+			defer func() {
+				cancel()
+				<-watchDone
+			}()
+			// Runs before the deferred stop above, which a failing check
+			// would otherwise leave waiting on a held reload.
+			openGate := sync.OnceFunc(func() { close(gate) })
+			defer openGate()
+			flightWait(t, "a's reload held", func() bool { return fault.Fired(fault.SiteReload) == 1 })
+			// Let the watcher tick while a's build is held, as it would in
+			// a daemon, before b's file changes.
+			time.Sleep(100 * time.Millisecond)
+
+			epochB := epoch("b")
+			touch("b")
+			start := time.Now()
+			flightWait(t, "b's next epoch", func() bool { return epoch("b") > epochB })
+			if waited := time.Since(start); waited > time.Second || epoch("a") != epochA {
+				t.Fatalf("b reloaded %v after its file changed, want within 1 s; a's epoch went %d → %d while its reload was held",
+					waited, epochA, epoch("a"))
+			}
+
+			openGate()
+			if leg == "admin" {
+				if err := <-adminDone; err != nil {
+					t.Fatalf("admin reload of a: %v", err)
+				}
+			}
+			flightWait(t, "a's reload after the gate opens", func() bool { return epoch("a") > epochA })
+		})
 	}
 }
 

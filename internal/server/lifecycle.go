@@ -58,6 +58,9 @@ type graphState struct {
 
 	mu  sync.Mutex                  // orders writers; no reader takes it
 	rec atomic.Pointer[graphRecord] // nil until the first build ends
+	// watching is set from the tick that starts a watcher reload until
+	// that reload returns, so no later tick starts a second one.
+	watching atomic.Bool
 }
 
 // graphRecord is one published lifecycle state of a graph: the serving
@@ -359,7 +362,9 @@ func (rec *graphRecord) health() GraphHealth {
 // graph is re-probed on an exponential backoff schedule (interval,
 // 2·interval, 4·interval, … capped at maxBackoffFactor·interval) so a
 // persistently broken file costs a bounded probe rate, not a rebuild
-// attempt per tick.
+// attempt per tick. Each reload runs in its own goroutine, and a tick
+// skips a graph whose build is running, so no graph's build holds up
+// another graph's reload.
 func (r *Registry) Watch(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		return
@@ -380,30 +385,43 @@ func (r *Registry) Watch(ctx context.Context, interval time.Duration) {
 // of the watch interval.
 const maxBackoffFactor = 16
 
-// probeAll runs one watcher tick; split from Watch so tests drive
-// ticks synchronously.
-func (r *Registry) probeAll(interval time.Duration) {
+// probeAll runs one watcher tick. The returned WaitGroup ends when the
+// reloads it started have; tests that drive ticks wait on it, and Watch
+// does not.
+func (r *Registry) probeAll(interval time.Duration) *sync.WaitGroup {
 	r.mu.RLock()
 	states := slices.Collect(maps.Values(r.graphs))
 	r.mu.RUnlock()
 	now := time.Now()
+	var wg sync.WaitGroup
 	for _, gs := range states {
-		if r.probeDue(gs, now, interval) {
+		if !r.probeDue(gs, now, interval) {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer gs.watching.Store(false)
 			if err := r.Reload(gs.name); err != nil {
 				log.Printf("graph %q: watch reload failed (retry per backoff): %v", gs.name, err)
 			} else {
 				log.Printf("graph %q: watch reload swapped in a new epoch", gs.name)
 			}
-		}
+		}()
 	}
+	return &wg
 }
 
 // probeDue decides, under gs.mu, whether the watcher should rebuild gs
 // this tick, and when it should, publishes the time of the probe after
 // it: the backoff for an unhealthy graph, one interval for a changed
-// file.
+// file. It skips, without waiting, a graph whose lock a build holds
+// (the build publishes a fresh record for a later tick) or whose last
+// watcher reload has not returned.
 func (r *Registry) probeDue(gs *graphState, now time.Time, interval time.Duration) bool {
-	gs.mu.Lock()
+	if gs.watching.Load() || !gs.mu.TryLock() {
+		return false
+	}
 	defer gs.mu.Unlock()
 	rec := gs.rec.Load()
 	if rec == nil {
@@ -437,6 +455,7 @@ func (r *Registry) probeDue(gs *graphState, now time.Time, interval time.Duratio
 		next.nextProbe = now.Add(interval)
 	}
 	gs.rec.Store(&next)
+	gs.watching.Store(true)
 	return true
 }
 

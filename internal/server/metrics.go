@@ -19,7 +19,6 @@ import (
 var endpointNames = map[string]string{
 	"distances": "/v1/distances",
 	"route":     "/v1/route",
-	"batch":     "/v1/batch",
 	"graphs":    "/v1/graphs",
 	"stats":     "/v1/stats",
 	"healthz":   "/healthz",
@@ -57,13 +56,11 @@ type serverMetrics struct {
 	routeCacheHits *metrics.Counter
 	routePruned    *metrics.Counter
 	coalesced      *metrics.Counter
-	batchSources   *metrics.Counter
 	solveTimeouts  *metrics.Counter
 	solvesCanceled *metrics.Counter
 	solvePanics    *metrics.Counter
-	frontierOps    *metrics.CounterVec // op
-	solveBarrier   *metrics.Histogram  // per-solve join-barrier nanos
-	poolWake       *metrics.Histogram  // per-solve worker-wake nanos
+	solveBarrier   *metrics.Histogram // per-solve join-barrier nanos
+	poolWake       *metrics.Histogram // per-solve worker-wake nanos
 
 	// Memoized children for hot paths and for snapshot enumeration
 	// (CounterVec does not expose its label sets).
@@ -118,8 +115,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		})
 	m.coalesced = r.NewCounter("sssp_coalesced_requests_total",
 		"Queries that piggybacked on an in-flight identical solve.")
-	m.batchSources = r.NewCounter("sssp_batch_sources_total",
-		"Sources processed via /v1/batch.")
 
 	// Request-lifecycle counters: deadline expiries (504s), client
 	// departures (499s), contained engine panics, and shed requests.
@@ -155,8 +150,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGaugeFunc("sssp_graphs_serving",
 		"Graphs with a live epoch answering queries right now.",
 		func() float64 { return float64(len(s.registry.List())) })
-	m.frontierOps = r.NewCounterVec("sssp_frontier_ops_total",
-		"Ordered-frontier substrate operations across frontier-backed solves, by op.", "op")
 
 	// Per-solve fork-join contention, sampled as worker-pool counter
 	// deltas around each solve (the same counters -trace reads,
@@ -233,26 +226,13 @@ func (m *serverMetrics) graphCounter(graph string) *metrics.Counter {
 }
 
 // observeSolve folds one full solve into the registry: totals, the
-// per-engine latency histogram, per-engine and per-graph counters, and
-// the frontier substrate's operation counters.
+// per-engine latency histogram, and per-engine and per-graph counters.
 func (m *serverMetrics) observeSolve(graph string, st rs.Stats, dur time.Duration) {
 	m.solves.Inc()
 	m.graphCounter(graph).Inc()
 	if st.Engine != "" {
 		m.engineCounter(st.Engine).Inc()
 		m.solveDur.With(st.Engine).Observe(dur.Seconds())
-	}
-	if st.Frontier.Pushes != 0 {
-		f := st.Frontier
-		for _, op := range []struct {
-			name string
-			n    int64
-		}{
-			{"pushes", f.Pushes}, {"batches", f.Batches}, {"merges", f.Merges},
-			{"extracted", f.Extracted}, {"stale", f.Stale}, {"selects", f.Selects},
-		} {
-			m.frontierOps.With(op.name).Add(op.n)
-		}
 	}
 }
 

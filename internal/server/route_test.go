@@ -1,31 +1,14 @@
 package server
 
 import (
-	"bytes"
-	"io"
+	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	rs "radiusstep"
 )
-
-// newLandmarkServer is newTestServer with k ALT landmarks built at
-// load (the landmarks= spec key), so route queries exercise the
-// goal-directed pruning path.
-func newLandmarkServer(t *testing.T, cfg Config, k int) (*httptest.Server, *rs.Graph) {
-	t.Helper()
-	spec := testGrid
-	spec.Landmarks = k
-	_, ts, e := serveGraph(t, cfg, spec)
-	if got := e.Solver.Landmarks(); got != k {
-		t.Fatalf("built %d landmarks, want %d", got, k)
-	}
-	return ts, e.Solver.Preprocessed().Original
-}
 
 // TestRouteCacheFirst: a route whose source already has a cached full
 // distance vector is answered by path reconstruction alone — no solve,
@@ -84,14 +67,29 @@ func TestRouteCacheFirst(t *testing.T) {
 // TestRoutePruning: with landmarks on the solver, routes prune, the
 // answer is bit-identical to the oracle, and the pruned candidates
 // reach /v1/stats (not the route body, whose bytes must not depend on
-// the engine).
+// the engine). The test grid is served with 4 landmarks twice, under
+// engine=seq and engine=flat.
 func TestRoutePruning(t *testing.T) {
-	ts, g := newLandmarkServer(t, Config{}, 4)
+	var specs []GraphConfig
+	for _, eng := range []string{"seq", "flat"} {
+		spec := testGrid
+		spec.Name, spec.Engine, spec.Landmarks = eng, eng, 4
+		specs = append(specs, spec)
+	}
+	s, ts := newLifecycleServer(t, Config{}, specs...)
+	var g *rs.Graph
+	for _, spec := range specs {
+		e, err := s.Registry().Acquire(spec.Name)
+		if err != nil || e.Solver.Landmarks() != 4 {
+			t.Fatalf("graph %q: err %v, want it serving with 4 landmarks", spec.Name, err)
+		}
+		g = e.Solver.Preprocessed().Original
+	}
 	src, dst := rs.Vertex(0), rs.Vertex(21)
 	want := rs.Dijkstra(g, src)[dst]
 
 	var pruned routeResponse
-	if code := postJSON(t, ts, "/v1/route", routeRequest{Graph: "grid", Source: int64(src), Target: int64(dst)}, &pruned); code != http.StatusOK {
+	if code := postJSON(t, ts, "/v1/route", routeRequest{Graph: "seq", Source: int64(src), Target: int64(dst)}, &pruned); code != http.StatusOK {
 		t.Fatalf("pruned route: status %d", code)
 	}
 	if math.Float64bits(pruned.Distance) != math.Float64bits(want) {
@@ -108,30 +106,23 @@ func TestRoutePruning(t *testing.T) {
 	// The sequential and flat kernels meet candidates in different
 	// orders, and for this pair they prune different counts: the counter
 	// sees both, and the bodies must still be the same.
-	body := func(query string) ([]byte, int64) {
+	body := func(graph string) (string, int64) {
 		t.Helper()
 		before := fetchStats(t, ts).RoutePruned
-		r, err := ts.Client().Post(ts.URL+"/v1/route"+query, "application/json",
-			strings.NewReader(`{"graph":"grid","source":5,"target":390}`))
-		if err != nil {
-			t.Fatal(err)
+		code, b := postRaw(t, ts, "/v1/route", fmt.Sprintf(`{"graph":%q,"source":5,"target":390}`, graph))
+		if code != http.StatusOK {
+			t.Fatalf("route on %s: status %d: %s", graph, code, b)
 		}
-		defer r.Body.Close()
-		b, err := io.ReadAll(r.Body)
-		if err != nil || r.StatusCode != http.StatusOK {
-			t.Fatalf("route%s: status %d, err %v: %s", query, r.StatusCode, err, b)
-		}
-		return b, fetchStats(t, ts).RoutePruned - before
+		return namelessBody.ReplaceAllString(b, ""), fetchStats(t, ts).RoutePruned - before
 	}
-	seq, seqPruned := body("?engine=sequential")
-	flat, flatPruned := body("?engine=flat")
+	seq, seqPruned := body("seq")
+	flat, flatPruned := body("flat")
 	if seqPruned == flatPruned {
 		t.Fatalf("both engines pruned %d candidates; pick a pair whose counts differ", seqPruned)
 	}
-	if !bytes.Equal(seq, flat) {
+	if seq != flat {
 		t.Fatalf("pruned route bodies differ between engines:\n%s\n%s", seq, flat)
 	}
-
 }
 
 // TestGraphSpecLandmarks: the landmarks= spec key builds the set at

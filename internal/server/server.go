@@ -9,16 +9,12 @@
 //
 //	POST /v1/distances  one source; full vector, top-k nearest, or a target subset
 //	POST /v1/route      point-to-point path via the early-terminating solver
-//	POST /v1/batch      many sources with source-level parallelism
 //	GET  /v1/graphs     registry metadata (n, m, ρ, k, preprocessing stats)
 //	GET  /v1/stats      cache/coalescing/pool counters
 //	GET  /healthz       liveness
 //
-// The solve endpoints accept an ?engine= query parameter (sequential,
-// parallel, flat, delta, rho) overriding the graph's configured engine
-// for that request; /v1/stats reports solve counts per engine. All
-// engines return identical distances, so the cache and request
-// coalescing ignore the override.
+// Every query on a graph runs on the engine its spec names (engine=,
+// default auto); /v1/stats reports solve counts per engine.
 //
 // Unreachable vertices are reported with distance -1 (JSON has no +Inf).
 package server
@@ -34,7 +30,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -187,7 +182,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.instrument("/v1/stats", s.handleStats))
 	mux.HandleFunc("POST /v1/distances", s.instrument("/v1/distances", s.handleDistances))
 	mux.HandleFunc("POST /v1/route", s.instrument("/v1/route", s.handleRoute))
-	mux.HandleFunc("POST /v1/batch", s.instrument("/v1/batch", s.handleBatch))
 	if s.adminToken != "" {
 		// Lifecycle mutation on the query port, opt-in and token-guarded;
 		// without a token the admin surface exists only via AdminHandler
@@ -272,7 +266,9 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 		if err != nil || ms <= 0 {
 			return nil, nil, fmt.Errorf("bad timeout_ms %q (want a positive integer)", raw)
 		}
-		if d := time.Duration(ms) * time.Millisecond; timeout == 0 || d < timeout {
+		// Clamp before converting: a larger ms would overflow to a
+		// negative Duration, and a negative timeout sets no deadline.
+		if d := time.Duration(min(ms, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond; timeout == 0 || d < timeout {
 			timeout = d
 		}
 	}
@@ -327,26 +323,10 @@ func (s *Server) failSolve(w http.ResponseWriter, err error, format string, args
 
 // --- core query path ------------------------------------------------------
 
-// engineParam parses the optional ?engine= override, returning
-// EngineAuto (= "no override", the graph's configured engine) when the
-// parameter is absent. Unknown names are a client error (the
-// fail-loudly contract of ParseEngine).
-func engineParam(r *http.Request) (rs.Engine, error) {
-	name := r.URL.Query().Get("engine")
-	if name == "" {
-		return rs.EngineAuto, nil
-	}
-	return rs.ParseEngine(name)
-}
-
 // distances answers one (graph, source) query through the cache →
 // coalescing → pool pipeline. The returned vector is shared (cache and
-// concurrent waiters) and must not be modified. Distances are identical
-// across engines, so the cache and coalescing key stays (graph, source):
-// an engine override only decides which engine runs on a miss, and
-// concurrent same-key requests with different overrides share the
-// leader's solve.
-func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine rs.Engine) (v vector, cached bool, err error) {
+// concurrent waiters) and must not be modified.
+func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex) (v vector, cached bool, err error) {
 	// The key carries e.Epoch: the whole request already pinned one
 	// epoch at resolve time, so cache hits, coalesced joins, and the
 	// fill below are all scoped to that epoch — a reload mid-request
@@ -371,7 +351,7 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 		if v, ok := s.cache.Peek(key); ok {
 			return v.dist, nil
 		}
-		r, err := s.solveFull(solveCtx, e, src, engine, false)
+		r, err := s.solveFull(solveCtx, e, src, false)
 		if err != nil {
 			return nil, err
 		}
@@ -404,7 +384,7 @@ func (s *Server) distances(ctx context.Context, e *Entry, src rs.Vertex, engine 
 // solve in the pool and solve metrics and the solve log. The flight
 // leader in distances and the traced path in answerTraced both run
 // their solves here; trace attaches the solve's Timeline.
-func (s *Server) solveFull(ctx context.Context, e *Entry, src rs.Vertex, engine rs.Engine, trace bool) (rs.Result, error) {
+func (s *Server) solveFull(ctx context.Context, e *Entry, src rs.Vertex, trace bool) (rs.Result, error) {
 	if err := s.pool.acquire(ctx); err != nil {
 		return rs.Result{}, err
 	}
@@ -413,7 +393,7 @@ func (s *Server) solveFull(ctx context.Context, e *Entry, src rs.Vertex, engine 
 	t0 := time.Now()
 	var r rs.Result
 	err := s.guardSolve(ctx, e, src, func() (err error) {
-		if r, err = e.Solver.Solve(ctx, rs.Query{Source: e.storedID(src), Engine: engine, Trace: trace}); err == nil {
+		if r, err = e.Solver.Solve(ctx, rs.Query{Source: e.storedID(src), Trace: trace}); err == nil {
 			r.Dist = e.clientDistances(r.Dist)
 		}
 		return err
@@ -544,18 +524,6 @@ type routeResponse struct {
 	Cached bool `json:"cached,omitempty"`
 }
 
-type batchRequest struct {
-	Graph   string  `json:"graph"`
-	Sources []int64 `json:"sources"`
-	TopK    int     `json:"topk,omitempty"`
-	Targets []int64 `json:"targets,omitempty"`
-}
-
-type batchResponse struct {
-	Graph   string              `json:"graph"`
-	Results []distancesResponse `json:"results"`
-}
-
 // --- handlers -------------------------------------------------------------
 
 // handleHealthz is pure liveness: 200 for as long as the process can
@@ -635,11 +603,6 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	eng, err := engineParam(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	e, src, ok := s.resolve(w, req.Graph, req.Source)
 	if !ok {
 		return
@@ -656,9 +619,9 @@ func (s *Server) handleDistances(w http.ResponseWriter, r *http.Request) {
 	var resp distancesResponse
 	var status int
 	if traceParam(r) {
-		resp, status = s.answerTraced(ctx, e, src, req.TopK, req.Targets, eng)
+		resp, status = s.answerTraced(ctx, e, src, req.TopK, req.Targets)
 	} else {
-		resp, status = s.answerSource(ctx, e, src, req.TopK, req.Targets, eng)
+		resp, status = s.answerSource(ctx, e, src, req.TopK, req.Targets)
 	}
 	writeDistances(w, status, &resp)
 }
@@ -677,9 +640,9 @@ func traceParam(r *http.Request) bool {
 // timeline must describe an actual solve executed for this request, and
 // a traced solve's extra clock reads should not pollute the shared
 // cache path timings. The pool still bounds it like any other solve.
-func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK int, targets []int64, engine rs.Engine) (distancesResponse, int) {
+func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK int, targets []int64) (distancesResponse, int) {
 	resp := distancesResponse{Graph: e.Name, Source: int64(src), Epoch: e.Epoch}
-	r, err := s.solveFull(ctx, e, src, engine, true)
+	r, err := s.solveFull(ctx, e, src, true)
 	if err != nil {
 		s.recordSolveError(err)
 		resp.Error = err.Error()
@@ -703,13 +666,13 @@ func (s *Server) checkTargets(w http.ResponseWriter, e *Entry, targets []int64) 
 	return true
 }
 
-// answerSource runs one source query and shapes the response per the
-// topk/targets options. It is shared by /v1/distances and /v1/batch. The
-// first full-vector response for a cached vector with room for a body
-// builds the body and attaches it to the cache.
-func (s *Server) answerSource(ctx context.Context, e *Entry, src rs.Vertex, topK int, targets []int64, engine rs.Engine) (distancesResponse, int) {
+// answerSource runs one untraced source query and shapes the response
+// per the topk/targets options. The first full-vector response for a
+// cached vector with room for a body builds the body and attaches it to
+// the cache.
+func (s *Server) answerSource(ctx context.Context, e *Entry, src rs.Vertex, topK int, targets []int64) (distancesResponse, int) {
 	resp := distancesResponse{Graph: e.Name, Source: int64(src), Epoch: e.Epoch}
-	v, cached, err := s.distances(ctx, e, src, engine)
+	v, cached, err := s.distances(ctx, e, src)
 	if err != nil {
 		s.recordSolveError(err)
 		resp.Error = err.Error()
@@ -765,11 +728,6 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "target %d out of range [0, %d)", req.Target, n)
 		return
 	}
-	eng, perr := engineParam(r)
-	if perr != nil {
-		s.fail(w, http.StatusBadRequest, "%v", perr)
-		return
-	}
 	dst := rs.Vertex(req.Target)
 	resp := routeResponse{Graph: e.Name, Source: req.Source, Target: req.Target, Epoch: e.Epoch}
 
@@ -794,7 +752,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	path, d, err := s.solveRoute(ctx, e, src, dst, eng)
+	path, d, err := s.solveRoute(ctx, e, src, dst)
 	if err != nil {
 		s.recordSolveError(err)
 		s.failSolve(w, err, "route: %v", err)
@@ -810,7 +768,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 // skipped go to the routePruned counter, not into the response: the
 // count depends on the order a kernel meets candidates, so it differs
 // between engines while the route does not.
-func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, eng rs.Engine) ([]rs.Vertex, float64, error) {
+func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex) ([]rs.Vertex, float64, error) {
 	if err := s.pool.acquire(ctx); err != nil {
 		return nil, 0, err
 	}
@@ -819,7 +777,7 @@ func (s *Server) solveRoute(ctx context.Context, e *Entry, src, dst rs.Vertex, e
 	var r rs.Result
 	err := s.guardSolve(ctx, e, src, func() (err error) {
 		r, err = e.Solver.Solve(ctx, rs.Query{
-			Source: e.storedID(src), Target: e.storedID(dst), HasTarget: true, Engine: eng, Prune: true,
+			Source: e.storedID(src), Target: e.storedID(dst), HasTarget: true, Prune: true,
 		})
 		return err
 	})
@@ -847,79 +805,22 @@ func writeRoute(w http.ResponseWriter, resp routeResponse, path []rs.Vertex, d f
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	eng, perr := engineParam(r)
-	if perr != nil {
-		s.fail(w, http.StatusBadRequest, "%v", perr)
-		return
-	}
-	e, ok := s.acquireEntry(w, req.Graph)
-	if !ok {
-		return
-	}
-	if len(req.Sources) == 0 {
-		s.fail(w, http.StatusBadRequest, "batch needs at least one source")
-		return
-	}
-	const maxBatch = 4096
-	if len(req.Sources) > maxBatch {
-		s.fail(w, http.StatusBadRequest, "batch of %d sources exceeds limit %d", len(req.Sources), maxBatch)
-		return
-	}
-	n := e.numVertices()
-	for _, src := range req.Sources {
-		if src < 0 || src >= int64(n) {
-			s.fail(w, http.StatusBadRequest, "source %d out of range [0, %d)", src, n)
-			return
-		}
-	}
-	if !s.checkTargets(w, e, req.Targets) {
-		return
-	}
-	s.metrics.batchSources.Add(int64(len(req.Sources)))
-	ctx, cancel, cerr := s.requestCtx(r)
-	if cerr != nil {
-		s.fail(w, http.StatusBadRequest, "%v", cerr)
-		return
-	}
-	defer cancel()
-
-	// Source-level parallelism: each source runs the full cache →
-	// coalescing → pool pipeline, so duplicates inside one batch
-	// coalesce exactly like concurrent independent clients. Per-source
-	// failures are embedded in a 200 batch response, invisible to the
-	// middleware, so they count into the error family here.
-	batchErrs := s.metrics.httpErrors.With("/v1/batch", "5xx")
-	results := make([]distancesResponse, len(req.Sources))
-	var wg sync.WaitGroup
-	for i, src := range req.Sources {
-		wg.Add(1)
-		go func(i int, src int64) {
-			defer wg.Done()
-			var status int
-			results[i], status = s.answerSource(ctx, e, rs.Vertex(src), req.TopK, req.Targets, eng)
-			if status >= 400 {
-				batchErrs.Inc()
-			}
-		}(i, src)
-	}
-	wg.Wait()
-	writeBatch(w, &batchResponse{Graph: e.Name, Results: results})
-}
-
 // --- helpers --------------------------------------------------------------
 
 // resolve pins the graph's current epoch and validates the source
 // vertex. The returned Entry is the request's epoch for its whole
 // lifetime: cache lookups, coalescing, the solve, and the response all
 // use it, so a concurrent reload never mixes epochs within a request.
+// The registry's typed errors map onto HTTP: unknown → 404; never
+// loaded → 503 with the quarantine cause.
 func (s *Server) resolve(w http.ResponseWriter, graph string, source int64) (*Entry, rs.Vertex, bool) {
-	e, ok := s.acquireEntry(w, graph)
-	if !ok {
+	e, err := s.registry.Acquire(graph)
+	switch {
+	case errors.Is(err, ErrGraphUnknown):
+		s.fail(w, http.StatusNotFound, "unknown graph %q", graph)
+		return nil, 0, false
+	case err != nil:
+		s.fail(w, http.StatusServiceUnavailable, "%v", err)
 		return nil, 0, false
 	}
 	if n := e.numVertices(); source < 0 || source >= int64(n) {
@@ -927,22 +828,6 @@ func (s *Server) resolve(w http.ResponseWriter, graph string, source int64) (*En
 		return nil, 0, false
 	}
 	return e, rs.Vertex(source), true
-}
-
-// acquireEntry maps the registry's typed lifecycle errors onto HTTP:
-// unknown → 404; never-loaded → 503 with the quarantine cause.
-func (s *Server) acquireEntry(w http.ResponseWriter, graph string) (*Entry, bool) {
-	e, err := s.registry.Acquire(graph)
-	if err == nil {
-		return e, true
-	}
-	switch {
-	case errors.Is(err, ErrGraphUnknown):
-		s.fail(w, http.StatusNotFound, "unknown graph %q", graph)
-	default:
-		s.fail(w, http.StatusServiceUnavailable, "%v", err)
-	}
-	return nil, false
 }
 
 // fail writes an error response; the instrumentation middleware counts
@@ -991,7 +876,8 @@ func nearestK(dist []float64, k int) []vertexDistance {
 		}
 		return a.Vertex > b.Vertex
 	}
-	h := make([]vertexDistance, 0, k)
+	// k comes from the client; the answer never holds more than len(dist).
+	h := make([]vertexDistance, 0, min(k, len(dist)))
 	siftDown := func() {
 		i := 0
 		for {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ var testGrid = GraphConfig{Name: "grid", Gen: "grid2d", N: 400, Seed: 6, Weights
 
 // serveGraph loads spec through LoadConfig, the path every served graph
 // takes, fails the test unless it builds, and serves it over HTTP.
-func serveGraph(t *testing.T, cfg Config, spec GraphConfig) (*Server, *httptest.Server, *Entry) {
+func serveGraph(t testing.TB, cfg Config, spec GraphConfig) (*Server, *httptest.Server, *Entry) {
 	t.Helper()
 	s, ts := newLifecycleServer(t, cfg, spec)
 	e, err := s.Registry().Acquire(spec.Name)
@@ -33,7 +34,7 @@ func serveGraph(t *testing.T, cfg Config, spec GraphConfig) (*Server, *httptest.
 
 // newTestServer serves testGrid and returns the server with its HTTP
 // instance and the reference distance oracle, the served graph's input.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *rs.Graph) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server, *rs.Graph) {
 	t.Helper()
 	s, ts, e := serveGraph(t, cfg, testGrid)
 	return s, ts, e.Solver.Preprocessed().Original
@@ -198,6 +199,29 @@ func TestDistancesTopKAndTargets(t *testing.T) {
 	}
 }
 
+// TestTopKBoundedByGraphSize: topk comes from the client, but neither
+// the answer nor what the request allocates grows past the graph. A
+// heap sized by topk allocated 128 MiB for topk=2^23 on this grid.
+func TestTopKBoundedByGraphSize(t *testing.T) {
+	s, _, g := newTestServer(t, Config{})
+	req := httptest.NewRequest(http.MethodPost, "/v1/distances", strings.NewReader(`{"graph":"grid","source":5,"topk":8388608}`))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	var resp distancesResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("status %d, err %v", rec.Code, err)
+	}
+	if n := g.NumVertices(); resp.Reached != n || len(resp.Nearest) != n {
+		t.Fatalf("reached %d, %d nearest, want every one of the %d vertices", resp.Reached, len(resp.Nearest), n)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
+		t.Fatalf("the request allocated %d bytes, want < 2 MiB", alloc)
+	}
+}
+
 func TestRoute(t *testing.T) {
 	_, ts, g := newTestServer(t, Config{})
 	want := rs.Dijkstra(g, 3)
@@ -233,45 +257,6 @@ func TestRoute(t *testing.T) {
 	}
 }
 
-func TestBatch(t *testing.T) {
-	_, ts, g := newTestServer(t, Config{CacheBytes: 1 << 20})
-	sources := []int64{0, 7, 7, 42}
-
-	var resp batchResponse
-	if code := postJSON(t, ts, "/v1/batch", batchRequest{Graph: "grid", Sources: sources, TopK: 3}, &resp); code != http.StatusOK {
-		t.Fatalf("batch: status %d", code)
-	}
-	if len(resp.Results) != len(sources) {
-		t.Fatalf("batch results: got %d", len(resp.Results))
-	}
-	for i, r := range resp.Results {
-		if r.Source != sources[i] {
-			t.Fatalf("result %d: source %d want %d", i, r.Source, sources[i])
-		}
-		if r.Error != "" {
-			t.Fatalf("result %d: %s", i, r.Error)
-		}
-		if len(r.Nearest) != 3 {
-			t.Fatalf("result %d: %d nearest", i, len(r.Nearest))
-		}
-		want := rs.Dijkstra(g, rs.Vertex(sources[i]))
-		for _, vd := range r.Nearest {
-			if vd.Distance != want[vd.Vertex] {
-				t.Fatalf("result %d vertex %d: got %g want %g", i, vd.Vertex, vd.Distance, want[vd.Vertex])
-			}
-		}
-	}
-	snap := fetchStats(t, ts)
-	if snap.BatchSources != int64(len(sources)) {
-		t.Fatalf("batchSources: got %d", snap.BatchSources)
-	}
-	// The duplicated source must not have solved twice: 3 distinct
-	// sources → at most 3 solves (coalescing or cache handles the dup).
-	if snap.Solves > 3 {
-		t.Fatalf("duplicate batch source re-solved: solves=%d", snap.Solves)
-	}
-}
-
 func TestErrorPaths(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 
@@ -288,15 +273,15 @@ func TestErrorPaths(t *testing.T) {
 	if code := postJSON(t, ts, "/v1/route", routeRequest{Graph: "grid", Source: 0, Target: -1}, &errResp); code != http.StatusBadRequest {
 		t.Fatalf("bad target: status %d", code)
 	}
-	if code := postJSON(t, ts, "/v1/batch", batchRequest{Graph: "grid"}, &errResp); code != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d", code)
+	if code, _ := postRaw(t, ts, "/v1/batch", `{"graph":"grid","sources":[0]}`); code != http.StatusNotFound {
+		t.Fatalf("/v1/batch: status %d, want 404", code)
 	}
 	var tr distancesResponse
 	if code := postJSON(t, ts, "/v1/distances", distancesRequest{Graph: "grid", Source: 0, Targets: []int64{1 << 20}}, &tr); code != http.StatusBadRequest {
 		t.Fatalf("bad targets: status %d", code)
 	}
 	snap := fetchStats(t, ts)
-	if snap.Errors < 6 {
+	if snap.Errors < 5 {
 		t.Fatalf("errors counter: got %d", snap.Errors)
 	}
 }

@@ -2,20 +2,6 @@ package server
 
 import "radiusstep/internal/metrics"
 
-// FrontierStats is the /v1/stats frontier section: substrate operation
-// totals for the frontier-backed engines. A substrate regression — runs
-// multiplying, stale entries piling up (stale/pushes is the leak
-// ratio), rank queries growing — shows here without a bench run, per
-// solve counters divided by solvesByEngine.
-type FrontierStats struct {
-	Pushes    int64 `json:"pushes"`
-	Batches   int64 `json:"batches"`
-	Merges    int64 `json:"merges"`
-	Extracted int64 `json:"extracted"`
-	Stale     int64 `json:"stale"`
-	Selects   int64 `json:"selects"`
-}
-
 // StatsSnapshot is the JSON body served by GET /v1/stats. The solve and
 // cache counters are the observable contract the tests rely on: N
 // concurrent identical queries must show solves == 1, and a repeated
@@ -31,10 +17,9 @@ type StatsSnapshot struct {
 	RouteCacheHits int64 `json:"routeCacheHits"`
 	// RoutePruned totals relaxation candidates skipped by goal-directed
 	// landmark pruning across route solves.
-	RoutePruned  int64 `json:"routePruned"`
-	Coalesced    int64 `json:"coalesced"`
-	BatchSources int64 `json:"batchSources"`
-	Errors       int64 `json:"errors"`
+	RoutePruned int64 `json:"routePruned"`
+	Coalesced   int64 `json:"coalesced"`
+	Errors      int64 `json:"errors"`
 	// SolveTimeouts counts solve-backed requests that hit their deadline
 	// (504 class); SolvesCanceled counts client-departure aborts (499);
 	// SolvePanics counts engine panics contained into 500s; Shed counts
@@ -48,12 +33,9 @@ type StatsSnapshot struct {
 	Flight         FlightStats      `json:"flight"`
 	SolvesByGraph  map[string]int64 `json:"solvesByGraph"`
 	// SolvesByEngine counts full SSSP solves per engine name
-	// (sequential, parallel, flat, delta, rho) — the observable contract
-	// behind per-request ?engine= overrides.
+	// (sequential, parallel, flat, delta, rho). A graph's solves run on
+	// the engine its spec names, or on the one auto picks.
 	SolvesByEngine map[string]int64 `json:"solvesByEngine"`
-	// Frontier totals the ordered-frontier substrate's operation
-	// counters over every full solve on the frontier-backed engines.
-	Frontier FrontierStats `json:"frontier"`
 	// Lifecycle totals the registry's load and reload events and counts
 	// the quarantined graphs; the per-graph detail (state, epoch,
 	// quarantine error) lives on /v1/graphs under "health".
@@ -72,21 +54,12 @@ func (s *Server) statsSnapshot() StatsSnapshot {
 		RouteCacheHits: m.routeCacheHits.Value(),
 		RoutePruned:    m.routePruned.Value(),
 		Coalesced:      m.coalesced.Value(),
-		BatchSources:   m.batchSources.Value(),
 		Errors:         m.errorsTotal(),
 		SolveTimeouts:  m.solveTimeouts.Value(),
 		SolvesCanceled: m.solvesCanceled.Value(),
 		SolvePanics:    m.solvePanics.Value(),
 		Shed:           s.pool.Stats().Shed,
-		Frontier: FrontierStats{
-			Pushes:    m.frontierOps.With("pushes").Value(),
-			Batches:   m.frontierOps.With("batches").Value(),
-			Merges:    m.frontierOps.With("merges").Value(),
-			Extracted: m.frontierOps.With("extracted").Value(),
-			Stale:     m.frontierOps.With("stale").Value(),
-			Selects:   m.frontierOps.With("selects").Value(),
-		},
-		Lifecycle: s.registry.Counters(),
+		Lifecycle:      s.registry.Counters(),
 	}
 	for short, ep := range endpointNames {
 		snap.Requests[short] = m.requests.With(ep).Value()

@@ -5,18 +5,18 @@ import (
 	"testing"
 )
 
-// TestTraceTimelineConsistency is the acceptance test for ?trace=1: for
-// every engine, the returned timeline must be internally consistent —
-// the summary counters match the record lists, the per-step substep
-// counts sum to the substep total, and the per-step wall times nest
-// inside the solve's wall time.
+// TestTraceTimelineConsistency is the acceptance test for ?trace=1: on
+// the test grid served under every engine, the returned timeline must
+// be internally consistent — the summary counters match the record
+// lists, the per-step substep counts sum to the substep total, and the
+// per-step wall times nest inside the solve's wall time.
 func TestTraceTimelineConsistency(t *testing.T) {
-	_, ts, g := newTestServer(t, Config{CacheBytes: 1 << 20})
-	for _, engine := range []string{"seq", "par", "flat", "delta", "rho"} {
+	_, ts, g := serveEngines(t, Config{CacheBytes: 1 << 20}, testGrid)
+	for _, engine := range testEngines {
 		t.Run(engine, func(t *testing.T) {
 			var resp distancesResponse
-			code := postJSON(t, ts, "/v1/distances?trace=1&engine="+engine,
-				distancesRequest{Graph: "grid", Source: 3}, &resp)
+			code := postJSON(t, ts, "/v1/distances?trace=1",
+				distancesRequest{Graph: engine, Source: 3}, &resp)
 			if code != http.StatusOK {
 				t.Fatalf("status %d: %s", code, resp.Error)
 			}
