@@ -244,21 +244,28 @@ func TestWorkspaceReuseResetPaths(t *testing.T) {
 }
 
 func TestProbeMidArcPollAborts(t *testing.T) {
-	// A probe fired mid-solve must abort even when the graph is large
-	// enough that a single substep spans many arc-interval polls —
-	// exercises the kernels' mid-substep poll paths under -race.
+	// A probe fired mid-substep must abort the solve from inside the
+	// relax kernels. Radii of 1e9 make each radius-engine solve one step
+	// of breadth-first substeps that each scan thousands of arcs, so the
+	// hook's 5,000th call lands inside a substep with polls still ahead
+	// of it: every probeArcInterval arcs in the scalar push (a default
+	// workspace, whose substeps stay below forkArcs) and once per claim
+	// chunk in the parallel push (a forkAll workspace). Run under -race.
+	atTwoProcs(t)
 	g := gen.WithUniformIntWeights(gen.RandomConnected(5000, 40000, 7), 1, 30, 9)
-	radii, err := preprocess.RadiiOnly(g, 16)
-	if err != nil {
-		t.Fatal(err)
+	radii := make([]float64, g.NumVertices())
+	for v := range radii {
+		radii[v] = 1e9
 	}
 	far := farthest(t, g, radii, 0)
 	for _, kind := range allKinds() {
-		p := new(Probe)
-		bound, _ := cancelOnCall(200, p.Expire)
-		_, err := solve(g, radii, 0, kind, Params{Probe: p, Bound: bound}, NewWorkspace(), far)
-		if !errors.Is(err, ErrDeadline) {
-			t.Fatalf("%s: err = %v, want ErrDeadline", kind, err)
+		for _, forkAll := range []bool{false, true} {
+			p := new(Probe)
+			bound, _ := cancelOnCall(5000, p.Expire)
+			_, err := solve(g, radii, 0, kind, Params{Probe: p, Bound: bound}, &Workspace{forkAll: forkAll}, far)
+			if !errors.Is(err, ErrDeadline) {
+				t.Fatalf("%s forkAll=%v: err = %v, want ErrDeadline", kind, forkAll, err)
+			}
 		}
 	}
 }

@@ -54,12 +54,6 @@ type Stats struct {
 	// across all steps (at most k+2 per step on a (k, ρ)-graph,
 	// Theorem 3.2).
 	Substeps int
-	// PushSubsteps and PullSubsteps split Substeps by relaxation
-	// direction: push scatters the frontier's arcs with atomic
-	// priority-writes; pull sweeps unsettled vertices gathering from
-	// the frontier with no atomics. Their sum equals Substeps.
-	PushSubsteps int
-	PullSubsteps int
 	// MaxSubsteps is the largest substep count of any single step.
 	MaxSubsteps int
 	// Relaxations counts successful distance improvements.

@@ -84,8 +84,7 @@ func disconnectedZeroMultigraph() *graph.CSR {
 }
 
 // clique returns the complete unit-weight graph on n vertices — the
-// dense workload whose frontier arcs dominate the unsettled remainder,
-// forcing the adaptive rule into pull.
+// dense workload, where every vertex is adjacent to every other.
 func clique(n int) *graph.CSR {
 	b := graph.NewBuilder(n)
 	for u := 0; u < n; u++ {
@@ -96,17 +95,34 @@ func clique(n int) *graph.CSR {
 	return b.Build()
 }
 
-// TestFiveEnginesByteIdenticalPushAndPull is the cross-mode sibling of
-// TestFiveEnginesByteIdenticalDistances: every engine kind, forced
-// through push-only, pull-only, and adaptive substeps, must produce
-// byte-identical distances on random graphs with zero-weight edges and
+// atTwoProcs raises GOMAXPROCS to 2 for the rest of the test when it is
+// 1, so the parallel kernel has a second worker to fork onto.
+func atTwoProcs(t *testing.T) {
+	if parallel.Procs() == 1 {
+		t.Cleanup(func() { runtime.GOMAXPROCS(1) })
+		runtime.GOMAXPROCS(2)
+	}
+}
+
+// TestFiveEnginesByteIdenticalScalarAndParallel is the cross-kernel
+// sibling of TestFiveEnginesByteIdenticalDistances: every engine kind,
+// run on a default workspace (these graphs stay below forkArcs, so every
+// substep takes the scalar push) and on a forkAll workspace (every
+// substep of a parallel kind takes the edge-balanced parallel push),
+// must produce Dijkstra's distances bit for bit and pass the optimality
+// certificate — on random graphs with zero-weight edges and
 // disconnected components, on a genuine multigraph, and on a dense
-// clique. Run under -race by CI, which also exercises the parallel
-// push (edge-balanced) and pull (atomics-free sweep) kernels when
-// GOMAXPROCS > 1.
-func TestFiveEnginesByteIdenticalPushAndPull(t *testing.T) {
-	ws := NewWorkspace() // shared across kinds, modes, and graphs: pooled-buffer reuse
-	modes := []RelaxMode{RelaxPush, RelaxPull, RelaxAdaptive}
+// clique. CI runs it under -race at GOMAXPROCS=4.
+func TestFiveEnginesByteIdenticalScalarAndParallel(t *testing.T) {
+	atTwoProcs(t)
+	// Each workspace is shared across kinds and graphs: pooled-buffer reuse.
+	workspaces := []struct {
+		name string
+		ws   *Workspace
+	}{
+		{"scalar", NewWorkspace()},
+		{"parallel", &Workspace{forkAll: true}},
+	}
 	graphs := []*graph.CSR{
 		multiEdgeGraph(),
 		disconnectedZeroMultigraph(),
@@ -125,108 +141,64 @@ func TestFiveEnginesByteIdenticalPushAndPull(t *testing.T) {
 		src := graph.V(gi % n)
 		want := baseline.Dijkstra(g, src)
 		for _, kind := range allKinds() {
-			for _, mode := range modes {
-				got, st, err := SolveKind(g, radii, src, kind, Params{Relax: mode}, ws)
+			for _, w := range workspaces {
+				got, _, err := SolveKind(g, radii, src, kind, Params{}, w.ws)
 				if err != nil {
-					t.Fatalf("graph %d %s mode=%d: %v", gi, kind, mode, err)
+					t.Fatalf("graph %d %s %s: %v", gi, kind, w.name, err)
 				}
 				for v := range got {
 					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-						t.Fatalf("graph %d %s mode=%d: dist[%d] = %v, want %v",
-							gi, kind, mode, v, got[v], want[v])
+						t.Fatalf("graph %d %s %s: dist[%d] = %v, want %v",
+							gi, kind, w.name, v, got[v], want[v])
 					}
 				}
 				if err := check.VerifyDistances(g, src, got); err != nil {
-					t.Fatalf("graph %d %s mode=%d: certificate: %v", gi, kind, mode, err)
-				}
-				if st.PushSubsteps+st.PullSubsteps != st.Substeps {
-					t.Fatalf("graph %d %s mode=%d: push %d + pull %d != substeps %d",
-						gi, kind, mode, st.PushSubsteps, st.PullSubsteps, st.Substeps)
-				}
-				switch mode {
-				case RelaxPush:
-					if st.PullSubsteps != 0 {
-						t.Fatalf("graph %d %s: forced push ran %d pull substeps", gi, kind, st.PullSubsteps)
-					}
-				case RelaxPull:
-					if st.PushSubsteps != 0 {
-						t.Fatalf("graph %d %s: forced pull ran %d push substeps", gi, kind, st.PushSubsteps)
-					}
+					t.Fatalf("graph %d %s %s: certificate: %v", gi, kind, w.name, err)
 				}
 			}
 		}
 	}
 }
 
-// TestRelaxModesKeepStepStructure: the mode only changes traversal
-// direction, never the updated sets, so step and substep counts must be
-// identical across modes for every engine.
+// TestRelaxModesKeepStepStructure: the kernel only changes how a
+// substep's arcs are split among workers, never the updated sets, so
+// step and substep counts must be identical on the scalar and the
+// parallel kernel for every engine.
 func TestRelaxModesKeepStepStructure(t *testing.T) {
+	atTwoProcs(t)
 	g := randomGraph(300, 900, 99)
 	radii, err := preprocess.RadiiOnly(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range allKinds() {
-		var ref Stats
-		for i, mode := range []RelaxMode{RelaxPush, RelaxPull, RelaxAdaptive} {
-			_, st, err := SolveKind(g, radii, 0, kind, Params{Relax: mode}, nil)
-			if err != nil {
-				t.Fatalf("%s mode=%d: %v", kind, mode, err)
-			}
-			if i == 0 {
-				ref = st
-				continue
-			}
-			if st.Steps != ref.Steps || st.Substeps != ref.Substeps {
-				t.Fatalf("%s mode=%d: steps/substeps %d/%d, push mode had %d/%d",
-					kind, mode, st.Steps, st.Substeps, ref.Steps, ref.Substeps)
-			}
+		_, ref, err := SolveKind(g, radii, 0, kind, Params{}, nil)
+		if err != nil {
+			t.Fatalf("%s scalar: %v", kind, err)
+		}
+		_, st, err := SolveKind(g, radii, 0, kind, Params{}, &Workspace{forkAll: true})
+		if err != nil {
+			t.Fatalf("%s parallel: %v", kind, err)
+		}
+		if st.Steps != ref.Steps || st.Substeps != ref.Substeps {
+			t.Fatalf("%s: steps/substeps %d/%d on the parallel kernel, %d/%d on the scalar one",
+				kind, st.Steps, st.Substeps, ref.Steps, ref.Substeps)
 		}
 	}
 }
 
-// TestAdaptivePullTriggersOnDenseFrontier: on a clique the first step's
-// frontier carries almost every remaining arc, so the adaptive rule must
-// choose at least one pull substep for the parallel kinds. Pull only
-// pays off by skipping push's atomics, so the adaptive rule never picks
-// it on the scalar path: raise GOMAXPROCS for the duration, and make the
-// clique big enough that its first substep (399 vertices × 399 arcs)
-// clears the forkArcs gate.
-func TestAdaptivePullTriggersOnDenseFrontier(t *testing.T) {
-	if parallel.Procs() == 1 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-	g := clique(400)
-	want := baseline.Dijkstra(g, 0)
-	got, st, err := SolveKind(g, nil, 0, KindDelta, Params{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i := check.SameDistances(want, got, 0); i >= 0 {
-		t.Fatalf("clique distances wrong at %d", i)
-	}
-	if st.PullSubsteps == 0 {
-		t.Fatalf("adaptive mode never pulled on a clique (push=%d pull=%d)",
-			st.PushSubsteps, st.PullSubsteps)
-	}
-}
-
-// TestRelaxDispatchGate pins the adaptive relax's dispatch by the
-// pool's fork count rather than by time. Substeps below forkArcs
-// frontier arcs run the scalar kernel without waking the pool; a
-// substep at or above it still forks; and the forced modes keep their
-// parallel kernels on small substeps. Every solve matches Dijkstra bit
-// for bit. The small graph has at most 1,024 vertices (no fork outside
-// relax) and far fewer arcs than the gate; huge radii make each
-// radius-engine solve one step whose Bellman–Ford substeps sweep the
-// graph breadth first, so frontiers grow past a kernel's first claim
-// chunk.
+// TestRelaxDispatchGate pins the relax's dispatch by the pool's fork
+// count rather than by time. Substeps below forkArcs frontier arcs run
+// the scalar kernel without waking the pool; a substep at or above it
+// still forks; and a forkAll workspace keeps the parallel kernel on
+// small substeps. Every solve matches Dijkstra bit for bit. The small
+// graph has at most 1,024 vertices (no fork outside relax) and far fewer
+// arcs than the gate; huge radii make each radius-engine solve one step
+// whose Bellman–Ford substeps sweep the graph breadth first, so
+// frontiers grow past a kernel's first claim chunk.
 func TestRelaxDispatchGate(t *testing.T) {
-	if parallel.Procs() == 1 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-	solve := func(g *graph.CSR, kind EngineKind, mode RelaxMode) (forks int64, maxWorkers int) {
+	atTwoProcs(t)
+	solve := func(g *graph.CSR, kind EngineKind, forkAll bool) (forks int64, maxWorkers int) {
 		t.Helper()
 		radii := make([]float64, g.NumVertices())
 		for v := range radii {
@@ -234,15 +206,15 @@ func TestRelaxDispatchGate(t *testing.T) {
 		}
 		rec := NewTraceRecorder()
 		before := parallel.ReadPoolCounters().Forks
-		got, _, err := SolveKind(g, radii, 0, kind, Params{Relax: mode, Recorder: rec}, nil)
+		got, _, err := SolveKind(g, radii, 0, kind, Params{Recorder: rec}, &Workspace{forkAll: forkAll})
 		forks = parallel.ReadPoolCounters().Forks - before
 		if err != nil {
-			t.Fatalf("%s mode=%d: %v", kind, mode, err)
+			t.Fatalf("%s forkAll=%v: %v", kind, forkAll, err)
 		}
 		want := baseline.Dijkstra(g, 0)
 		for v := range want {
 			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-				t.Fatalf("%s mode=%d: dist[%d] = %v, want %v", kind, mode, v, got[v], want[v])
+				t.Fatalf("%s forkAll=%v: dist[%d] = %v, want %v", kind, forkAll, v, got[v], want[v])
 			}
 		}
 		for _, sub := range rec.Timeline().SubstepList {
@@ -256,32 +228,18 @@ func TestRelaxDispatchGate(t *testing.T) {
 		t.Fatalf("small graph has %d arcs, not below the gate", small.NumArcs())
 	}
 	for _, kind := range []EngineKind{KindParallel, KindFlat, KindDelta, KindRho} {
-		if forks, w := solve(small, kind, RelaxAdaptive); forks != 0 || w != 1 {
-			t.Errorf("%s adaptive below the gate: %d forks, widest substep %d workers; want 0 and 1", kind, forks, w)
+		if forks, w := solve(small, kind, false); forks != 0 || w != 1 {
+			t.Errorf("%s below the gate: %d forks, widest substep %d workers; want 0 and 1", kind, forks, w)
 		}
-		for _, mode := range []RelaxMode{RelaxPush, RelaxPull} {
-			if forks, w := solve(small, kind, mode); forks == 0 || w < 2 {
-				t.Errorf("%s mode=%d below the gate: %d forks, widest substep %d workers; want the parallel kernel", kind, mode, forks, w)
-			}
+		if forks, w := solve(small, kind, true); forks == 0 || w < 2 {
+			t.Errorf("%s forkAll below the gate: %d forks, widest substep %d workers; want the parallel kernel", kind, forks, w)
 		}
 	}
 
 	// 20k vertices of mean degree 20: the breadth-first substeps pass
 	// forkArcs frontier arcs within a few rounds.
 	large := randomGraph(20000, 200000, 43)
-	if forks, w := solve(large, KindFlat, RelaxAdaptive); forks == 0 || w < 2 {
-		t.Errorf("flat adaptive above the gate: %d forks, widest substep %d workers; want a fork", forks, w)
-	}
-}
-
-// TestSolveKindRejectsUnknownRelaxMode: the force knob is validated like
-// every other enum in the framework.
-func TestSolveKindRejectsUnknownRelaxMode(t *testing.T) {
-	g := clique(4)
-	if _, _, err := SolveKind(g, nil, 0, KindDelta, Params{Relax: RelaxMode(9)}, nil); err == nil {
-		t.Fatal("unknown relax mode accepted")
-	}
-	if _, _, err := SolveKind(g, nil, 0, KindDelta, Params{Relax: RelaxMode(-1)}, nil); err == nil {
-		t.Fatal("negative relax mode accepted")
+	if forks, w := solve(large, KindFlat, false); forks == 0 || w < 2 {
+		t.Errorf("flat above the gate: %d forks, widest substep %d workers; want a fork", forks, w)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // EngineKind identifies one engine of the unified stepping framework: a
-// fringe structure plus a step-target rule plus a relaxation mode. All
+// fringe structure plus a step-target rule plus a relax kernel. All
 // kinds share one driver (the solve function below) and differ only in
 // how reached-but-unsettled vertices are tracked and how each step's
 // settling threshold d_i is chosen:
@@ -68,13 +68,6 @@ type Params struct {
 	// steps settle too few vertices (see rhoStepper), cutting step
 	// counts on large fringes while keeping distances exact.
 	Rho int
-	// Relax selects the substep traversal: RelaxAdaptive (default)
-	// runs a substep too small to share on the scalar push kernel and
-	// switches between parallel push and pull on larger ones;
-	// RelaxPush/RelaxPull force one direction on its parallel kernel
-	// (see RelaxMode; distances are identical either way — the force
-	// knobs exist for benchmarking and the cross-mode property tests).
-	Relax RelaxMode
 	// Recorder, when non-nil, receives a per-step/per-substep timeline
 	// of the solve (see internal/trace). nil — the default and the hot
 	// path — adds a single pointer comparison per instrumentation site
@@ -285,9 +278,6 @@ func solve(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params
 	if kind < KindSequential || kind > KindRho {
 		return Stats{}, fmt.Errorf("core: unknown engine kind %d", int(kind))
 	}
-	if p.Relax < RelaxAdaptive || p.Relax > RelaxPull {
-		return Stats{}, fmt.Errorf("core: unknown relax mode %d", int(p.Relax))
-	}
 	if radii == nil && !kind.usesRadii() {
 		if err := validateSrc(g, src); err != nil {
 			return Stats{}, err
@@ -340,7 +330,6 @@ func solve(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Params
 	seq := kind == KindSequential
 	ws.bits[src] = parallel.ToBits(0)
 	ws.done[src] = true
-	ws.settled(src)
 	ws.track(src)
 
 	// Relax the source's neighbors (Algorithm 1, line 2) and seed the
@@ -430,23 +419,18 @@ steps:
 			substeps++
 			ws.nextSubID()
 			var scanned0, relaxed0 int64
-			var push0 int
 			if rec != nil {
-				scanned0, relaxed0, push0 = st.EdgesScanned, st.Relaxations, st.PushSubsteps
+				scanned0, relaxed0 = st.EdgesScanned, st.Relaxations
 				phaseStart = rec.Now()
 			}
-			updated := ws.relax(frontier, &st, seq, p.Relax)
+			updated := ws.relax(frontier, &st, seq)
 			if rec != nil {
 				dur := time.Since(phaseStart).Nanoseconds()
-				mode := "pull"
-				if st.PushSubsteps > push0 {
-					mode = "push"
-				}
 				srec.RelaxNanos += dur
 				rec.Substep(trace.SubstepRecord{
 					Step:        stepNo,
 					Substep:     substeps,
-					Mode:        mode,
+					Mode:        "push",
 					Workers:     ws.workers,
 					FrontierLen: len(frontier),
 					ArcsScanned: st.EdgesScanned - scanned0,
@@ -481,7 +465,6 @@ steps:
 		}
 		for _, v := range active {
 			ws.done[v] = true
-			ws.settled(v)
 		}
 		if rec != nil {
 			srec.Step = stepNo
@@ -515,7 +498,7 @@ steps:
 		// distances. The workspace needs no special cleanup: the touched
 		// list stays marked incomplete, so the next prepare re-fills the
 		// distances and settled marks in full, the stamp arrays
-		// (act/sub/seen/infr) are invalidated by the next stamps, and
+		// (act/sub/seen) are invalidated by the next stamps, and
 		// each stepper's reset() rebuilds its fringe.
 		return st, solveErr
 	}

@@ -8,37 +8,10 @@ import (
 	"radiusstep/internal/parallel"
 )
 
-// RelaxMode selects how a Bellman–Ford substep traverses the frontier's
-// arcs. All modes compute byte-identical distances (each vertex ends a
-// substep at the minimum over the same candidate set); they differ only
-// in traversal direction and synchronization cost, so the driver is free
-// to pick per substep.
-type RelaxMode int
-
-const (
-	// RelaxAdaptive (the default) gates each substep on the frontier's
-	// outgoing-arc count: below forkArcs it runs the scalar push on the
-	// caller (no fork, no atomics); from forkArcs up it picks a direction
-	// for the parallel kernels — sparse frontiers push (work proportional
-	// to the frontier), dense frontiers pull (no atomics, work
-	// proportional to the unsettled remainder).
-	RelaxAdaptive RelaxMode = iota
-	// RelaxPush forces push-style relaxation (scatter with atomic
-	// priority-writes). With GOMAXPROCS > 1 every substep of a parallel
-	// kind takes the parallel kernel, however small; the sequential kind
-	// keeps the scalar push.
-	RelaxPush
-	// RelaxPull forces pull-style relaxation (each unsettled vertex
-	// gathers over its incident arcs; one plain write per improvement).
-	// Every substep of every kind, however small, runs the parallel pull
-	// kernel, which runs on the caller alone at GOMAXPROCS=1.
-	RelaxPull
-)
-
-// forkArcs is the adaptive relax's fork gate: a substep whose frontier
-// has fewer outgoing arcs runs the scalar push on the caller, because
-// waking a parked worker and joining it back costs about as much as
-// relaxing tens of thousands of arcs. Swept at 16k, 32k, 64k and 128k
+// forkArcs is the relax's fork gate: a substep whose frontier has fewer
+// outgoing arcs runs the scalar push on the caller, because waking a
+// parked worker and joining it back costs about as much as relaxing
+// tens of thousands of arcs. Swept at 16k, 32k, 64k and 128k
 // (flat engine, k = 4, ρ = 32, 50k-vertex road and rmat graphs,
 // GOMAXPROCS=2 on a 2-vCPU VM), the median p50 fell from 15.6 ms without
 // the gate to 9.6–11.4 ms on road, where most substeps hold a few
@@ -47,41 +20,31 @@ const (
 // clears the gate forks on every proc.
 const forkArcs = 64 << 10
 
-// pullAtomicFactor weighs the adaptive push/pull decision: a push arc
-// costs an atomic priority-write, roughly this many times a pull arc's
-// plain read. A substep pulls when pushing the frontier's arcs would
-// cost more than sweeping every unsettled vertex (remaining arcs plus
-// the O(n) settled-check scan).
-const pullAtomicFactor = 3
-
-// Claim-grain bounds for the edge-balanced push and the parallel pull.
-// Workers claim consecutive chunks of arc (or vertex) space, so a skewed
-// frontier (one hub plus many leaves) still splits evenly — the hub's
-// arc range is shared between workers instead of serializing on one.
-// The chunk size itself is adaptive (see adaptiveGrain): a fixed grain
-// either starves balance on small substeps (too few chunks to share) or
-// drowns large ones in claim traffic (one atomic add per chunk).
+// Claim-grain bounds for the edge-balanced push. Workers claim
+// consecutive chunks of arc space, so a skewed frontier (one hub plus
+// many leaves) still splits evenly — the hub's arc range is shared
+// between workers instead of serializing on one. The chunk size itself
+// is adaptive (see adaptiveGrain): a fixed grain either starves balance
+// on small substeps (too few chunks to share) or drowns large ones in
+// claim traffic (one atomic add per chunk).
 const (
 	arcGrainMin = 512
 	arcGrainMax = 8192
-
-	pullGrainMin = 512
-	pullGrainMax = 4096
 )
 
-// adaptiveGrain sizes a dynamic claim chunk for total work items split
-// across the current worker count: aim for ~8 chunks per worker — enough
-// slack for dynamic balancing when per-chunk costs vary, few enough that
-// claim-counter traffic stays negligible — clamped to [minG, maxG] so
-// tiny substeps keep chunks worth dispatching and huge ones don't widen
-// the straggler tail.
-func adaptiveGrain(total, minG, maxG int) int {
+// adaptiveGrain sizes a dynamic claim chunk for total arcs split across
+// the current worker count: aim for ~8 chunks per worker — enough slack
+// for dynamic balancing when per-chunk costs vary, few enough that
+// claim-counter traffic stays negligible — clamped to [arcGrainMin,
+// arcGrainMax] so tiny substeps keep chunks worth dispatching and huge
+// ones don't widen the straggler tail.
+func adaptiveGrain(total int) int {
 	g := total / (parallel.Procs() * 8)
-	if g < minG {
-		return minG
+	if g < arcGrainMin {
+		return arcGrainMin
 	}
-	if g > maxG {
-		return maxG
+	if g > arcGrainMax {
+		return arcGrainMax
 	}
 	return g
 }
@@ -135,18 +98,11 @@ type Workspace struct {
 	act  []uint32 // == step stamp: joined the active set this step
 	sub  []uint32 // substep claim stamps (one improvement report per substep)
 	seen []uint32 // per-step fringe dedup for the flat-fringe steppers
-	infr []uint32 // == substep stamp: member of the current frontier (pull mode)
 
 	active, frontier, next, updated []graph.V
-	snap                            []float64 // frontier-indexed distance snapshot (push)
-	pullSnap                        []float64 // vertex-indexed distance snapshot (pull)
+	snap                            []float64 // frontier-indexed Jacobi distance snapshot
 	degOff                          []int64   // frontier degree prefix sums (edge-balanced push)
 	parts                           []workerBuf
-
-	// remArcs tracks the arcs incident to not-yet-settled vertices, the
-	// denominator of the adaptive push/pull decision. Maintained by the
-	// driver as vertices settle.
-	remArcs int64
 
 	// bound, when non-nil, is the target-mode goal-direction hook
 	// (Params.Bound): an admissible lower bound on the remaining
@@ -168,7 +124,7 @@ type Workspace struct {
 	// (Params.Probe), reset by the driver on every solve; nil on the
 	// hot path. The relax kernels poll it mid-substep — every
 	// ~probeArcInterval scanned arcs in the scalar push, once per
-	// claim chunk in the parallel kernels — and bail out of the substep
+	// claim chunk in the parallel push — and bail out of the substep
 	// early when it has fired; the driver then unwinds the solve. A
 	// bailed substep may leave the frontier bookkeeping short, which is
 	// fine: the partial state is never read again (the driver returns
@@ -199,6 +155,11 @@ type Workspace struct {
 	// workers is the participant count of the latest relax (1: it ran
 	// on the caller without a fork), read by the solve trace.
 	workers int
+
+	// forkAll sends every substep of a parallel kind to pushPar, however
+	// few arcs its frontier has, so tests can drive the parallel kernel
+	// on small graphs. Only this package's tests set it.
+	forkAll bool
 }
 
 // NewWorkspace returns an empty workspace. Buffers are sized lazily on
@@ -237,8 +198,6 @@ func (ws *Workspace) prepare(g *graph.CSR, radii []float64) {
 	ws.act = sized(ws.act, n)
 	ws.sub = sized(ws.sub, n)
 	ws.seen = sized(ws.seen, n)
-	ws.infr = sized(ws.infr, n)
-	ws.remArcs = int64(g.NumArcs())
 }
 
 // track adds each vertex of vs to the touched list unless it is already
@@ -265,12 +224,6 @@ func (ws *Workspace) track(vs ...graph.V) {
 // Dist returns v's distance as the workspace's last solve left it.
 func (ws *Workspace) Dist(v graph.V) float64 {
 	return parallel.FromBits(ws.bits[v])
-}
-
-// settled records that v left the unsettled remainder, keeping the
-// adaptive-decision denominator current.
-func (ws *Workspace) settled(v graph.V) {
-	ws.remArcs -= int64(ws.g.Degree(v))
 }
 
 // nextStep advances the step stamp, clearing the step-stamped arrays on
@@ -301,7 +254,6 @@ func (ws *Workspace) nextSolve() {
 func (ws *Workspace) nextSubID() uint32 {
 	if ws.subID == ^uint32(0) {
 		parallel.Fill(ws.sub, 0)
-		parallel.Fill(ws.infr, 0)
 		ws.subID = 0
 	}
 	ws.subID++
@@ -356,17 +308,13 @@ func (ws *Workspace) mergeParts(parts []workerBuf) []graph.V {
 // returns the vertices whose distance improved, each reported once. The
 // substep is Jacobi-style: source distances are snapshotted before any
 // relaxation, so results (and therefore step/substep counts) are
-// deterministic and identical across every mode and parallelism degree.
+// deterministic and identical across both kernels and every parallelism
+// degree.
 //
-// mode picks the traversal: RelaxAdaptive runs a substep below forkArcs
-// frontier arcs on the scalar push and otherwise compares the frontier's
-// outgoing arcs against the unsettled remainder; seq (the sequential
-// engine) pushes on the scalar kernel. On GOMAXPROCS=1 the scalar push
-// also serves the parallel engines — same distances, no atomics. Pull
-// has only the parallel kernel: the adaptive rule picks it only on the
-// parallel path, and a forced RelaxPull runs it for every kind (on the
-// caller alone when there is one participant).
-func (ws *Workspace) relax(frontier []graph.V, st *Stats, seq bool, mode RelaxMode) []graph.V {
+// The scalar pushSeq runs on the caller for the sequential engine (seq),
+// at GOMAXPROCS=1, and for a frontier below forkArcs outgoing arcs; every
+// other substep runs the edge-balanced pushPar.
+func (ws *Workspace) relax(frontier []graph.V, st *Stats, seq bool) []graph.V {
 	if ws.bound != nil {
 		// One upper-bound snapshot per substep: the best known distance
 		// to the target. Reading δ(target) here (between substeps, on
@@ -380,42 +328,14 @@ func (ws *Workspace) relax(frontier []graph.V, st *Stats, seq bool, mode RelaxMo
 		ws.ub = ub + ub*ubSlack
 	}
 	par := !seq && parallel.Procs() > 1
-	if par && mode == RelaxAdaptive {
+	if par && !ws.forkAll {
 		par = ws.frontierArcsReach(frontier, forkArcs)
 	}
 	ws.workers = 1
-	totalArcs := int64(-1) // frontier arc count; built lazily, at most once
-	pull := false
-	switch mode {
-	case RelaxPull:
-		pull = true
-	case RelaxPush:
-		pull = false
-	default:
-		// Pull's payoff is skipping push's atomic priority-writes, so it
-		// can only win on the parallel path: the scalar push already has
-		// no atomics, and a scalar pull would scan a superset of its
-		// work (frontier arcs are a subset of the unsettled remainder).
-		// The degree prefix built for the decision is the same one the
-		// edge-balanced push partitions by, so push (the common case)
-		// pays for it only once.
-		if par {
-			totalArcs = ws.frontierDegOffSnap(frontier)
-			pull = pullAtomicFactor*totalArcs > ws.remArcs+int64(len(ws.bits))
-		}
+	if !par {
+		return ws.pushSeq(frontier, st)
 	}
-	if pull {
-		st.PullSubsteps++
-		return ws.pullPar(frontier, st)
-	}
-	st.PushSubsteps++
-	if par {
-		if totalArcs < 0 { // forced push: the decision never built the prefix
-			totalArcs = ws.frontierDegOffSnap(frontier)
-		}
-		return ws.pushPar(frontier, totalArcs, st)
-	}
-	return ws.pushSeq(frontier, st)
+	return ws.pushPar(frontier, st)
 }
 
 // frontierArcsReach reports whether frontier has at least limit outgoing
@@ -436,10 +356,7 @@ func (ws *Workspace) frontierArcsReach(frontier []graph.V, limit int64) bool {
 // fills into one parallel pass removes a whole fork-join barrier from
 // every parallel push substep — the degree fill and the snapshot read
 // disjoint data, and both walk the same frontier indices, so one chunk
-// claim covers both. When the adaptive decision later picks pull, the
-// snapshot fill was wasted work, but it is one float read+write per
-// frontier element against a pull sweep that scans every unsettled
-// vertex — noise, and pull substeps are the rare case.
+// claim covers both.
 func (ws *Workspace) frontierDegOffSnap(frontier []graph.V) int64 {
 	degOff := sized(ws.degOff, len(frontier)+1)
 	ws.degOff = degOff
@@ -518,16 +435,17 @@ func (ws *Workspace) pushSeq(frontier []graph.V, st *Stats) []graph.V {
 	return out
 }
 
-// pushPar is the edge-balanced parallel push substep. The frontier's
-// degree prefix (ws.degOff) and Jacobi snapshot (ws.snap) were both
-// built by frontierDegOffSnap in one fused pass; totalArcs is the prefix
-// total. The prefix partitions the concatenated arc ranges into
-// adaptively-sized chunks that workers claim dynamically, so a hub
-// vertex's arcs split across workers instead of making one worker a
-// straggler (safe because relaxation targets are claimed with atomic
-// priority-writes, not by arc ownership). Improved vertices are claimed
-// once per substep via CAS stamps into padded per-worker buffers.
-func (ws *Workspace) pushPar(frontier []graph.V, totalArcs int64, st *Stats) []graph.V {
+// pushPar is the edge-balanced parallel push substep. It builds the
+// frontier's degree prefix (ws.degOff) and Jacobi snapshot (ws.snap) in
+// one fused pass (frontierDegOffSnap). The prefix partitions the
+// concatenated arc ranges into adaptively-sized chunks that workers
+// claim dynamically, so a hub vertex's arcs split across workers instead
+// of making one worker a straggler (safe because relaxation targets are
+// claimed with atomic priority-writes, not by arc ownership). Improved
+// vertices are claimed once per substep via CAS stamps into padded
+// per-worker buffers.
+func (ws *Workspace) pushPar(frontier []graph.V, st *Stats) []graph.V {
+	totalArcs := ws.frontierDegOffSnap(frontier)
 	subID := ws.subID
 	parts := ws.growParts(parallel.Procs())
 	snap := ws.snap
@@ -536,7 +454,7 @@ func (ws *Workspace) pushPar(frontier []graph.V, totalArcs int64, st *Stats) []g
 	bnd, ub := ws.bound, ws.ub
 
 	var relaxed, scanned, pruned atomic.Int64
-	grain := adaptiveGrain(int(totalArcs), arcGrainMin, arcGrainMax)
+	grain := adaptiveGrain(int(totalArcs))
 	ws.workers = parallel.WorkersGrain(int(totalArcs), grain, func(w int, claim func() (int, int, bool)) {
 		local := parts[w].buf[:0]
 		var rl, sc, pr int64
@@ -595,86 +513,6 @@ func (ws *Workspace) pushPar(frontier []graph.V, totalArcs int64, st *Stats) []g
 							local = append(local, v)
 						}
 					}
-				}
-			}
-		}
-		parts[w].buf = local
-		relaxed.Add(rl)
-		scanned.Add(sc)
-		pruned.Add(pr)
-	})
-	st.Relaxations += relaxed.Load()
-	st.EdgesScanned += scanned.Load()
-	st.Pruned += pruned.Load()
-	return ws.mergeParts(parts)
-}
-
-// markFrontier stamps the frontier's membership and snapshots its
-// distances by vertex id, the lookup structure the pull sweep reads.
-func (ws *Workspace) markFrontier(frontier []graph.V) []float64 {
-	subID := ws.subID
-	fs := sized(ws.pullSnap, len(ws.bits))
-	ws.pullSnap = fs
-	bits := ws.bits
-	parallel.For(len(frontier), func(i int) {
-		u := frontier[i]
-		ws.infr[u] = subID
-		fs[u] = parallel.FromBits(atomic.LoadUint64(&bits[u]))
-	})
-	return fs
-}
-
-// pullPar is the pull substep: every unsettled vertex gathers over its
-// incident arcs (the graph is undirected, so out-arcs are in-arcs)
-// taking the min over frontier neighbors' snapshot distances. The sweep
-// is vertex-partitioned, so each vertex has exactly one writer and
-// needs no atomics or claim stamps at all — the read side touches only
-// the immutable frontier snapshot and the worker's own distance cells,
-// and an improved vertex is reported by its owner.
-func (ws *Workspace) pullPar(frontier []graph.V, st *Stats) []graph.V {
-	subID := ws.subID
-	fs := ws.markFrontier(frontier)
-	parts := ws.growParts(parallel.Procs())
-	bits := ws.bits
-	infr := ws.infr
-	bnd, ub := ws.bound, ws.ub
-	var relaxed, scanned, pruned atomic.Int64
-	grain := adaptiveGrain(len(bits), pullGrainMin, pullGrainMax)
-	ws.workers = parallel.WorkersGrain(len(bits), grain, func(w int, claim func() (int, int, bool)) {
-		local := parts[w].buf[:0]
-		var rl, sc, pr int64
-		for {
-			lo, hi, ok := claim()
-			if !ok {
-				break
-			}
-			// Per-chunk cancellation poll (see pushPar).
-			if ws.probe.Fired() {
-				break
-			}
-			for v := lo; v < hi; v++ {
-				if ws.done[v] {
-					continue
-				}
-				adj, wts := ws.g.Neighbors(graph.V(v))
-				sc += int64(len(adj))
-				dv := parallel.FromBits(bits[v])
-				nd := dv
-				for j, u := range adj {
-					if infr[u] == subID {
-						if c := fs[u] + wts[j]; c < nd {
-							nd = c
-						}
-					}
-				}
-				if nd < dv {
-					if bnd != nil && nd+bnd(graph.V(v)) > ub {
-						pr++
-						continue
-					}
-					bits[v] = parallel.ToBits(nd)
-					rl++
-					local = append(local, graph.V(v))
 				}
 			}
 		}

@@ -10,7 +10,7 @@ import (
 // The persistent worker pool behind the fork-join primitives.
 //
 // A solve forks once or more for every Bellman–Ford substep large
-// enough to share (core's adaptive rule runs smaller substeps on the
+// enough to share (core's fork gate runs smaller substeps on the
 // caller, so a 50k-vertex road solve at k = 4 forks about twice), and
 // spawning fresh goroutines for each fork costs a stack allocation,
 // scheduler churn, and WaitGroup traffic that can rival the useful work

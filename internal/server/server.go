@@ -654,9 +654,16 @@ func (s *Server) answerTraced(ctx context.Context, e *Entry, src rs.Vertex, topK
 }
 
 // checkTargets range-checks target vertices before any solve runs, so a
-// bad target is rejected for free instead of after a full SSSP.
+// bad target is rejected for free instead of after a full SSSP. A list
+// longer than the graph has vertices is rejected too: duplicates are
+// legal, but the response holds one entry per listed target, so without
+// the cap a body of repeated targets would size the response.
 func (s *Server) checkTargets(w http.ResponseWriter, e *Entry, targets []int64) bool {
 	n := int64(e.numVertices())
+	if int64(len(targets)) > n {
+		s.fail(w, http.StatusBadRequest, "%d targets for a graph of %d vertices", len(targets), n)
+		return false
+	}
 	for _, t := range targets {
 		if t < 0 || t >= n {
 			s.fail(w, http.StatusBadRequest, "target %d out of range [0, %d)", t, n)

@@ -222,6 +222,39 @@ func TestTopKBoundedByGraphSize(t *testing.T) {
 	}
 }
 
+// TestTargetsBoundedByGraphSize: a targets list longer than the graph
+// has vertices is a 400 before any solve. Duplicates are legal, and the
+// response holds one entry per listed target, so without the cap a body
+// under the 1 MiB limit that lists target 0 500,000 times got a 200 with
+// a 14 MB body and allocated about 65 MB.
+func TestTargetsBoundedByGraphSize(t *testing.T) {
+	s, _, g := newTestServer(t, Config{})
+	n := g.NumVertices()
+	serve := func(count int) (*httptest.ResponseRecorder, uint64) {
+		body := `{"graph":"grid","source":0,"targets":[0` + strings.Repeat(",0", count-1) + `]}`
+		req := httptest.NewRequest(http.MethodPost, "/v1/distances", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		return rec, after.TotalAlloc - before.TotalAlloc
+	}
+	rec, alloc := serve(500000)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("500,000 targets on a %d-vertex graph: status %d, want 400", n, rec.Code)
+	}
+	if alloc >= 32<<20 {
+		t.Fatalf("500,000 targets: the request allocated %d bytes, want < 32 MiB", alloc)
+	}
+	// n targets, all the same vertex, are still a legal list.
+	rec, _ = serve(n)
+	var resp distancesResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK || len(resp.Targets) != n {
+		t.Fatalf("%d repeated targets: status %d, %d entries, err %v", n, rec.Code, len(resp.Targets), err)
+	}
+}
+
 func TestRoute(t *testing.T) {
 	_, ts, g := newTestServer(t, Config{})
 	want := rs.Dijkstra(g, 3)

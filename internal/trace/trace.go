@@ -32,14 +32,15 @@ type SubstepRecord struct {
 	Step int `json:"step"`
 	// Substep is the 1-based index within the step.
 	Substep int `json:"substep"`
-	// Mode is the relaxation direction the substep ran: "push"
-	// (scatter from the frontier with priority-writes) or "pull"
-	// (vertex-owned gather over the unsettled remainder).
+	// Mode is the relaxation direction the substep ran, always "push"
+	// (scatter from the frontier): the engines relax in no other
+	// direction. The field stays because the serving benchmark reads it
+	// for its core.pull_share metric.
 	Mode string `json:"mode"`
 	// Workers is the number of participants the substep's relax ran
-	// with: 1 means it did not fork (under the default adaptive rule,
-	// the scalar kernel on the caller), more means it woke Workers-1
-	// pool workers or ran their shares inline when the pool was busy.
+	// with: 1 means it did not fork (the scalar kernel on the caller),
+	// more means it woke Workers-1 pool workers or ran their shares
+	// inline when the pool was busy.
 	Workers int `json:"workers"`
 	// FrontierLen is the number of changed vertices relaxed from.
 	FrontierLen int `json:"frontierLen"`

@@ -47,8 +47,7 @@ type Timeline = trace.Timeline
 type TimelineStep = trace.StepRecord
 
 // TimelineSubstep is one Bellman–Ford substep's trace record
-// (push/pull mode, relax participants, frontier size, arcs scanned,
-// wall time).
+// (relax participants, frontier size, arcs scanned, wall time).
 type TimelineSubstep = trace.SubstepRecord
 
 // TimelinePool is the worker-pool event delta across a traced solve

@@ -88,6 +88,75 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFlatForkedSolveAllocs is the allocation gate of the served engine
+// above one proc. testing.AllocsPerRun pins GOMAXPROCS to 1, so the
+// gates above never see a substep fork; this one counts MemStats over
+// 40 warm flat solves at GOMAXPROCS 1 and at 2. The rmat graph packs to
+// 18,476 vertices and 353,912 arcs at k = 4, and its widest substeps
+// clear the relax fork gate, so at 2 procs they fork. On a 2-vCPU host a
+// solve allocated about 25 objects at 1 proc and 109 at 2, and 11–14 KB
+// beyond its 8n-byte vector; the bounds are twice the counts and the
+// vector plus 32 KiB. CI runs this test by name.
+func TestFlatForkedSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	g, err := rs.GenerateByName("rmat", 20000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := rs.NewSolver(rs.WithUniformIntWeights(g, 1, 10000, 2), rs.Options{Engine: rs.EngineFlat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := s.Preprocessed().Graph.NumVertices()
+	const solves = 40
+	solve := func(i int) {
+		if _, st, err := s.Distances(rs.Vertex(i * 97 % n)); err != nil || st.Engine != "flat" {
+			t.Fatalf("solve from %d: engine %q, err %v", i*97%n, st.Engine, err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		procs   int
+		objects float64
+	}{
+		{1, 52},
+		{2, 220},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		_, _, tl, err := s.DistancesTraced(0, rs.EngineFlat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		widest := 0
+		for _, sub := range tl.SubstepList {
+			widest = max(widest, sub.Workers)
+		}
+		if widest != tc.procs {
+			t.Fatalf("GOMAXPROCS=%d: the widest substep ran on %d workers, want %d", tc.procs, widest, tc.procs)
+		}
+		for i := 0; i < 3; i++ {
+			solve(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < solves; i++ {
+			solve(i)
+		}
+		runtime.ReadMemStats(&after)
+		objects := float64(after.Mallocs-before.Mallocs) / solves
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / solves
+		t.Logf("GOMAXPROCS=%d: %.1f objects and %.0f bytes per solve (vector %d bytes)", tc.procs, objects, bytes, 8*n)
+		if objects > tc.objects {
+			t.Errorf("GOMAXPROCS=%d: a warm flat solve allocates %.1f objects, want <= %v", tc.procs, objects, tc.objects)
+		}
+		if limit := float64(8*n + 32<<10); bytes > limit {
+			t.Errorf("GOMAXPROCS=%d: a warm flat solve allocates %.0f bytes, want <= %.0f (8n + 32 KiB)", tc.procs, bytes, limit)
+		}
+	}
+}
+
 // TestRouteBytesConstant is the route allocation gate: on a warmed
 // solver with landmarks, a pruned Route explores a ball around its
 // endpoints and allocates about the same bytes on a 10k-vertex and a
