@@ -6,8 +6,8 @@
 //	radius-bench -list
 //	radius-bench -exp table4 -scale default
 //	radius-bench -exp all -scale tiny
-//	radius-bench -engines all -gen road -n 100000 -trials 9
-//	radius-bench -engines seq,delta,rho -gen web -n 50000
+//	radius-bench -engines all -graph gen=road,n=100000,weights=10000 -trials 9
+//	radius-bench -engines seq,delta,rho -graph gen=web,n=50000
 //	radius-bench -procs 1,2,4,8 -engines seq,par -min-speedup 1.0
 //	radius-bench -compare BENCH_5.json
 //	radius-bench -compare latest
@@ -16,9 +16,12 @@
 // The engine benchmark (-engines, -procs) times each engine at each
 // listed GOMAXPROCS value (default: the current one) over one
 // preprocessed graph, through the per-query engine-override path the
-// daemon serves. It prints a one-workload record — per cell p50/p90
-// latency, speedup over the first procs value, allocations per solve
-// and the solve counters — as JSON on stdout and a table on stderr.
+// daemon serves. The -graph flag names that graph in the spec grammar
+// of the other tools (radiusstep.ParseGraphSpec), restricted to
+// gen=FAMILY and its n, seed, weights and rho. It prints a one-workload
+// record — per cell p50/p90 latency, speedup over the first procs
+// value, allocations per solve and the solve counters — as JSON on
+// stdout and a table on stderr.
 // With -min-speedup X, every engine's p50 at the last procs value must
 // reach X times its p50 at the first; the gate skips itself with a
 // warning on hosts with fewer CPUs than the last procs value.
@@ -57,12 +60,8 @@ func main() {
 	scale := flag.String("scale", "default", "tiny | default | full")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	engines := flag.String("engines", "", "engine benchmark: 'all' or a comma list (seq,par,flat,delta,rho); record JSON to stdout, table to stderr")
-	gen := flag.String("gen", "road", "engine benchmark: generator family")
-	n := flag.Int("n", 50000, "engine benchmark: approximate vertex count")
-	weights := flag.Int("weights", 10000, "engine benchmark: uniform integer weights in [1, W] (0 keeps generator weights)")
-	rho := flag.Int("rho", 32, "engine benchmark: preprocessing ball size (and rho-stepping quota)")
+	graphSpec := flag.String("graph", "gen=road,n=50000,weights=10000", "engine benchmark: graph spec gen=FAMILY[,n=N][,seed=S][,weights=W][,rho=R]; weights=W draws integer weights from [1, W] and rho is the preprocessing ball size (default 32)")
 	trials := flag.Int("trials", 9, "engine benchmark: timed solves per engine and procs value")
-	seed := flag.Uint64("seed", 42, "engine benchmark: generator seed")
 	compare := flag.String("compare", "", "regression gate: re-run the workloads of this record (e.g. BENCH_5.json, or 'latest' for the newest committed BENCH_<n>.json) at their recorded procs values and exit nonzero on a p50, allocation or speedup regression")
 	procs := flag.String("procs", "", "engine benchmark: comma list of GOMAXPROCS values (e.g. 1,2,4,8); default the current one")
 	minSpeedup := flag.Float64("min-speedup", 0, "engine benchmark: require every engine's p50 speedup at the last procs value to reach this factor (1.0 = monotonicity; 0 disables); skipped with a warning when the host has fewer CPUs. In compare mode, overrides the default 1.8x gate at 4 procs")
@@ -108,7 +107,14 @@ func main() {
 		return
 	}
 	if *engines != "" || *procs != "" {
-		cfg := bench.Config{Gen: *gen, N: *n, Weights: *weights, Rho: *rho, Seed: *seed, Trials: *trials}
+		spec, err := rs.ParseGraphSpec(*graphSpec, "gen", "n", "seed", "weights", "rho")
+		if err == nil {
+			_, err = spec.Options()
+		}
+		if err != nil {
+			exit(2, err)
+		}
+		cfg := bench.Config{Gen: spec.Gen, N: spec.N, Weights: spec.Weights, Rho: spec.Rho, Seed: spec.Seed, Trials: *trials}
 		if *engines != "" && *engines != "all" {
 			for _, raw := range strings.Split(*engines, ",") {
 				e, err := rs.ParseEngine(strings.TrimSpace(raw))

@@ -98,7 +98,7 @@ func TestCLIBenchRecordRoundTrip(t *testing.T) {
 		err := cmd.Run()
 		return stdout.String(), stderr.String(), err
 	}
-	stdout, stderr, err := run("-engines", "seq", "-procs", "1", "-gen", "grid2d", "-n", "400", "-trials", "3")
+	stdout, stderr, err := run("-engines", "seq", "-procs", "1", "-graph", "gen=grid2d,n=400", "-trials", "3")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, stderr)
 	}
@@ -131,19 +131,15 @@ func TestCLIBenchRecordRoundTrip(t *testing.T) {
 	if msg, err := compare(0.001); err == nil || !strings.Contains(msg, "p50") {
 		t.Fatalf("record with p50 0.001: %v, want a p50 failure:\n%s", err, msg)
 	}
-	// The flag set is exactly these; any other flag, such as the removed
-	// route, trace and gate-threshold flags, fails to parse.
-	want := "compare engines exp gen list min-speedup n procs rho scale scaling-baseline seed trials weights"
-	if got := flagNames(t, dir, "radius-bench"); got != want {
-		t.Fatalf("flags %q, want %q", got, want)
-	}
+	// Removed flags, such as the route, trace and gate-threshold flags,
+	// fail to parse.
 	for _, args := range [][]string{{"-routes"}, {"-trace", "x"}} {
 		if out, err := runCLI(t, dir, "radius-bench", args...); err == nil {
 			t.Fatalf("%v accepted:\n%s", args, out)
 		}
 	}
 	// -procs rejects trailing input.
-	wantExit2(t, dir, "radius-bench", "-engines", "seq", "-procs", "1,2x", "-gen", "grid2d", "-n", "100")
+	wantExit2(t, dir, "radius-bench", "-engines", "seq", "-procs", "1,2x", "-graph", "gen=grid2d,n=100")
 }
 
 // flagNames returns the flags a tool's -h lists, in its order.
@@ -175,9 +171,10 @@ func wantExit2(t *testing.T, dir, tool string, args ...string) string {
 func TestCLIFlagSets(t *testing.T) {
 	dir := buildCLIs(t)
 	for tool, want := range map[string]string{
-		"graphgen":  "format graph o",
-		"graphpack": "graph o order raw",
-		"sssp":      "algo delta graph src target trace verify",
+		"graphgen":     "format graph o",
+		"graphpack":    "graph o order raw",
+		"radius-bench": "compare engines exp graph list min-speedup procs scale scaling-baseline trials",
+		"sssp":         "algo delta graph src target trace verify",
 	} {
 		if got := flagNames(t, dir, tool); got != want {
 			t.Fatalf("%s flags %q, want %q", tool, got, want)
@@ -188,6 +185,9 @@ func TestCLIFlagSets(t *testing.T) {
 		wantExit2(t, dir, "graphpack", append(args, "-o", filepath.Join(dir, "x.snap"))...)
 	}
 	wantExit2(t, dir, "graphgen", "-kind", "grid2d")
+	for _, flag := range []string{"-gen", "-n", "-weights", "-rho", "-seed"} {
+		wantExit2(t, dir, "radius-bench", "-engines", "seq", flag, "1")
+	}
 	// A key that does not apply to the tool or its -algo is an error.
 	for _, tc := range []struct {
 		tool string
@@ -199,6 +199,7 @@ func TestCLIFlagSets(t *testing.T) {
 		{"graphpack", []string{"-graph", "gen=grid2d,n=100,rho=8", "-raw", "-o", filepath.Join(dir, "x.snap")}},
 		{"graphgen", []string{"-graph", "gen=grid2d,n=100,rho=8"}},
 		{"graphgen", []string{"-graph", "file=g.txt"}},
+		{"radius-bench", []string{"-engines", "seq", "-graph", "gen=grid2d,n=100,k=2"}},
 	} {
 		if out := wantExit2(t, dir, tc.tool, tc.args...); !strings.Contains(out, "does not apply") {
 			t.Fatalf("%s %v: want a key that does not apply:\n%s", tc.tool, tc.args, out)

@@ -36,7 +36,8 @@
 //
 // Graphs come from generators, from real-workload files — the native
 // text format, DIMACS ".gr" road networks and headerless edge lists,
-// all auto-detected by ReadGraphAuto/LoadGraphFile — or from
+// all auto-detected and read by ReadGraphAuto/LoadGraphFile, with one
+// comment rule ('#', '%' or 'c' starts a comment line in each) — or from
 // snapshots: versioned, checksummed binary files (Snapshot,
 // WriteSnapshotFile, SolverFromSnapshot) that persist the CSR arrays
 // together with the preprocessing outputs (radii, augmented and

@@ -80,11 +80,16 @@ func ApplyOrder(g *Graph, perm []Vertex) *Graph { return graph.ApplyOrder(g, per
 
 // --- serialization -------------------------------------------------------
 
-// ReadGraph parses the text edge-list format ("p sssp n m" header).
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.ReadText(r) }
-
-// WriteGraph serializes g in the text edge-list format.
+// WriteGraph serializes g in the text format ("p sssp n m" header,
+// 0-indexed "u v w" edge lines).
 func WriteGraph(w io.Writer, g *Graph) error { return graph.WriteText(w, g) }
+
+// WriteDIMACS serializes g in the DIMACS shortest-path format ("p sp n m"
+// header, 1-indexed "a u v w" arc lines).
+func WriteDIMACS(w io.Writer, g *Graph) error { return graph.WriteDIMACS(w, g) }
+
+// WriteEdgeList serializes g as tab-separated "u v w" lines.
+func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
 // GraphFormat identifies one of the supported interchange formats.
 type GraphFormat = graph.Format
@@ -103,7 +108,8 @@ const (
 // DetectGraphFormat sniffs a format from the first bytes of a file.
 func DetectGraphFormat(prefix []byte) GraphFormat { return graph.Detect(prefix) }
 
-// ReadGraphAuto detects the format of r and parses it. For a snapshot it
+// ReadGraphAuto detects the format of r and parses it: any of the three
+// text formats the writers above produce, or a snapshot. For a snapshot it
 // returns the real input graph (the preserved original when present, so
 // shortcut edges are never mistaken for real ones); use ReadSnapshot to
 // also recover the persisted radii and the augmented graph.
@@ -135,20 +141,6 @@ func LoadGraphFile(path string) (*Graph, GraphFormat, error) {
 	}
 	return graph.ReadAuto(f)
 }
-
-// ReadDIMACS parses the DIMACS shortest-path format ("p sp n m" header,
-// 1-indexed "a u v w" arc lines) — the format of the DIMACS road
-// networks real-workload evaluations are driven by.
-func ReadDIMACS(r io.Reader) (*Graph, error) { return graph.ReadDIMACS(r) }
-
-// WriteDIMACS serializes g in the DIMACS shortest-path format.
-func WriteDIMACS(w io.Writer, g *Graph) error { return graph.WriteDIMACS(w, g) }
-
-// ReadEdgeList parses a headerless "u v [w]" edge list (SNAP-style).
-func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
-
-// WriteEdgeList serializes g as tab-separated "u v w" lines.
-func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
 // --- snapshots ------------------------------------------------------------
 

@@ -1,10 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
-
-	"radiusstep/internal/parallel"
 )
 
 // Edge is one undirected weighted edge.
@@ -59,56 +59,64 @@ func (b *Builder) Build() *CSR {
 
 // FromEdges builds a simple undirected CSR from an edge list: self-loops
 // removed, parallel edges merged to the minimum weight, adjacency lists
-// sorted by (neighbor, weight). The build is parallel: arcs are expanded,
-// sorted by source with a parallel sort, deduplicated, and offsets are
-// derived with a scan.
+// sorted by (neighbor, weight). It builds the graph row by row: one pass
+// counts each vertex's arcs, a second places every arc in its source's
+// row, and each row is then sorted and deduplicated on its own, which is
+// O(m log d) work for maximum degree d. Adj and W are allocated at their
+// final length.
 func FromEdges(n int, edges []Edge) *CSR {
-	type arc struct {
-		src, dst V
-		w        float64
-	}
-	arcs := make([]arc, 0, 2*len(edges))
+	off := make([]int64, n+1)
 	for _, e := range edges {
-		if e.U == e.V {
-			continue // drop self-loops
+		if e.U != e.V { // self-loops are dropped
+			off[e.U+1]++
+			off[e.V+1]++
 		}
-		arcs = append(arcs, arc{e.U, e.V, e.W}, arc{e.V, e.U, e.W})
 	}
-	parallel.Sort(arcs, func(a, b arc) bool {
-		if a.src != b.src {
-			return a.src < b.src
+	for u := range n {
+		off[u+1] += off[u]
+	}
+	type arc struct {
+		dst V
+		w   float64
+	}
+	arcs := make([]arc, off[n])
+	next := slices.Clone(off[:n])
+	for _, e := range edges {
+		if e.U != e.V {
+			arcs[next[e.U]] = arc{e.V, e.W}
+			next[e.U]++
+			arcs[next[e.V]] = arc{e.U, e.W}
+			next[e.V]++
 		}
-		if a.dst != b.dst {
-			return a.dst < b.dst
+	}
+	// Sort each row and keep the first, lightest, arc to each neighbor,
+	// moving the kept arcs down over the dropped ones. off[u] is
+	// rewritten to u's kept start once its old value has been read.
+	kept := int64(0)
+	for u := range n {
+		row := arcs[off[u]:off[u+1]]
+		off[u] = kept
+		if len(row) > 1 {
+			slices.SortFunc(row, func(a, b arc) int {
+				if a.dst != b.dst {
+					return cmp.Compare(a.dst, b.dst)
+				}
+				return cmp.Compare(a.w, b.w)
+			})
 		}
-		return a.w < b.w
-	})
-	// Dedup parallel arcs keeping the first (lightest) of each (src, dst).
-	// kept aliases arcs' backing array, so comparisons use kept's tail.
-	kept := arcs[:0]
-	for _, a := range arcs {
-		if last := len(kept) - 1; last >= 0 && a.src == kept[last].src && a.dst == kept[last].dst {
-			continue
+		for _, a := range row {
+			if kept > off[u] && arcs[kept-1].dst == a.dst {
+				continue
+			}
+			arcs[kept] = a
+			kept++
 		}
-		kept = append(kept, a)
 	}
-	g := &CSR{
-		Off: make([]int64, n+1),
-		Adj: make([]V, len(kept)),
-		W:   make([]float64, len(kept)),
+	off[n] = kept
+	g := &CSR{Off: off, Adj: make([]V, kept), W: make([]float64, kept)}
+	for i, a := range arcs[:kept] {
+		g.Adj[i], g.W[i] = a.dst, a.w
 	}
-	deg := make([]int64, n)
-	for _, a := range kept {
-		deg[a.src]++
-	}
-	// Off[u] = number of arcs with source < u; arcs are already sorted by
-	// source, so the i-th kept arc lands at position i.
-	total := parallel.ExclusiveScan(deg, g.Off[:n])
-	g.Off[n] = total
-	parallel.For(len(kept), func(i int) {
-		g.Adj[i] = kept[i].dst
-		g.W[i] = kept[i].w
-	})
 	return g.finalize()
 }
 

@@ -1,12 +1,14 @@
 // Package graph provides the weighted undirected graph substrate used by
 // every algorithm in this repository: a compressed-sparse-row (CSR)
 // representation, an edge-list builder, transforms, validation, and
-// serialization.
+// serialization. It imports only the standard library.
 //
 // Conventions: vertices are dense int32 ids in [0, n). Each undirected
 // edge {u, v, w} is stored as two directed arcs. Edge weights are
 // non-negative float64 values; following the paper, graphs are normalized
 // so the lightest non-zero weight is 1, and L denotes the heaviest weight.
+// Every CSR made from edges is built by FromEdges, one row at a time;
+// a snapshot's CSR is read as it was stored.
 //
 // # Interchange formats
 //
@@ -28,10 +30,13 @@
 //     O(m log n + nρ²) preprocessing phase. See Snapshot for the exact
 //     byte layout.
 //
-// All parsers reject NaN, infinite, and negative weights at parse time
-// with the offending line number; the snapshot reader validates its
-// magic, sizes and structural invariants and verifies a CRC-32C
-// checksum, so corruption fails loudly at load time.
+// The three text readers are one line loop with one comment rule, which
+// Detect follows too: a line whose first non-blank byte is '#', '%' or
+// 'c' is a comment in every text format. They reject NaN, infinite, and
+// negative weights at parse time with the offending line number; the
+// snapshot reader validates its magic, sizes and structural invariants
+// and verifies a CRC-32C checksum, so corruption fails loudly at load
+// time.
 package graph
 
 import "math"

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -57,11 +56,8 @@ func Detect(prefix []byte) Format {
 	}
 	for _, line := range bytes.Split(prefix, []byte("\n")) {
 		text := strings.TrimSpace(string(line))
-		if text == "" || text[0] == '#' || text[0] == '%' {
+		if isComment(text) {
 			continue
-		}
-		if text == "c" || strings.HasPrefix(text, "c ") {
-			continue // DIMACS/text comment
 		}
 		switch {
 		case strings.HasPrefix(text, "p sssp"):
@@ -124,106 +120,18 @@ func ReadAuto(r io.Reader) (*CSR, Format, error) {
 	return g, f, nil
 }
 
-// checkWeight rejects weights no shortest-path solve can handle — NaN,
-// ±Inf, negative — at parse time, citing the offending line.
-func checkWeight(w float64, line int) error {
-	switch {
-	case math.IsNaN(w):
-		return fmt.Errorf("graph: NaN weight at line %d", line)
-	case math.IsInf(w, 0):
-		return fmt.Errorf("graph: infinite weight at line %d", line)
-	case w < 0:
-		return fmt.Errorf("graph: negative weight %v at line %d", w, line)
+// WriteText serializes g in the text format.
+func WriteText(w io.Writer, g *CSR) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintf(bw, "p sssp %d %d\n", g.NumVertices(), g.NumEdges()); err != nil {
+		return err
 	}
-	return nil
-}
-
-// ReadDIMACS parses the DIMACS shortest-path format: "c" comment lines,
-// one "p sp <n> <m>" problem line, and m arc lines "a <u> <v> <w>" with
-// 1-indexed endpoints. DIMACS arcs are directed; this package's graphs
-// are undirected, so each arc contributes an undirected edge and the
-// usual mutual-arc pairs collapse (keeping the lightest weight when a
-// pair disagrees). Self-loops are dropped.
-func ReadDIMACS(r io.Reader) (*CSR, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var n, m, headerLine int
-	var edges []Edge
-	seenHeader := false
-	arcs := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == 'c' {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "p":
-			if seenHeader {
-				return nil, fmt.Errorf("graph: duplicate problem line at line %d", line)
-			}
-			if len(fields) != 4 || fields[1] != "sp" {
-				return nil, fmt.Errorf("graph: bad problem line at line %d: %q (want \"p sp n m\")", line, text)
-			}
-			var err error
-			if n, err = strconv.Atoi(fields[2]); err != nil {
-				return nil, fmt.Errorf("graph: bad vertex count at line %d: %v", line, err)
-			}
-			if m, err = strconv.Atoi(fields[3]); err != nil {
-				return nil, fmt.Errorf("graph: bad arc count at line %d: %v", line, err)
-			}
-			if n < 0 || m < 0 {
-				return nil, fmt.Errorf("graph: negative sizes at line %d: %q", line, text)
-			}
-			seenHeader = true
-			headerLine = line
-			edges = edgesFor(m)
-		case "a":
-			if !seenHeader {
-				return nil, fmt.Errorf("graph: arc before problem line at line %d", line)
-			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("graph: bad arc at line %d: %q", line, text)
-			}
-			u, err := strconv.ParseInt(fields[1], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: bad endpoint at line %d: %v", line, err)
-			}
-			v, err := strconv.ParseInt(fields[2], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: bad endpoint at line %d: %v", line, err)
-			}
-			w, err := strconv.ParseFloat(fields[3], 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph: bad weight at line %d: %v", line, err)
-			}
-			if u < 1 || v < 1 || u > int64(n) || v > int64(n) {
-				return nil, fmt.Errorf("graph: arc (%d,%d) out of 1-indexed range [1, %d] at line %d", u, v, n, line)
-			}
-			if err := checkWeight(w, line); err != nil {
-				return nil, err
-			}
-			edges = append(edges, Edge{V(u - 1), V(v - 1), w})
-			arcs++
-		default:
-			return nil, fmt.Errorf("graph: unknown line type %q at line %d", fields[0], line)
+	for _, e := range Edges(g) {
+		if _, err := fmt.Fprintf(bw, "%d %d %s\n", e.U, e.V, strconv.FormatFloat(e.W, 'g', -1, 64)); err != nil {
+			return err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !seenHeader {
-		return nil, fmt.Errorf("graph: missing DIMACS problem line")
-	}
-	if arcs != m {
-		return nil, fmt.Errorf("graph: problem line declares %d arcs, found %d (last line %d)", m, arcs, line)
-	}
-	if err := checkVertices(n, arcs, headerLine); err != nil {
-		return nil, err
-	}
-	return FromEdges(n, edges), nil
+	return bw.Flush()
 }
 
 // WriteDIMACS serializes g in the DIMACS shortest-path format, emitting
@@ -240,63 +148,6 @@ func WriteDIMACS(w io.Writer, g *CSR) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadEdgeList parses a headerless whitespace- or tab-separated edge
-// list: one "u v" or "u v w" line per edge, 0-indexed endpoints, weight
-// defaulting to 1. Lines starting with '#' or '%' are comments. The
-// vertex count is the largest id seen plus one.
-func ReadEdgeList(r io.Reader) (*CSR, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var edges []Edge
-	maxID := int64(-1)
-	line, maxLine := 0, 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == '#' || text[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 2 && len(fields) != 3 {
-			return nil, fmt.Errorf("graph: bad edge at line %d: %q (want \"u v [w]\")", line, text)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: bad endpoint at line %d: %v", line, err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: bad endpoint at line %d: %v", line, err)
-		}
-		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: negative vertex id at line %d: %q", line, text)
-		}
-		w := 1.0
-		if len(fields) == 3 {
-			if w, err = strconv.ParseFloat(fields[2], 64); err != nil {
-				return nil, fmt.Errorf("graph: bad weight at line %d: %v", line, err)
-			}
-			if err := checkWeight(w, line); err != nil {
-				return nil, err
-			}
-		}
-		if hi := max(u, v); hi > maxID {
-			maxID, maxLine = hi, line
-		}
-		edges = append(edges, Edge{V(u), V(v), w})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("graph: empty edge list")
-	}
-	if err := checkVertices(int(maxID)+1, len(edges), maxLine); err != nil {
-		return nil, err
-	}
-	return FromEdges(int(maxID)+1, edges), nil
 }
 
 // WriteEdgeList serializes g as tab-separated "u\tv\tw" lines.

@@ -154,7 +154,8 @@ func TestHeaderArcCountNotPreallocated(t *testing.T) {
 // FuzzReadAuto: any input to the text, DIMACS and edge-list readers
 // gives an error or a graph that passes Validate and stays within the
 // vertex limit of its line count, whether ReadAuto detects the format
-// or a reader is called directly.
+// or a reader is called directly; and a '#', '%' or 'c' comment line put
+// in front of the input changes neither outcome.
 func FuzzReadAuto(f *testing.F) {
 	g := randomCSR(12, 20, 3)
 	for _, write := range []func(io.Writer, *CSR) error{WriteText, WriteDIMACS, WriteEdgeList} {
@@ -177,8 +178,20 @@ func FuzzReadAuto(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		limit := maxVertices(bytes.Count(in, []byte("\n")) + 1)
 		auto := func(r io.Reader) (*CSR, error) { g, _, err := ReadAuto(r); return g, err }
+		// A comment line in front changes no result, as long as the input
+		// still fits the window Detect sniffs and is not a snapshot.
+		comments := []string{"# x\n", "% x\n", "c x\n"}
+		if len(in) >= 60<<10 || Detect(in) == FormatSnapshot {
+			comments = nil
+		}
 		for _, read := range []func(io.Reader) (*CSR, error){auto, ReadText, ReadDIMACS, ReadEdgeList} {
 			g, err := read(bytes.NewReader(in))
+			for _, c := range comments {
+				g2, err2 := read(strings.NewReader(c + string(in)))
+				if (err == nil) != (err2 == nil) || !reflect.DeepEqual(g, g2) {
+					t.Fatalf("comment line %q changed the result: %v, %v", c, err, err2)
+				}
+			}
 			if err != nil {
 				continue
 			}
@@ -190,6 +203,33 @@ func FuzzReadAuto(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOneCommentRule: a line starting with '#', '%' or 'c' is a comment
+// in every text format, so an input Detect classifies reads the same
+// with such a line in front as without it.
+func TestOneCommentRule(t *testing.T) {
+	g := randomCSR(12, 20, 3)
+	for _, tc := range []struct {
+		format Format
+		write  func(io.Writer, *CSR) error
+	}{
+		{FormatText, WriteText},
+		{FormatDIMACS, WriteDIMACS},
+		{FormatEdgeList, WriteEdgeList},
+	} {
+		var buf bytes.Buffer
+		if err := tc.write(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []string{"#", "%", "c"} {
+			in := c + " made by tool\n" + buf.String()
+			got, f, err := ReadAuto(strings.NewReader(in))
+			if err != nil || f != tc.format || !reflect.DeepEqual(got, g) {
+				t.Errorf("%v with a %q comment first: format %v, err %v", tc.format, c, f, err)
+			}
+		}
+	}
 }
 
 func TestReadEdgeListFixture(t *testing.T) {

@@ -3,6 +3,9 @@ package graph
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -308,6 +311,102 @@ func TestQuickFromEdges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fromEdgesBySort is the CSR build FromEdges replaced, kept as its
+// reference: expand every edge into two arcs, sort all arc triples by
+// (source, neighbor, weight), and keep the first arc of each (source,
+// neighbor) pair.
+func fromEdgesBySort(n int, edges []Edge) (off []int64, adj []V, w []float64) {
+	type arc struct {
+		src, dst V
+		w        float64
+	}
+	var arcs []arc
+	for _, e := range edges {
+		if e.U != e.V {
+			arcs = append(arcs, arc{e.U, e.V, e.W}, arc{e.V, e.U, e.W})
+		}
+	}
+	sort.Slice(arcs, func(i, j int) bool {
+		a, b := arcs[i], arcs[j]
+		if a.src != b.src {
+			return a.src < b.src
+		}
+		if a.dst != b.dst {
+			return a.dst < b.dst
+		}
+		return a.w < b.w
+	})
+	off = make([]int64, n+1)
+	for i, a := range arcs {
+		if i > 0 && a.src == arcs[i-1].src && a.dst == arcs[i-1].dst {
+			continue
+		}
+		off[a.src+1]++
+		adj = append(adj, a.dst)
+		w = append(w, a.w)
+	}
+	for u := range n {
+		off[u+1] += off[u]
+	}
+	return off, adj, w
+}
+
+// TestFromEdgesMatchesGlobalSort: the row build gives the reference's
+// Off, Adj and W bit for bit, with Adj and W at their final length, on
+// random multigraphs with self-loops, repeated edges of different
+// weights, zero weights, isolated vertices and one high-degree row.
+func TestFromEdgesMatchesGlobalSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := range 60 {
+		n := 1 + rng.Intn(80)
+		if trial%10 == 9 {
+			n = 3000
+		}
+		// Endpoints come from the first 3n/4 ids, so the rest are isolated.
+		used := max(1, 3*n/4)
+		weight := func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				return float64(rng.Intn(3)) // repeats collide on weight too
+			}
+			return float64(rng.Intn(1000)) / 8
+		}
+		var edges []Edge
+		for range rng.Intn(6 * n) {
+			u, v := V(rng.Intn(used)), V(rng.Intn(used))
+			edges = append(edges, Edge{u, v, weight()})
+			if rng.Intn(5) == 0 {
+				edges = append(edges, Edge{v, u, weight()}) // a repeat, reversed
+			}
+		}
+		hub := V(rng.Intn(used))
+		for range 4 * used {
+			edges = append(edges, Edge{hub, V(rng.Intn(used)), weight()})
+		}
+		g := FromEdges(n, edges)
+		off, adj, w := fromEdgesBySort(n, edges)
+		if !slices.Equal(g.Off, off) || !slices.Equal(g.Adj, adj) {
+			t.Fatalf("trial %d (n=%d, %d edges): Off or Adj differ from the global sort", trial, n, len(edges))
+		}
+		if len(g.W) != len(w) {
+			t.Fatalf("trial %d: %d weights, want %d", trial, len(g.W), len(w))
+		}
+		for i := range w {
+			if math.Float64bits(g.W[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("trial %d: W[%d] = %v, want %v", trial, i, g.W[i], w[i])
+			}
+		}
+		if cap(g.Adj) != len(g.Adj) || cap(g.W) != len(g.W) {
+			t.Fatalf("trial %d: cap(Adj) %d, cap(W) %d for %d arcs", trial, cap(g.Adj), cap(g.W), len(g.Adj))
+		}
+		if err := Validate(g); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 }
 

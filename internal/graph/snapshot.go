@@ -44,6 +44,18 @@ func snapCorruptf(format string, args ...any) error {
 	return fmt.Errorf("graph: %w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 }
 
+// snapSizeErr classifies a file of size bytes that is not the need bytes
+// its snapshot declares. A shorter file ends before its own payload, the
+// signature of a torn write (a crash between write and rename on a
+// writer without AtomicWriteFile) or a partial copy; a longer one
+// carries trailing bytes.
+func snapSizeErr(need, size int64) error {
+	if size < need {
+		return fmt.Errorf("graph: %w: snapshot declares %d bytes but file has only %d", ErrSnapshotTruncated, need, size)
+	}
+	return snapCorruptf("snapshot carries %d trailing bytes past its declared %d", size-need, need)
+}
+
 // Snapshot is the on-disk unit of graph persistence: a CSR graph plus,
 // optionally, the artifacts of (k, ρ)-preprocessing — the per-vertex
 // radii and the pre-shortcut original graph — and the parameters they
@@ -287,44 +299,25 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 	if hlen > maxHeuristicLen {
 		return nil, snapCorruptf("implausible heuristic name length %d", hlen)
 	}
-	// lmKSized is the landmark count implied by the file size (-1 when
-	// the size is unknown); the payload's count field must agree.
-	lmKSized := int64(-1)
-	if maxBytes > 0 {
-		need := int64(52) + int64(hlen) + int64(n+1)*8 + int64(arcs)*12 + 4
-		if flags&snapFlagRadii != 0 {
-			need += int64(n) * 8
-		}
-		if flags&snapFlagOriginal != 0 {
-			need += int64(n+1)*8 + int64(origArcs)*12
-		}
-		if flags&snapFlagPerm != 0 {
-			need += int64(n) * 4
-		}
-		if flags&snapFlagLandmarks != 0 {
-			// The landmark count lives in the payload, not the fixed
-			// header: derive it from the remaining bytes (a 4-byte
-			// count, then 4+8n bytes per landmark), insisting the
-			// remainder divides exactly; the count field read later
-			// must match it.
-			rem := maxBytes - need - 4
-			per := int64(4) + int64(n)*8
-			if rem < 0 {
-				return nil, fmt.Errorf("graph: %w: landmark section missing %d bytes", ErrSnapshotTruncated, -rem)
-			}
-			if per <= 0 || rem%per != 0 {
-				return nil, snapCorruptf("snapshot landmark section size %d does not fit %d-vertex vectors", maxBytes-need, n)
-			}
-			lmKSized = rem / per
-		} else if maxBytes < need {
-			// The file ends before its own declared payload: the signature
-			// of a torn write (a crash between write and rename on a
-			// writer without AtomicWriteFile) or a partial copy.
-			return nil, fmt.Errorf("graph: %w: header declares %d bytes but file has only %d",
-				ErrSnapshotTruncated, need, maxBytes)
-		} else if maxBytes > need {
-			return nil, snapCorruptf("snapshot carries %d trailing bytes past its declared %d", maxBytes-need, need)
-		}
+	// need is the file size the header declares. For the landmark section
+	// it counts only the 4-byte landmark count: the count sits in the
+	// payload, so the size of the section's records is checked once the
+	// count is read, before they are allocated.
+	need := int64(52) + int64(hlen) + int64(n+1)*8 + int64(arcs)*12 + 4
+	if flags&snapFlagRadii != 0 {
+		need += int64(n) * 8
+	}
+	if flags&snapFlagOriginal != 0 {
+		need += int64(n+1)*8 + int64(origArcs)*12
+	}
+	if flags&snapFlagPerm != 0 {
+		need += int64(n) * 4
+	}
+	if flags&snapFlagLandmarks != 0 {
+		need += 4 // the landmark count
+	}
+	if maxBytes > 0 && (maxBytes < need || maxBytes > need && flags&snapFlagLandmarks == 0) {
+		return nil, snapSizeErr(need, maxBytes)
 	}
 	hbuf := make([]byte, hlen)
 	if err := d.full(hbuf); err != nil {
@@ -376,8 +369,8 @@ func readSnapshotSized(r io.Reader, maxBytes int64) (*Snapshot, error) {
 		if lmK == 0 || lmK > maxSnapshotLandmarks || uint64(lmK) > n {
 			return nil, snapCorruptf("implausible snapshot landmark count %d (n=%d)", lmK, n)
 		}
-		if lmKSized >= 0 && int64(lmK) != lmKSized {
-			return nil, snapCorruptf("snapshot declares %d landmarks but file size fits %d", lmK, lmKSized)
+		if need += int64(lmK) * (4 + int64(n)*8); maxBytes > 0 && maxBytes != need {
+			return nil, snapSizeErr(need, maxBytes)
 		}
 		if s.Landmarks, err = readWords[V](d, uint64(lmK)); err != nil {
 			return nil, snapReadErr("landmark vertices", err)

@@ -47,11 +47,9 @@ func fullSnapshot(t testing.TB) *Snapshot {
 
 // TestSnapshotTruncationBoundaries cuts a full-featured snapshot at
 // every section boundary (and one word into each section) and asserts
-// the loader classifies each cut as ErrSnapshotTruncated on the stream
-// path — never a panic, a silent short read, or an unclassified error —
-// and that the sized file path also returns a typed, quarantinable
-// error (truncated, or corrupt when only the byte count betrays the
-// cut, e.g. a partial landmark vector).
+// the loader classifies each cut as ErrSnapshotTruncated, on the stream
+// path and on the sized file path alike — never a panic, a silent short
+// read, an unclassified error, or corrupt.
 func TestSnapshotTruncationBoundaries(t *testing.T) {
 	s := fullSnapshot(t)
 	var buf bytes.Buffer
@@ -123,17 +121,13 @@ func TestSnapshotTruncationBoundaries(t *testing.T) {
 			}
 			// Sized path: the declared sizes are checked against the
 			// file length before allocation, so truncation is caught up
-			// front. Cuts inside the landmark section can only be told
-			// apart from a wrong-sized section by the byte count, so
-			// corrupt is an acceptable class there — but the error must
-			// always be one of the two quarantinable classes.
+			// front; the landmark records, once their count is read.
 			path := filepath.Join(dir, "cut.snap")
 			if err := os.WriteFile(path, cut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err := ReadSnapshotFile(path)
-			if !errors.Is(err, ErrSnapshotTruncated) && !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Fatalf("ReadSnapshotFile(cut at %d): err = %v, want truncated or corrupt", tc.cut, err)
+			if _, _, err := ReadSnapshotFile(path); !errors.Is(err, ErrSnapshotTruncated) {
+				t.Fatalf("ReadSnapshotFile(cut at %d): err = %v, want ErrSnapshotTruncated", tc.cut, err)
 			}
 		})
 	}
@@ -173,8 +167,20 @@ func TestSnapshotErrorClassification(t *testing.T) {
 	if err := os.WriteFile(torn, raw[:len(raw)-8], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadSnapshotFile(torn); !errors.Is(err, ErrSnapshotTruncated) && !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("torn file: err = %v, want a typed class", err)
+	if _, _, err := ReadSnapshotFile(torn); !errors.Is(err, ErrSnapshotTruncated) {
+		t.Fatalf("torn file: err = %v, want ErrSnapshotTruncated", err)
+	}
+	// Bytes past the landmark section are corrupt, whether or not they
+	// would fit another landmark's record.
+	n := s.G.NumVertices()
+	for _, extra := range []int{1, 4 + 8*n} {
+		long := filepath.Join(dir, "long.snap")
+		if err := os.WriteFile(long, append(append([]byte(nil), raw...), make([]byte, extra)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadSnapshotFile(long); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("%d trailing bytes: err = %v, want ErrSnapshotCorrupt", extra, err)
+		}
 	}
 	bad := filepath.Join(dir, "bad.snap")
 	if err := os.WriteFile(bad, flipped, 0o644); err != nil {

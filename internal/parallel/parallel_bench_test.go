@@ -40,12 +40,13 @@ func BenchmarkSort1M(b *testing.B) {
 		orig[i] = int64(r.Uint64())
 	}
 	data := make([]int64, n)
+	scratch := make([]int64, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		copy(data, orig)
 		b.StartTimer()
-		Sort(data, func(a, b int64) bool { return a < b })
+		SortScratch(data, scratch, func(a, b int64) bool { return a < b })
 	}
 }
 

@@ -209,6 +209,11 @@ func TestFill(t *testing.T) {
 	}
 }
 
+// sortInts sorts s with SortScratch and a scratch buffer of its length.
+func sortInts(s []int) {
+	SortScratch(s, make([]int, len(s)), func(a, b int) bool { return a < b })
+}
+
 func TestSortRandom(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
 	for _, n := range []int{0, 1, 2, 100, sortSeqThreshold + 1, sortSeqThreshold*4 + 9} {
@@ -216,7 +221,7 @@ func TestSortRandom(t *testing.T) {
 		for i := range data {
 			data[i] = r.IntN(1000)
 		}
-		Sort(data, func(a, b int) bool { return a < b })
+		sortInts(data)
 		if !slices.IsSorted(data) {
 			t.Fatalf("n=%d not sorted", n)
 		}
@@ -232,7 +237,7 @@ func TestSortPreservesMultiset(t *testing.T) {
 		data[i] = r.IntN(50)
 		counts[data[i]]++
 	}
-	Sort(data, func(a, b int) bool { return a < b })
+	sortInts(data)
 	for _, v := range data {
 		counts[v]--
 	}
@@ -249,7 +254,7 @@ func TestSortQuickProperty(t *testing.T) {
 		for i, v := range data {
 			s[i] = int(v)
 		}
-		Sort(s, func(a, b int) bool { return a < b })
+		sortInts(s)
 		return slices.IsSorted(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -257,9 +262,8 @@ func TestSortQuickProperty(t *testing.T) {
 	}
 }
 
-// TestSortScratch: the allocation-conscious variant must sort exactly
-// like Sort across the sequential/parallel size boundary, reusing the
-// caller's scratch.
+// TestSortScratch: one scratch buffer serves every sort across the
+// sequential/parallel size boundary, and each sort keeps its multiset.
 func TestSortScratch(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 8))
 	scratch := make([]int, sortSeqThreshold*4+9)
@@ -301,8 +305,8 @@ func TestMerge(t *testing.T) {
 		for i := range b {
 			b[i] = r.IntN(200)
 		}
-		Sort(a, less)
-		Sort(b, less)
+		sortInts(a)
+		sortInts(b)
 		out := make([]int, len(a)+len(b))
 		Merge(a, b, out, less)
 		if !slices.IsSorted(out) {

@@ -27,22 +27,11 @@ func sortSeq[T any](data []T, less func(a, b T) bool) {
 	})
 }
 
-// Sort sorts data in place by less, using a parallel merge sort for large
-// inputs. The sort is not stable.
-func Sort[T any](data []T, less func(a, b T) bool) {
-	n := len(data)
-	if n <= sortSeqThreshold || Procs() == 1 {
-		sortSeq(data, less)
-		return
-	}
-	buf := make([]T, n)
-	mergeSortInto(data, buf, less, true)
-}
-
-// SortScratch is Sort with caller-provided scratch storage
+// SortScratch sorts data in place by less, with a parallel merge sort
+// for large inputs that uses the caller's scratch storage
 // (cap(scratch) >= len(data)), so repeat callers on a hot path — the
-// frontier substrate sealing sorted runs every step — avoid Sort's
-// internal buffer allocation entirely.
+// frontier substrate sealing sorted runs every step — allocate nothing.
+// The sort is not stable.
 func SortScratch[T any](data, scratch []T, less func(a, b T) bool) {
 	n := len(data)
 	if n <= sortSeqThreshold || Procs() == 1 {

@@ -301,6 +301,52 @@ func TestParseGraphSpecSnapshot(t *testing.T) {
 	}
 }
 
+// FuzzParseGraphSpec: any -graph flag or /v1/admin/load spec either
+// fails to parse or to pass Options, or names exactly one source, no
+// negative weights, a landmark count in [0, MaxLandmarks] and no n
+// without gen=. It never panics. Building the graph stays out: gen=
+// accepts n up to 2^30, so a short spec can ask for gigabytes.
+func FuzzParseGraphSpec(f *testing.F) {
+	for _, seed := range []string{
+		"road=gen=road,n=50000,weights=10000,rho=64",
+		"ny=file=/data/g.gr,rho=32,landmarks=8",
+		"ny=snapshot=/data/ny.snap,engine=par",
+		"g=gen=grid2d,n=100,weights=-3",
+		"g=file=road.gr,n=5",
+		"g=gen=road,landmarks=99",
+		"x=snapshot=a.snap,gen=road",
+		"=gen=road",
+		"g=gen=road,,n=5",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseGraphSpec(spec)
+		if err != nil {
+			return
+		}
+		if _, err := cfg.Options(); err != nil {
+			return
+		}
+		sources := 0
+		for _, src := range []string{cfg.Gen, cfg.File, cfg.Snapshot} {
+			if src != "" {
+				sources++
+			}
+		}
+		switch {
+		case sources != 1:
+			t.Fatalf("%q: %d sources accepted", spec, sources)
+		case cfg.Weights < 0:
+			t.Fatalf("%q: weights %d accepted", spec, cfg.Weights)
+		case cfg.Landmarks < 0 || cfg.Landmarks > rs.MaxLandmarks:
+			t.Fatalf("%q: landmarks %d accepted", spec, cfg.Landmarks)
+		case cfg.N != 0 && cfg.Gen == "":
+			t.Fatalf("%q: n=%d accepted without gen=", spec, cfg.N)
+		}
+	})
+}
+
 func TestBuildEntrySnapshotCorruptFailsLoudly(t *testing.T) {
 	g := testGraph()
 	radii := make([]float64, g.NumVertices())

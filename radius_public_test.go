@@ -173,9 +173,9 @@ func TestGraphRoundTripPublic(t *testing.T) {
 	if err := rs.WriteGraph(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := rs.ReadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
+	g2, format, err := rs.ReadGraphAuto(&buf)
+	if err != nil || format != rs.FormatText {
+		t.Fatalf("format %v, err %v", format, err)
 	}
 	if g2.NumEdges() != g.NumEdges() || g2.NumVertices() != g.NumVertices() {
 		t.Fatal("round trip changed the graph")

@@ -21,12 +21,13 @@ type GraphSpec struct {
 	Gen      string
 	File     string
 	Snapshot string
-	// N is Gen's approximate vertex count (0 means 100,000) and Seed
-	// its generator seed.
+	// N is Gen's approximate vertex count (ParseGraphSpec sets 100,000
+	// when a gen= spec names none) and Seed its generator seed. Only a
+	// gen= source takes an N.
 	N    int
 	Seed uint64
 	// Weights > 0 replaces every weight with an integer drawn uniformly
-	// from [1, Weights] (see Reweight).
+	// from [1, Weights] (see Reweight); 0 keeps the source's weights.
 	Weights int
 	// Rho, K, Heuristic and Engine are the solver options (see
 	// Options); the empty Heuristic and Engine mean the defaults.
@@ -53,10 +54,11 @@ const defaultSpecN = 100000
 //	file=/data/g.gr,rho=32,landmarks=8
 //	snapshot=/data/g.snap,engine=flat
 //
-// The keys are gen, file, snapshot, n, seed (default 42), weights, rho,
-// k, heuristic, engine and landmarks. A key outside keys is an error
-// (no keys accepts all of them), as is an unknown key or a value that
-// does not parse; Options and Load check what the fields name.
+// The keys are gen, file, snapshot, n (default 100,000 with gen=), seed
+// (default 42), weights, rho, k, heuristic, engine and landmarks. A key
+// outside keys is an error (no keys accepts all of them), as is an
+// unknown key or a value that does not parse; Options and Load check
+// what the fields name.
 func ParseGraphSpec(text string, keys ...string) (GraphSpec, error) {
 	s := GraphSpec{Seed: 42}
 	if text == "" {
@@ -102,19 +104,29 @@ func ParseGraphSpec(text string, keys ...string) (GraphSpec, error) {
 			return s, fmt.Errorf("radiusstep: graph spec %q: field %q: %v", text, field, err)
 		}
 	}
+	if s.Gen != "" && s.N == 0 {
+		s.N = defaultSpecN
+	}
 	return s, nil
 }
 
-// checkSource reports a spec that names no source or more than one.
-func (s GraphSpec) checkSource() error {
+// check reports a spec that names no source or more than one, or that
+// sets a value nothing would use: a negative weights, or an n without
+// gen= (a file or snapshot has its own vertex count).
+func (s GraphSpec) check() error {
 	srcs := 0
 	for _, src := range []string{s.Gen, s.File, s.Snapshot} {
 		if src != "" {
 			srcs++
 		}
 	}
-	if srcs != 1 {
+	switch {
+	case srcs != 1:
 		return fmt.Errorf("radiusstep: graph spec needs exactly one of gen|file|snapshot")
+	case s.Weights < 0:
+		return fmt.Errorf("radiusstep: graph spec weights %d is negative (want 0 to keep the source's weights, or W > 0 for [1, W])", s.Weights)
+	case s.N != 0 && s.Gen == "":
+		return fmt.Errorf("radiusstep: graph spec n=%d needs gen= (a file or snapshot has its own vertex count)", s.N)
 	}
 	return nil
 }
@@ -122,7 +134,7 @@ func (s GraphSpec) checkSource() error {
 // Options checks the spec and returns the solver options it names.
 // heuristic=direct without k is the (1,ρ) construction, k = 1.
 func (s GraphSpec) Options() (Options, error) {
-	if err := s.checkSource(); err != nil {
+	if err := s.check(); err != nil {
 		return Options{}, err
 	}
 	if s.Landmarks < 0 || s.Landmarks > MaxLandmarks {
@@ -158,15 +170,7 @@ func (s GraphSpec) Source() string {
 	case s.File != "":
 		return "file:" + s.File
 	}
-	return fmt.Sprintf("gen:%s,n=%d,seed=%d", s.Gen, s.n(), s.Seed)
-}
-
-// n is the vertex count a gen= source asks for.
-func (s GraphSpec) n() int {
-	if s.N == 0 {
-		return defaultSpecN
-	}
-	return s.N
+	return fmt.Sprintf("gen:%s,n=%d,seed=%d", s.Gen, s.N, s.Seed)
 }
 
 // Load generates or reads the spec's graph and applies Reweight. It
@@ -175,7 +179,7 @@ func (s GraphSpec) n() int {
 // LoadGraphFile reads it, so a snapshot gives its input graph in
 // original ids; snapshot= also requires the file to be a snapshot.
 func (s GraphSpec) Load() (*Graph, string, error) {
-	if err := s.checkSource(); err != nil {
+	if err := s.check(); err != nil {
 		return nil, "", err
 	}
 	var (
@@ -196,7 +200,7 @@ func (s GraphSpec) Load() (*Graph, string, error) {
 		format = f.String()
 	default:
 		format = "gen"
-		g, err = GenerateByName(s.Gen, s.n(), s.Seed)
+		g, err = GenerateByName(s.Gen, s.N, s.Seed)
 	}
 	if err != nil {
 		return nil, format, err

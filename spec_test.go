@@ -46,6 +46,35 @@ func TestGraphSpecOptions(t *testing.T) {
 	}
 }
 
+// TestGraphSpecRejectsIgnoredValues: a spec value that nothing would use
+// is an error in Options and in Load, so a negative weights never runs
+// on the source's weights and an n never meets a file's own count.
+func TestGraphSpecRejectsIgnoredValues(t *testing.T) {
+	for _, text := range []string{
+		"gen=grid2d,n=100,weights=-3",
+		"file=road.gr,n=5",
+		"snapshot=road.snap,n=5",
+	} {
+		spec, err := rs.ParseGraphSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := spec.Options(); err == nil {
+			t.Errorf("%s: Options accepted it", text)
+		}
+		if _, _, err := spec.Load(); err == nil {
+			t.Errorf("%s: Load accepted it", text)
+		}
+	}
+	spec, err := rs.ParseGraphSpec("gen=road,weights=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Options(); err != nil || spec.N != 100000 {
+		t.Fatalf("gen= without n: N = %d, err %v; want the default 100000", spec.N, err)
+	}
+}
+
 // TestGraphSpecLoad: gen= generates and reweights with seed+1, file=
 // and snapshot= read a packed, reordered snapshot's input graph in
 // original ids, and snapshot= needs a snapshot.
