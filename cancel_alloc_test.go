@@ -19,9 +19,6 @@ import (
 // zero-extra-allocation path — Solve maps it to a nil probe.
 // CI runs this test by name next to the other alloc gates.
 func TestCancelProbeNilAllocGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
 	g := rs.WithUniformIntWeights(rs.Grid2D(20, 20), 1, 100, 3)
 	for _, tc := range []struct {
 		engine rs.Engine

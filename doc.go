@@ -16,8 +16,8 @@
 //     radius-free Δ-stepping and ρ-stepping strategies), selectable per solver
 //     (Options.Engine) or per query (Query.Engine); Solver.Solve runs
 //     every query — full or point-to-point, under a context, optionally
-//     traced — and solves draw pooled workspaces, so steady-state
-//     queries allocate only their results,
+//     traced — and each solver keeps its idle workspaces, so
+//     steady-state queries allocate only their results,
 //   - Baselines: Dijkstra, Bellman–Ford, ∆-stepping, parallel BFS.
 //
 // Quick start:

@@ -31,9 +31,11 @@
 // substep bounds require the (k, ρ)-graph property. The Δ- and
 // ρ-stepping engines ignore the radii entirely.
 //
-// Repeated solves can reuse a Workspace (pooled distance, stamp, heap
-// and frontier buffers), making steady-state queries allocation-free on
-// the sequential engine.
+// Repeated solves can reuse a Workspace (distance, stamp, heap and
+// frontier buffers), so a warm solve allocates its distance vector and
+// little else: in the sequential, flat and delta engines the relax
+// kernel is the one place a solve forks (see forkArcs), and each fork
+// allocates a few objects.
 package core
 
 import (

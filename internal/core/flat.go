@@ -9,10 +9,11 @@ import (
 
 // flatStepper is the frontier ("flat") fringe shared by two engines:
 // instead of ordered sets it keeps reached-but-unsettled vertices in a
-// plain array and picks each round distance with a reduction over the
-// fringe. The array may contain stale (settled) entries — every consumer
-// tolerates them — and the seen stamps bound it to one live entry per
-// vertex per step. Which reduction runs is the stepping strategy:
+// plain array and picks each round distance with one scan of the
+// fringe on the caller. The array may contain stale (settled) entries —
+// every consumer tolerates them — and the seen stamps bound it to one
+// live entry per vertex per step. Which minimum the scan takes is the
+// stepping strategy:
 //
 //	KindFlat   d_i = min δ(v)+r(v)           (Radius-Stepping, §3.4)
 //	KindDelta  d_i = bucket ceiling of min δ (Δ-stepping)
@@ -51,34 +52,35 @@ func (f *flatStepper) target() (float64, graph.V, bool) {
 		}
 		return di, f.pending[idx], true
 	default: // KindFlat
-		// d_i = min over the fringe of δ(v)+r(v); settled duplicates are
-		// skipped by treating them as +Inf.
-		idx, di := parallel.MinIndex(len(f.pending), math.Inf(1), func(i int) float64 {
-			v := f.pending[i]
+		// d_i = min over the fringe of δ(v)+r(v), skipping settled
+		// duplicates; a tie keeps the first entry.
+		idx, di := -1, math.Inf(1)
+		for i, v := range f.pending {
 			if f.ws.done[v] {
-				return math.Inf(1)
+				continue
 			}
-			return parallel.FromBits(f.ws.bits[v]) + f.ws.radii[v]
-		})
-		if math.IsInf(di, 1) {
+			if k := parallel.FromBits(f.ws.bits[v]) + f.ws.radii[v]; k < di {
+				idx, di = i, k
+			}
+		}
+		if idx < 0 {
 			return 0, -1, false
 		}
 		return di, f.pending[idx], true
 	}
 }
 
-// minDist finds the live fringe vertex with the smallest tentative
+// minDist finds the first live fringe entry with the smallest tentative
 // distance; index -1 means only stale entries remain.
 func (f *flatStepper) minDist() (int, float64) {
-	idx, minD := parallel.MinIndex(len(f.pending), math.Inf(1), func(i int) float64 {
-		v := f.pending[i]
+	idx, minD := -1, math.Inf(1)
+	for i, v := range f.pending {
 		if f.ws.done[v] {
-			return math.Inf(1)
+			continue
 		}
-		return parallel.FromBits(f.ws.bits[v])
-	})
-	if math.IsInf(minD, 1) {
-		return -1, minD
+		if d := parallel.FromBits(f.ws.bits[v]); d < minD {
+			idx, minD = i, d
+		}
 	}
 	return idx, minD
 }

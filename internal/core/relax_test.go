@@ -191,14 +191,16 @@ func TestRelaxModesKeepStepStructure(t *testing.T) {
 // count rather than by time. Substeps below forkArcs frontier arcs run
 // the scalar kernel without waking the pool; a substep at or above it
 // still forks; and a forkAll workspace keeps the parallel kernel on
-// small substeps. Every solve matches Dijkstra bit for bit. The small
-// graph has at most 1,024 vertices (no fork outside relax) and far fewer
+// small substeps. On the large graph the relax is the one place a
+// sequential, flat or delta solve forks: its forks equal its substeps
+// that ran on more than one worker. Every solve matches Dijkstra bit
+// for bit. The small graph has at most 1,024 vertices and far fewer
 // arcs than the gate; huge radii make each radius-engine solve one step
 // whose Bellman–Ford substeps sweep the graph breadth first, so
 // frontiers grow past a kernel's first claim chunk.
 func TestRelaxDispatchGate(t *testing.T) {
 	atTwoProcs(t)
-	solve := func(g *graph.CSR, kind EngineKind, forkAll bool) (forks int64, maxWorkers int) {
+	solve := func(g *graph.CSR, kind EngineKind, forkAll bool) (forks int64, maxWorkers, forked int) {
 		t.Helper()
 		radii := make([]float64, g.NumVertices())
 		for v := range radii {
@@ -219,8 +221,11 @@ func TestRelaxDispatchGate(t *testing.T) {
 		}
 		for _, sub := range rec.Timeline().SubstepList {
 			maxWorkers = max(maxWorkers, sub.Workers)
+			if sub.Workers > 1 {
+				forked++
+			}
 		}
-		return forks, maxWorkers
+		return forks, maxWorkers, forked
 	}
 
 	small := randomGraph(1000, 8000, 41)
@@ -228,10 +233,10 @@ func TestRelaxDispatchGate(t *testing.T) {
 		t.Fatalf("small graph has %d arcs, not below the gate", small.NumArcs())
 	}
 	for _, kind := range []EngineKind{KindParallel, KindFlat, KindDelta, KindRho} {
-		if forks, w := solve(small, kind, false); forks != 0 || w != 1 {
+		if forks, w, _ := solve(small, kind, false); forks != 0 || w != 1 {
 			t.Errorf("%s below the gate: %d forks, widest substep %d workers; want 0 and 1", kind, forks, w)
 		}
-		if forks, w := solve(small, kind, true); forks == 0 || w < 2 {
+		if forks, w, _ := solve(small, kind, true); forks == 0 || w < 2 {
 			t.Errorf("%s forkAll below the gate: %d forks, widest substep %d workers; want the parallel kernel", kind, forks, w)
 		}
 	}
@@ -239,7 +244,14 @@ func TestRelaxDispatchGate(t *testing.T) {
 	// 20k vertices of mean degree 20: the breadth-first substeps pass
 	// forkArcs frontier arcs within a few rounds.
 	large := randomGraph(20000, 200000, 43)
-	if forks, w := solve(large, KindFlat, false); forks == 0 || w < 2 {
-		t.Errorf("flat above the gate: %d forks, widest substep %d workers; want a fork", forks, w)
+	for _, kind := range []EngineKind{KindSequential, KindFlat, KindDelta} {
+		forks, w, forked := solve(large, kind, false)
+		t.Logf("%s: %d forks, %d forked substeps", kind, forks, forked)
+		if int(forks) != forked {
+			t.Errorf("%s: %d forks for %d forked substeps; want one fork per forked substep and none elsewhere", kind, forks, forked)
+		}
+		if kind == KindFlat && (forks == 0 || w < 2) {
+			t.Errorf("flat above the gate: %d forks, widest substep %d workers; want a fork", forks, w)
+		}
 	}
 }

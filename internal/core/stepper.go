@@ -248,7 +248,11 @@ func SolveKind(g *graph.CSR, radii []float64, src graph.V, kind EngineKind, p Pa
 	if err != nil {
 		return nil, st, err
 	}
-	return parallel.BitsToFloats(ws.bits), st, nil
+	dist := make([]float64, len(ws.bits))
+	for v, b := range ws.bits {
+		dist[v] = parallel.FromBits(b)
+	}
+	return dist, st, nil
 }
 
 // SolveTarget is SolveKind with early termination: the solve stops as

@@ -17,7 +17,9 @@ import (
 // the gate to 9.6–11.4 ms on road, where most substeps hold a few
 // thousand arcs whatever the gate, and from 20.1 to 17.3–18.6 ms on
 // rmat, lowest at 64k. Wider hosts were not measured: a substep that
-// clears the gate forks on every proc.
+// clears the gate forks on every proc. The relax is the one place a
+// flat or delta solve forks (a sequential one never does), so this gate
+// alone decides when such a solve goes parallel.
 const forkArcs = 64 << 10
 
 // Claim-grain bounds for the edge-balanced push. Workers claim
@@ -77,10 +79,10 @@ const touchedDiv = 4
 // Workspace holds every buffer a solve needs — the distance bits, the
 // settled/stamp arrays, the frontier lists, and per-stepper fringe
 // structures. A zero workspace is ready to use; reusing one across
-// solves (typically via a sync.Pool owned by the caller) makes repeated
-// queries allocation-free in steady state, which is the hot path a
-// serving daemon's cache misses pay. A Workspace is not safe for
-// concurrent use; pool one per in-flight solve.
+// solves (a Solver keeps an idle list of them) makes repeated queries
+// allocation-free in steady state, which is the hot path a serving
+// daemon's cache misses pay. A Workspace is not safe for concurrent
+// use; keep one per in-flight solve.
 //
 // Buffers are grow-only: a workspace that served a large graph keeps its
 // capacity when later solving a small one, and all slices are re-sliced
@@ -188,8 +190,10 @@ func (ws *Workspace) prepare(g *graph.CSR, radii []float64) {
 			ws.done[v] = false
 		}
 	} else {
-		parallel.Fill(ws.bits, parallel.InfBits)
-		parallel.Fill(ws.done, false)
+		for i := range ws.bits {
+			ws.bits[i] = parallel.InfBits
+		}
+		clear(ws.done)
 	}
 	ws.complete, ws.overflow = false, false
 	ws.touched = ws.touched[:0]
@@ -230,8 +234,8 @@ func (ws *Workspace) Dist(v graph.V) float64 {
 // wraparound so stale stamps can never collide with a new step.
 func (ws *Workspace) nextStep() uint32 {
 	if ws.step == ^uint32(0) {
-		parallel.Fill(ws.act, 0)
-		parallel.Fill(ws.seen, 0)
+		clear(ws.act)
+		clear(ws.seen)
 		ws.step = 0
 	}
 	ws.step++
@@ -253,7 +257,7 @@ func (ws *Workspace) nextSolve() {
 // claim-stamped arrays on wraparound.
 func (ws *Workspace) nextSubID() uint32 {
 	if ws.subID == ^uint32(0) {
-		parallel.Fill(ws.sub, 0)
+		clear(ws.sub)
 		ws.subID = 0
 	}
 	ws.subID++
@@ -351,25 +355,23 @@ func (ws *Workspace) frontierArcsReach(frontier []graph.V, limit int64) bool {
 }
 
 // frontierDegOffSnap fills ws.degOff with the frontier's degree prefix
-// sums (degOff[i] = arcs of frontier[:i]) AND ws.snap with the frontier's
-// Jacobi distance snapshot, returning the total arc count. Fusing the two
-// fills into one parallel pass removes a whole fork-join barrier from
-// every parallel push substep — the degree fill and the snapshot read
-// disjoint data, and both walk the same frontier indices, so one chunk
-// claim covers both.
+// sums (degOff[i] = arcs of frontier[:i]) and ws.snap with the
+// frontier's Jacobi distance snapshot, in one loop on the caller, and
+// returns the total arc count. The loop is O(frontier) against the
+// O(arcs) relax that follows, so it stays off the pool: the relax's
+// WorkersGrain is the substep's one fork.
 func (ws *Workspace) frontierDegOffSnap(frontier []graph.V) int64 {
 	degOff := sized(ws.degOff, len(frontier)+1)
-	ws.degOff = degOff
 	snap := sized(ws.snap, len(frontier))
-	ws.snap = snap
-	degOff[0] = 0
-	bits := ws.bits
-	parallel.For(len(frontier), func(i int) {
-		u := frontier[i]
-		degOff[i+1] = int64(ws.g.Degree(u))
-		snap[i] = parallel.FromBits(atomic.LoadUint64(&bits[u]))
-	})
-	return parallel.InclusiveScan(degOff[1:], degOff[1:])
+	ws.degOff, ws.snap = degOff, snap
+	var total int64
+	for i, u := range frontier {
+		degOff[i] = total
+		total += int64(ws.g.Degree(u))
+		snap[i] = parallel.FromBits(ws.bits[u])
+	}
+	degOff[len(frontier)] = total
+	return total
 }
 
 // pushSeq is the scalar push substep: relax every arc out of frontier
@@ -437,7 +439,7 @@ func (ws *Workspace) pushSeq(frontier []graph.V, st *Stats) []graph.V {
 
 // pushPar is the edge-balanced parallel push substep. It builds the
 // frontier's degree prefix (ws.degOff) and Jacobi snapshot (ws.snap) in
-// one fused pass (frontierDegOffSnap). The prefix partitions the
+// one loop on the caller (frontierDegOffSnap). The prefix partitions the
 // concatenated arc ranges into adaptively-sized chunks that workers
 // claim dynamically, so a hub vertex's arcs split across workers instead
 // of making one worker a straggler (safe because relaxation targets are

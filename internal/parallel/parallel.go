@@ -1,6 +1,6 @@
 // Package parallel provides the PRAM-style fork-join primitives that the
 // rest of the library is built on: dynamically scheduled parallel loops,
-// reductions, prefix sums, packing, parallel sorting, and the atomic
+// an exclusive prefix sum, parallel sorting and merging, and the atomic
 // priority-write (WriteMin) used to relax edges concurrently.
 //
 // All primitives degrade gracefully to sequential execution for small
@@ -132,4 +132,15 @@ func WorkersGrain(n, grain int, fn func(worker int, claim func() (lo, hi int, ok
 	}
 	fork(workers, func(id int) { fn(id, claim) })
 	return workers
+}
+
+func blocksOf(n, grain int) int { return (n + grain - 1) / grain }
+
+func blockBounds(b, n, grain int) (lo, hi int) {
+	lo = b * grain
+	hi = lo + grain
+	if hi > n {
+		hi = n
+	}
+	return lo, hi
 }

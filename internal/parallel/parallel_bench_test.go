@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkForSum1M(b *testing.B) {
-	n := 1 << 20
-	data := make([]int64, n)
-	for i := range data {
-		data[i] = int64(i)
-	}
-	b.SetBytes(int64(n * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Reduce(n, 0, func(i int) int64 { return data[i] }, func(a, b int64) int64 { return a + b })
-	}
-}
-
 func BenchmarkExclusiveScan1M(b *testing.B) {
 	n := 1 << 20
 	src := make([]int64, n)
@@ -77,19 +64,6 @@ func BenchmarkWriteMinSpread(b *testing.B) {
 			WriteMin(&cells[i], ToBits(r.Float64()*100))
 		}
 	})
-}
-
-func BenchmarkMinIndex1M(b *testing.B) {
-	n := 1 << 20
-	keys := make([]float64, n)
-	r := rand.New(rand.NewPCG(5, 6))
-	for i := range keys {
-		keys[i] = r.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MinIndex(n, 2, func(i int) float64 { return keys[i] })
-	}
 }
 
 // BenchmarkForkJoinSubstep measures bare fork-join overhead at

@@ -96,43 +96,6 @@ func TestWorkersDistinctIDs(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
-	for _, n := range []int{0, 1, 100, DefaultGrain * 7} {
-		got := Reduce(n, 0, func(i int) int { return i }, func(a, b int) int { return a + b })
-		want := n * (n - 1) / 2
-		if got != want {
-			t.Fatalf("n=%d: Reduce = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestMinIndex(t *testing.T) {
-	keys := []float64{5, 3, 9, 3, 7}
-	i, k := MinIndex(len(keys), math.Inf(1), func(i int) float64 { return keys[i] })
-	if i != 1 || k != 3 {
-		t.Fatalf("MinIndex = (%d,%v), want (1,3)", i, k)
-	}
-	i, k = MinIndex(0, math.Inf(1), func(int) float64 { return 0 })
-	if i != -1 || !math.IsInf(k, 1) {
-		t.Fatalf("empty MinIndex = (%d,%v)", i, k)
-	}
-}
-
-func TestMinIndexLarge(t *testing.T) {
-	n := 300000
-	keys := make([]float64, n)
-	r := rand.New(rand.NewPCG(1, 2))
-	for i := range keys {
-		keys[i] = r.Float64()
-	}
-	target := n/2 + 13
-	keys[target] = -1
-	i, k := MinIndex(n, math.Inf(1), func(i int) float64 { return keys[i] })
-	if i != target || k != -1 {
-		t.Fatalf("MinIndex = (%d,%v), want (%d,-1)", i, k, target)
-	}
-}
-
 func TestExclusiveScanMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 9))
 	for _, n := range []int{0, 1, 2, scanGrain - 1, scanGrain, scanGrain + 1, scanGrain*5 + 17} {
@@ -175,27 +138,6 @@ func TestExclusiveScanInPlace(t *testing.T) {
 	}
 	if total != want[n-1]+int64((n-1)%13) {
 		t.Fatalf("in-place total wrong: %d", total)
-	}
-}
-
-func TestInclusiveScan(t *testing.T) {
-	for _, n := range []int{1, 5, scanGrain * 2} {
-		src := make([]int, n)
-		for i := range src {
-			src[i] = i + 1
-		}
-		dst := make([]int, n)
-		total := InclusiveScan(src, dst)
-		acc := 0
-		for i := 0; i < n; i++ {
-			acc += i + 1
-			if dst[i] != acc {
-				t.Fatalf("n=%d: dst[%d] = %d, want %d", n, i, dst[i], acc)
-			}
-		}
-		if total != acc {
-			t.Fatalf("total = %d, want %d", total, acc)
-		}
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 // The persistent worker pool behind the fork-join primitives.
 //
-// A solve forks once or more for every Bellman–Ford substep large
+// A solve forks in its relax, once for every Bellman–Ford substep large
 // enough to share (core's fork gate runs smaller substeps on the
-// caller, so a 50k-vertex road solve at k = 4 forks about twice), and
+// caller, so no substep of a 50k-vertex road solve at k = 4 forks), and
 // spawning fresh goroutines for each fork costs a stack allocation,
 // scheduler churn, and WaitGroup traffic that can rival the useful work
 // on small frontiers. Instead, the package keeps a small set of

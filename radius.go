@@ -277,18 +277,19 @@ func Radii(g *Graph, rho int) ([]float64, error) {
 // Solver answers repeated single-source shortest-path queries over a
 // preprocessed graph. Construct with NewSolver (which preprocesses) or
 // NewSolverPre (re-using an existing Preprocessed). A Solver is safe for
-// concurrent queries: each solve takes a pooled workspace, so repeated
-// queries are allocation-free in steady state beyond the returned
-// distance vectors.
+// concurrent queries: each solve takes a workspace from the solver's
+// idle list, so repeated queries are allocation-free in steady state
+// beyond the returned distance vectors.
 type Solver struct {
 	pre    *Preprocessed
 	engine Engine
 	params core.Params
-	// wsPool pools *core.Workspace, one per in-flight solve. It sits
-	// behind an atomic pointer (not a bare sync.Pool) so ResetWorkspaces
-	// can swap in a fresh pool without copying a pool value or racing
-	// concurrent Get/Put.
-	wsPool atomic.Pointer[sync.Pool]
+	// idle holds the workspaces of finished solves, for the next solves
+	// to take (getWS, putWS). Unlike a sync.Pool, nothing drops one: the
+	// solver keeps as many workspaces as it ever ran solves at once,
+	// until ResetWorkspaces empties the list or the solver is dropped.
+	wsMu sync.Mutex
+	idle []*core.Workspace
 
 	// lm is the ALT landmark set serving goal-directed Route queries;
 	// nil until landmarks are built (BuildLandmarks) or restored from a
@@ -332,31 +333,45 @@ func newSolver(pre *Preprocessed, engine Engine, rho int) (*Solver, error) {
 	if err := graph.CheckRadii(pre.Radii); err != nil {
 		return nil, fmt.Errorf("radiusstep: %w", err)
 	}
-	s := &Solver{pre: pre, engine: engine, params: core.Params{Rho: rho}}
-	s.ResetWorkspaces()
-	return s, nil
+	return &Solver{pre: pre, engine: engine, params: core.Params{Rho: rho}}, nil
 }
 
-// getWS takes a workspace from the solver's pool (or makes one). Callers
-// return it with putWS; buffers are grow-only, so steady-state queries
-// on one graph reuse the same allocations.
-func (s *Solver) getWS() *core.Workspace { return s.wsPool.Load().Get().(*core.Workspace) }
+// getWS takes the most recently idle workspace, or makes one when every
+// workspace is in a solve. Callers return it with putWS; buffers are
+// grow-only, so steady-state queries on one graph reuse the same
+// allocations.
+func (s *Solver) getWS() *core.Workspace {
+	s.wsMu.Lock()
+	defer s.wsMu.Unlock()
+	k := len(s.idle)
+	if k == 0 {
+		return core.NewWorkspace()
+	}
+	ws := s.idle[k-1]
+	s.idle = s.idle[:k-1]
+	return ws
+}
 
-// putWS returns a workspace to the pool.
-func (s *Solver) putWS(ws *core.Workspace) { s.wsPool.Load().Put(ws) }
+// putWS returns a workspace to the idle list.
+func (s *Solver) putWS(ws *core.Workspace) {
+	s.wsMu.Lock()
+	s.idle = append(s.idle, ws)
+	s.wsMu.Unlock()
+}
 
-// ResetWorkspaces discards every pooled solve workspace by swapping in a
-// fresh pool; in-flight solves finish on their old workspaces, which are
-// then returned to the new pool and re-grown on demand. Workspace
-// buffers are grow-only — sized by the largest solve they ever served —
-// so a measurement harness that sweeps a dimension affecting buffer
-// shape (GOMAXPROCS, most notably: per-worker buffers are sized by the
-// worker count) calls this between settings to keep each setting's
-// steady state from inheriting the previous one's footprint. Not needed
-// in ordinary serving, where inherited capacity is exactly the point of
-// pooling.
+// ResetWorkspaces discards every idle solve workspace; in-flight solves
+// finish on their old workspaces, which then join the emptied list.
+// Workspace buffers are grow-only — sized by the largest solve they ever
+// served — so a measurement harness that sweeps a dimension affecting
+// buffer shape (GOMAXPROCS, most notably: per-worker buffers are sized
+// by the worker count) calls this between settings to keep each
+// setting's steady state from inheriting the previous one's footprint.
+// Not needed in ordinary serving, where inherited capacity is exactly
+// the point of keeping workspaces.
 func (s *Solver) ResetWorkspaces() {
-	s.wsPool.Store(&sync.Pool{New: func() any { return core.NewWorkspace() }})
+	s.wsMu.Lock()
+	s.idle = nil
+	s.wsMu.Unlock()
 }
 
 // Preprocessed exposes the solver's augmented graph and radii.

@@ -14,9 +14,6 @@ import (
 // same steady-state allocation budget the pre-tracing implementation
 // held. CI runs this test by name next to the other alloc gates.
 func TestTracingDisabledAllocGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
 	g := rs.WithUniformIntWeights(rs.Grid2D(20, 20), 1, 100, 3)
 	for _, tc := range []struct {
 		engine rs.Engine
